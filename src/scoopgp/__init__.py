@@ -9,16 +9,24 @@ decision loop scores a fixed action grid by UCB and scoops until one
 reward clears the terrain's threshold.
 """
 
+import os
+
+# SCOOPGP_THREADS caps the BLAS thread pools. BLAS sizes its pools when numpy
+# is first imported, which the submodule imports below do, so the cap is
+# applied here; an explicit OMP_NUM_THREADS etc. still wins.
+if os.environ.get("SCOOPGP_THREADS"):
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, os.environ["SCOOPGP_THREADS"])
+
 from .bench import (DeployReport, MaeReport, eval_kshot_mae, eval_simulated_deployment,
                     mean_model_mae, paired_sign_test)
 from .config import BenchConfig, GenConfig, ModelConfig, RunConfig, TrainConfig, load_config
 from .decide import DatasetTarget, LiveTarget, ScorerConfig, run_deployment
 from .errors import (ConfigError, IngestError, NumericalError, ScoopGpError, SelectionError,
                      SerializationError, ShapeError)
-from .gp import (DeepGpModel, PosteriorPrediction, checkpoint_id, load_model, nlml, nlml_grad,
-                 posterior, posterior_batch, save_model)
-from .meta import CodegaResult, DkmtResult, train_codega, train_dkmt, train_mean
-from .nnet import NetworkSpec, ParamVector, forward, init_params, load_params, save_params
+from .gp import DeepGpModel, checkpoint_id, load_model, nlml, nlml_grad, posterior_batch, save_model
+from .meta import CodegaResult, DkmtResult, train_codega, train_dkmt, train_mean, train_mean_only
+from .nnet import NetworkSpec, ParamVector, init_params
 from .tasks import (Material, MaterialPool, ScoopAction, ScoopRecord, TaskDataset, TerrainTask,
                     compute_features, enumerate_action_grid, generate_materials, generate_task,
                     ingest_released_dataset, read_database, reward_oracle, sample_ood_test_family,
@@ -30,14 +38,14 @@ __all__ = [
     "BenchConfig", "CodegaResult", "ConfigError", "DatasetTarget", "DeepGpModel",
     "DeployReport", "DkmtResult", "GenConfig", "IngestError", "LiveTarget", "MaeReport",
     "Material", "MaterialPool", "ModelConfig", "NetworkSpec", "NumericalError",
-    "ParamVector", "PosteriorPrediction", "RunConfig", "ScoopAction", "ScoopGpError",
+    "ParamVector", "RunConfig", "ScoopAction", "ScoopGpError",
     "ScoopRecord", "ScorerConfig", "SelectionError", "SerializationError", "ShapeError",
     "TaskDataset", "TerrainTask", "TrainConfig", "checkpoint_id", "compute_features",
     "enumerate_action_grid", "eval_kshot_mae", "eval_simulated_deployment",
     "generate_materials", "generate_task", "ingest_released_dataset", "load_config",
-    "load_model", "load_params", "mean_model_mae", "nlml", "nlml_grad",
-    "paired_sign_test", "posterior", "posterior_batch", "read_database",
+    "load_model", "mean_model_mae", "nlml", "nlml_grad",
+    "paired_sign_test", "posterior_batch", "read_database",
     "reward_oracle", "run_deployment", "sample_ood_test_family", "sample_task_family",
-    "save_model", "save_params", "train_codega", "train_dkmt", "train_mean",
-    "write_database", "forward", "init_params",
+    "save_model", "train_codega", "train_dkmt", "train_mean", "train_mean_only",
+    "write_database", "init_params",
 ]

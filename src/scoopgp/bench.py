@@ -290,6 +290,19 @@ def write_mae_report(path: str, report: MaeReport) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _key_values(line: str) -> dict:
+    """The key=value tokens of a report's '#' header or aggregate line."""
+    return dict(tok.split("=", 1) for tok in line.lstrip("#").split() if "=" in tok)
+
+
+def _check_aggregate(stated, got, what: str, path: str) -> None:
+    """Raise IngestError unless the stated aggregate values equal the
+    recomputed ones at the file's printed precision."""
+    got_q = tuple(float(_FMT % g) for g in got)
+    if stated != got_q:
+        raise IngestError(f"aggregate for {what} is {stated}, rows recompute to {got_q}", path)
+
+
 def read_mae_report(path: str) -> MaeReport:
     """Parse a report file, recomputing and checking its aggregate lines."""
     label, seed, checkpoint, trials, shots = "", 0, "", 0, ()
@@ -302,11 +315,14 @@ def read_mae_report(path: str) -> MaeReport:
                 continue
             if line.startswith("#aggregate"):
                 parts = line.split()
-                stated[int(parts[1])] = (float(parts[2]), float(parts[3]))
+                try:
+                    stated[int(parts[1])] = (float(parts[2]), float(parts[3]))
+                except (IndexError, ValueError):
+                    raise IngestError(f"malformed aggregate line {line!r}", path, lineno) from None
                 continue
             if line.startswith("#"):
                 if "label=" in line:
-                    kv = dict(tok.split("=", 1) for tok in line.lstrip("# ").split() if "=" in tok)
+                    kv = _key_values(line)
                     label = kv.get("label", "")
                     seed = int(kv.get("seed", 0))
                     checkpoint = kv.get("checkpoint", "")
@@ -319,13 +335,9 @@ def read_mae_report(path: str) -> MaeReport:
             rows.append(MaeRow(parts[0], int(parts[1]), float(parts[2]), float(parts[3])))
     aggregates = _aggregate_rows(rows, shots)
     for shot, stated_pair in stated.items():
-        got = aggregates[shot]
-        # compare at the file's printed precision
-        got_q = (float(_FMT % got[0]), float(_FMT % got[1]))
-        if got_q != stated_pair:
-            raise IngestError(
-                f"aggregate for shot {shot} is {stated_pair}, rows recompute to {got_q}", path
-            )
+        if shot not in aggregates:
+            raise IngestError(f"aggregate for shot {shot}, which the header does not list", path)
+        _check_aggregate(stated_pair, aggregates[shot], f"shot {shot}", path)
     return MaeReport(label=label, seed=seed, checkpoint=checkpoint, trials=trials,
                      shots=shots, rows=tuple(rows), aggregates=aggregates)
 
@@ -349,14 +361,22 @@ def read_deploy_report(path: str) -> DeployReport:
     method, seed, checkpoint, budget, trials = "", 0, "", 0, 0
     excluded = ()
     rows = []
+    stated = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line or line.startswith("#aggregate"):
+            if not line:
+                continue
+            if line.startswith("#aggregate"):
+                kv = _key_values(line)
+                try:
+                    stated = tuple(float(kv[k]) for k in ("avg", "max", "success_rate"))
+                except (KeyError, ValueError):
+                    raise IngestError(f"malformed aggregate line {line!r}", path, lineno) from None
                 continue
             if line.startswith("#"):
                 if "method=" in line:
-                    kv = dict(tok.split("=", 1) for tok in line.lstrip("# ").split() if "=" in tok)
+                    kv = _key_values(line)
                     method = kv.get("method", "")
                     seed = int(kv.get("seed", 0))
                     checkpoint = kv.get("checkpoint", "")
@@ -369,8 +389,14 @@ def read_deploy_report(path: str) -> DeployReport:
             if len(parts) != 4:
                 raise IngestError(f"deploy row has {len(parts)} fields, expected 4", path, lineno)
             rows.append(DeployRow(parts[0], int(parts[1]), int(parts[2]), bool(int(parts[3]))))
-    return DeployReport(method=method, seed=seed, checkpoint=checkpoint, budget=budget,
-                        trials=trials, rows=tuple(rows), excluded=excluded)
+    report = DeployReport(method=method, seed=seed, checkpoint=checkpoint, budget=budget,
+                          trials=trials, rows=tuple(rows), excluded=excluded)
+    if stated is not None:
+        if not rows:
+            raise IngestError("aggregate line over no deploy rows", path)
+        got = (report.avg_attempts, report.max_attempts, report.success_rate)
+        _check_aggregate(stated, got, "avg, max, success_rate", path)
+    return report
 
 
 def pool_mae_reports(reports) -> dict:

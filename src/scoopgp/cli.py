@@ -7,8 +7,8 @@ deployment, validate a dataset file, and render report tables.
 Exit codes: 0 on success, 2 for usage errors (argparse handles these),
 1 for runtime failures, which print a diagnostic to stderr.
 
-SCOOPGP_THREADS caps the BLAS thread pools (set before numpy loads);
-SCOOPGP_OUT_DIR prefixes every relative output path.
+SCOOPGP_THREADS caps the BLAS thread pools (applied on package import,
+before numpy loads); SCOOPGP_OUT_DIR prefixes every relative output path.
 """
 
 from __future__ import annotations
@@ -16,14 +16,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-
-
-def _apply_thread_env() -> None:
-    n = os.environ.get("SCOOPGP_THREADS")
-    if not n:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, n)
 
 
 def _out_path(path: str) -> str:
@@ -76,36 +68,9 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _train_mean_only_model(datasets, seed, model_cfg, train_cfg):
-    import numpy as np
-
-    from .gp import DeepGpModel
-    from .meta import LOG_OS_MAX, LOG_OS_MIN, _median_embed_heuristic, train_mean
-    from .nnet import forward_batch, init_params
-
-    res = train_mean(datasets, seed, model_cfg, train_cfg, label="mean")
-    in_dim = datasets[0].feature_dim + 2
-    kspec = model_cfg.kernel_spec()
-    krng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFF, 0x6E51]))
-    kernel_params = init_params(kspec, krng)
-    X = np.concatenate([ds.gp_inputs() for ds in datasets], axis=0)
-    y = np.concatenate([ds.rewards() for ds in datasets], axis=0)
-    fspec = model_cfg.feature_spec(in_dim)
-    emb = forward_batch(kspec, kernel_params, forward_batch(fspec, res.feature_params, X[:256]))
-    log_ls = float(np.log(_median_embed_heuristic(emb)))
-    log_os = float(np.clip(np.log(max(float(np.var(y)), 1e-8)), LOG_OS_MIN, LOG_OS_MAX))
-    log_noise = float(np.log(max(0.5 * float(np.std(y)), train_cfg.noise_floor)))
-    return DeepGpModel(
-        feature_spec=fspec, feature_params=res.feature_params,
-        mean_spec=model_cfg.mean_spec(), mean_params=res.mean_params,
-        kernel_spec=kspec, kernel_params=kernel_params,
-        log_lengthscale=log_ls, log_outputscale=log_os, log_noise=log_noise,
-    )
-
-
 def _cmd_train(args) -> int:
     from .gp import checkpoint_id, save_model
-    from .meta import train_codega, train_dkmt
+    from .meta import train_codega, train_dkmt, train_mean_only
     from .tasks import read_database
 
     cfg = _load_run_config(args)
@@ -114,14 +79,8 @@ def _cmd_train(args) -> int:
         import dataclasses
 
         cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, folds=args.folds))
-    if args.method == "codega":
-        result = train_codega(datasets, seed=args.seed, model_cfg=cfg.model, train_cfg=cfg.train)
-        model = result.model
-    elif args.method == "dkmt":
-        result = train_dkmt(datasets, seed=args.seed, model_cfg=cfg.model, train_cfg=cfg.train)
-        model = result.model
-    else:
-        model = _train_mean_only_model(datasets, args.seed, cfg.model, cfg.train)
+    trainer = {"codega": train_codega, "dkmt": train_dkmt, "mean-only": train_mean_only}[args.method]
+    model = trainer(datasets, seed=args.seed, model_cfg=cfg.model, train_cfg=cfg.train).model
     out = _out_path(args.out)
     save_model(out, model)
     print(f"wrote {out} (checkpoint {checkpoint_id(model)})")
@@ -291,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_env()
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "deploy" and args.mode == "live" and not args.terrains:

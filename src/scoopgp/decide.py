@@ -95,9 +95,8 @@ def score_mean_only(model: DeepGpModel, candidates: np.ndarray) -> np.ndarray:
     return mean_eval_batch(model, candidates)
 
 
-def select_action(scores: np.ndarray, feasible: np.ndarray, tie_seed=None) -> int:
-    """Index of the best feasible score; exact ties go to the lowest index
-    (or uniformly among the tied when tie_seed is given)."""
+def select_action(scores: np.ndarray, feasible: np.ndarray) -> int:
+    """Index of the best feasible score; exact ties go to the lowest index."""
     scores = np.asarray(scores, dtype=np.float64)
     feasible = np.asarray(feasible, dtype=bool)
     if scores.shape != feasible.shape:
@@ -105,12 +104,7 @@ def select_action(scores: np.ndarray, feasible: np.ndarray, tie_seed=None) -> in
     if not feasible.any():
         raise SelectionError("no feasible candidate action")
     masked = np.where(feasible, scores, -np.inf)
-    best = masked.max()
-    ties = np.flatnonzero(masked == best)
-    if tie_seed is None or len(ties) == 1:
-        return int(ties[0])
-    rng = np.random.default_rng(tie_seed)
-    return int(ties[int(rng.integers(0, len(ties)))])
+    return int(np.flatnonzero(masked == masked.max())[0])
 
 
 @dataclass(frozen=True)

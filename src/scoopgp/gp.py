@@ -30,7 +30,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import NumericalError, SerializationError, ShapeError
-from .nnet import NetworkSpec, ParamVector, forward_batch, vjp
+from .nnet import NetworkSpec, ParamVector, forward_batch, network_from_checkpoint, vjp
 from .serialize import container_bytes, parse_container
 
 # Cholesky retry ladder: first attempt is unjittered, escalation starts at
@@ -105,12 +105,6 @@ class DeepGpModel:
         )
 
 
-@dataclass(frozen=True)
-class PosteriorPrediction:
-    mean: float
-    variance: float
-
-
 def _as_batch(model: DeepGpModel, X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:
@@ -139,18 +133,10 @@ def embed_batch(model: DeepGpModel, X) -> np.ndarray:
     return forward_batch(model.kernel_spec, _kernel_head(model), U)
 
 
-def embed(model: DeepGpModel, x) -> np.ndarray:
-    return embed_batch(model, np.asarray(x, dtype=np.float64)[None, :])[0]
-
-
 def mean_eval_batch(model: DeepGpModel, X) -> np.ndarray:
     X = _as_batch(model, X)
     U = forward_batch(model.feature_spec, model.feature_params, X)
     return forward_batch(model.mean_spec, model.mean_params, U)[:, 0]
-
-
-def mean_eval(model: DeepGpModel, x) -> float:
-    return float(mean_eval_batch(model, np.asarray(x, dtype=np.float64)[None, :])[0])
 
 
 def _sqdist(Z1: np.ndarray, Z2: np.ndarray) -> np.ndarray:
@@ -162,17 +148,6 @@ def kernel_matrix(model: DeepGpModel, Z1: np.ndarray, Z2: np.ndarray) -> np.ndar
     s = model.outputscale
     ell2 = np.exp(2.0 * model.log_lengthscale)
     return s * np.exp(-0.5 * _sqdist(Z1, Z2) / ell2)
-
-
-def kernel_eval(model: DeepGpModel, x1, x2) -> float:
-    Z = embed_batch(model, np.stack([np.asarray(x1, dtype=np.float64), np.asarray(x2, dtype=np.float64)]))
-    return float(kernel_matrix(model, Z[:1], Z[1:2])[0, 0])
-
-
-def gram(model: DeepGpModel, X) -> np.ndarray:
-    """Noise-free Gram matrix over a batch of inputs."""
-    Z = embed_batch(model, X)
-    return kernel_matrix(model, Z, Z)
 
 
 def _chol_with_jitter(K: np.ndarray, scale: float):
@@ -203,7 +178,7 @@ def _chol_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
 def posterior_batch(model: DeepGpModel, support_x, support_y, queries):
     """Posterior mean and variance arrays at query inputs.
 
-    Empty support returns the prior: mean_eval(x) and k(x, x) + noise
+    Empty support returns the prior: the model mean and k(x, x) + noise
     variance. Otherwise the exact conditional with per-point residuals
     y_i - m(x_i) against the model mean; the returned variance is the
     latent one, without the observation noise term.
@@ -234,11 +209,6 @@ def posterior_batch(model: DeepGpModel, support_x, support_y, queries):
     W = _chol_solve(L, Kqs.T)
     var = s - np.einsum("ij,ji->i", Kqs, W)
     return mu, np.maximum(var, 0.0)
-
-
-def posterior(model: DeepGpModel, support_x, support_y, queries) -> list:
-    mu, var = posterior_batch(model, support_x, support_y, queries)
-    return [PosteriorPrediction(float(m), float(v)) for m, v in zip(mu, var)]
 
 
 @dataclass(frozen=True)
@@ -377,20 +347,20 @@ def save_model(path: str, model: DeepGpModel) -> None:
 
 def model_from_bytes(data: bytes) -> DeepGpModel:
     meta, blocks = parse_container(data, "deepgp")
-    feature_spec = NetworkSpec.from_dict(meta["feature_spec"])
-    mean_spec = NetworkSpec.from_dict(meta["mean_spec"])
-    kernel_spec = NetworkSpec.from_dict(meta["kernel_spec"])
     expected = 4 if meta.get("has_kernel_feature") else 3
     if len(blocks) != expected:
         raise SerializationError(f"model checkpoint holds {len(blocks)} blocks, expected {expected}")
-    kf = ParamVector(blocks[3], feature_spec.param_layout()) if expected == 4 else None
+    feature_spec, feature_params = network_from_checkpoint(meta.get("feature_spec"), blocks[0])
+    mean_spec, mean_params = network_from_checkpoint(meta.get("mean_spec"), blocks[1])
+    kernel_spec, kernel_params = network_from_checkpoint(meta.get("kernel_spec"), blocks[2])
+    kf = network_from_checkpoint(meta.get("feature_spec"), blocks[3])[1] if expected == 4 else None
     return DeepGpModel(
         feature_spec=feature_spec,
-        feature_params=ParamVector(blocks[0], feature_spec.param_layout()),
+        feature_params=feature_params,
         mean_spec=mean_spec,
-        mean_params=ParamVector(blocks[1], mean_spec.param_layout()),
+        mean_params=mean_params,
         kernel_spec=kernel_spec,
-        kernel_params=ParamVector(blocks[2], kernel_spec.param_layout()),
+        kernel_params=kernel_params,
         log_lengthscale=float(meta["log_lengthscale"]),
         log_outputscale=float(meta["log_outputscale"]),
         log_noise=float(meta["log_noise"]),

@@ -13,6 +13,10 @@ train_codega
 train_dkmt
     The joint baseline: mean, kernel and shared extractor trained
     together by marginal likelihood, one task per batch.
+
+train_mean_only builds the non-adaptive reference: the supervised mean
+with an untrained kernel head. Every trainer runs the same early-stopping
+epoch loop, _fit.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .nnet import (
     forward_batch,
     init_params,
     optimizer_step,
+    params_from_layers,
     split_params,
     vjp,
 )
@@ -122,6 +127,12 @@ class DkmtResult:
     report: TrainingReport
 
 
+@dataclass(frozen=True)
+class MeanOnlyResult:
+    model: DeepGpModel
+    report: TrainingReport
+
+
 def _pool_training_data(datasets) -> tuple:
     xs = [ds.gp_inputs() for ds in datasets if len(ds)]
     ys = [ds.rewards() for ds in datasets if len(ds)]
@@ -141,8 +152,6 @@ def _scale_output_layer(spec: NetworkSpec, params: ParamVector, mu: float, sigma
     layers = [(W.copy(), b.copy()) for W, b in split_params(spec, params)]
     W, b = layers[-1]
     layers[-1] = (sigma * W, sigma * b + mu)
-    from .nnet import params_from_layers
-
     return params_from_layers(spec, layers)
 
 
@@ -152,6 +161,45 @@ def _standardizer(y: np.ndarray) -> tuple:
     if sigma < 1e-12:
         sigma = 1.0
     return mu, sigma
+
+
+def _fit(label: str, state: dict, epoch_step, max_epochs: int, train_cfg: TrainConfig) -> tuple:
+    """The early-stopping epoch loop every trainer runs.
+
+    state maps names to ParamVectors. epoch_step(state) runs one epoch and
+    returns (state, score, train_loss, val_loss); score is minimised and
+    val_loss is None without a validation set. Stops once score has not
+    improved for more than train_cfg.patience epochs and returns the best
+    epoch's state with the TrainingReport.
+    """
+    best_score, best_state, best_epoch = math.inf, state, 0
+    bad = 0
+    entries = []
+    for epoch in range(1, max_epochs + 1):
+        state, score, train_loss, val_loss = epoch_step(state)
+        entries.append(EpochRecord(epoch, train_loss, float("nan") if val_loss is None else val_loss))
+        if train_cfg.log_every and epoch % train_cfg.log_every == 0:
+            line = f"[{label}] Epoch {epoch} | train_loss {train_loss:.4f}"
+            print(line if val_loss is None else f"{line} | val_loss {val_loss:.4f}")
+        if score < best_score:
+            best_score, best_state, best_epoch = score, state, epoch
+            bad = 0
+        else:
+            bad += 1
+            if bad > train_cfg.patience:
+                break
+    return best_state, TrainingReport(label=label, entries=tuple(entries), best_epoch=best_epoch)
+
+
+def _adam(state: dict, grads: dict, opt: dict, lr: float, log_noise_min: float | None = None) -> dict:
+    """One Adam step on each named vector in grads, clamping "hyper" after
+    its step. opt holds the Adam state per name and is updated in place."""
+    state = dict(state)
+    for name, g in grads.items():
+        state[name], opt[name] = optimizer_step(state[name], g, opt.get(name), lr)
+    if "hyper" in grads:
+        state["hyper"] = _clamp_hypers(state["hyper"], log_noise_min)
+    return state
 
 
 def train_mean(datasets, seed, model_cfg: ModelConfig = ModelConfig(), train_cfg: TrainConfig = TrainConfig(), label: str = "mean") -> MeanResult:
@@ -183,48 +231,59 @@ def train_mean(datasets, seed, model_cfg: ModelConfig = ModelConfig(), train_cfg
     feature_spec = model_cfg.feature_spec(X.shape[1])
     mean_spec = model_cfg.mean_spec()
     rng_init = np.random.default_rng(init_ss)
-    feat = init_params(feature_spec, rng_init)
-    mean = init_params(mean_spec, rng_init)
-    feat_state = None
-    mean_state = None
+    init = {"feat": init_params(feature_spec, rng_init), "mean": init_params(mean_spec, rng_init)}
+    opt = {}
+    raw = sigma * sigma
 
-    def mse(params_feat, params_mean, Xs, ys) -> float:
-        pred = _mean_predict(feature_spec, params_feat, mean_spec, params_mean, Xs)
+    def mse(s, Xs, ys) -> float:
+        pred = _mean_predict(feature_spec, s["feat"], mean_spec, s["mean"], Xs)
         return float(np.mean((pred - ys) ** 2))
 
-    best = (math.inf, feat, mean, 0)
-    bad = 0
-    entries = []
-    raw = sigma * sigma
-    for epoch in range(1, train_cfg.max_epochs_mean + 1):
+    def epoch_step(s):
         order = rng_batch.permutation(Xt.shape[0])
         for start in range(0, len(order), train_cfg.batch_size):
             idx = order[start:start + train_cfg.batch_size]
             Xb, yb = Xt[idx], yt[idx]
-            U = forward_batch(feature_spec, feat, Xb)
-            pred = forward_batch(mean_spec, mean, U)[:, 0]
+            U = forward_batch(feature_spec, s["feat"], Xb)
+            pred = forward_batch(mean_spec, s["mean"], U)[:, 0]
             upstream = (2.0 / len(idx)) * (pred - yb)[:, None]
-            g_mean, dU = vjp(mean_spec, mean, U, upstream)
-            g_feat, _ = vjp(feature_spec, feat, Xb, dU)
-            mean, mean_state = optimizer_step(mean, g_mean, mean_state, train_cfg.lr_mean)
-            feat, feat_state = optimizer_step(feat, g_feat, feat_state, train_cfg.lr_mean)
-        train_loss = mse(feat, mean, Xt, yt)
-        val_loss = mse(feat, mean, Xv, yv)
-        entries.append(EpochRecord(epoch, raw * train_loss, raw * val_loss))
-        if train_cfg.log_every and epoch % train_cfg.log_every == 0:
-            print(f"[{label}] Epoch {epoch} | train_loss {raw * train_loss:.4f} | val_loss {raw * val_loss:.4f}")
-        if val_loss < best[0]:
-            best = (val_loss, feat, mean, epoch)
-            bad = 0
-        else:
-            bad += 1
-            if bad > train_cfg.patience:
-                break
+            g_mean, dU = vjp(mean_spec, s["mean"], U, upstream)
+            g_feat, _ = vjp(feature_spec, s["feat"], Xb, dU)
+            s = _adam(s, {"mean": g_mean, "feat": g_feat}, opt, train_cfg.lr_mean)
+        train_loss = mse(s, Xt, yt)
+        val_loss = mse(s, Xv, yv)
+        return s, val_loss, raw * train_loss, raw * val_loss
 
-    _, feat, mean, best_epoch = best
-    mean = _scale_output_layer(mean_spec, mean, mu, sigma)
-    report = TrainingReport(label=label, entries=tuple(entries), best_epoch=best_epoch)
-    return MeanResult(feature_params=feat, mean_params=mean, report=report)
+    best, report = _fit(label, init, epoch_step, train_cfg.max_epochs_mean, train_cfg)
+    mean = _scale_output_layer(mean_spec, best["mean"], mu, sigma)
+    return MeanResult(feature_params=best["feat"], mean_params=mean, report=report)
+
+
+def train_mean_only(datasets, seed=0, model_cfg: ModelConfig = ModelConfig(), train_cfg: TrainConfig = TrainConfig()) -> MeanOnlyResult:
+    """The supervised mean with an untrained kernel head.
+
+    The kernel head keeps its seeded initialization; the lengthscale is
+    the median embedding distance, the outputscale the reward variance and
+    the noise half the reward std, at least the noise floor.
+    """
+    res = train_mean(datasets, seed, model_cfg, train_cfg, label="mean")
+    X, y = _pool_training_data(datasets)
+    feature_spec = model_cfg.feature_spec(X.shape[1])
+    kernel_spec = model_cfg.kernel_spec()
+    kernel = init_params(kernel_spec, np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, 0x6E51])))
+    emb = forward_batch(kernel_spec, kernel, forward_batch(feature_spec, res.feature_params, X[:256]))
+    model = DeepGpModel(
+        feature_spec=feature_spec,
+        feature_params=res.feature_params,
+        mean_spec=model_cfg.mean_spec(),
+        mean_params=res.mean_params,
+        kernel_spec=kernel_spec,
+        kernel_params=kernel,
+        log_lengthscale=float(np.log(_median_embed_heuristic(emb))),
+        log_outputscale=float(np.clip(np.log(max(float(np.var(y)), 1e-8)), LOG_OS_MIN, LOG_OS_MAX)),
+        log_noise=float(np.log(max(0.5 * float(np.std(y)), train_cfg.noise_floor))),
+    )
+    return MeanOnlyResult(model=model, report=res.report)
 
 
 def make_fold_splits(datasets, folds: int, seed) -> list:
@@ -320,6 +379,24 @@ def _clamp_hypers(h: ParamVector, log_noise_min: float) -> ParamVector:
 _HYPER_LAYOUT = (("hyper", (3,)),)
 
 
+def _hyper_grad(grads) -> ParamVector:
+    return ParamVector(np.array([grads.log_lengthscale, grads.log_outputscale, grads.log_noise]), _HYPER_LAYOUT)
+
+
+def _hyper_kwargs(h: ParamVector) -> dict:
+    """DeepGpModel keyword arguments for the three log hyperparameters."""
+    return dict(zip(("log_lengthscale", "log_outputscale", "log_noise"), (float(v) for v in h.values)))
+
+
+def _raw_hypers(h: ParamVector, sigma: float, noise_floor: float) -> dict:
+    """_hyper_kwargs of hyperparameters fit to targets divided by sigma,
+    rescaled to raw units with the noise held at the floor."""
+    hypers = _hyper_kwargs(h)
+    hypers["log_outputscale"] += 2.0 * math.log(sigma)
+    hypers["log_noise"] = max(hypers["log_noise"] + math.log(sigma), math.log(noise_floor))
+    return hypers
+
+
 def train_kernel_codega(residuals: ResidualDataset, fold_checkpoints: dict, seed, model_cfg: ModelConfig = ModelConfig(), train_cfg: TrainConfig = TrainConfig()) -> KernelResult:
     """Shared kernel over residual groups, one task per batch.
 
@@ -357,7 +434,6 @@ def train_kernel_codega(residuals: ResidualDataset, fold_checkpoints: dict, seed
 
     # initial hyperparameters: unit variance after scaling, median embedding
     # distance for the lengthscale, half a residual std of noise
-    sample = np.concatenate([g.inputs[:64] for g in groups])[:256]
     sample_feats = []
     for g in groups:
         ck = fold_checkpoints[g.fold_index]
@@ -368,58 +444,34 @@ def train_kernel_codega(residuals: ResidualDataset, fold_checkpoints: dict, seed
     hyper = ParamVector(np.array([math.log(med), math.log(max(var0, 1e-4)), math.log(0.5)]), _HYPER_LAYOUT)
     hyper = _clamp_hypers(hyper, log_noise_min)
 
-    def epoch_model(g: ResidualGroup, kern: ParamVector, hyp: ParamVector) -> DeepGpModel:
-        ck = fold_checkpoints[g.fold_index]
+    def epoch_model(g: ResidualGroup, s: dict) -> DeepGpModel:
         return DeepGpModel(
             feature_spec=feature_spec,
-            feature_params=ck.feature_params,
+            feature_params=fold_checkpoints[g.fold_index].feature_params,
             mean_spec=mean_spec,
             mean_params=mean_zero,
             kernel_spec=kernel_spec,
-            kernel_params=kern,
-            log_lengthscale=float(hyp.values[0]),
-            log_outputscale=float(hyp.values[1]),
-            log_noise=float(hyp.values[2]),
+            kernel_params=s["kernel"],
+            **_hyper_kwargs(s["hyper"]),
         )
 
-    kernel_state = None
-    hyper_state = None
-    n_total = sum(len(g.residuals) for g in groups)
-    raw_shift = n_total * math.log(sigma_sc)
-    best = (math.inf, kernel, hyper, 0)
-    bad = 0
-    entries = []
-    for epoch in range(1, train_cfg.max_epochs_kernel + 1):
+    opt = {}
+    raw_shift = sum(len(g.residuals) for g in groups) * math.log(sigma_sc)
+
+    def epoch_step(s):
         total = 0.0
         for gi in rng.permutation(len(groups)):
             g = groups[gi]
-            model = epoch_model(g, kernel, hyper)
-            value, grads = nlml_grad(model, g.inputs, scaled[g.task_id], mean_mode="zero")
+            value, grads = nlml_grad(epoch_model(g, s), g.inputs, scaled[g.task_id], mean_mode="zero")
             total += value
+            step = {"hyper": _hyper_grad(grads)}
             if train_cfg.train_kernel_head:
-                kernel, kernel_state = optimizer_step(kernel, grads.kernel, kernel_state, train_cfg.lr_kernel)
-            hgrad = ParamVector(
-                np.array([grads.log_lengthscale, grads.log_outputscale, grads.log_noise]), _HYPER_LAYOUT
-            )
-            hyper, hyper_state = optimizer_step(hyper, hgrad, hyper_state, train_cfg.lr_kernel)
-            hyper = _clamp_hypers(hyper, log_noise_min)
-        entries.append(EpochRecord(epoch, total + raw_shift, float("nan")))
-        if train_cfg.log_every and epoch % train_cfg.log_every == 0:
-            print(f"[kernel] Epoch {epoch} | train_loss {total + raw_shift:.4f}")
-        if total < best[0]:
-            best = (total, kernel, hyper, epoch)
-            bad = 0
-        else:
-            bad += 1
-            if bad > train_cfg.patience:
-                break
+                step["kernel"] = grads.kernel
+            s = _adam(s, step, opt, train_cfg.lr_kernel, log_noise_min)
+        return s, total, total + raw_shift, None
 
-    _, kernel, hyper, best_epoch = best
-    log_ls = float(hyper.values[0])
-    log_os = float(hyper.values[1]) + 2.0 * math.log(sigma_sc)
-    log_noise = max(float(hyper.values[2]) + math.log(sigma_sc), math.log(train_cfg.noise_floor))
-    report = TrainingReport(label="kernel", entries=tuple(entries), best_epoch=best_epoch)
-    return KernelResult(kernel_params=kernel, log_lengthscale=log_ls, log_outputscale=log_os, log_noise=log_noise, report=report)
+    best, report = _fit("kernel", {"kernel": kernel, "hyper": hyper}, epoch_step, train_cfg.max_epochs_kernel, train_cfg)
+    return KernelResult(kernel_params=best["kernel"], **_raw_hypers(best["hyper"], sigma_sc, train_cfg.noise_floor), report=report)
 
 
 def train_codega(datasets, folds: int | None = None, seed=0, model_cfg: ModelConfig = ModelConfig(), train_cfg: TrainConfig = TrainConfig()) -> CodegaResult:
@@ -500,61 +552,34 @@ def train_dkmt(datasets, seed=0, model_cfg: ModelConfig = ModelConfig(), train_c
     hyper = ParamVector(np.array([math.log(med), 0.0, math.log(0.5)]), _HYPER_LAYOUT)
     hyper = _clamp_hypers(hyper, log_noise_min)
 
-    states = {"feat": None, "mean": None, "kernel": None, "hyper": None}
     data = [(ds.gp_inputs(), (ds.rewards() - mu) / sigma) for ds in live]
-    n_total = sum(len(y) for _, y in data)
-    raw_shift = n_total * math.log(sigma)
-    best = (math.inf, feat, mean, kernel, hyper, 0)
-    bad = 0
-    entries = []
-    for epoch in range(1, train_cfg.max_epochs_kernel + 1):
+    raw_shift = sum(len(y) for _, y in data) * math.log(sigma)
+    opt = {}
+
+    def joint_model(s: dict, mean: ParamVector, hypers: dict) -> DeepGpModel:
+        return DeepGpModel(
+            feature_spec=feature_spec,
+            feature_params=s["feat"],
+            mean_spec=mean_spec,
+            mean_params=mean,
+            kernel_spec=kernel_spec,
+            kernel_params=s["kernel"],
+            **hypers,
+        )
+
+    def epoch_step(s):
         total = 0.0
         for ti in rng.permutation(len(data)):
             Xb, yb = data[ti]
-            model = DeepGpModel(
-                feature_spec=feature_spec,
-                feature_params=feat,
-                mean_spec=mean_spec,
-                mean_params=mean,
-                kernel_spec=kernel_spec,
-                kernel_params=kernel,
-                log_lengthscale=float(hyper.values[0]),
-                log_outputscale=float(hyper.values[1]),
-                log_noise=float(hyper.values[2]),
-            )
+            model = joint_model(s, s["mean"], _hyper_kwargs(s["hyper"]))
             value, grads = nlml_grad(model, Xb, yb, mean_mode="model", train_extractor=True, train_mean=True)
             total += value
-            feat, states["feat"] = optimizer_step(feat, grads.feature, states["feat"], train_cfg.lr_kernel)
-            mean, states["mean"] = optimizer_step(mean, grads.mean, states["mean"], train_cfg.lr_kernel)
-            kernel, states["kernel"] = optimizer_step(kernel, grads.kernel, states["kernel"], train_cfg.lr_kernel)
-            hgrad = ParamVector(
-                np.array([grads.log_lengthscale, grads.log_outputscale, grads.log_noise]), _HYPER_LAYOUT
-            )
-            hyper, states["hyper"] = optimizer_step(hyper, hgrad, states["hyper"], train_cfg.lr_kernel)
-            hyper = _clamp_hypers(hyper, log_noise_min)
-        entries.append(EpochRecord(epoch, total + raw_shift, float("nan")))
-        if train_cfg.log_every and epoch % train_cfg.log_every == 0:
-            print(f"[joint] Epoch {epoch} | train_loss {total + raw_shift:.4f}")
-        if total < best[0]:
-            best = (total, feat, mean, kernel, hyper, epoch)
-            bad = 0
-        else:
-            bad += 1
-            if bad > train_cfg.patience:
-                break
+            step = {"feat": grads.feature, "mean": grads.mean, "kernel": grads.kernel, "hyper": _hyper_grad(grads)}
+            s = _adam(s, step, opt, train_cfg.lr_kernel, log_noise_min)
+        return s, total, total + raw_shift, None
 
-    _, feat, mean, kernel, hyper, best_epoch = best
-    mean = _scale_output_layer(mean_spec, mean, mu, sigma)
-    model = DeepGpModel(
-        feature_spec=feature_spec,
-        feature_params=feat,
-        mean_spec=mean_spec,
-        mean_params=mean,
-        kernel_spec=kernel_spec,
-        kernel_params=kernel,
-        log_lengthscale=float(hyper.values[0]),
-        log_outputscale=float(hyper.values[1]) + 2.0 * math.log(sigma),
-        log_noise=max(float(hyper.values[2]) + math.log(sigma), math.log(train_cfg.noise_floor)),
-    )
-    report = TrainingReport(label="joint", entries=tuple(entries), best_epoch=best_epoch)
+    init = {"feat": feat, "mean": mean, "kernel": kernel, "hyper": hyper}
+    best, report = _fit("joint", init, epoch_step, train_cfg.max_epochs_kernel, train_cfg)
+    mean = _scale_output_layer(mean_spec, best["mean"], mu, sigma)
+    model = joint_model(best, mean, _raw_hypers(best["hyper"], sigma, train_cfg.noise_floor))
     return DkmtResult(model=model, report=report)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SerializationError, ShapeError
-from .serialize import container_bytes, parse_container
 
 ACTIVATIONS = ("relu", "tanh", "identity")
 
@@ -118,6 +117,16 @@ class ParamVector:
         return ParamVector(values, self.layout)
 
 
+def network_from_checkpoint(spec_dict, values) -> tuple:
+    """Rebuild one network section of a checkpoint: its spec dict and flat
+    parameter block. Any inconsistency is a SerializationError."""
+    try:
+        spec = NetworkSpec.from_dict(spec_dict)
+        return spec, ParamVector(values, spec.param_layout())
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SerializationError(f"bad network section in checkpoint: {exc!r}") from exc
+
+
 def check_params(spec: NetworkSpec, params: ParamVector) -> None:
     if params.layout != spec.param_layout():
         raise ShapeError("parameter layout does not match network spec")
@@ -190,13 +199,6 @@ def forward_batch(spec: NetworkSpec, params: ParamVector, X: np.ndarray) -> np.n
     return h
 
 
-def forward(spec: NetworkSpec, params: ParamVector, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != spec.input_dim:
-        raise ShapeError(f"input shape {x.shape} does not match input_dim {spec.input_dim}")
-    return forward_batch(spec, params, x[None, :])[0]
-
-
 def vjp(spec: NetworkSpec, params: ParamVector, X: np.ndarray, upstream: np.ndarray):
     """Gradient of sum_b upstream[b] . f(X[b]) w.r.t. params and inputs.
 
@@ -227,11 +229,6 @@ def vjp(spec: NetworkSpec, params: ParamVector, X: np.ndarray, upstream: np.ndar
         grads[i] = (gW, gb)
         D = D @ layers[i][0]
     return params_from_layers(spec, grads), D
-
-
-def backward(spec: NetworkSpec, params: ParamVector, X: np.ndarray, upstream: np.ndarray) -> ParamVector:
-    """Parameter gradient of sum_b upstream[b] . f(X[b])."""
-    return vjp(spec, params, X, upstream)[0]
 
 
 @dataclass(frozen=True)
@@ -270,26 +267,3 @@ def optimizer_step(
     new_values = params.values - lr * m_hat / (np.sqrt(v_hat) + eps)
     return params.replace_values(new_values), AdamState(step=t, m=m, v=v)
 
-
-def params_to_bytes(spec: NetworkSpec, params: ParamVector) -> bytes:
-    check_params(spec, params)
-    return container_bytes("net", {"spec": spec.to_dict()}, [params.values])
-
-
-def save_params(path: str, spec: NetworkSpec, params: ParamVector) -> None:
-    """Checkpoint one network: JSON spec header plus little-endian float64 values."""
-    with open(path, "wb") as fh:
-        fh.write(params_to_bytes(spec, params))
-
-
-def params_from_bytes(data: bytes):
-    meta, blocks = parse_container(data, "net")
-    spec = NetworkSpec.from_dict(meta["spec"])
-    if len(blocks) != 1:
-        raise SerializationError(f"net checkpoint must hold one block, found {len(blocks)}")
-    return spec, ParamVector(blocks[0], spec.param_layout())
-
-
-def load_params(path: str):
-    with open(path, "rb") as fh:
-        return params_from_bytes(fh.read())

@@ -222,6 +222,45 @@ def test_deploy_report_round_trip(tmp_path):
     assert read_deploy_report(path).excluded == ()
 
 
+def _write_lines(path, lines):
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def test_mae_report_rejects_an_aggregate_for_an_unlisted_shot(tmp_path):
+    path = str(tmp_path / "mae.txt")
+    _write_lines(path, [
+        "# scoopgp mae-report v1",
+        "# label=kshot-mae seed=0 checkpoint=abc trials=1 shots=0",
+        "# columns: task_id shot mae top_mae",
+        "t0 0 1.5 2",
+        "#aggregate 0 1.5 2",
+        "#aggregate 5 1.5 2",
+    ])
+    with pytest.raises(IngestError, match="shot 5"):
+        read_mae_report(path)
+
+
+def test_deploy_report_checks_its_aggregate_line(tmp_path):
+    path = str(tmp_path / "deploy.txt")
+    head = [
+        "# scoopgp deploy-report v1",
+        "# method=ucb seed=0 checkpoint=abc budget=20 trials=1 excluded=none",
+        "# columns: task_id trial attempts success",
+        "t0 0 3 1",
+    ]
+    _write_lines(path, head + ["#aggregate avg=3 max=3 success_rate=1"])
+    assert read_deploy_report(path).avg_attempts == 3.0
+    for bad in ("avg=99 max=3 success_rate=1", "avg=3 max=4 success_rate=1",
+                "avg=3 max=3 success_rate=0.5", "avg=3 max=3", "avg=x max=3 success_rate=1"):
+        _write_lines(path, head + [f"#aggregate {bad}"])
+        with pytest.raises(IngestError):
+            read_deploy_report(path)
+    _write_lines(path, head[:3] + ["#aggregate avg=3 max=3 success_rate=1"])
+    with pytest.raises(IngestError):
+        read_deploy_report(path)
+
+
 # ---------------------------------------------------------------------------
 # simulated deployment
 

@@ -7,6 +7,9 @@ and checkpoints are shared across tests.
 """
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -390,18 +393,21 @@ def test_out_dir_env_routes_relative_paths(cli_dir, codega_ckpt, tmp_path,
     assert not (routed / "abs.mae.txt").exists()
 
 
-def test_threads_env_sets_blas_defaults(cli_dir, monkeypatch, capsys):
-    data = str(cli_dir / "fam.train.records.txt")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    monkeypatch.setenv("SCOOPGP_THREADS", "7")
-    assert main(["ingest", "--data", data]) == 0
-    capsys.readouterr()
-    assert os.environ["OMP_NUM_THREADS"] == "7"
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "7"
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads via /proc")
+def test_threads_env_caps_blas_before_numpy_loads():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env.update(SCOOPGP_THREADS="1", PYTHONPATH=src)
+    probe = ("import os, scoopgp.cli; "
+             "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True).stdout.split()
+    assert out == ["1", "1"]
 
     # an explicit setting wins over the cap
-    monkeypatch.setenv("OMP_NUM_THREADS", "3")
-    assert main(["ingest", "--data", data]) == 0
-    capsys.readouterr()
-    assert os.environ["OMP_NUM_THREADS"] == "3"
+    env["OMP_NUM_THREADS"] = "3"
+    probe = "import os, scoopgp.cli; print(os.environ['OMP_NUM_THREADS'])"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True).stdout.split()
+    assert out == ["3"]

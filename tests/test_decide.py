@@ -119,10 +119,8 @@ def test_select_action_breaks_ties_deterministically():
     scores = np.array([7.0, 7.0, 1.0, 7.0])
     mask = np.ones(4, dtype=bool)
     assert select_action(scores, mask) == 0
-    picks = {select_action(scores, mask, tie_seed=s) for s in range(24)}
-    assert picks <= {0, 1, 3}
-    assert len(picks) > 1
-    assert select_action(scores, mask, tie_seed=5) == select_action(scores, mask, tie_seed=5)
+    mask[0] = False
+    assert select_action(scores, mask) == 1
 
 
 @st.composite

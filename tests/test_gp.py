@@ -1,5 +1,7 @@
 """Exact GP layer: kernel closed forms, posterior oracles, NLML gradients."""
 
+import json
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -9,19 +11,14 @@ from scoopgp.gp import (
     DeepGpModel,
     _chol_with_jitter,
     checkpoint_id,
-    embed,
     embed_batch,
-    gram,
-    kernel_eval,
     kernel_matrix,
     load_model,
-    mean_eval,
     mean_eval_batch,
     model_from_bytes,
     model_to_bytes,
     nlml,
     nlml_grad,
-    posterior,
     posterior_batch,
     save_model,
 )
@@ -33,10 +30,15 @@ from helpers import dense_posterior_oracle, identity_embedding_model, random_mod
 # ---------------------------------------------------------------------------
 # embeddings, kernel, mean
 
+def _k(model, x1, x2) -> float:
+    Z = embed_batch(model, np.stack([x1, x2]))
+    return float(kernel_matrix(model, Z[:1], Z[1:])[0, 0])
+
+
 def test_identity_configuration_embeds_input_unchanged():
     model = identity_embedding_model(3)
     x = np.array([0.3, -1.2, 2.0])
-    assert np.array_equal(embed(model, x), x)
+    assert np.array_equal(embed_batch(model, x[None, :])[0], x)
 
 
 def test_identical_inputs_embed_identically():
@@ -57,7 +59,7 @@ def test_embedding_matches_head_composition_oracle():
 def test_kernel_at_zero_distance_is_outputscale():
     model = random_model(4, seed=4, log_outputscale=0.7)
     x = np.random.default_rng(5).normal(size=4)
-    assert abs(kernel_eval(model, x, x) - model.outputscale) < 1e-12
+    assert abs(_k(model, x, x) - model.outputscale) < 1e-12
 
 
 def test_kernel_closed_form_at_root_two_lengthscales():
@@ -65,24 +67,23 @@ def test_kernel_closed_form_at_root_two_lengthscales():
     model = identity_embedding_model(2, log_lengthscale=np.log(ls), log_outputscale=np.log(os_))
     x1 = np.zeros(2)
     x2 = np.array([ls * np.sqrt(2.0), 0.0])
-    assert abs(kernel_eval(model, x1, x2) - os_ * np.exp(-1.0)) < 1e-12
+    assert abs(_k(model, x1, x2) - os_ * np.exp(-1.0)) < 1e-12
 
 
 def test_kernel_matches_scalar_hand_formula():
     model = random_model(3, seed=6, log_lengthscale=-0.3, log_outputscale=0.4)
     rng = np.random.default_rng(7)
     x1, x2 = rng.normal(size=3), rng.normal(size=3)
-    z1, z2 = embed(model, x1), embed(model, x2)
+    z1, z2 = embed_batch(model, np.stack([x1, x2]))
     expected = model.outputscale * np.exp(
         -float(np.sum((z1 - z2) ** 2)) / (2.0 * model.lengthscale ** 2))
-    assert abs(kernel_eval(model, x1, x2) - expected) < 1e-12
+    assert abs(_k(model, x1, x2) - expected) < 1e-12
 
 
 def test_zero_weight_mean_head_returns_bias():
     model = identity_embedding_model(3, mean_bias=4.5)
     X = np.random.default_rng(8).normal(size=(6, 3))
     assert np.array_equal(mean_eval_batch(model, X), np.full(6, 4.5))
-    assert mean_eval(model, X[0]) == 4.5
 
 
 def test_mean_matches_head_composition_oracle():
@@ -100,7 +101,8 @@ def test_gram_is_symmetric_and_positive_semidefinite():
     for seed in range(5):
         model = random_model(4, seed=seed, log_outputscale=float(seed) * 0.3)
         X = np.random.default_rng(100 + seed).normal(size=(10, 4))
-        K = gram(model, X)
+        Z = embed_batch(model, X)
+        K = kernel_matrix(model, Z, Z)
         assert np.max(np.abs(K - K.T)) < 1e-12
         assert np.linalg.eigvalsh(K).min() >= -1e-8 * model.outputscale
 
@@ -114,8 +116,6 @@ def test_empty_support_returns_prior():
     mu, var = posterior_batch(model, np.zeros((0, 4)), np.zeros(0), X)
     assert np.array_equal(mu, mean_eval_batch(model, X))
     assert np.array_equal(var, np.full(5, model.outputscale + model.noise_std ** 2))
-    preds = posterior(model, np.zeros((0, 4)), np.zeros(0), X)
-    assert preds[0].mean == mu[0] and preds[0].variance == var[0]
 
 
 def test_near_zero_noise_interpolates_support_exactly():
@@ -378,3 +378,19 @@ def test_model_checkpoint_rejects_corruption():
     header = data[:nl].replace(b'"deepgp"', b'"terain"')
     with pytest.raises(SerializationError):
         model_from_bytes(header + data[nl:])
+    with pytest.raises(SerializationError):
+        model_from_bytes(data + b"\x00" * 8)
+    with pytest.raises(SerializationError, match="bad magic"):
+        model_from_bytes(data.replace(b'"SGPC1"', b'"SGPC0"', 1))
+    with pytest.raises(SerializationError):
+        model_from_bytes(b"no newline at all")
+
+
+def test_model_checkpoint_rejects_a_corrupt_network_section():
+    data = model_to_bytes(random_model(3, seed=46))
+    nl = data.find(b"\n")
+    header = json.loads(data[:nl])
+    header["meta"]["feature_spec"]["hidden"][0][0] += 1
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    with pytest.raises(SerializationError):
+        model_from_bytes(head + data[nl:])

@@ -1,4 +1,4 @@
-"""Network core: forward oracles, gradient checks, Adam and checkpoints."""
+"""Network core: forward oracles, gradient checks, Adam and parameter containers."""
 
 import numpy as np
 import pytest
@@ -9,17 +9,12 @@ from scoopgp.nnet import (
     AdamState,
     NetworkSpec,
     ParamVector,
-    backward,
     check_params,
-    forward,
     forward_batch,
     init_params,
-    load_params,
+    network_from_checkpoint,
     optimizer_step,
-    params_from_bytes,
     params_from_layers,
-    params_to_bytes,
-    save_params,
     split_params,
     vjp,
 )
@@ -33,15 +28,15 @@ from helpers import identity_params
 def test_identity_affine_layer_passes_input_through():
     spec = NetworkSpec(2, (), 2)
     params = identity_params(spec)
-    out = forward(spec, params, np.array([1.0, 2.0]))
-    assert np.array_equal(out, np.array([1.0, 2.0]))
+    out = forward_batch(spec, params, np.array([[1.0, 2.0]]))
+    assert np.array_equal(out, np.array([[1.0, 2.0]]))
 
 
 def test_relu_layer_clamps_negatives():
     spec = NetworkSpec(2, ((2, "relu"),), 2)
     params = params_from_layers(spec, [(np.eye(2), np.zeros(2)), (np.eye(2), np.zeros(2))])
-    out = forward(spec, params, np.array([-1.0, 3.0]))
-    assert np.array_equal(out, np.array([0.0, 3.0]))
+    out = forward_batch(spec, params, np.array([[-1.0, 3.0]]))
+    assert np.array_equal(out, np.array([[0.0, 3.0]]))
 
 
 def test_two_layer_forward_matches_matrix_oracle():
@@ -58,11 +53,11 @@ def test_forward_is_pure_and_consistent_with_batch():
     rng = np.random.default_rng(4)
     spec = NetworkSpec(3, ((4, "relu"), (4, "tanh")), 2)
     params = init_params(spec, rng)
-    x = rng.normal(size=3)
-    a = forward(spec, params, x)
-    b = forward(spec, params, x)
-    assert np.array_equal(a, b)
-    assert np.array_equal(a, forward_batch(spec, params, x[None, :])[0])
+    X = rng.normal(size=(5, 3))
+    a = forward_batch(spec, params, X)
+    assert np.array_equal(a, forward_batch(spec, params, X))
+    for i in range(len(X)):
+        assert np.max(np.abs(forward_batch(spec, params, X[i:i + 1])[0] - a[i])) < 1e-12
 
 
 def test_forward_batch_rejects_wrong_input_dim():
@@ -71,7 +66,7 @@ def test_forward_batch_rejects_wrong_input_dim():
     with pytest.raises(ShapeError):
         forward_batch(spec, params, np.zeros((2, 4)))
     with pytest.raises(ShapeError):
-        forward(spec, params, np.zeros(4))
+        forward_batch(spec, params, np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +117,7 @@ def test_backward_matches_finite_differences_on_random_specs():
         params = init_params(spec, rng)
         X = rng.normal(size=(3, spec.input_dim))
         upstream = rng.normal(size=(3, spec.output_dim))
-        analytic = backward(spec, params, X, upstream).values
+        analytic = vjp(spec, params, X, upstream)[0].values
         numeric = _fd_gradient(spec, params, X, upstream)
         denom = np.maximum(np.abs(numeric), 1e-6)
         assert np.max(np.abs(analytic - numeric) / denom) < 1e-4
@@ -135,7 +130,7 @@ def test_relu_gradient_matches_finite_differences_away_from_kink():
     # keep preactivations away from zero so central differences are exact
     X = np.sign(rng.normal(size=(4, 4))) * rng.uniform(0.5, 1.5, size=(4, 4))
     upstream = rng.normal(size=(4, 2))
-    analytic = backward(spec, params, X, upstream).values
+    analytic = vjp(spec, params, X, upstream)[0].values
     numeric = _fd_gradient(spec, params, X, upstream)
     denom = np.maximum(np.abs(numeric), 1e-6)
     assert np.max(np.abs(analytic - numeric) / denom) < 1e-4
@@ -289,27 +284,25 @@ def test_check_params_rejects_foreign_layout():
         check_params(spec, init_params(other, 0))
 
 
-def test_checkpoint_round_trip(tmp_path):
-    spec = NetworkSpec(4, ((5, "tanh"),), 3)
-    params = init_params(spec, 17)
-    path = tmp_path / "net.bin"
-    save_params(str(path), spec, params)
-    spec2, params2 = load_params(str(path))
+def test_checkpoint_rejects_corruption():
+    spec = NetworkSpec(2, ((3, "tanh"),), 1)
+    params = init_params(spec, 0)
+    spec2, params2 = network_from_checkpoint(spec.to_dict(), params.values)
     assert spec2 == spec
     assert np.array_equal(params2.values, params.values)
-    # byte stability: same inputs always serialize identically
-    assert params_to_bytes(spec, params) == params_to_bytes(spec2, params2)
+    # a parameter block that does not fill the stored layout
+    with pytest.raises(SerializationError):
+        network_from_checkpoint(spec.to_dict(), params.values[:-1])
+    with pytest.raises(SerializationError):
+        network_from_checkpoint(spec.to_dict(), np.append(params.values, 0.0))
+    with pytest.raises(SerializationError):
+        network_from_checkpoint(spec.to_dict(), np.where(np.arange(len(params)) == 0, np.nan, params.values))
+    # a stored spec that is not a valid network
+    bad_act = dict(spec.to_dict(), hidden=[[3, "sigmoid"]])
+    with pytest.raises(SerializationError):
+        network_from_checkpoint(bad_act, params.values)
+    with pytest.raises(SerializationError):
+        network_from_checkpoint({"input_dim": 2, "hidden": [[3, "tanh"]]}, params.values)
+    with pytest.raises(SerializationError):
+        network_from_checkpoint(None, params.values)
 
-
-def test_checkpoint_rejects_corruption():
-    spec = NetworkSpec(2, (), 1)
-    params = init_params(spec, 0)
-    data = params_to_bytes(spec, params)
-    with pytest.raises(SerializationError):
-        params_from_bytes(data[:-4])
-    with pytest.raises(SerializationError):
-        params_from_bytes(data + b"\x00" * 8)
-    with pytest.raises(SerializationError):
-        params_from_bytes(b"XXXXX" + data[5:])
-    with pytest.raises(SerializationError):
-        params_from_bytes(b"no newline at all")
