@@ -28,7 +28,7 @@ from .gp import DeepGpModel, checkpoint_id, load_model, nlml, nlml_grad, posteri
 from .meta import CodegaResult, DkmtResult, train_codega, train_dkmt, train_mean, train_mean_only
 from .nnet import NetworkSpec, ParamVector, init_params
 from .tasks import (Material, MaterialPool, ScoopAction, ScoopRecord, TaskDataset, TerrainTask,
-                    compute_features, enumerate_action_grid, generate_materials, generate_task,
+                    enumerate_action_grid, generate_materials, generate_task,
                     ingest_released_dataset, read_database, reward_oracle, sample_ood_test_family,
                     sample_task_family, write_database)
 
@@ -40,7 +40,7 @@ __all__ = [
     "Material", "MaterialPool", "ModelConfig", "NetworkSpec", "NumericalError",
     "ParamVector", "RunConfig", "ScoopAction", "ScoopGpError",
     "ScoopRecord", "ScorerConfig", "SelectionError", "SerializationError", "ShapeError",
-    "TaskDataset", "TerrainTask", "TrainConfig", "checkpoint_id", "compute_features",
+    "TaskDataset", "TerrainTask", "TrainConfig", "checkpoint_id",
     "enumerate_action_grid", "eval_kshot_mae", "eval_simulated_deployment",
     "generate_materials", "generate_task", "ingest_released_dataset", "load_config",
     "load_model", "mean_model_mae", "nlml", "nlml_grad",

@@ -11,10 +11,11 @@ per-task rows, and every report names the seed and checkpoint it came from.
 from __future__ import annotations
 
 import hashlib
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import binomtest
 
 from .decide import DatasetTarget, ScorerConfig, run_deployment
 from .errors import IngestError
@@ -262,7 +263,7 @@ def paired_sign_test(a, b) -> float:
     n = wins + losses
     if n == 0:
         return 1.0
-    return float(binomtest(wins, n, alternative="greater").pvalue)
+    return sum(math.comb(n, k) for k in range(wins, n + 1)) / 2 ** n
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +296,38 @@ def _key_values(line: str) -> dict:
     return dict(tok.split("=", 1) for tok in line.lstrip("#").split() if "=" in tok)
 
 
+@contextmanager
+def _parsing(path: str, lineno: int, line: str):
+    """Raise a field of line that is missing or does not parse as IngestError."""
+    try:
+        yield
+    except (IndexError, KeyError, ValueError) as exc:
+        raise IngestError(f"cannot parse {line!r} ({type(exc).__name__}: {exc})", path, lineno) from None
+
+
+def _report_lines(path: str, header_key: str, kind: str):
+    """Split a report file into its header line, its 4-field rows and its
+    aggregate lines, each with its line number. A file without a header
+    line (the one naming header_key=) raises IngestError."""
+    header, rows, aggregates = None, [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if line.startswith("#aggregate"):
+                aggregates.append((lineno, line))
+            elif line.startswith("#"):
+                if f"{header_key}=" in line:
+                    header = (lineno, line)
+            elif line:
+                n_fields = len(line.split())
+                if n_fields != 4:
+                    raise IngestError(f"{kind} row has {n_fields} fields, expected 4", path, lineno)
+                rows.append((lineno, line))
+    if header is None:
+        raise IngestError(f"{kind} report has no '# {header_key}=' header line", path)
+    return header, rows, aggregates
+
+
 def _check_aggregate(stated, got, what: str, path: str) -> None:
     """Raise IngestError unless the stated aggregate values equal the
     recomputed ones at the file's printed precision."""
@@ -305,41 +338,27 @@ def _check_aggregate(stated, got, what: str, path: str) -> None:
 
 def read_mae_report(path: str) -> MaeReport:
     """Parse a report file, recomputing and checking its aggregate lines."""
-    label, seed, checkpoint, trials, shots = "", 0, "", 0, ()
+    (lineno, line), lines, aggregate_lines = _report_lines(path, "label", "mae")
+    with _parsing(path, lineno, line):
+        kv = _key_values(line)
+        header = dict(label=kv["label"], seed=int(kv["seed"]), checkpoint=kv["checkpoint"],
+                      trials=int(kv["trials"]), shots=tuple(int(s) for s in kv["shots"].split(",") if s))
     rows = []
-    stated = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#aggregate"):
-                parts = line.split()
-                try:
-                    stated[int(parts[1])] = (float(parts[2]), float(parts[3]))
-                except (IndexError, ValueError):
-                    raise IngestError(f"malformed aggregate line {line!r}", path, lineno) from None
-                continue
-            if line.startswith("#"):
-                if "label=" in line:
-                    kv = _key_values(line)
-                    label = kv.get("label", "")
-                    seed = int(kv.get("seed", 0))
-                    checkpoint = kv.get("checkpoint", "")
-                    trials = int(kv.get("trials", 0))
-                    shots = tuple(int(s) for s in kv.get("shots", "").split(",") if s != "")
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise IngestError(f"mae row has {len(parts)} fields, expected 4", path, lineno)
+    for lineno, line in lines:
+        parts = line.split()
+        with _parsing(path, lineno, line):
             rows.append(MaeRow(parts[0], int(parts[1]), float(parts[2]), float(parts[3])))
-    aggregates = _aggregate_rows(rows, shots)
+    stated = {}
+    for lineno, line in aggregate_lines:
+        parts = line.split()
+        with _parsing(path, lineno, line):
+            stated[int(parts[1])] = (float(parts[2]), float(parts[3]))
+    aggregates = _aggregate_rows(rows, header["shots"])
     for shot, stated_pair in stated.items():
         if shot not in aggregates:
             raise IngestError(f"aggregate for shot {shot}, which the header does not list", path)
         _check_aggregate(stated_pair, aggregates[shot], f"shot {shot}", path)
-    return MaeReport(label=label, seed=seed, checkpoint=checkpoint, trials=trials,
-                     shots=shots, rows=tuple(rows), aggregates=aggregates)
+    return MaeReport(rows=tuple(rows), aggregates=aggregates, **header)
 
 
 def write_deploy_report(path: str, report: DeployReport) -> None:
@@ -358,40 +377,23 @@ def write_deploy_report(path: str, report: DeployReport) -> None:
 
 
 def read_deploy_report(path: str) -> DeployReport:
-    method, seed, checkpoint, budget, trials = "", 0, "", 0, 0
-    excluded = ()
+    """Parse a deploy report file, checking its aggregate line if it has one."""
+    (lineno, line), lines, aggregate_lines = _report_lines(path, "method", "deploy")
+    with _parsing(path, lineno, line):
+        kv = _key_values(line)
+        header = dict(method=kv["method"], seed=int(kv["seed"]), checkpoint=kv["checkpoint"],
+                      budget=int(kv["budget"]), trials=int(kv["trials"]),
+                      excluded=() if kv["excluded"] == "none" else tuple(kv["excluded"].split(",")))
     rows = []
-    stated = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#aggregate"):
-                kv = _key_values(line)
-                try:
-                    stated = tuple(float(kv[k]) for k in ("avg", "max", "success_rate"))
-                except (KeyError, ValueError):
-                    raise IngestError(f"malformed aggregate line {line!r}", path, lineno) from None
-                continue
-            if line.startswith("#"):
-                if "method=" in line:
-                    kv = _key_values(line)
-                    method = kv.get("method", "")
-                    seed = int(kv.get("seed", 0))
-                    checkpoint = kv.get("checkpoint", "")
-                    budget = int(kv.get("budget", 0))
-                    trials = int(kv.get("trials", 0))
-                    raw_ex = kv.get("excluded", "none")
-                    excluded = () if raw_ex == "none" else tuple(raw_ex.split(","))
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise IngestError(f"deploy row has {len(parts)} fields, expected 4", path, lineno)
-            rows.append(DeployRow(parts[0], int(parts[1]), int(parts[2]), bool(int(parts[3]))))
-    report = DeployReport(method=method, seed=seed, checkpoint=checkpoint, budget=budget,
-                          trials=trials, rows=tuple(rows), excluded=excluded)
-    if stated is not None:
+    for lineno, line in lines:
+        parts = line.split()
+        with _parsing(path, lineno, line):
+            rows.append(DeployRow(parts[0], int(parts[1]), int(parts[2]), {"0": False, "1": True}[parts[3]]))
+    report = DeployReport(rows=tuple(rows), **header)
+    for lineno, line in aggregate_lines:
+        with _parsing(path, lineno, line):
+            kv = _key_values(line)
+            stated = tuple(float(kv[k]) for k in ("avg", "max", "success_rate"))
         if not rows:
             raise IngestError("aggregate line over no deploy rows", path)
         got = (report.avg_attempts, report.max_attempts, report.success_rate)
@@ -406,6 +408,13 @@ def pool_mae_reports(reports) -> dict:
     return _aggregate_rows(rows, shots)
 
 
+def _align(header: list, body: list) -> str:
+    """Left-aligned text columns, two spaces apart."""
+    widths = [max(len(cell) for cell in column) for column in zip(header, *body)]
+    fmt = "  ".join(f"{{:<{w}}}" for w in widths)
+    return "\n".join(fmt.format(*row) for row in [header, *body]) + "\n"
+
+
 def render_mae_table(reports_by_method: dict) -> str:
     """Aligned text table: one row per method, MAE / top-sample MAE per shot."""
     shots = sorted({r.shot for reps in reports_by_method.values() for rep in reps for r in rep.rows})
@@ -417,10 +426,7 @@ def render_mae_table(reports_by_method: dict) -> str:
         row += [f"{pooled[s][0]:.1f}" if s in pooled else "-" for s in shots]
         row += [f"{pooled[s][1]:.1f}" if s in pooled else "-" for s in shots]
         body.append(row)
-    widths = [max(len(header[i]), *(len(r[i]) for r in body)) for i in range(len(header))]
-    fmt = "  ".join(f"{{:<{w}}}" for w in widths)
-    lines = [fmt.format(*header)] + [fmt.format(*row) for row in body]
-    return "\n".join(lines) + "\n"
+    return _align(header, body)
 
 
 def render_deploy_table(reports: dict) -> str:
@@ -429,7 +435,4 @@ def render_deploy_table(reports: dict) -> str:
     for name in sorted(reports):
         rep = reports[name]
         body.append([name, f"{rep.avg_attempts:.1f}", str(rep.max_attempts), f"{rep.success_rate:.2f}"])
-    widths = [max(len(header[i]), *(len(r[i]) for r in body)) for i in range(len(header))]
-    fmt = "  ".join(f"{{:<{w}}}" for w in widths)
-    lines = [fmt.format(*header)] + [fmt.format(*row) for row in body]
-    return "\n".join(lines) + "\n"
+    return _align(header, body)

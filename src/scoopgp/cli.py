@@ -112,19 +112,16 @@ def _cmd_eval_mae(args) -> int:
 
 
 def _cmd_deploy(args) -> int:
-    from .bench import eval_simulated_deployment, write_deploy_report
+    from .bench import deployment_threshold, eval_simulated_deployment, write_deploy_report
     from .decide import LiveTarget, ScorerConfig, run_deployment
     from .gp import load_model
-    from .tasks import read_database
+    from .tasks import load_terrains, read_database
 
     cfg = _load_run_config(args)
     b = cfg.bench
-    model = load_model(args.model) if args.scorer != "random" else (
-        load_model(args.model) if args.model else None)
+    model = load_model(args.model) if args.model else None
     scorer = ScorerConfig(kind=args.scorer, gamma=b.gamma)
     if args.mode == "live":
-        from .tasks import load_terrains
-
         tasks = load_terrains(args.terrains)
         by_id = {t.id: t for t in tasks}
         datasets = read_database(args.data)
@@ -132,8 +129,6 @@ def _cmd_deploy(args) -> int:
         for ds in datasets:
             if ds.task_id not in by_id:
                 raise ValueError(f"task {ds.task_id} missing from {args.terrains}")
-            from .bench import deployment_threshold
-
             B = args.threshold if args.threshold is not None else deployment_threshold(ds)
             trace = run_deployment(model, scorer, LiveTarget(by_id[ds.task_id], cfg.gen), B,
                                    b.budget, args.seed)

@@ -86,7 +86,6 @@ class BenchConfig:
     deploy_trials: int = 10
     budget: int = 20
     gamma: float = 2.0
-    model_seeds: int = 3
     query_fraction: float = 0.8
     top_k: int = 5
     exclude_below: float = 5.0      # drop deployment tasks whose threshold is under this

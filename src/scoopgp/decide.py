@@ -52,47 +52,22 @@ class ScorerConfig:
             raise ValueError(f"scorer kind must be one of {SCORER_KINDS}, got {self.kind!r}")
 
 
-class SupportSet:
-    """Append-only collection of observed (input, reward) pairs."""
+def score(model: DeepGpModel | None, scorer: ScorerConfig, support_x, support_y, candidates: np.ndarray,
+          rng=None) -> np.ndarray:
+    """Score every candidate row; the best feasible one is executed.
 
-    def __init__(self, input_dim: int):
-        self.input_dim = int(input_dim)
-        self._xs: list = []
-        self._ys: list = []
-
-    def __len__(self) -> int:
-        return len(self._xs)
-
-    def append(self, x: np.ndarray, reward: float) -> None:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.input_dim,):
-            raise ValueError(f"support input shape {x.shape} does not match dim {self.input_dim}")
-        self._xs.append(x)
-        self._ys.append(float(reward))
-
-    def arrays(self) -> tuple:
-        if not self._xs:
-            return np.zeros((0, self.input_dim)), np.zeros(0)
-        return np.stack(self._xs), np.array(self._ys)
-
-
-def score_ucb(model: DeepGpModel, support: SupportSet, candidates: np.ndarray, gamma: float = 2.0) -> np.ndarray:
-    """Optimistic score mean + gamma * std at each candidate."""
-    xs, ys = support.arrays()
-    mu, var = posterior_batch(model, xs, ys, candidates)
-    return mu + gamma * np.sqrt(var)
-
-
-def score_greedy(model: DeepGpModel, support: SupportSet, candidates: np.ndarray) -> np.ndarray:
-    """Posterior mean at each candidate."""
-    xs, ys = support.arrays()
-    mu, _ = posterior_batch(model, xs, ys, candidates)
-    return mu
-
-
-def score_mean_only(model: DeepGpModel, candidates: np.ndarray) -> np.ndarray:
-    """Prior mean; the support set plays no role."""
-    return mean_eval_batch(model, candidates)
+    support_x (input rows) and support_y (rewards) are the failures observed
+    so far; only greedy and ucb condition on them. random draws from rng and
+    needs no model.
+    """
+    if scorer.kind == "random":
+        return rng.random(candidates.shape[0])
+    if model is None:
+        raise ValueError(f"scorer {scorer.kind!r} needs a model")
+    if scorer.kind == "mean":
+        return mean_eval_batch(model, candidates)
+    mu, var = posterior_batch(model, support_x, support_y, candidates)
+    return mu + scorer.gamma * np.sqrt(var) if scorer.kind == "ucb" else mu
 
 
 def select_action(scores: np.ndarray, feasible: np.ndarray) -> int:
@@ -157,18 +132,6 @@ class LiveTarget:
     cfg: GenConfig = field(default_factory=GenConfig)
 
 
-def _compute_scores(model, scorer: ScorerConfig, support: SupportSet, candidates: np.ndarray, rng) -> np.ndarray:
-    if scorer.kind == "random":
-        return rng.random(candidates.shape[0])
-    if model is None:
-        raise ValueError(f"scorer {scorer.kind!r} needs a model")
-    if scorer.kind == "ucb":
-        return score_ucb(model, support, candidates, scorer.gamma)
-    if scorer.kind == "greedy":
-        return score_greedy(model, support, candidates)
-    return score_mean_only(model, candidates)
-
-
 def _scoop_terrain(task: TerrainTask, action: ScoopAction, volume_cm3: float) -> None:
     """Lower the heightmap by the removed volume, spread over the drag footprint."""
     if volume_cm3 <= 0.0:
@@ -195,7 +158,9 @@ def run_deployment(model, scorer: ScorerConfig, target, threshold: float, budget
 
     Every executed observation below the threshold is appended to the
     support set before the next episode, so adaptive scorers condition on
-    all failures so far.
+    all failures so far. A target supplies the actions, a mask of the ones
+    still allowed, the candidate inputs of the current step and an execute
+    step that returns the observed reward.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -205,57 +170,51 @@ def run_deployment(model, scorer: ScorerConfig, target, threshold: float, budget
         ds = target.dataset
         if not len(ds):
             raise ValueError(f"task {ds.task_id} has no records to deploy against")
-        candidates = ds.gp_inputs()
+        pool = ds.gp_inputs()
         rewards = ds.rewards()
         if rewards.max() < threshold:
             raise ValueError(
                 f"task {ds.task_id}: no recorded reward reaches the threshold {threshold:.3g} "
                 f"(max is {rewards.max():.3g})"
             )
-        available = np.ones(len(ds), dtype=bool)
-        support = SupportSet(candidates.shape[1])
-        episodes = []
-        success = False
-        while len(episodes) < budget:
-            scores = _compute_scores(model, scorer, support, candidates, rng)
-            idx = select_action(scores, available)
-            reward = float(rewards[idx])
-            available[idx] = False
-            took = ds.records[idx].action
-            if reward >= threshold:
-                episodes.append(EpisodeStep(took, float(scores[idx]), reward, len(support)))
-                success = True
-                break
-            support.append(candidates[idx], reward)
-            episodes.append(EpisodeStep(took, float(scores[idx]), reward, len(support)))
-            if not available.any():
-                break
-        return DeploymentTrace(ds.task_id, float(threshold), int(budget), tuple(episodes), success)
+        task_id, actions = ds.task_id, [r.action for r in ds.records]
+        allowed = np.ones(len(ds), dtype=bool)
 
-    if isinstance(target, LiveTarget):
-        task = target.task.copy()
-        cfg = target.cfg
-        actions = enumerate_action_grid()
-        feasible = np.array([action_feasible(a) for a in actions])
-        support = None
-        episodes = []
-        success = False
-        while len(episodes) < budget:
+        def candidates():
+            return pool
+
+        def execute(idx):
+            allowed[idx] = False
+            return float(rewards[idx])
+    elif isinstance(target, LiveTarget):
+        task, cfg = target.task.copy(), target.cfg
+        task_id, actions = task.id, enumerate_action_grid()
+        allowed = np.array([action_feasible(a) for a in actions])
+
+        def candidates():
             feats = compute_features_batch(task, actions, cfg)
-            candidates = np.stack([assemble_gp_input(feats[i], a) for i, a in enumerate(actions)])
-            if support is None:
-                support = SupportSet(candidates.shape[1])
-            scores = _compute_scores(model, scorer, support, candidates, rng)
-            idx = select_action(scores, feasible)
+            return np.stack([assemble_gp_input(feats[i], a) for i, a in enumerate(actions)])
+
+        def execute(idx):
             noise_seed = int(rng.integers(0, 2 ** 31 - 1))
             reward = reward_oracle(task, actions[idx], noise_seed, cfg)
             _scoop_terrain(task, actions[idx], reward)
-            if reward >= threshold:
-                episodes.append(EpisodeStep(actions[idx], float(scores[idx]), reward, len(support)))
-                success = True
-                break
-            support.append(candidates[idx], reward)
-            episodes.append(EpisodeStep(actions[idx], float(scores[idx]), reward, len(support)))
-        return DeploymentTrace(task.id, float(threshold), int(budget), tuple(episodes), success)
+            return reward
+    else:
+        raise TypeError(f"target must be DatasetTarget or LiveTarget, got {type(target).__name__}")
 
-    raise TypeError(f"target must be DatasetTarget or LiveTarget, got {type(target).__name__}")
+    support_x, support_y, episodes = [], [], []
+    success = False
+    while len(episodes) < budget:
+        X = candidates()
+        scores = score(model, scorer, support_x, support_y, X, rng)
+        idx = select_action(scores, allowed)
+        reward = execute(idx)
+        success = bool(reward >= threshold)
+        if not success:
+            support_x.append(X[idx])
+            support_y.append(reward)
+        episodes.append(EpisodeStep(actions[idx], float(scores[idx]), reward, len(support_y)))
+        if success or not allowed.any():
+            break
+    return DeploymentTrace(task_id, float(threshold), int(budget), tuple(episodes), success)

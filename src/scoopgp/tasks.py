@@ -426,10 +426,6 @@ def compute_features_batch(task: TerrainTask, actions, cfg: GenConfig = GenConfi
     return out
 
 
-def compute_features(task: TerrainTask, action: ScoopAction, cfg: GenConfig = GenConfig()) -> np.ndarray:
-    return compute_features_batch(task, [action], cfg)[0]
-
-
 def assemble_gp_input(features: np.ndarray, action: ScoopAction) -> np.ndarray:
     """Observation-action vector consumed by the models.
 

@@ -261,6 +261,29 @@ def test_deploy_report_checks_its_aggregate_line(tmp_path):
         read_deploy_report(path)
 
 
+def test_report_readers_reject_fields_that_do_not_parse_and_headerless_files(tmp_path):
+    path = str(tmp_path / "report.txt")
+    deploy = ["# scoopgp deploy-report v1",
+              "# method=ucb seed=0 checkpoint=abc budget=20 trials=1 excluded=none",
+              "t0 0 3 1"]
+    mae = ["# scoopgp mae-report v1",
+           "# label=kshot-mae seed=0 checkpoint=abc trials=1 shots=0",
+           "t0 0 1.5 2"]
+    cases = [
+        (read_deploy_report, [deploy[0], deploy[1].replace("seed=0", "seed=x"), deploy[2]], 2),
+        (read_deploy_report, deploy[:2] + ["t0 x 3 1"], 3),
+        (read_deploy_report, deploy[:2] + ["t0 0 3 2"], 3),
+        (read_mae_report, mae[:2] + ["t0 0 abc 1.0"], 3),
+        (read_mae_report, [mae[0], mae[2]], 0),
+        (read_deploy_report, [deploy[0], deploy[2]], 0),
+    ]
+    for reader, lines, lineno in cases:
+        _write_lines(path, lines)
+        with pytest.raises(IngestError) as info:
+            reader(path)
+        assert info.value.path == path and info.value.line == lineno
+
+
 # ---------------------------------------------------------------------------
 # simulated deployment
 

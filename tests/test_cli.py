@@ -411,3 +411,12 @@ def test_threads_env_caps_blas_before_numpy_loads():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                          check=True).stdout.split()
     assert out == ["3"]
+
+
+def test_package_import_leaves_scipy_stats_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, scoopgp.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True).stdout.split()
+    assert out == ["False"]

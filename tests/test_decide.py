@@ -10,11 +10,8 @@ from scoopgp.decide import (
     DeploymentTrace,
     LiveTarget,
     ScorerConfig,
-    SupportSet,
     run_deployment,
-    score_greedy,
-    score_mean_only,
-    score_ucb,
+    score,
     select_action,
 )
 from scoopgp.errors import SelectionError
@@ -61,34 +58,35 @@ def test_scorer_config_validation():
         ScorerConfig(kind="thompson")
 
 
+UCB, GREEDY, MEAN = ScorerConfig("ucb"), ScorerConfig("greedy"), ScorerConfig("mean")
+
+
 def test_ucb_combines_mean_and_uncertainty():
     model = identity_embedding_model(2, log_outputscale=np.log(4.0),
                                      log_noise=np.log(0.5), mean_bias=5.0)
-    support = SupportSet(2)
     candidates = np.array([[0.0, 0.0], [1.0, 2.0]])
-    scores = score_ucb(model, support, candidates, gamma=2.0)
+    scores = score(model, UCB, [], [], candidates)
     # empty support: mean bias plus gamma * sqrt(outputscale + noise var)
     assert np.allclose(scores, 5.0 + 2.0 * np.sqrt(4.0 + 0.25))
 
-    support.append(np.array([0.0, 0.0]), 9.0)
-    mu, var = posterior_batch(model, *support.arrays(), candidates)
-    assert np.allclose(score_ucb(model, support, candidates, gamma=1.7),
+    xs, ys = np.array([[0.0, 0.0]]), np.array([9.0])
+    mu, var = posterior_batch(model, xs, ys, candidates)
+    assert np.allclose(score(model, ScorerConfig("ucb", gamma=1.7), xs, ys, candidates),
                        mu + 1.7 * np.sqrt(var))
-    assert np.allclose(score_ucb(model, support, candidates, gamma=0.0),
-                       score_greedy(model, support, candidates))
+    assert np.allclose(score(model, ScorerConfig("ucb", gamma=0.0), xs, ys, candidates),
+                       score(model, GREEDY, xs, ys, candidates))
 
 
 def test_mean_scorer_ignores_the_support_set():
     model = identity_embedding_model(2, mean_bias=3.0)
     candidates = np.array([[0.0, 0.0], [0.5, 0.5], [5.0, 5.0]])
-    base = score_mean_only(model, candidates)
+    base = score(model, MEAN, [], [], candidates)
     assert np.allclose(base, mean_eval_batch(model, candidates))
 
-    support = SupportSet(2)
-    support.append(np.array([0.0, 0.0]), 50.0)
-    assert np.array_equal(score_mean_only(model, candidates), base)
+    xs, ys = [np.array([0.0, 0.0])], [50.0]
+    assert np.array_equal(score(model, MEAN, xs, ys, candidates), base)
     # the adaptive scorer does react to the same evidence
-    adapted = score_greedy(model, support, candidates)
+    adapted = score(model, GREEDY, xs, ys, candidates)
     assert not np.allclose(adapted, base)
     assert adapted[0] > base[0]
 
@@ -96,7 +94,7 @@ def test_mean_scorer_ignores_the_support_set():
 def test_greedy_ranking_follows_the_posterior_mean():
     model = _linear_mean_model(3, (10.0, 0.0, 0.0))
     candidates = np.array([[0.3, 0.0, 0.0], [0.9, 0.0, 0.0], [0.1, 0.0, 0.0]])
-    scores = score_greedy(model, SupportSet(3), candidates)
+    scores = score(model, GREEDY, [], [], candidates)
     assert np.allclose(scores, candidates[:, 0] * 10.0)
     assert select_action(scores, np.ones(3, dtype=bool)) == 1
 
@@ -138,20 +136,6 @@ def test_select_action_matches_masked_argmax(case):
     scores, mask = case
     oracle = int(np.argmax(np.where(mask, scores, -np.inf)))
     assert select_action(scores, mask) == oracle
-
-
-def test_support_set_validates_and_preserves_order():
-    support = SupportSet(2)
-    assert len(support) == 0
-    xs, ys = support.arrays()
-    assert xs.shape == (0, 2) and ys.shape == (0,)
-    support.append(np.array([1.0, 2.0]), 4.0)
-    support.append(np.array([3.0, 4.0]), 5.0)
-    xs, ys = support.arrays()
-    assert np.array_equal(xs, [[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(ys, [4.0, 5.0])
-    with pytest.raises(ValueError):
-        support.append(np.zeros(3), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +184,22 @@ def test_failures_accumulate_without_repeats():
     # the support set holds exactly the failures seen before each episode
     assert [e.support_size for e in trace.episodes[:-1]] == list(range(1, trace.attempts))
     assert trace.episodes[-1].support_size == trace.attempts - 1
+
+
+def test_ucb_episodes_condition_on_the_failures_before_them():
+    rewards = [3.0, 7.0, 11.0, 5.0, 2.0, 9.0, 1.0, 4.0]
+    ds = _deploy_dataset(rewards)
+    model = _linear_mean_model(3, (-10.0, 0.0, 0.0))
+    trace = run_deployment(model, UCB, DatasetTarget(ds), 11.0, budget=len(rewards))
+    assert trace.success and trace.attempts > 2
+    X = ds.gp_inputs()
+    index = {r.action: i for i, r in enumerate(ds.records)}
+    taken = [index[e.action] for e in trace.episodes]
+    for n, (i, e) in enumerate(zip(taken, trace.episodes)):
+        before = taken[:n]
+        expected = score(model, UCB, X[before], ds.rewards()[before], X)[i]
+        assert e.score == expected
+        assert e.support_size == n + (e.reward < 11.0)
 
 
 def test_budget_caps_the_episode_count():

@@ -25,7 +25,6 @@ from scoopgp.tasks import (
     _allocate,
     action_feasible,
     assemble_gp_input,
-    compute_features,
     compute_features_batch,
     contact_material,
     enumerate_action_grid,
@@ -259,7 +258,7 @@ def test_stored_features_recompute_bit_exactly(world):
     feats = compute_features_batch(task, actions, world.cfg)
     stored = np.stack([r.features for r in ds.records])
     assert np.array_equal(feats, stored)
-    one = compute_features(task, actions[0], world.cfg)
+    one = compute_features_batch(task, [actions[0]], world.cfg)[0]
     assert np.array_equal(one, feats[0])
 
 
