@@ -298,10 +298,11 @@ def _key_values(line: str) -> dict:
 
 @contextmanager
 def _parsing(path: str, lineno: int, line: str):
-    """Raise a field of line that is missing or does not parse as IngestError."""
+    """Raise a field of line that is missing or does not parse, or a file
+    that cannot be read or decoded, as IngestError."""
     try:
         yield
-    except (IndexError, KeyError, ValueError) as exc:
+    except (IndexError, KeyError, OSError, ValueError) as exc:
         raise IngestError(f"cannot parse {line!r} ({type(exc).__name__}: {exc})", path, lineno) from None
 
 
@@ -310,19 +311,20 @@ def _report_lines(path: str, header_key: str, kind: str):
     aggregate lines, each with its line number. A file without a header
     line (the one naming header_key=) raises IngestError."""
     header, rows, aggregates = None, [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line.startswith("#aggregate"):
-                aggregates.append((lineno, line))
-            elif line.startswith("#"):
-                if f"{header_key}=" in line:
-                    header = (lineno, line)
-            elif line:
-                n_fields = len(line.split())
-                if n_fields != 4:
-                    raise IngestError(f"{kind} row has {n_fields} fields, expected 4", path, lineno)
-                rows.append((lineno, line))
+    with _parsing(path, 0, f"{kind} report"), open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if line.startswith("#aggregate"):
+            aggregates.append((lineno, line))
+        elif line.startswith("#"):
+            if f"{header_key}=" in line:
+                header = (lineno, line)
+        elif line:
+            n_fields = len(line.split())
+            if n_fields != 4:
+                raise IngestError(f"{kind} row has {n_fields} fields, expected 4", path, lineno)
+            rows.append((lineno, line))
     if header is None:
         raise IngestError(f"{kind} report has no '# {header_key}=' header line", path)
     return header, rows, aggregates
@@ -348,6 +350,8 @@ def read_mae_report(path: str) -> MaeReport:
         parts = line.split()
         with _parsing(path, lineno, line):
             rows.append(MaeRow(parts[0], int(parts[1]), float(parts[2]), float(parts[3])))
+    if not set(header["shots"]) <= {r.shot for r in rows}:
+        raise IngestError(f"header lists shots {header['shots']}, and some have no rows", path)
     stated = {}
     for lineno, line in aggregate_lines:
         parts = line.split()

@@ -46,10 +46,10 @@ class DeepGpModel:
     """Shared feature extractor, mean head, kernel head and log hyperparameters.
 
     kernel_feature_params optionally overrides the extractor on the kernel
-    path only; by default both heads read the same extractor. The last
-    kernel_spec.output_dim entries of kernel_params, the kernel head's
-    output bias, are read as zero: a common shift of all embeddings
-    leaves the RBF kernel unchanged (see the module docstring).
+    path only; by default both heads read the same extractor. The kernel
+    head's output bias (kernel_spec.layers[-1].bias in kernel_params) is
+    read as zero: a common shift of all embeddings leaves the RBF kernel
+    unchanged (see the module docstring).
     """
 
     feature_spec: NetworkSpec
@@ -117,11 +117,11 @@ def _as_batch(model: DeepGpModel, X) -> np.ndarray:
 def _kernel_head(model: DeepGpModel) -> ParamVector:
     """Kernel-head parameters with the output-layer bias held at zero."""
     values = model.kernel_params.values
-    k = model.kernel_spec.output_dim
-    if not values[-k:].any():
+    bias = model.kernel_spec.layers[-1].bias
+    if not values[bias].any():
         return model.kernel_params
     values = values.copy()
-    values[-k:] = 0.0
+    values[bias] = 0.0
     return model.kernel_params.replace_values(values)
 
 
@@ -300,7 +300,7 @@ def nlml_grad(
     dZ = -(2.0 / ell2) * (row[:, None] * Z - GK @ Z)
     g_kernel, dU_kernel = vjp(model.kernel_spec, _kernel_head(model), U, dZ)
     g_values = g_kernel.values.copy()
-    g_values[-model.kernel_spec.output_dim:] = 0.0
+    g_values[model.kernel_spec.layers[-1].bias] = 0.0
     g_kernel = g_kernel.replace_values(g_values)
 
     g_mean = None
@@ -354,18 +354,19 @@ def model_from_bytes(data: bytes) -> DeepGpModel:
     mean_spec, mean_params = network_from_checkpoint(meta.get("mean_spec"), blocks[1])
     kernel_spec, kernel_params = network_from_checkpoint(meta.get("kernel_spec"), blocks[2])
     kf = network_from_checkpoint(meta.get("feature_spec"), blocks[3])[1] if expected == 4 else None
-    return DeepGpModel(
-        feature_spec=feature_spec,
-        feature_params=feature_params,
-        mean_spec=mean_spec,
-        mean_params=mean_params,
-        kernel_spec=kernel_spec,
-        kernel_params=kernel_params,
-        log_lengthscale=float(meta["log_lengthscale"]),
-        log_outputscale=float(meta["log_outputscale"]),
-        log_noise=float(meta["log_noise"]),
-        kernel_feature_params=kf,
-    )
+    try:
+        return DeepGpModel(
+            feature_spec=feature_spec,
+            feature_params=feature_params,
+            mean_spec=mean_spec,
+            mean_params=mean_params,
+            kernel_spec=kernel_spec,
+            kernel_params=kernel_params,
+            kernel_feature_params=kf,
+            **{name: float(meta[name]) for name in ("log_lengthscale", "log_outputscale", "log_noise")},
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SerializationError(f"bad model section in checkpoint: {exc!r}") from exc
 
 
 def load_model(path: str) -> DeepGpModel:

@@ -35,8 +35,6 @@ from .nnet import (
     forward_batch,
     init_params,
     optimizer_step,
-    params_from_layers,
-    split_params,
     vjp,
 )
 
@@ -149,10 +147,11 @@ def _mean_predict(feature_spec, feature_params, mean_spec, mean_params, X) -> np
 def _scale_output_layer(spec: NetworkSpec, params: ParamVector, mu: float, sigma: float) -> ParamVector:
     """Fold a target standardization y = sigma * y_std + mu into the affine
     output layer, so the returned parameters predict in raw units."""
-    layers = [(W.copy(), b.copy()) for W, b in split_params(spec, params)]
-    W, b = layers[-1]
-    layers[-1] = (sigma * W, sigma * b + mu)
-    return params_from_layers(spec, layers)
+    out = spec.layers[-1]
+    values = params.values.copy()
+    values[out.weight] *= sigma
+    values[out.bias] = sigma * values[out.bias] + mu
+    return params.replace_values(values)
 
 
 def _standardizer(y: np.ndarray) -> tuple:

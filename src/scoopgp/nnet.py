@@ -8,7 +8,9 @@ mutated behind a reader's back.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,10 +40,20 @@ def _dact(name: str, z: np.ndarray) -> np.ndarray:
     return np.ones_like(z)
 
 
+class Layer(NamedTuple):
+    """Where one layer sits in a flat parameter vector: row-major weights, then bias."""
+
+    weight: slice
+    shape: tuple
+    bias: slice
+    activation: str
+
+
 @dataclass(frozen=True)
 class NetworkSpec:
     """Fully connected stack. hidden holds (width, activation) pairs; the
-    output layer is affine with no activation."""
+    output layer is affine with no activation. layers lays out the flat
+    parameters once, one Layer per layer; every reader of the layout uses it."""
 
     input_dim: int
     hidden: tuple
@@ -57,23 +69,26 @@ class NetworkSpec:
                 raise ShapeError(f"hidden width must be positive, got {width}")
             if act not in ACTIVATIONS:
                 raise ShapeError(f"unknown activation {act!r}, expected one of {ACTIVATIONS}")
+        layers, layout, offset, fan_in = [], [], 0, self.input_dim
+        for i, (fan_out, act) in enumerate(hidden + ((self.output_dim, "identity"),)):
+            end = offset + fan_out * fan_in
+            layers.append(Layer(slice(offset, end), (fan_out, fan_in), slice(end, end + fan_out), act))
+            layout += [(f"W{i}", (fan_out, fan_in)), (f"b{i}", (fan_out,))]
+            offset, fan_in = end + fan_out, fan_out
+        object.__setattr__(self, "layers", tuple(layers))
+        object.__setattr__(self, "_layout", tuple(layout))
 
     def layer_dims(self) -> list:
-        return [self.input_dim] + [w for w, _ in self.hidden] + [self.output_dim]
+        return [self.input_dim] + [layer.shape[0] for layer in self.layers]
 
     def layer_activations(self) -> list:
-        return [a for _, a in self.hidden] + ["identity"]
+        return [layer.activation for layer in self.layers]
 
     def param_layout(self) -> tuple:
-        dims = self.layer_dims()
-        layout = []
-        for i in range(len(dims) - 1):
-            layout.append((f"W{i}", (dims[i + 1], dims[i])))
-            layout.append((f"b{i}", (dims[i + 1],)))
-        return tuple(layout)
+        return self._layout
 
     def param_count(self) -> int:
-        return sum(int(np.prod(shape)) for _, shape in self.param_layout())
+        return self.layers[-1].bias.stop
 
     def to_dict(self) -> dict:
         return {
@@ -101,7 +116,7 @@ class ParamVector:
     def __post_init__(self):
         vals = np.array(self.values, dtype=np.float64).reshape(-1)
         layout = tuple((str(n), tuple(int(s) for s in shape)) for n, shape in self.layout)
-        expected = sum(int(np.prod(s)) for _, s in layout)
+        expected = sum(math.prod(s) for _, s in layout)
         if vals.size != expected:
             raise ShapeError(f"parameter count {vals.size} does not match layout total {expected}")
         if not np.all(np.isfinite(vals)):
@@ -135,53 +150,32 @@ def check_params(spec: NetworkSpec, params: ParamVector) -> None:
 def split_params(spec: NetworkSpec, params: ParamVector) -> list:
     """Read-only (W, b) views per layer."""
     check_params(spec, params)
-    out = []
-    offset = 0
-    layout = spec.param_layout()
-    for i in range(0, len(layout), 2):
-        _, wshape = layout[i]
-        _, bshape = layout[i + 1]
-        wsize = int(np.prod(wshape))
-        bsize = int(np.prod(bshape))
-        W = params.values[offset:offset + wsize].reshape(wshape)
-        offset += wsize
-        b = params.values[offset:offset + bsize]
-        offset += bsize
-        out.append((W, b))
-    return out
+    v = params.values
+    return [(v[layer.weight].reshape(layer.shape), v[layer.bias]) for layer in spec.layers]
 
 
 def params_from_layers(spec: NetworkSpec, layers: list) -> ParamVector:
     """Assemble a ParamVector from explicit (W, b) pairs."""
-    layout = spec.param_layout()
-    if 2 * len(layers) != len(layout):
-        raise ShapeError(f"expected {len(layout) // 2} layers, got {len(layers)}")
-    flat = []
-    for (W, b), i in zip(layers, range(0, len(layout), 2)):
-        W = np.asarray(W, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        if W.shape != layout[i][1] or b.shape != layout[i + 1][1]:
-            raise ShapeError(f"layer {i // 2} has shape {W.shape}/{b.shape}, layout wants {layout[i][1]}/{layout[i + 1][1]}")
-        flat.append(W.reshape(-1))
-        flat.append(b)
-    return ParamVector(np.concatenate(flat), layout)
+    if len(layers) != len(spec.layers):
+        raise ShapeError(f"expected {len(spec.layers)} layers, got {len(layers)}")
+    flat = np.empty(spec.param_count())
+    for i, ((W, b), layer) in enumerate(zip(layers, spec.layers)):
+        if np.shape(W) != layer.shape or np.shape(b) != layer.shape[:1]:
+            raise ShapeError(f"layer {i} has shape {np.shape(W)}/{np.shape(b)}, layout wants {layer.shape}/{layer.shape[:1]}")
+        flat[layer.weight] = np.ravel(W)
+        flat[layer.bias] = b
+    return ParamVector(flat, spec.param_layout())
 
 
 def init_params(spec: NetworkSpec, seed) -> ParamVector:
     """He-uniform for relu layers, Xavier-uniform otherwise; zero biases."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    dims = spec.layer_dims()
-    acts = spec.layer_activations()
-    layers = []
-    for i, act in enumerate(acts):
-        fan_in, fan_out = dims[i], dims[i + 1]
-        if act == "relu":
-            bound = np.sqrt(6.0 / fan_in)
-        else:
-            bound = np.sqrt(6.0 / (fan_in + fan_out))
-        W = rng.uniform(-bound, bound, size=(fan_out, fan_in))
-        layers.append((W, np.zeros(fan_out)))
-    return params_from_layers(spec, layers)
+    flat = np.zeros(spec.param_count())
+    for layer in spec.layers:
+        fan_out, fan_in = layer.shape
+        bound = np.sqrt(6.0 / (fan_in if layer.activation == "relu" else fan_in + fan_out))
+        flat[layer.weight] = rng.uniform(-bound, bound, size=fan_out * fan_in)
+    return ParamVector(flat, spec.param_layout())
 
 
 def _check_batch(spec: NetworkSpec, X: np.ndarray) -> np.ndarray:
@@ -194,8 +188,8 @@ def _check_batch(spec: NetworkSpec, X: np.ndarray) -> np.ndarray:
 def forward_batch(spec: NetworkSpec, params: ParamVector, X: np.ndarray) -> np.ndarray:
     X = _check_batch(spec, X)
     h = X
-    for (W, b), act in zip(split_params(spec, params), spec.layer_activations()):
-        h = _act(act, h @ W.T + b)
+    for (W, b), layer in zip(split_params(spec, params), spec.layers):
+        h = _act(layer.activation, h @ W.T + b)
     return h
 
 
@@ -209,26 +203,24 @@ def vjp(spec: NetworkSpec, params: ParamVector, X: np.ndarray, upstream: np.ndar
     if upstream.shape != (X.shape[0], spec.output_dim):
         raise ShapeError(f"upstream shape {upstream.shape} does not match ({X.shape[0]}, {spec.output_dim})")
     layers = split_params(spec, params)
-    acts = spec.layer_activations()
 
     pre = []
     post = [X]
     h = X
-    for (W, b), act in zip(layers, acts):
+    for (W, b), layer in zip(layers, spec.layers):
         z = h @ W.T + b
         pre.append(z)
-        h = _act(act, z)
+        h = _act(layer.activation, z)
         post.append(h)
 
-    grads = [None] * len(layers)
+    grad = np.empty(spec.param_count())
     D = upstream
-    for i in range(len(layers) - 1, -1, -1):
-        D = D * _dact(acts[i], pre[i])
-        gW = D.T @ post[i]
-        gb = D.sum(axis=0)
-        grads[i] = (gW, gb)
+    for i, layer in reversed(list(enumerate(spec.layers))):
+        D = D * _dact(layer.activation, pre[i])
+        grad[layer.weight] = (D.T @ post[i]).reshape(-1)
+        grad[layer.bias] = D.sum(axis=0)
         D = D @ layers[i][0]
-    return params_from_layers(spec, grads), D
+    return params.replace_values(grad), D
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ which the reproducibility guarantees of the training pipeline rely on.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -58,15 +59,15 @@ def parse_container(data: bytes, kind: str | None = None) -> tuple[dict, list[np
         raise SerializationError("bad magic: not a scoopgp container")
     if kind is not None and header.get("kind") != kind:
         raise SerializationError(f"expected container kind {kind!r}, found {header.get('kind')!r}")
+    if not isinstance(header.get("meta"), dict) or not isinstance(header.get("blocks"), list):
+        raise SerializationError("container header needs a 'meta' object and a 'blocks' list")
     blocks = []
     offset = newline + 1
-    for entry in header.get("blocks", []):
-        tag = entry["dtype"]
-        if tag not in _DTYPES:
-            raise SerializationError(f"unsupported block dtype {tag!r}")
-        shape = tuple(int(s) for s in entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
+    for entry in header["blocks"]:
+        tag, shape = (entry.get("dtype"), entry.get("shape")) if isinstance(entry, dict) else (None, None)
+        if tag not in list(_DTYPES) or not (isinstance(shape, list) and all(type(s) is int and s >= 0 for s in shape)):
+            raise SerializationError(f"bad block entry {entry!r}: needs a dtype in {list(_DTYPES)} and a list of sizes")
+        nbytes = math.prod(shape) * 8
         chunk = data[offset:offset + nbytes]
         if len(chunk) != nbytes:
             raise SerializationError("container truncated: block shorter than header declares")

@@ -19,7 +19,7 @@ from scipy.ndimage import gaussian_filter
 from scipy.special import expit
 
 from .config import GenConfig
-from .errors import IngestError
+from .errors import IngestError, SerializationError
 from .serialize import read_container, write_container
 
 TRAY_W = 0.9            # meters, x extent
@@ -845,28 +845,30 @@ def save_terrains(path: str, tasks, cfg: GenConfig = GenConfig()) -> None:
 
 def load_terrains(path: str) -> list:
     meta, blocks = read_container(path, "terrains")
-    mat_ids = meta["material_ids"]
-    latents, appearances = blocks[0], blocks[1]
-    materials = {
-        mid: Material(mid, latents[i], appearances[i]) for i, mid in enumerate(mat_ids)
-    }
-    tasks = []
-    cursor = 2
-    for entry in meta["tasks"]:
-        heightmap = blocks[cursor]
-        region = blocks[cursor + 1]
-        cursor += 2
-        hidden = None
-        if entry["has_hidden"]:
-            hidden = blocks[cursor]
-            cursor += 1
-        tasks.append(TerrainTask(
-            id=entry["id"],
-            composition=entry["composition"],
-            materials=tuple(materials[m] for m in entry["materials"]),
-            heightmap=heightmap,
-            region_map=region,
-            hidden_map=hidden,
-            cell=float(meta["cell"]),
-        ))
+    try:
+        latents, appearances = blocks[0], blocks[1]
+        materials = {
+            mid: Material(mid, latents[i], appearances[i]) for i, mid in enumerate(meta["material_ids"])
+        }
+        tasks = []
+        cursor = 2
+        for entry in meta["tasks"]:
+            heightmap = blocks[cursor]
+            region = blocks[cursor + 1]
+            cursor += 2
+            hidden = None
+            if entry["has_hidden"]:
+                hidden = blocks[cursor]
+                cursor += 1
+            tasks.append(TerrainTask(
+                id=entry["id"],
+                composition=entry["composition"],
+                materials=tuple(materials[m] for m in entry["materials"]),
+                heightmap=heightmap,
+                region_map=region,
+                hidden_map=hidden,
+                cell=float(meta["cell"]),
+            ))
+    except (IndexError, KeyError, TypeError, ValueError) as exc:
+        raise SerializationError(f"bad terrain bundle {path}: {exc!r}") from exc
     return tasks

@@ -276,12 +276,21 @@ def test_report_readers_reject_fields_that_do_not_parse_and_headerless_files(tmp
         (read_mae_report, mae[:2] + ["t0 0 abc 1.0"], 3),
         (read_mae_report, [mae[0], mae[2]], 0),
         (read_deploy_report, [deploy[0], deploy[2]], 0),
+        (read_mae_report, [mae[0], mae[1].replace("shots=0", "shots=0,5"), mae[2]], 0),
     ]
     for reader, lines, lineno in cases:
         _write_lines(path, lines)
         with pytest.raises(IngestError) as info:
             reader(path)
         assert info.value.path == path and info.value.line == lineno
+    with open(path, "wb") as fh:
+        fh.write(b"\xff\xfe")
+    missing = str(tmp_path / "missing.txt")
+    for reader in (read_mae_report, read_deploy_report):
+        for bad in (path, missing):
+            with pytest.raises(IngestError) as info:
+                reader(bad)
+            assert info.value.path == bad
 
 
 # ---------------------------------------------------------------------------

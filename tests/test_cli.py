@@ -6,6 +6,7 @@ spawning an interpreter. Scales are kept tiny; the module-scoped family
 and checkpoints are shared across tests.
 """
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -420,3 +421,17 @@ def test_package_import_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                          check=True).stdout.split()
     assert out == ["False"]
+
+
+def test_benchmark_tracer_names_only_package_functions_that_exist():
+    """perfbench/tracing.py wraps package functions by name; a renamed or
+    deleted one would crash a traced benchmark run with AttributeError."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    names = [(module, fn) for module, fns in tracing.SPANNED.items() for fn in fns]
+    names += [(module, fn) for module, fns in tracing.COUNTED.items() for fn in fns]
+    missing = [f"{module}.{fn}" for module, fn in names
+               if not callable(getattr(importlib.import_module(f"{tracing.PACKAGE}.{module}"), fn, None))]
+    assert len(names) > 30 and missing == []

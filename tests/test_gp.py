@@ -384,6 +384,20 @@ def test_model_checkpoint_rejects_corruption():
         model_from_bytes(data.replace(b'"SGPC1"', b'"SGPC0"', 1))
     with pytest.raises(SerializationError):
         model_from_bytes(b"no newline at all")
+    header = json.loads(data[:nl])
+    entry, rest = header["blocks"][0], header["blocks"][1:]
+    for bad in (
+        {**header, "blocks": [{"shape": entry["shape"]}] + rest},
+        {**header, "blocks": [{"dtype": entry["dtype"]}] + rest},
+        {**header, "blocks": [{**entry, "shape": ["x"]}] + rest},
+        {**header, "blocks": ["x"] + rest},
+        {**header, "blocks": {"0": entry}},
+        {key: value for key, value in header.items() if key != "meta"},
+        {**header, "meta": {key: value for key, value in header["meta"].items() if key != "log_lengthscale"}},
+    ):
+        head = json.dumps(bad, sort_keys=True, separators=(",", ":")).encode()
+        with pytest.raises(SerializationError):
+            model_from_bytes(head + data[nl:])
 
 
 def test_model_checkpoint_rejects_a_corrupt_network_section():

@@ -8,6 +8,7 @@ from scipy.optimize import linprog
 
 from scoopgp.config import GenConfig
 from scoopgp.errors import IngestError, SerializationError
+from scoopgp.serialize import read_container, write_container
 from scoopgp.tasks import (
     DEPTH_MAX,
     DEPTH_MIN,
@@ -559,6 +560,16 @@ def test_terrain_bundle_round_trip(tmp_path, world):
             assert np.array_equal(m_orig.appearance, m_back.appearance)
     with pytest.raises(SerializationError):
         load_terrains(__file__)
+
+
+def test_terrain_bundle_without_material_ids_is_a_serialization_error(tmp_path, world):
+    path = str(tmp_path / "terrains.bin")
+    save_terrains(path, list(world.train_tasks[:1]), world.cfg)
+    meta, blocks = read_container(path, "terrains")
+    del meta["material_ids"]
+    write_container(path, "terrains", meta, blocks)
+    with pytest.raises(SerializationError, match="material_ids"):
+        load_terrains(path)
 
 
 def test_task_dataset_validation():
