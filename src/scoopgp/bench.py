@@ -350,6 +350,8 @@ def read_mae_report(path: str) -> MaeReport:
         parts = line.split()
         with _parsing(path, lineno, line):
             rows.append(MaeRow(parts[0], int(parts[1]), float(parts[2]), float(parts[3])))
+        if rows[-1].shot not in header["shots"]:
+            raise IngestError(f"row for shot {rows[-1].shot}, which the header does not list", path, lineno)
     if not set(header["shots"]) <= {r.shot for r in rows}:
         raise IngestError(f"header lists shots {header['shots']}, and some have no rows", path)
     stated = {}

@@ -25,7 +25,6 @@ from .tasks import (
     TaskDataset,
     TerrainTask,
     action_feasible,
-    assemble_gp_input,
     compute_features_batch,
     enumerate_action_grid,
     reward_oracle,
@@ -190,10 +189,12 @@ def run_deployment(model, scorer: ScorerConfig, target, threshold: float, budget
         task, cfg = target.task.copy(), target.cfg
         task_id, actions = task.id, enumerate_action_grid()
         allowed = np.array([action_feasible(a) for a in actions])
+        # the action columns of assemble_gp_input, which stay fixed across steps
+        depth_norm = np.array([a.depth_norm for a in actions])
+        stiffness = np.array([a.stiffness_bit for a in actions])
 
         def candidates():
-            feats = compute_features_batch(task, actions, cfg)
-            return np.stack([assemble_gp_input(feats[i], a) for i, a in enumerate(actions)])
+            return np.column_stack([compute_features_batch(task, actions, cfg), depth_norm, stiffness])
 
         def execute(idx):
             noise_seed = int(rng.integers(0, 2 ** 31 - 1))

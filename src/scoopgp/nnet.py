@@ -114,22 +114,31 @@ class ParamVector:
     layout: tuple
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=np.float64).reshape(-1)
         layout = tuple((str(n), tuple(int(s) for s in shape)) for n, shape in self.layout)
-        expected = sum(math.prod(s) for _, s in layout)
-        if vals.size != expected:
-            raise ShapeError(f"parameter count {vals.size} does not match layout total {expected}")
-        if not np.all(np.isfinite(vals)):
-            raise ShapeError("parameters must be finite")
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
         object.__setattr__(self, "layout", layout)
+        object.__setattr__(self, "values", _checked_values(self.values, sum(math.prod(s) for _, s in layout)))
 
     def __len__(self) -> int:
         return self.values.size
 
     def replace_values(self, values: np.ndarray) -> "ParamVector":
-        return ParamVector(values, self.layout)
+        """New values over this layout. The layout is already normalised and
+        its total is this vector's size, so only the values are checked."""
+        new = object.__new__(ParamVector)
+        object.__setattr__(new, "layout", self.layout)
+        object.__setattr__(new, "values", _checked_values(values, self.values.size))
+        return new
+
+
+def _checked_values(values, expected: int) -> np.ndarray:
+    """A read-only flat float64 copy of values, which must be finite and number expected."""
+    vals = np.array(values, dtype=np.float64).reshape(-1)
+    if vals.size != expected:
+        raise ShapeError(f"parameter count {vals.size} does not match layout total {expected}")
+    if not np.all(np.isfinite(vals)):
+        raise ShapeError("parameters must be finite")
+    vals.flags.writeable = False
+    return vals
 
 
 def network_from_checkpoint(spec_dict, values) -> tuple:

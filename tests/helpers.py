@@ -6,7 +6,18 @@ import numpy as np
 
 from scoopgp.gp import DeepGpModel, embed_batch, kernel_matrix, mean_eval_batch
 from scoopgp.nnet import NetworkSpec, ParamVector, init_params, params_from_layers
-from scoopgp.tasks import DEPTH_MIN, ScoopAction, ScoopRecord, TaskDataset, TerrainTask
+from scoopgp.config import GenConfig
+from scoopgp.tasks import (
+    DEPTH_MIN,
+    DRAG_LEN,
+    ScoopAction,
+    ScoopRecord,
+    TaskDataset,
+    TerrainTask,
+    _bilinear,
+    _cell_of,
+    observation_dim,
+)
 
 
 def identity_params(spec: NetworkSpec) -> ParamVector:
@@ -121,3 +132,42 @@ def flat_task(material, task_id: str = "flat0", cell: float = 0.01) -> TerrainTa
         region_map=np.zeros((H, W), dtype=np.int64),
         cell=cell,
     )
+
+
+def reference_features(task: TerrainTask, actions, cfg: GenConfig = GenConfig()) -> np.ndarray:
+    """compute_features_batch as a per-action loop: the reference the blocked
+    version must reproduce bit for bit."""
+    n = len(actions)
+    P = cfg.patch_cells
+    gy, gx = np.gradient(task.heightmap, task.cell)
+    app = np.stack([m.appearance for m in task.materials])
+
+    out = np.empty((n, observation_dim(cfg)))
+    us = np.linspace(0.0, cfg.patch_extent, P)
+    vs = np.linspace(-0.5 * cfg.patch_extent, 0.5 * cfg.patch_extent, P)
+    UU, VV = np.meshgrid(us, vs, indexing="ij")
+    for i, action in enumerate(actions):
+        c, s = np.cos(action.yaw), np.sin(action.yaw)
+        px = action.x + UU * c - VV * s
+        py = action.y + UU * s + VV * c
+        h_patch = _bilinear(task.heightmap, px.ravel(), py.ravel(), task.cell).reshape(P, P)
+        gx_p = _bilinear(gx, px.ravel(), py.ravel(), task.cell)
+        gy_p = _bilinear(gy, px.ravel(), py.ravel(), task.cell)
+
+        line_x = action.x + us * c
+        line_y = action.y + us * s
+        h0 = _bilinear(task.heightmap, np.array([action.x]), np.array([action.y]), task.cell)[0]
+        relief = _bilinear(task.heightmap, line_x, line_y, task.cell) - h0
+        g_along = (_bilinear(gx, line_x, line_y, task.cell) * c
+                   + _bilinear(gy, line_x, line_y, task.cell) * s)
+
+        drag_cells = int(np.ceil(DRAG_LEN / cfg.patch_extent * (P - 1))) + 1
+        rows_cols = [_cell_of(line_x[j], line_y[j], task.heightmap.shape, task.cell) for j in range(drag_cells)]
+        surf = np.stack([app[task.region_map[r, cc]] for r, cc in rows_cols])
+
+        out[i, :P] = relief
+        out[i, P] = g_along.mean()
+        out[i, P + 1] = np.hypot(gx_p, gy_p).mean()
+        out[i, P + 2] = h_patch.std()
+        out[i, P + 3:] = surf.mean(axis=0)
+    return out

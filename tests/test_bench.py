@@ -277,6 +277,7 @@ def test_report_readers_reject_fields_that_do_not_parse_and_headerless_files(tmp
         (read_mae_report, [mae[0], mae[2]], 0),
         (read_deploy_report, [deploy[0], deploy[2]], 0),
         (read_mae_report, [mae[0], mae[1].replace("shots=0", "shots=0,5"), mae[2]], 0),
+        (read_mae_report, mae + ["t0 5 1.5 2"], 4),
     ]
     for reader, lines, lineno in cases:
         _write_lines(path, lines)

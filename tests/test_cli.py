@@ -7,6 +7,7 @@ and checkpoints are shared across tests.
 """
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -435,3 +436,33 @@ def test_benchmark_tracer_names_only_package_functions_that_exist():
     missing = [f"{module}.{fn}" for module, fn in names
                if not callable(getattr(importlib.import_module(f"{tracing.PACKAGE}.{module}"), fn, None))]
     assert len(names) > 30 and missing == []
+
+
+def test_bench_record_pairs_runs_by_workload_and_seed(tmp_path):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "bench_record.py"
+    spec = importlib.util.spec_from_file_location("bench_record", path)
+    bench_record = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_record)
+
+    def write_run(side, name, iteration_s, failed=0):
+        run = tmp_path / side / name
+        run.mkdir(parents=True)
+        metrics = {"iteration_s": {"value": iteration_s, "unit": "s"}}
+        (run / "result.json").write_text(json.dumps({"attempted": 9, "failed": failed, "metrics": metrics}))
+        (run / "env.json").write_text(json.dumps({"git_sha": side, "nproc": 2}))
+
+    for seed, (parent_s, change_s) in enumerate([(10.0, 5.0), (8.0, 6.0), (12.0, 3.0)]):
+        write_run("parent", f"online-s{seed}-t0-a", parent_s)
+        write_run("change", f"online-s{seed}-t0-b", change_s, failed=seed)
+    write_run("change", "online-s9-t0-c", 1.0)  # no parent run at seed 9: not paired
+    out = tmp_path / "BENCH_1.json"
+    assert bench_record.main(["--pr", "1", "--parent", str(tmp_path / "parent"),
+                              "--change", str(tmp_path / "change"), "--out", str(out)]) == 0
+    online = json.loads(out.read_text())["workloads"]["online"]
+    assert online["seeds"] == [0, 1, 2]
+    assert online["pairs"]["iteration_s"] == {"median_ratio": 0.5, "ratios": [0.5, 0.75, 0.25]}
+    change = online["change"]
+    assert change["metrics"]["iteration_s"]["median"] == 5.0 and change["metrics"]["iteration_s"]["min"] == 3.0
+    assert online["parent"]["metrics"]["iteration_s"]["iqr_over_median"] == 0.2
+    assert change["checks"] == {"attempted": [9, 9, 9], "failed": [0, 1, 2]}
+    assert change["env"][0]["git_sha"] == "change"

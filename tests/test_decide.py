@@ -281,3 +281,27 @@ def test_live_deployment_stops_at_the_threshold():
                            threshold=0.0, budget=3, seed=5)
     assert trace.success and trace.attempts == 1
     assert isinstance(trace, DeploymentTrace)
+
+
+def test_live_candidates_equal_the_stacked_gp_input_rows(world, monkeypatch):
+    import scoopgp.decide as decide
+    from scoopgp.decide import _scoop_terrain
+    from scoopgp.tasks import assemble_gp_input, compute_features_batch, enumerate_action_grid
+
+    seen = []
+
+    def recording_score(model, scorer, support_x, support_y, candidates, rng=None):
+        seen.append(candidates)
+        return score(model, scorer, support_x, support_y, candidates, rng)
+
+    monkeypatch.setattr(decide, "score", recording_score)
+    task = world.test_tasks[-1]
+    trace = run_deployment(None, ScorerConfig(kind="random"), LiveTarget(task, world.cfg),
+                           threshold=1e9, budget=2, seed=3)
+    assert len(seen) == trace.attempts == 2
+    actions = enumerate_action_grid()
+    state = task.copy()
+    for X, step in zip(seen, trace.episodes):
+        feats = compute_features_batch(state, actions, world.cfg)
+        assert np.array_equal(X, np.stack([assemble_gp_input(f, a) for f, a in zip(feats, actions)]))
+        _scoop_terrain(state, step.action, step.reward)

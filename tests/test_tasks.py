@@ -13,6 +13,7 @@ from scoopgp.tasks import (
     DEPTH_MAX,
     DEPTH_MIN,
     DRAG_LEN,
+    FEATURE_BLOCK,
     HIDDEN_DEPTH,
     MAX_ELEVATION,
     MAX_SLOPE,
@@ -46,7 +47,7 @@ from scoopgp.tasks import (
     write_database,
 )
 
-from helpers import flat_task
+from helpers import flat_task, reference_features
 
 
 def _material(gain=0.8, jam=0.1, sens=0.6, slope=0.0, mat_id="m0"):
@@ -261,6 +262,41 @@ def test_stored_features_recompute_bit_exactly(world):
     assert np.array_equal(feats, stored)
     one = compute_features_batch(task, [actions[0]], world.cfg)[0]
     assert np.array_equal(one, feats[0])
+
+
+def _edge_and_grid_actions() -> list:
+    """Every 13th grid action, plus starts on and just inside the tray edges
+    at every yaw, many of them infeasible."""
+    actions = enumerate_action_grid()[::13]
+    xs = (0.0, 0.004, 0.5 * TRAY_W, TRAY_W - 0.004, TRAY_W)
+    ys = (0.0, 0.006, 0.5 * TRAY_H, TRAY_H - 0.006, TRAY_H)
+    for x in xs:
+        for y in ys:
+            for yaw in range(N_YAWS):
+                actions.append(ScoopAction(x, y, yaw, DEPTH_MAX, "hard"))
+    return actions
+
+
+def test_blocked_features_equal_the_per_action_loop(world):
+    actions = _edge_and_grid_actions()
+    assert len(actions) % FEATURE_BLOCK and len(actions) > 2 * FEATURE_BLOCK
+    assert not all(action_feasible(a) for a in actions)
+    tasks = {t.composition: t for t in world.train_tasks + world.test_tasks}
+    assert sorted(tasks) == sorted(["single", "partition", "mixture", "layers"])
+    for task in tasks.values():
+        feats = compute_features_batch(task, actions, world.cfg)
+        assert np.array_equal(feats, reference_features(task, actions, world.cfg)), task.composition
+    assert compute_features_batch(task, [], world.cfg).shape == (0, observation_dim(world.cfg))
+
+
+def test_reward_oracle_with_a_passed_gradient_equals_its_own(world):
+    actions = _edge_and_grid_actions()[::5]
+    for task in (world.train_tasks[0], world.test_tasks[-1]):
+        gradient = np.gradient(task.heightmap, task.cell)
+        for seed, action in enumerate(actions):
+            for rng in (None, seed):
+                assert (reward_oracle(task, action, rng, world.cfg, gradient=gradient)
+                        == reward_oracle(task, action, rng, world.cfg))
 
 
 def test_depth_normalization_in_gp_input():
