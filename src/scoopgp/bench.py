@@ -17,9 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decide import DatasetTarget, ScorerConfig, run_deployment
+from .config import check_shots
+from .decide import DatasetTarget, ScorerConfig, dataset_pool, run_deployment
 from .errors import IngestError
-from .gp import DeepGpModel, checkpoint_id, mean_eval_batch, posterior_batch
+from .gp import DeepGpModel, checkpoint_id, condition, embed, mean_eval_batch, posterior_batch
+from .serialize import write_atomic
 
 _QUERY_TAG = 0x9E41
 _SUPPORT_TAG = 0x51A9
@@ -83,6 +85,27 @@ def _aggregate_rows(rows, shots) -> dict:
     return out
 
 
+def _shot_means(model: DeepGpModel, rows, y: np.ndarray, order: np.ndarray, q_idx: np.ndarray, shots):
+    """Posterior means at the queries for each shot count, the supports
+    being prefixes of order.
+
+    One factor of the largest support serves every shot: the first s rows
+    of V and beta belong to the s-point prefix, so the s-shot mean is
+    m(q) + sum_{i<s} V_i beta_i. A factor that needed jitter is not the
+    jittered factor of its prefixes, so then every shot is conditioned on
+    its own, with the jitter posterior_batch gives it.
+    """
+    queries = rows[q_idx]
+    top = order[:max(shots)]
+    if not len(top):
+        return [queries.m for _ in shots]
+    V, beta, jitter = condition(model, rows[top], y[top], queries)
+    if jitter:
+        return [posterior_batch(model, rows[order[:s]], y[order[:s]], queries)[0] for s in shots]
+    partial = np.cumsum(V * beta[:, None], axis=0)
+    return [queries.m + partial[s - 1] if s else queries.m for s in shots]
+
+
 def eval_kshot_mae(model: DeepGpModel, datasets, shots=(0, 5, 10), trials: int = 30, seed: int = 0,
                    query_fraction: float = 0.8, top_k: int = 5) -> MaeReport:
     """k-shot reward prediction error per task.
@@ -92,15 +115,16 @@ def eval_kshot_mae(model: DeepGpModel, datasets, shots=(0, 5, 10), trials: int =
     supports nest across shots). MAE is averaged over the query set and,
     separately, over its top_k largest-reward samples, then averaged over
     trials. Zero shots means the prior mean and is support-independent.
+    Each task's records go through the networks once.
     """
-    shots = tuple(int(s) for s in shots)
+    shots = check_shots(shots)
     rows = []
     for ds in datasets:
-        X = ds.gp_inputs()
-        y = ds.rewards()
         n = len(ds)
         if n < 2:
             raise ValueError(f"task {ds.task_id} has too few records for the query split")
+        embedded = embed(model, ds.gp_inputs())
+        y = ds.rewards()
         acc = {s: [0.0, 0.0] for s in shots}
         for trial in range(trials):
             q_idx, pool = query_split(seed, ds.task_id, trial, n, query_fraction)
@@ -113,9 +137,7 @@ def eval_kshot_mae(model: DeepGpModel, datasets, shots=(0, 5, 10), trials: int =
                 )
             yq = y[q_idx]
             top_idx = np.argsort(-yq)[:top_k]
-            for s in shots:
-                sup = order[:s]
-                mu, _ = posterior_batch(model, X[sup], y[sup], X[q_idx])
+            for s, mu in zip(shots, _shot_means(model, embedded, y, order, q_idx, shots)):
                 err = np.abs(mu - yq)
                 acc[s][0] += float(err.mean())
                 acc[s][1] += float(err[top_idx].mean())
@@ -136,10 +158,12 @@ def eval_kshot_mae(model: DeepGpModel, datasets, shots=(0, 5, 10), trials: int =
 def mean_model_mae(model: DeepGpModel, datasets, trials: int = 30, seed: int = 0,
                    query_fraction: float = 0.8, top_k: int = 5) -> MaeReport:
     """Prediction error of the prior mean alone, on the same query sets the
-    k-shot protocol draws. The non-adaptive reference: no support, no kernel."""
+    k-shot protocol draws. The non-adaptive reference: no support, no kernel.
+    The means are those of one pass over each task's records, as in
+    eval_kshot_mae, so its 0-shot rows equal these exactly."""
     rows = []
     for ds in datasets:
-        X = ds.gp_inputs()
+        m = mean_eval_batch(model, ds.gp_inputs())
         y = ds.rewards()
         n = len(ds)
         mae_sum = 0.0
@@ -148,8 +172,7 @@ def mean_model_mae(model: DeepGpModel, datasets, trials: int = 30, seed: int = 0
             q_idx, _ = query_split(seed, ds.task_id, trial, n, query_fraction)
             yq = y[q_idx]
             top_idx = np.argsort(-yq)[:top_k]
-            mu = mean_eval_batch(model, X[q_idx])
-            err = np.abs(mu - yq)
+            err = np.abs(m[q_idx] - yq)
             mae_sum += float(err.mean())
             top_sum += float(err[top_idx].mean())
         rows.append(MaeRow(ds.task_id, 0, mae_sum / trials, top_sum / trials))
@@ -213,7 +236,8 @@ def eval_simulated_deployment(methods: dict, datasets, budget: int = 20, trials:
     The per-task threshold is the fifth-largest recorded reward. Tasks
     whose threshold falls below exclude_below are dropped (the barely
     scoopable analog) and named in every report. Attempts count the
-    episodes run; a failed run counts the full budget.
+    episodes run; a failed run counts the full budget. Each task's
+    candidate rows are built once per method and shared by its trials.
     """
     included = []
     excluded = []
@@ -230,11 +254,12 @@ def eval_simulated_deployment(methods: dict, datasets, budget: int = 20, trials:
         rows = []
         for ds in included:
             B = deployment_threshold(ds, threshold_rank)
+            target = DatasetTarget(ds, dataset_pool(model, ds))
             for trial in range(trials):
                 run_seed = np.random.SeedSequence(
                     [int(seed) & 0xFFFFFFFF, _task_tag(ds.task_id), mi, trial]
                 ).generate_state(1)[0]
-                trace = run_deployment(model, scorer, DatasetTarget(ds), B, budget, int(run_seed))
+                trace = run_deployment(model, scorer, target, B, budget, int(run_seed))
                 rows.append(DeployRow(ds.task_id, trial, trace.attempts, trace.success))
         out[name] = DeployReport(
             method=name,
@@ -287,8 +312,7 @@ def write_mae_report(path: str, report: MaeReport) -> None:
     for shot in report.shots:
         mae, top = _aggregate_rows(quant, (shot,))[shot]
         lines.append(f"#aggregate {shot} {_FMT % mae} {_FMT % top}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def _key_values(line: str) -> dict:
@@ -378,8 +402,7 @@ def write_deploy_report(path: str, report: DeployReport) -> None:
         lines.append(f"{r.task_id} {r.trial} {r.attempts} {int(r.success)}")
     lines.append(f"#aggregate avg={_FMT % report.avg_attempts} max={report.max_attempts} "
                  f"success_rate={_FMT % report.success_rate}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_deploy_report(path: str) -> DeployReport:

@@ -115,6 +115,7 @@ def _cmd_deploy(args) -> int:
     from .bench import deployment_threshold, eval_simulated_deployment, write_deploy_report
     from .decide import LiveTarget, ScorerConfig, run_deployment
     from .gp import load_model
+    from .serialize import write_atomic
     from .tasks import load_terrains, read_database
 
     cfg = _load_run_config(args)
@@ -134,8 +135,7 @@ def _cmd_deploy(args) -> int:
                                    b.budget, args.seed)
             lines.append(trace.to_text())
         out = _out_path(args.out)
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_atomic(out, "\n".join(lines) + "\n")
         print(f"wrote {out}")
         return 0
     datasets = read_database(args.data)

@@ -90,6 +90,21 @@ class BenchConfig:
     top_k: int = 5
     exclude_below: float = 5.0      # drop deployment tasks whose threshold is under this
 
+    def __post_init__(self):
+        try:
+            check_shots(self.shots)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bench.shots: {exc}") from None
+
+
+def check_shots(shots) -> tuple:
+    """Shot counts as a tuple of ints; raises ValueError unless they are
+    non-empty, non-negative and distinct."""
+    shots = tuple(int(s) for s in shots)
+    if not shots or min(shots) < 0 or len(set(shots)) != len(shots):
+        raise ValueError(f"shots must be distinct non-negative counts, got {shots}")
+    return shots
+
 
 @dataclass(frozen=True)
 class RunConfig:

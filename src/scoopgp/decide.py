@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import GenConfig
 from .errors import SelectionError
-from .gp import DeepGpModel, mean_eval_batch, posterior_batch
+from .gp import DeepGpModel, Embedded, embed, mean_eval_batch, posterior_batch
 from .tasks import (
     DRAG_LEN,
     SCOOP_W,
@@ -51,20 +51,21 @@ class ScorerConfig:
             raise ValueError(f"scorer kind must be one of {SCORER_KINDS}, got {self.kind!r}")
 
 
-def score(model: DeepGpModel | None, scorer: ScorerConfig, support_x, support_y, candidates: np.ndarray,
+def score(model: DeepGpModel | None, scorer: ScorerConfig, support_x, support_y, candidates,
           rng=None) -> np.ndarray:
     """Score every candidate row; the best feasible one is executed.
 
     support_x (input rows) and support_y (rewards) are the failures observed
-    so far; only greedy and ucb condition on them. random draws from rng and
-    needs no model.
+    so far; only greedy and ucb condition on them. Candidates and support
+    are input rows or Embedded sets. random draws from rng and needs no
+    model.
     """
     if scorer.kind == "random":
-        return rng.random(candidates.shape[0])
+        return rng.random(len(candidates))
     if model is None:
         raise ValueError(f"scorer {scorer.kind!r} needs a model")
     if scorer.kind == "mean":
-        return mean_eval_batch(model, candidates)
+        return candidates.m if isinstance(candidates, Embedded) else mean_eval_batch(model, candidates)
     mu, var = posterior_batch(model, support_x, support_y, candidates)
     return mu + scorer.gamma * np.sqrt(var) if scorer.kind == "ucb" else mu
 
@@ -118,9 +119,22 @@ class DeploymentTrace:
 
 @dataclass(frozen=True)
 class DatasetTarget:
-    """Replay logged scoops: executing a candidate returns its stored reward."""
+    """Replay logged scoops: executing a candidate returns its stored reward.
+
+    pool, when given, is the records' candidate rows as dataset_pool builds
+    them, shared by every deployment on the task; otherwise each deployment
+    builds its own.
+    """
 
     dataset: TaskDataset
+    pool: Embedded | np.ndarray | None = None
+
+
+def dataset_pool(model: DeepGpModel | None, dataset: TaskDataset):
+    """The candidate rows of a dataset deployment: the records' GP inputs,
+    embedded once when there is a model to embed them with."""
+    X = dataset.gp_inputs()
+    return X if model is None else embed(model, X)
 
 
 @dataclass(frozen=True)
@@ -158,8 +172,9 @@ def run_deployment(model, scorer: ScorerConfig, target, threshold: float, budget
     Every executed observation below the threshold is appended to the
     support set before the next episode, so adaptive scorers condition on
     all failures so far. A target supplies the actions, a mask of the ones
-    still allowed, the candidate inputs of the current step and an execute
-    step that returns the observed reward.
+    still allowed, the candidate inputs and support rows of the current
+    step, an execute step that returns the observed reward, and a keep
+    step that adds a failed candidate to the support.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -169,7 +184,7 @@ def run_deployment(model, scorer: ScorerConfig, target, threshold: float, budget
         ds = target.dataset
         if not len(ds):
             raise ValueError(f"task {ds.task_id} has no records to deploy against")
-        pool = ds.gp_inputs()
+        pool = target.pool if target.pool is not None else dataset_pool(model, ds)
         rewards = ds.rewards()
         if rewards.max() < threshold:
             raise ValueError(
@@ -178,13 +193,17 @@ def run_deployment(model, scorer: ScorerConfig, target, threshold: float, budget
             )
         task_id, actions = ds.task_id, [r.action for r in ds.records]
         allowed = np.ones(len(ds), dtype=bool)
+        failed = []
 
         def candidates():
-            return pool
+            return pool, pool[failed]
 
         def execute(idx):
             allowed[idx] = False
             return float(rewards[idx])
+
+        def keep(X, idx):
+            failed.append(idx)
     elif isinstance(target, LiveTarget):
         task, cfg = target.task.copy(), target.cfg
         task_id, actions = task.id, enumerate_action_grid()
@@ -192,28 +211,32 @@ def run_deployment(model, scorer: ScorerConfig, target, threshold: float, budget
         # the action columns of assemble_gp_input, which stay fixed across steps
         depth_norm = np.array([a.depth_norm for a in actions])
         stiffness = np.array([a.stiffness_bit for a in actions])
+        failed = []
 
         def candidates():
-            return np.column_stack([compute_features_batch(task, actions, cfg), depth_norm, stiffness])
+            return np.column_stack([compute_features_batch(task, actions, cfg), depth_norm, stiffness]), failed
 
         def execute(idx):
             noise_seed = int(rng.integers(0, 2 ** 31 - 1))
             reward = reward_oracle(task, actions[idx], noise_seed, cfg)
             _scoop_terrain(task, actions[idx], reward)
             return reward
+
+        def keep(X, idx):
+            failed.append(X[idx])
     else:
         raise TypeError(f"target must be DatasetTarget or LiveTarget, got {type(target).__name__}")
 
-    support_x, support_y, episodes = [], [], []
+    support_y, episodes = [], []
     success = False
     while len(episodes) < budget:
-        X = candidates()
+        X, support_x = candidates()
         scores = score(model, scorer, support_x, support_y, X, rng)
         idx = select_action(scores, allowed)
         reward = execute(idx)
         success = bool(reward >= threshold)
         if not success:
-            support_x.append(X[idx])
+            keep(X, idx)
             support_y.append(reward)
         episodes.append(EpisodeStep(actions[idx], float(scores[idx]), reward, len(support_y)))
         if success or not allowed.any():

@@ -5,10 +5,19 @@ The kernel is a squared exponential over learned embeddings,
     k(x1, x2) = outputscale * exp(-||g(x1) - g(x2)||^2 / (2 * lengthscale^2)),
 
 where g is a network head applied to shared extractor features. The mean
-is a second head on the same features. Posteriors are exact, computed by
-Cholesky factorization of the noisy Gram matrix, and the negative log
-marginal likelihood comes with analytic gradients for every kernel-path
-parameter so it can drive training directly.
+is a second head on the same features. Posteriors are exact, and the
+negative log marginal likelihood comes with analytic gradients for every
+kernel-path parameter so it can drive training directly.
+
+A posterior has one factor path, `condition`: with L L^T = K + sigma^2 I
+over the support and one triangular solve of [Kqs^T | y - m(X)], it
+returns V = L^-1 Kqs^T and beta = L^-1 (y - m(X)), from which the mean is
+m(q) + V^T beta and the latent variance k(q, q) - sum_i V_iq^2. Because
+forward substitution is prefix-consistent, the first s rows of V and beta
+are those of the support's first s points. Inputs may be raw rows or an
+`Embedded` set (kernel embeddings and prior means computed once by
+`embed`), so callers that condition the same rows many times run the
+networks on them once.
 
 The kernel sees only differences g(x_i) - g(x_j), so the kernel head's
 output-layer bias, which shifts every embedding alike, cannot change any
@@ -31,7 +40,7 @@ from scipy.linalg import solve_triangular
 
 from .errors import NumericalError, SerializationError, ShapeError
 from .nnet import NetworkSpec, ParamVector, forward_batch, network_from_checkpoint, vjp
-from .serialize import container_bytes, parse_container
+from .serialize import container_bytes, parse_container, write_atomic
 
 # Cholesky retry ladder: first attempt is unjittered, escalation starts at
 # 1e-8 * outputscale and stops at 1e-4 * outputscale.
@@ -175,40 +184,73 @@ def _chol_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
     return solve_triangular(L.T, y, lower=False)
 
 
+@dataclass(frozen=True)
+class Embedded:
+    """Kernel embeddings Z and prior means m of a set of input rows.
+
+    Indexing with an index array or a slice selects rows."""
+
+    Z: np.ndarray
+    m: np.ndarray
+
+    def __len__(self) -> int:
+        return self.Z.shape[0]
+
+    def __getitem__(self, rows) -> "Embedded":
+        return Embedded(self.Z[rows], self.m[rows])
+
+
+def embed(model: DeepGpModel, X) -> Embedded:
+    """Run both network paths on a batch once, for repeated conditioning."""
+    X = _as_batch(model, X)
+    return Embedded(embed_batch(model, X), mean_eval_batch(model, X))
+
+
+def _embedded(model: DeepGpModel, X) -> Embedded:
+    return X if isinstance(X, Embedded) else embed(model, X)
+
+
+def condition(model: DeepGpModel, support: Embedded, y, queries: Embedded):
+    """Factor the support's noisy Gram matrix once and solve for the queries.
+
+    Returns (V, beta, jitter): V = L^-1 Kqs^T of shape (n, Q), beta =
+    L^-1 (y - m_support) of shape (n,), and the diagonal jitter the
+    factor needed (0.0 when none).
+    """
+    n = len(support)
+    K = kernel_matrix(model, support.Z, support.Z) + np.exp(2.0 * model.log_noise) * np.eye(n)
+    L, jitter = _chol_with_jitter(K, model.outputscale)
+    B = np.column_stack([kernel_matrix(model, queries.Z, support.Z).T, y - support.m])
+    S = solve_triangular(L, B, lower=True)
+    return S[:, :-1], S[:, -1], jitter
+
+
 def posterior_batch(model: DeepGpModel, support_x, support_y, queries):
     """Posterior mean and variance arrays at query inputs.
 
-    Empty support returns the prior: the model mean and k(x, x) + noise
-    variance. Otherwise the exact conditional with per-point residuals
-    y_i - m(x_i) against the model mean; the returned variance is the
-    latent one, without the observation noise term.
+    Support and queries are input rows or Embedded sets. Empty support
+    returns the prior: the model mean and k(x, x) + noise variance.
+    Otherwise the exact conditional with per-point residuals y_i - m(x_i)
+    against the model mean; the returned variance is the latent one,
+    without the observation noise term.
     """
-    Q = _as_batch(model, queries)
-    support_x = np.asarray(support_x, dtype=np.float64)
     support_y = np.asarray(support_y, dtype=np.float64).reshape(-1)
-    if support_x.size == 0:
-        support_x = support_x.reshape(0, model.input_dim)
-    if support_x.ndim != 2 or support_x.shape[0] != support_y.shape[0]:
-        raise ShapeError(f"support shapes {support_x.shape} / {support_y.shape} are inconsistent")
-    n = support_x.shape[0]
+    if not isinstance(support_x, Embedded):
+        support_x = np.asarray(support_x, dtype=np.float64)
+        if support_x.size == 0:
+            support_x = support_x.reshape(0, model.input_dim)
+        if support_x.ndim != 2:
+            raise ShapeError(f"support shape {support_x.shape} is not a batch of rows")
+    if len(support_x) != support_y.shape[0]:
+        raise ShapeError(f"support of {len(support_x)} rows has {support_y.shape[0]} targets")
     s = model.outputscale
-    sigma2 = np.exp(2.0 * model.log_noise)
-
-    mu_prior = mean_eval_batch(model, Q)
-    if n == 0:
-        return mu_prior, np.full(Q.shape[0], s + sigma2)
-
-    Zs = embed_batch(model, support_x)
-    Zq = embed_batch(model, Q)
-    K = kernel_matrix(model, Zs, Zs) + sigma2 * np.eye(n)
-    L, _ = _chol_with_jitter(K, s)
-    resid = support_y - mean_eval_batch(model, support_x)
-    alpha = _chol_solve(L, resid)
-    Kqs = kernel_matrix(model, Zq, Zs)
-    mu = mu_prior + Kqs @ alpha
-    W = _chol_solve(L, Kqs.T)
-    var = s - np.einsum("ij,ji->i", Kqs, W)
-    return mu, np.maximum(var, 0.0)
+    if len(support_x) == 0:
+        mu = queries.m if isinstance(queries, Embedded) else mean_eval_batch(model, queries)
+        return mu, np.full(mu.shape[0], s + np.exp(2.0 * model.log_noise))
+    Q = _embedded(model, queries)
+    V, beta, _ = condition(model, _embedded(model, support_x), support_y, Q)
+    var = s - np.einsum("ij,ij->j", V, V)
+    return Q.m + V.T @ beta, np.maximum(var, 0.0)
 
 
 @dataclass(frozen=True)
@@ -341,8 +383,7 @@ def model_to_bytes(model: DeepGpModel) -> bytes:
 
 
 def save_model(path: str, model: DeepGpModel) -> None:
-    with open(path, "wb") as fh:
-        fh.write(model_to_bytes(model))
+    write_atomic(path, model_to_bytes(model))
 
 
 def model_from_bytes(data: bytes) -> DeepGpModel:

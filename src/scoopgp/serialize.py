@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 
 import numpy as np
 
@@ -41,10 +42,25 @@ def container_bytes(kind: str, meta: dict, blocks: list[np.ndarray]) -> bytes:
     return head.encode("utf-8") + b"".join(payload)
 
 
+def write_atomic(path: str, data: bytes | str) -> None:
+    """Write data (str as UTF-8) to path through a temporary file beside
+    it and os.replace, so that path holds either its old contents or all
+    of data, never a part, even if the process dies mid-write."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_container(path: str, kind: str, meta: dict, blocks: list[np.ndarray]) -> None:
-    data = container_bytes(kind, meta, blocks)
-    with open(path, "wb") as fh:
-        fh.write(data)
+    write_atomic(path, container_bytes(kind, meta, blocks))
 
 
 def parse_container(data: bytes, kind: str | None = None) -> tuple[dict, list[np.ndarray]]:

@@ -20,7 +20,7 @@ from scipy.special import expit
 
 from .config import GenConfig
 from .errors import IngestError, SerializationError
-from .serialize import read_container, write_container
+from .serialize import read_container, write_atomic, write_container
 
 TRAY_W = 0.9            # meters, x extent
 TRAY_H = 0.6            # meters, y extent
@@ -683,22 +683,19 @@ def write_database(prefix: str, datasets) -> tuple:
     """Write datasets to {prefix}.records.txt and {prefix}.manifest.txt."""
     records_path = prefix + RECORDS_SUFFIX
     manifest_path = prefix + MANIFEST_SUFFIX
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        fh.write("# scoopgp manifest v1\n")
-        fh.write("# task_id composition material_ids n_records feature_dim\n")
-        for ds in datasets:
-            fh.write(f"{ds.task_id} {ds.composition} {','.join(ds.material_ids)} {len(ds)} {ds.feature_dim}\n")
-    with open(records_path, "w", encoding="utf-8") as fh:
-        fh.write("# scoopgp records v1\n")
-        fh.write("# task_id material_ids composition x y yaw_index depth stiffness reward features...\n")
-        for ds in datasets:
-            mats = ",".join(ds.material_ids)
-            for rec in ds.records:
-                a = rec.action
-                head = (f"{ds.task_id} {mats} {ds.composition} {_fmt(a.x)} {_fmt(a.y)} "
-                        f"{a.yaw_index} {_fmt(a.depth)} {a.stiffness} {_fmt(rec.reward)}")
-                feats = " ".join(_fmt(v) for v in rec.features)
-                fh.write(head + " " + feats + "\n")
+    manifest = ["# scoopgp manifest v1\n", "# task_id composition material_ids n_records feature_dim\n"]
+    records = ["# scoopgp records v1\n",
+               "# task_id material_ids composition x y yaw_index depth stiffness reward features...\n"]
+    for ds in datasets:
+        mats = ",".join(ds.material_ids)
+        manifest.append(f"{ds.task_id} {ds.composition} {mats} {len(ds)} {ds.feature_dim}\n")
+        for rec in ds.records:
+            a = rec.action
+            head = (f"{ds.task_id} {mats} {ds.composition} {_fmt(a.x)} {_fmt(a.y)} "
+                    f"{a.yaw_index} {_fmt(a.depth)} {a.stiffness} {_fmt(rec.reward)}")
+            records.append(head + " " + " ".join(_fmt(v) for v in rec.features) + "\n")
+    write_atomic(manifest_path, "".join(manifest))
+    write_atomic(records_path, "".join(records))
     return records_path, manifest_path
 
 

@@ -24,13 +24,14 @@ from scoopgp.bench import (
     write_deploy_report,
     write_mae_report,
 )
+from scoopgp.config import RunConfig, apply_overrides
 from scoopgp.decide import ScorerConfig
-from scoopgp.errors import IngestError
-from scoopgp.gp import DeepGpModel, posterior_batch
+from scoopgp.errors import ConfigError, IngestError
+from scoopgp.gp import DeepGpModel, condition, embed, posterior_batch
 from scoopgp.nnet import NetworkSpec, params_from_layers
 from scoopgp.tasks import DEPTH_MIN, ScoopAction, ScoopRecord, TaskDataset
 
-from helpers import identity_params, random_model
+from helpers import identity_params, random_model, toy_dataset
 
 
 def _linear_mean_model(d, w, bias=0.0):
@@ -141,6 +142,41 @@ def test_kshot_validates_pool_and_record_counts():
     lone = _reward_dataset([2.0])
     with pytest.raises(ValueError, match="too few"):
         eval_kshot_mae(model, [lone], shots=(0,), trials=1)
+
+
+def test_kshot_rejects_negative_and_duplicate_shots():
+    model = _linear_mean_model(3, (10.0, 0.0, 0.0))
+    ds = _reward_dataset(np.arange(1.0, 21.0))
+    for shots in ((0, -1), (5, 0, 5), ()):
+        with pytest.raises(ValueError, match="distinct non-negative"):
+            eval_kshot_mae(model, [ds], shots=shots, trials=1)
+    for raw in ("0,-1", "5,0,5", "", "5:relu"):
+        with pytest.raises(ConfigError, match="bench.shots"):
+            apply_overrides(RunConfig(), {"bench.shots": raw})
+    assert apply_overrides(RunConfig(), {"bench.shots": "10,0,5"}).bench.shots == (10, 0, 5)
+
+
+def test_kshot_conditions_each_shot_alone_when_the_largest_support_needs_jitter():
+    # three distinct feature rows, ten copies each, and noise far below any
+    # trained floor: a support with a repeated row is singular without jitter
+    feats = np.repeat(np.array([[0.2, -0.4], [1.1, 0.3], [-0.7, 0.9]]), 10, axis=0)
+    rewards = np.repeat(np.array([4.0, 9.0, 6.0]), 10)
+    ds = toy_dataset("dup0", feats, rewards)
+    model = random_model(4, seed=33, log_noise=np.log(1e-9))
+    shots, seed = (0, 1, 2, 6), 5
+    report = eval_kshot_mae(model, [ds], shots=shots, trials=1, seed=seed, top_k=3)
+
+    rows, y = embed(model, ds.gp_inputs()), ds.rewards()
+    q_idx, pool = query_split(seed, "dup0", 0, len(ds))
+    order = _support_order(seed, "dup0", 0, pool)
+    assert condition(model, rows[order[:6]], y[order[:6]], rows[q_idx])[2] > 0.0
+    top_idx = np.argsort(-y[q_idx])[:3]
+    for row, s in zip(report.rows, shots):
+        mu, _ = posterior_batch(model, rows[order[:s]], y[order[:s]], rows[q_idx])
+        err = np.abs(mu - y[q_idx])
+        assert row.shot == s
+        assert row.mae == pytest.approx(err.mean(), abs=1e-12)
+        assert row.top_mae == pytest.approx(err[top_idx].mean(), abs=1e-12)
 
 
 def test_aggregates_recompute_from_rows(world):

@@ -19,7 +19,7 @@ from scoopgp.gp import DeepGpModel, mean_eval_batch, posterior_batch
 from scoopgp.nnet import NetworkSpec, params_from_layers
 from scoopgp.tasks import DEPTH_MIN, ScoopAction, ScoopRecord, TaskDataset
 
-from helpers import flat_task, identity_embedding_model, identity_params
+from helpers import flat_task, identity_embedding_model, identity_params, random_model, toy_dataset
 
 
 def _linear_mean_model(d, w, bias=0.0, log_noise=np.log(0.1)):
@@ -200,6 +200,20 @@ def test_ucb_episodes_condition_on_the_failures_before_them():
         expected = score(model, UCB, X[before], ds.rewards()[before], X)[i]
         assert e.score == expected
         assert e.support_size == n + (e.reward < 11.0)
+
+
+def test_ucb_deployment_over_duplicate_rows_runs_to_budget():
+    # every record has the same input row and the noise is far below any
+    # trained floor, so every support of two or more rows needs jitter
+    rewards = np.append(np.linspace(1.0, 5.0, 11), 50.0)
+    ds = toy_dataset("dup0", np.tile([0.3, -0.2], (12, 1)), rewards)
+    model = random_model(4, seed=41, log_noise=np.log(1e-9))
+    trace = run_deployment(model, UCB, DatasetTarget(ds), 50.0, budget=8, seed=1)
+    assert not trace.success and trace.attempts == 8
+    # equal scores go to the lowest index, so the records are taken in order
+    assert [e.reward for e in trace.episodes] == list(rewards[:8])
+    assert [e.support_size for e in trace.episodes] == list(range(1, 9))
+    assert all(np.isfinite(e.score) for e in trace.episodes)
 
 
 def test_budget_caps_the_episode_count():

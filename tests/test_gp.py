@@ -9,8 +9,11 @@ from scipy.stats import norm
 from scoopgp.errors import NumericalError, SerializationError, ShapeError
 from scoopgp.gp import (
     DeepGpModel,
+    Embedded,
     _chol_with_jitter,
     checkpoint_id,
+    condition,
+    embed,
     embed_batch,
     kernel_matrix,
     load_model,
@@ -138,6 +141,45 @@ def test_posterior_matches_dense_inverse_oracle():
     mu0, var0 = dense_posterior_oracle(model, Xs, ys, Xq)
     assert np.max(np.abs(mu - mu0)) < 1e-8
     assert np.max(np.abs(var - var0)) < 1e-8
+
+
+def test_posterior_on_embedded_rows_matches_raw_rows_and_the_dense_oracle():
+    model = random_model(4, seed=17, log_lengthscale=-0.1, log_outputscale=0.3, log_noise=np.log(0.2))
+    rng = np.random.default_rng(18)
+    X = rng.normal(size=(30, 4))
+    ys = rng.normal(size=10)
+    rows = embed(model, X)
+    assert isinstance(rows, Embedded) and len(rows) == 30
+    assert np.array_equal(rows.Z, embed_batch(model, X))
+    assert np.array_equal(rows.m, mean_eval_batch(model, X))
+    sup, qry = np.arange(10), np.arange(10, 30)
+    mu_raw, var_raw = posterior_batch(model, X[sup], ys, X[qry])
+    mu0, var0 = dense_posterior_oracle(model, X[sup], ys, X[qry])
+    for support, queries in ((rows[sup], rows[qry]), (rows[sup], X[qry]), (X[sup], rows[qry])):
+        mu, var = posterior_batch(model, support, ys, queries)
+        assert np.max(np.abs(mu - mu_raw)) <= 1e-10 and np.max(np.abs(var - var_raw)) <= 1e-10
+        assert np.max(np.abs(mu - mu0)) < 1e-8 and np.max(np.abs(var - var0)) < 1e-8
+    prior_mu, prior_var = posterior_batch(model, rows[[]], [], rows[qry])
+    assert np.array_equal(prior_mu, rows.m[qry])
+    assert np.allclose(prior_var, model.outputscale + model.noise_std ** 2)
+    with pytest.raises(ShapeError):
+        posterior_batch(model, rows[sup], ys[:9], rows[qry])
+
+
+def test_condition_prefix_rows_are_the_prefix_posterior():
+    # forward substitution is prefix-consistent: the first s rows of V and
+    # beta give the posterior of the support's first s points
+    model = random_model(3, seed=19, log_noise=np.log(0.3))
+    rng = np.random.default_rng(20)
+    rows = embed(model, rng.normal(size=(14, 3)))
+    ys = rng.normal(size=8)
+    support, queries = rows[np.arange(8)], rows[np.arange(8, 14)]
+    V, beta, jitter = condition(model, support, ys, queries)
+    assert V.shape == (8, 6) and beta.shape == (8,) and jitter == 0.0
+    for s in (1, 3, 8):
+        mu, var = posterior_batch(model, support[:s], ys[:s], queries)
+        assert np.max(np.abs(queries.m + V[:s].T @ beta[:s] - mu)) < 1e-12
+        assert np.max(np.abs(np.maximum(model.outputscale - (V[:s] ** 2).sum(axis=0), 0.0) - var)) < 1e-12
 
 
 def test_posterior_invariant_to_support_permutation():

@@ -8,6 +8,7 @@ from scipy.optimize import linprog
 
 from scoopgp.config import GenConfig
 from scoopgp.errors import IngestError, SerializationError
+import scoopgp.serialize
 from scoopgp.serialize import read_container, write_container
 from scoopgp.tasks import (
     DEPTH_MAX,
@@ -47,7 +48,7 @@ from scoopgp.tasks import (
     write_database,
 )
 
-from helpers import flat_task, reference_features
+from helpers import flat_task, random_model, reference_features, toy_dataset
 
 
 def _material(gain=0.8, jam=0.1, sens=0.6, slope=0.0, mat_id="m0"):
@@ -606,6 +607,59 @@ def test_terrain_bundle_without_material_ids_is_a_serialization_error(tmp_path, 
     write_container(path, "terrains", meta, blocks)
     with pytest.raises(SerializationError, match="material_ids"):
         load_terrains(path)
+
+
+class _HalfWriter:
+    """A file that takes half of what it is given, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        self.fh.flush()
+        raise OSError("no space left on device")
+
+
+def _writers():
+    from scoopgp.bench import DeployReport, DeployRow, MaeReport, MaeRow, write_deploy_report, write_mae_report
+    from scoopgp.gp import save_model
+
+    def mae(v):
+        return MaeReport("kshot-mae", v, "c0", 1, (0,), (MaeRow("t0", 0, 1.0 + v, 2.0),))
+
+    def database(path, v):
+        write_database(path, [toy_dataset(f"t{v}", np.full((v + 2, 3), float(v)), np.arange(v + 2.0))])
+
+    return {
+        "container": lambda path, v: write_container(path, "x", {"v": v}, [np.arange(10.0 * v)]),
+        "model": lambda path, v: save_model(path, random_model(3, seed=v)),
+        "mae-report": lambda path, v: write_mae_report(path, mae(v)),
+        "deploy-report": lambda path, v: write_deploy_report(
+            path, DeployReport("ucb", v, "c0", 5, 1, (DeployRow("t0", 0, v, True),))),
+        "database": database,
+    }
+
+
+@pytest.mark.parametrize("writer", sorted(_writers()))
+def test_a_write_failing_midway_leaves_the_old_file_intact(tmp_path, monkeypatch, writer):
+    write = _writers()[writer]
+    path = str(tmp_path / "artifact")
+    write(path, 1)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    monkeypatch.setattr(scoopgp.serialize, "open", lambda p, mode: _HalfWriter(open(p, mode)), raising=False)
+    with pytest.raises(OSError, match="no space"):
+        write(path, 2)
+    monkeypatch.undo()
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    write(path, 2)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} != before
 
 
 def test_task_dataset_validation():
