@@ -45,12 +45,12 @@ def parse_args(argv=None):
 def main(argv=None) -> int:
     args = parse_args(argv)
     shots = tuple(int(s) for s in args.shots.split(","))
-    cfg = GenConfig()
+    g = GenConfig()
 
     t0 = time.perf_counter()
-    pool = generate_materials(8, 4, 0.7, args.seed, cfg.appearance_dim)
-    _, train_sets = sample_task_family(pool, args.train_tasks, args.train_records, args.seed, cfg)
-    _, test_sets = sample_ood_test_family(pool, args.test_tasks, args.test_records, args.seed, cfg)
+    pool = generate_materials(g.n_train_materials, g.n_ood_materials, g.rho, args.seed)
+    _, train_sets = sample_task_family(pool, args.train_tasks, args.train_records, args.seed)
+    _, test_sets = sample_ood_test_family(pool, args.test_tasks, args.test_records, args.seed)
     print(f"family: {len(train_sets)} train tasks, {len(test_sets)} held-out tasks "
           f"({time.perf_counter() - t0:.0f}s)")
 

@@ -23,6 +23,8 @@ from .errors import IngestError
 from .gp import DeepGpModel, checkpoint_id, condition, embed, mean_eval_batch, posterior_batch
 from .serialize import write_atomic
 
+# share of each task's records held out as queries in every evaluation trial
+QUERY_FRACTION = 0.8
 _QUERY_TAG = 0x9E41
 _SUPPORT_TAG = 0x51A9
 
@@ -31,7 +33,7 @@ def _task_tag(task_id: str) -> int:
     return int.from_bytes(hashlib.sha256(task_id.encode("utf-8")).digest()[:4], "big")
 
 
-def query_split(seed: int, task_id: str, trial: int, n_records: int, query_fraction: float = 0.8):
+def query_split(seed: int, task_id: str, trial: int, n_records: int):
     """Deterministic query/support-pool split for one evaluation trial.
 
     The query indices depend only on (seed, task, trial), never on how the
@@ -42,7 +44,7 @@ def query_split(seed: int, task_id: str, trial: int, n_records: int, query_fract
         np.random.SeedSequence([int(seed) & 0xFFFFFFFF, _task_tag(task_id), int(trial), _QUERY_TAG])
     )
     perm = rng.permutation(n_records)
-    n_query = max(1, int(np.floor(query_fraction * n_records)))
+    n_query = max(1, int(np.floor(QUERY_FRACTION * n_records)))
     n_query = min(n_query, n_records - 1) if n_records > 1 else 1
     return perm[:n_query], perm[n_query:]
 
@@ -107,7 +109,7 @@ def _shot_means(model: DeepGpModel, rows, y: np.ndarray, order: np.ndarray, q_id
 
 
 def eval_kshot_mae(model: DeepGpModel, datasets, shots=(0, 5, 10), trials: int = 30, seed: int = 0,
-                   query_fraction: float = 0.8, top_k: int = 5) -> MaeReport:
+                   top_k: int = 5) -> MaeReport:
     """k-shot reward prediction error per task.
 
     Each trial holds out a query fraction of the records; the support set
@@ -127,7 +129,7 @@ def eval_kshot_mae(model: DeepGpModel, datasets, shots=(0, 5, 10), trials: int =
         y = ds.rewards()
         acc = {s: [0.0, 0.0] for s in shots}
         for trial in range(trials):
-            q_idx, pool = query_split(seed, ds.task_id, trial, n, query_fraction)
+            q_idx, pool = query_split(seed, ds.task_id, trial, n)
             order = _support_order(seed, ds.task_id, trial, pool)
             max_shot = max(shots)
             if max_shot > len(order):
@@ -156,7 +158,7 @@ def eval_kshot_mae(model: DeepGpModel, datasets, shots=(0, 5, 10), trials: int =
 
 
 def mean_model_mae(model: DeepGpModel, datasets, trials: int = 30, seed: int = 0,
-                   query_fraction: float = 0.8, top_k: int = 5) -> MaeReport:
+                   top_k: int = 5) -> MaeReport:
     """Prediction error of the prior mean alone, on the same query sets the
     k-shot protocol draws. The non-adaptive reference: no support, no kernel.
     The means are those of one pass over each task's records, as in
@@ -169,7 +171,7 @@ def mean_model_mae(model: DeepGpModel, datasets, trials: int = 30, seed: int = 0
         mae_sum = 0.0
         top_sum = 0.0
         for trial in range(trials):
-            q_idx, _ = query_split(seed, ds.task_id, trial, n, query_fraction)
+            q_idx, _ = query_split(seed, ds.task_id, trial, n)
             yq = y[q_idx]
             top_idx = np.argsort(-yq)[:top_k]
             err = np.abs(m[q_idx] - yq)
@@ -312,7 +314,7 @@ def write_mae_report(path: str, report: MaeReport) -> None:
     for shot in report.shots:
         mae, top = _aggregate_rows(quant, (shot,))[shot]
         lines.append(f"#aggregate {shot} {_FMT % mae} {_FMT % top}")
-    write_atomic(path, "\n".join(lines) + "\n")
+    write_atomic({path: "\n".join(lines) + "\n"})
 
 
 def _key_values(line: str) -> dict:
@@ -402,7 +404,7 @@ def write_deploy_report(path: str, report: DeployReport) -> None:
         lines.append(f"{r.task_id} {r.trial} {r.attempts} {int(r.success)}")
     lines.append(f"#aggregate avg={_FMT % report.avg_attempts} max={report.max_attempts} "
                  f"success_rate={_FMT % report.success_rate}")
-    write_atomic(path, "\n".join(lines) + "\n")
+    write_atomic({path: "\n".join(lines) + "\n"})
 
 
 def read_deploy_report(path: str) -> DeployReport:

@@ -50,16 +50,13 @@ def _cmd_gen(args) -> int:
 
     cfg = _load_run_config(args)
     g = cfg.gen
-    pool = generate_materials(g.n_train_materials, g.n_ood_materials, g.rho, args.seed,
-                              g.appearance_dim)
-    train_tasks, train_sets = sample_task_family(pool, g.n_train_tasks, g.train_records,
-                                                 args.seed, g)
-    test_tasks, test_sets = sample_ood_test_family(pool, g.n_test_tasks, g.test_records,
-                                                   args.seed, g)
+    pool = generate_materials(g.n_train_materials, g.n_ood_materials, g.rho, args.seed)
+    train_tasks, train_sets = sample_task_family(pool, g.n_train_tasks, g.train_records, args.seed)
+    test_tasks, test_sets = sample_ood_test_family(pool, g.n_test_tasks, g.test_records, args.seed)
     prefix = _out_path(args.prefix)
     write_database(prefix + ".train", train_sets)
     write_database(prefix + ".test", test_sets)
-    save_terrains(prefix + ".terrains.bin", train_tasks + test_tasks, g)
+    save_terrains(prefix + ".terrains.bin", train_tasks + test_tasks)
     print(f"wrote {prefix}.train.records.txt ({sum(len(ds) for ds in train_sets)} records, "
           f"{len(train_sets)} tasks)")
     print(f"wrote {prefix}.test.records.txt ({sum(len(ds) for ds in test_sets)} records, "
@@ -75,10 +72,6 @@ def _cmd_train(args) -> int:
 
     cfg = _load_run_config(args)
     datasets = read_database(args.data)
-    if args.folds is not None:
-        import dataclasses
-
-        cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, folds=args.folds))
     trainer = {"codega": train_codega, "dkmt": train_dkmt, "mean-only": train_mean_only}[args.method]
     model = trainer(datasets, seed=args.seed, model_cfg=cfg.model, train_cfg=cfg.train).model
     out = _out_path(args.out)
@@ -97,11 +90,10 @@ def _cmd_eval_mae(args) -> int:
     model = load_model(args.model)
     datasets = read_database(args.data)
     if args.mean_only:
-        report = mean_model_mae(model, datasets, trials=b.mae_trials, seed=args.seed,
-                                query_fraction=b.query_fraction, top_k=b.top_k)
+        report = mean_model_mae(model, datasets, trials=b.mae_trials, seed=args.seed, top_k=b.top_k)
     else:
         report = eval_kshot_mae(model, datasets, shots=b.shots, trials=b.mae_trials,
-                                seed=args.seed, query_fraction=b.query_fraction, top_k=b.top_k)
+                                seed=args.seed, top_k=b.top_k)
     out = _out_path(args.out)
     write_mae_report(out, report)
     for shot in report.shots:
@@ -131,11 +123,11 @@ def _cmd_deploy(args) -> int:
             if ds.task_id not in by_id:
                 raise ValueError(f"task {ds.task_id} missing from {args.terrains}")
             B = args.threshold if args.threshold is not None else deployment_threshold(ds)
-            trace = run_deployment(model, scorer, LiveTarget(by_id[ds.task_id], cfg.gen), B,
+            trace = run_deployment(model, scorer, LiveTarget(by_id[ds.task_id]), B,
                                    b.budget, args.seed)
             lines.append(trace.to_text())
         out = _out_path(args.out)
-        write_atomic(out, "\n".join(lines) + "\n")
+        write_atomic({out: "\n".join(lines) + "\n"})
         print(f"wrote {out}")
         return 0
     datasets = read_database(args.data)
@@ -206,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--data", required=True, help="records file")
     p.add_argument("--method", choices=("codega", "dkmt", "mean-only"), default="codega")
-    p.add_argument("--folds", type=int, default=None, help="material fold count override")
     p.add_argument("--out", required=True, help="model checkpoint path")
     p.set_defaults(func=_cmd_train)
 

@@ -2,7 +2,9 @@
 
 Config files hold one `section.key = value` assignment per line; `#`
 starts a comment. Keys map onto the dataclass fields below, so every key
-and its default is visible in one place.
+and its default is visible in one place. Only settings that some run
+varies are keys; the fixed scoop rig (heightmap cell, observation patch,
+appearance channels, reward noise) is a set of constants in tasks.py.
 """
 
 from __future__ import annotations
@@ -43,16 +45,11 @@ class ModelConfig:
 class TrainConfig:
     """Optimization settings for mean and kernel training."""
 
-    lr_mean: float = 5e-3
     lr_kernel: float = 1e-2
     patience: int = 5
     max_epochs_mean: int = 200
     max_epochs_kernel: int = 150
-    batch_size: int = 64
-    val_fraction: float = 0.1
-    folds: int = 4
-    noise_floor: float = 1e-3       # lower clamp on the noise std, reward units
-    min_group_size: int = 2         # residual groups smaller than this are skipped
+    folds: int = 4                  # material folds of train_codega
     train_kernel_head: bool = True  # set False to fit hyperparameters only
     kernel_extractor_fold: int = -1  # >= 0 pins kernel embeddings to that fold's extractor
     log_every: int = 0              # print a progress line every n epochs (0 = quiet)
@@ -69,12 +66,6 @@ class GenConfig:
     train_records: int = 60
     n_test_tasks: int = 6
     test_records: int = 60
-    appearance_dim: int = 3
-    grid_cell: float = 0.01         # heightmap resolution, meters
-    patch_cells: int = 8            # local observation patch is patch_cells x patch_cells
-    patch_extent: float = 0.14      # meters ahead of the scoop start
-    noise_frac: float = 0.10        # reward noise: fraction of the noiseless value
-    noise_floor_cm3: float = 2.0    # plus this absolute floor
 
 
 @dataclass(frozen=True)
@@ -86,7 +77,6 @@ class BenchConfig:
     deploy_trials: int = 10
     budget: int = 20
     gamma: float = 2.0
-    query_fraction: float = 0.8
     top_k: int = 5
     exclude_below: float = 5.0      # drop deployment tasks whose threshold is under this
 

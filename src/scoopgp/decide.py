@@ -11,14 +11,14 @@ heightmap loses the scooped volume after every attempt.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import GenConfig
 from .errors import SelectionError
 from .gp import DeepGpModel, Embedded, embed, mean_eval_batch, posterior_batch
 from .tasks import (
+    CELL,
     DRAG_LEN,
     SCOOP_W,
     ScoopAction,
@@ -142,7 +142,6 @@ class LiveTarget:
     """Score the full action grid against a synthetic terrain."""
 
     task: TerrainTask
-    cfg: GenConfig = field(default_factory=GenConfig)
 
 
 def _scoop_terrain(task: TerrainTask, action: ScoopAction, volume_cm3: float) -> None:
@@ -151,7 +150,7 @@ def _scoop_terrain(task: TerrainTask, action: ScoopAction, volume_cm3: float) ->
         return
     H, W = task.heightmap.shape
     ys, xs = np.meshgrid(
-        (np.arange(H) + 0.5) * task.cell, (np.arange(W) + 0.5) * task.cell, indexing="ij"
+        (np.arange(H) + 0.5) * CELL, (np.arange(W) + 0.5) * CELL, indexing="ij"
     )
     dx, dy = np.cos(action.yaw), np.sin(action.yaw)
     rel_x = xs - action.x
@@ -162,7 +161,7 @@ def _scoop_terrain(task: TerrainTask, action: ScoopAction, volume_cm3: float) ->
     n_cells = int(footprint.sum())
     if n_cells == 0:
         return
-    drop = (volume_cm3 * 1e-6) / (n_cells * task.cell * task.cell)
+    drop = (volume_cm3 * 1e-6) / (n_cells * CELL * CELL)
     task.heightmap[footprint] = np.maximum(task.heightmap[footprint] - drop, 0.0)
 
 
@@ -205,7 +204,7 @@ def run_deployment(model, scorer: ScorerConfig, target, threshold: float, budget
         def keep(X, idx):
             failed.append(idx)
     elif isinstance(target, LiveTarget):
-        task, cfg = target.task.copy(), target.cfg
+        task = target.task.copy()
         task_id, actions = task.id, enumerate_action_grid()
         allowed = np.array([action_feasible(a) for a in actions])
         # the action columns of assemble_gp_input, which stay fixed across steps
@@ -214,11 +213,11 @@ def run_deployment(model, scorer: ScorerConfig, target, threshold: float, budget
         failed = []
 
         def candidates():
-            return np.column_stack([compute_features_batch(task, actions, cfg), depth_norm, stiffness]), failed
+            return np.column_stack([compute_features_batch(task, actions), depth_norm, stiffness]), failed
 
         def execute(idx):
             noise_seed = int(rng.integers(0, 2 ** 31 - 1))
-            reward = reward_oracle(task, actions[idx], noise_seed, cfg)
+            reward = reward_oracle(task, actions[idx], noise_seed)
             _scoop_terrain(task, actions[idx], reward)
             return reward
 

@@ -383,7 +383,7 @@ def model_to_bytes(model: DeepGpModel) -> bytes:
 
 
 def save_model(path: str, model: DeepGpModel) -> None:
-    write_atomic(path, model_to_bytes(model))
+    write_atomic({path: model_to_bytes(model)})
 
 
 def model_from_bytes(data: bytes) -> DeepGpModel:

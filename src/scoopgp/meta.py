@@ -40,6 +40,11 @@ from .nnet import (
 
 LOG_LS_MIN, LOG_LS_MAX = math.log(1e-3), math.log(1e4)
 LOG_OS_MIN, LOG_OS_MAX = math.log(1e-8), math.log(1e8)
+LR_MEAN = 5e-3          # Adam step size of mean training
+BATCH_SIZE = 64         # records per mean-training minibatch
+VAL_FRACTION = 0.1      # records held out to early-stop mean training
+NOISE_FLOOR = 1e-3      # lower clamp on the noise std, reward units
+MIN_GROUP_SIZE = 2      # residual groups and dkmt tasks smaller than this are skipped
 
 
 @dataclass(frozen=True)
@@ -96,9 +101,6 @@ class ResidualGroup:
 @dataclass(frozen=True)
 class ResidualDataset:
     groups: tuple
-
-    def pooled_residuals(self) -> np.ndarray:
-        return np.concatenate([g.residuals for g in self.groups])
 
 
 @dataclass(frozen=True)
@@ -221,7 +223,7 @@ def train_mean(datasets, seed, model_cfg: ModelConfig = ModelConfig(), train_cfg
     y_std = (y - mu) / sigma
 
     perm = rng_split.permutation(n)
-    n_val = max(1, int(round(train_cfg.val_fraction * n)))
+    n_val = max(1, int(round(VAL_FRACTION * n)))
     n_val = min(n_val, n - 1)
     val_idx, train_idx = perm[:n_val], perm[n_val:]
     Xt, yt = X[train_idx], y_std[train_idx]
@@ -240,15 +242,15 @@ def train_mean(datasets, seed, model_cfg: ModelConfig = ModelConfig(), train_cfg
 
     def epoch_step(s):
         order = rng_batch.permutation(Xt.shape[0])
-        for start in range(0, len(order), train_cfg.batch_size):
-            idx = order[start:start + train_cfg.batch_size]
+        for start in range(0, len(order), BATCH_SIZE):
+            idx = order[start:start + BATCH_SIZE]
             Xb, yb = Xt[idx], yt[idx]
             U = forward_batch(feature_spec, s["feat"], Xb)
             pred = forward_batch(mean_spec, s["mean"], U)[:, 0]
             upstream = (2.0 / len(idx)) * (pred - yb)[:, None]
             g_mean, dU = vjp(mean_spec, s["mean"], U, upstream)
             g_feat, _ = vjp(feature_spec, s["feat"], Xb, dU)
-            s = _adam(s, {"mean": g_mean, "feat": g_feat}, opt, train_cfg.lr_mean)
+            s = _adam(s, {"mean": g_mean, "feat": g_feat}, opt, LR_MEAN)
         train_loss = mse(s, Xt, yt)
         val_loss = mse(s, Xv, yv)
         return s, val_loss, raw * train_loss, raw * val_loss
@@ -280,7 +282,7 @@ def train_mean_only(datasets, seed=0, model_cfg: ModelConfig = ModelConfig(), tr
         kernel_params=kernel,
         log_lengthscale=float(np.log(_median_embed_heuristic(emb))),
         log_outputscale=float(np.clip(np.log(max(float(np.var(y)), 1e-8)), LOG_OS_MIN, LOG_OS_MAX)),
-        log_noise=float(np.log(max(0.5 * float(np.std(y)), train_cfg.noise_floor))),
+        log_noise=float(np.log(max(0.5 * float(np.std(y)), NOISE_FLOOR))),
     )
     return MeanOnlyResult(model=model, report=res.report)
 
@@ -387,12 +389,12 @@ def _hyper_kwargs(h: ParamVector) -> dict:
     return dict(zip(("log_lengthscale", "log_outputscale", "log_noise"), (float(v) for v in h.values)))
 
 
-def _raw_hypers(h: ParamVector, sigma: float, noise_floor: float) -> dict:
+def _raw_hypers(h: ParamVector, sigma: float) -> dict:
     """_hyper_kwargs of hyperparameters fit to targets divided by sigma,
     rescaled to raw units with the noise held at the floor."""
     hypers = _hyper_kwargs(h)
     hypers["log_outputscale"] += 2.0 * math.log(sigma)
-    hypers["log_noise"] = max(hypers["log_noise"] + math.log(sigma), math.log(noise_floor))
+    hypers["log_noise"] = max(hypers["log_noise"] + math.log(sigma), math.log(NOISE_FLOOR))
     return hypers
 
 
@@ -401,13 +403,13 @@ def train_kernel_codega(residuals: ResidualDataset, fold_checkpoints: dict, seed
 
     Each batch loads its fold's extractor frozen; only the kernel head and
     the log hyperparameters receive gradients. Stops early on the
-    aggregate training NLML. Groups below min_group_size are skipped.
+    aggregate training NLML. Groups below MIN_GROUP_SIZE are skipped.
     """
     groups = []
     for g in residuals.groups:
-        if len(g.residuals) < train_cfg.min_group_size:
+        if len(g.residuals) < MIN_GROUP_SIZE:
             print(f"[kernel] skipping task {g.task_id}: {len(g.residuals)} residuals "
-                  f"< min_group_size {train_cfg.min_group_size}")
+                  f"< min_group_size {MIN_GROUP_SIZE}")
             continue
         groups.append(g)
     if not groups:
@@ -424,7 +426,7 @@ def train_kernel_codega(residuals: ResidualDataset, fold_checkpoints: dict, seed
     if sigma_sc < 1e-12:
         sigma_sc = 1.0
     scaled = {g.task_id: g.residuals / sigma_sc for g in groups}
-    log_noise_min = math.log(train_cfg.noise_floor) - math.log(sigma_sc)
+    log_noise_min = math.log(NOISE_FLOOR) - math.log(sigma_sc)
 
     ss = np.random.SeedSequence([int(seed) & 0xFFFFFFFF, 0x6E51])
     init_ss, batch_ss = ss.spawn(2)
@@ -470,10 +472,10 @@ def train_kernel_codega(residuals: ResidualDataset, fold_checkpoints: dict, seed
         return s, total, total + raw_shift, None
 
     best, report = _fit("kernel", {"kernel": kernel, "hyper": hyper}, epoch_step, train_cfg.max_epochs_kernel, train_cfg)
-    return KernelResult(kernel_params=best["kernel"], **_raw_hypers(best["hyper"], sigma_sc, train_cfg.noise_floor), report=report)
+    return KernelResult(kernel_params=best["kernel"], **_raw_hypers(best["hyper"], sigma_sc), report=report)
 
 
-def train_codega(datasets, folds: int | None = None, seed=0, model_cfg: ModelConfig = ModelConfig(), train_cfg: TrainConfig = TrainConfig()) -> CodegaResult:
+def train_codega(datasets, seed=0, model_cfg: ModelConfig = ModelConfig(), train_cfg: TrainConfig = TrainConfig()) -> CodegaResult:
     """The full controlled-gap pipeline.
 
     Fold split, per-fold means, residual collection, kernel training on
@@ -482,10 +484,9 @@ def train_codega(datasets, folds: int | None = None, seed=0, model_cfg: ModelCon
     kernel head; the kernel path can be pinned to a fold extractor via
     train_cfg.kernel_extractor_fold.
     """
-    folds = train_cfg.folds if folds is None else folds
     ss = np.random.SeedSequence([int(seed) & 0xFFFFFFFF, 0xC0DE6A])
     seeds = [int(c.generate_state(1)[0]) for c in ss.spawn(4)]
-    splits = make_fold_splits(datasets, folds, seeds[0])
+    splits = make_fold_splits(datasets, train_cfg.folds, seeds[0])
     residuals, checkpoints = build_residual_dataset(splits, datasets, seeds[1], model_cfg, train_cfg)
     kernel = train_kernel_codega(residuals, checkpoints, seeds[2], model_cfg, train_cfg)
     # the final mean re-uses the fold-mean seed so its extractor starts from
@@ -526,12 +527,12 @@ def train_dkmt(datasets, seed=0, model_cfg: ModelConfig = ModelConfig(), train_c
     One task per batch, kernel-training optimizer settings, early stopping
     on the aggregate training NLML.
     """
-    live = [ds for ds in datasets if len(ds) >= train_cfg.min_group_size]
+    live = [ds for ds in datasets if len(ds) >= MIN_GROUP_SIZE]
     if not live:
         raise ValueError("no dataset meets min_group_size")
     X_all, y_all = _pool_training_data(live)
     mu, sigma = _standardizer(y_all)
-    log_noise_min = math.log(train_cfg.noise_floor) - math.log(sigma)
+    log_noise_min = math.log(NOISE_FLOOR) - math.log(sigma)
 
     input_dim = X_all.shape[1]
     feature_spec = model_cfg.feature_spec(input_dim)
@@ -580,5 +581,5 @@ def train_dkmt(datasets, seed=0, model_cfg: ModelConfig = ModelConfig(), train_c
     init = {"feat": feat, "mean": mean, "kernel": kernel, "hyper": hyper}
     best, report = _fit("joint", init, epoch_step, train_cfg.max_epochs_kernel, train_cfg)
     mean = _scale_output_layer(mean_spec, best["mean"], mu, sigma)
-    model = joint_model(best, mean, _raw_hypers(best["hyper"], sigma, train_cfg.noise_floor))
+    model = joint_model(best, mean, _raw_hypers(best["hyper"], sigma))
     return DkmtResult(model=model, report=report)

@@ -42,25 +42,32 @@ def container_bytes(kind: str, meta: dict, blocks: list[np.ndarray]) -> bytes:
     return head.encode("utf-8") + b"".join(payload)
 
 
-def write_atomic(path: str, data: bytes | str) -> None:
-    """Write data (str as UTF-8) to path through a temporary file beside
-    it and os.replace, so that path holds either its old contents or all
-    of data, never a part, even if the process dies mid-write."""
-    if isinstance(data, str):
-        data = data.encode("utf-8")
-    tmp = f"{path}.{os.getpid()}.tmp"
+def write_atomic(files: dict) -> None:
+    """Write each {path: data} entry (str as UTF-8) through a temporary file
+    beside its path, then os.replace each temporary over its path.
+
+    Every temporary is complete before the first replace, so a failure
+    while writing leaves every path with its old contents, never a part;
+    only a failure between two replaces can leave some paths new and
+    others old.
+    """
+    tmps = {}
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
+        for path, data in files.items():
+            tmps[path] = f"{path}.{os.getpid()}.tmp"
+            with open(tmps[path], "wb") as fh:
+                fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+        for path, tmp in tmps.items():
+            os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in tmps.values():
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
 
 
 def write_container(path: str, kind: str, meta: dict, blocks: list[np.ndarray]) -> None:
-    write_atomic(path, container_bytes(kind, meta, blocks))
+    write_atomic({path: container_bytes(kind, meta, blocks)})
 
 
 def parse_container(data: bytes, kind: str | None = None) -> tuple[dict, list[np.ndarray]]:

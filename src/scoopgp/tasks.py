@@ -18,7 +18,6 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 from scipy.special import expit
 
-from .config import GenConfig
 from .errors import IngestError, SerializationError
 from .serialize import read_container, write_atomic, write_container
 
@@ -32,6 +31,18 @@ SCOOP_W = 0.08          # scoop width, meters
 MAX_ELEVATION = 0.2     # meters
 MAX_SLOPE = float(np.tan(np.deg2rad(30.0)))
 HIDDEN_DEPTH = 0.05     # below this depth a hidden layer governs the reward
+
+# The scoop rig, the same for every task family: heightmap resolution, the
+# local observation patch (PATCH_CELLS x PATCH_CELLS points reaching
+# PATCH_EXTENT ahead of the scoop start), appearance channels, reward noise
+CELL = 0.01             # heightmap resolution, meters
+PATCH_CELLS = 8
+PATCH_EXTENT = 0.14     # meters
+APPEARANCE_DIM = 3
+NOISE_FRAC = 0.10       # reward noise std: this fraction of the noiseless value
+NOISE_FLOOR_CM3 = 2.0   # plus this absolute floor
+OBS_DIM = PATCH_CELLS + 3 + APPEARANCE_DIM
+GP_INPUT_DIM = OBS_DIM + 2  # observation features plus (depth, stiffness flag)
 
 COMPOSITIONS = ("single", "mixture", "partition", "layers")
 STIFFNESS_LEVELS = ("soft", "hard")
@@ -78,6 +89,8 @@ class Material:
         app = np.asarray(self.appearance, dtype=np.float64)
         if lat.shape != (LATENT_DIM,):
             raise ValueError(f"latent must have shape ({LATENT_DIM},), got {lat.shape}")
+        if app.shape != (APPEARANCE_DIM,):
+            raise ValueError(f"appearance must have shape ({APPEARANCE_DIM},), got {app.shape}")
         lat.flags.writeable = False
         app.flags.writeable = False
         object.__setattr__(self, "latent", lat)
@@ -112,14 +125,8 @@ class MaterialPool:
     def all(self) -> tuple:
         return self.training + self.ood
 
-    def by_id(self, material_id: str) -> Material:
-        for m in self.all:
-            if m.id == material_id:
-                return m
-        raise KeyError(material_id)
 
-
-def generate_materials(n_train: int, n_ood: int, rho: float, seed, appearance_dim: int = 3) -> MaterialPool:
+def generate_materials(n_train: int, n_ood: int, rho: float, seed) -> MaterialPool:
     """Sample a material pool.
 
     Appearances mix an affine image of the standardized latent with
@@ -134,13 +141,13 @@ def generate_materials(n_train: int, n_ood: int, rho: float, seed, appearance_di
         raise ValueError(f"rho must lie in [0, 1], got {rho}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
-    mixing = rng.normal(size=(appearance_dim, LATENT_DIM))
+    mixing = rng.normal(size=(APPEARANCE_DIM, LATENT_DIM))
     mixing /= np.linalg.norm(mixing, axis=1, keepdims=True)
 
     def appearance_of(latent: np.ndarray) -> np.ndarray:
         std = 2.0 * (latent - TRAIN_LATENT_LO) / (TRAIN_LATENT_HI - TRAIN_LATENT_LO) - 1.0
         signal = mixing @ std
-        noise = rng.normal(size=appearance_dim)
+        noise = rng.normal(size=APPEARANCE_DIM)
         return 0.5 + 0.25 * (rho * signal + np.sqrt(1.0 - rho * rho) * noise)
 
     train_latents = rng.uniform(TRAIN_LATENT_LO, TRAIN_LATENT_HI, size=(n_train, LATENT_DIM))
@@ -189,7 +196,7 @@ def generate_materials(n_train: int, n_ood: int, rho: float, seed, appearance_di
 
 @dataclass
 class TerrainTask:
-    """One tray-scale terrain. heightmap is meters on a square cell grid,
+    """One tray-scale terrain. heightmap is meters on the CELL grid,
     region_map indexes into materials per cell, hidden_map (layers only)
     gives the material below HIDDEN_DEPTH."""
 
@@ -199,7 +206,6 @@ class TerrainTask:
     heightmap: np.ndarray
     region_map: np.ndarray
     hidden_map: np.ndarray | None = None
-    cell: float = 0.01
 
     def __post_init__(self):
         if self.composition not in COMPOSITIONS:
@@ -221,7 +227,6 @@ class TerrainTask:
             heightmap=self.heightmap.copy(),
             region_map=self.region_map.copy(),
             hidden_map=None if self.hidden_map is None else self.hidden_map.copy(),
-            cell=self.cell,
         )
 
 
@@ -284,10 +289,10 @@ def enumerate_action_grid() -> list:
     return actions
 
 
-def generate_heightmap(rng: np.random.Generator, cfg: GenConfig = GenConfig()) -> np.ndarray:
+def generate_heightmap(rng: np.random.Generator) -> np.ndarray:
     """Band-limited random field within the elevation and slope caps."""
-    H = int(round(TRAY_H / cfg.grid_cell))
-    W = int(round(TRAY_W / cfg.grid_cell))
+    H = int(round(TRAY_H / CELL))
+    W = int(round(TRAY_W / CELL))
     noise = rng.normal(size=(H, W))
     h = gaussian_filter(noise, sigma=6.0, mode="reflect")
     h -= h.min()
@@ -295,7 +300,7 @@ def generate_heightmap(rng: np.random.Generator, cfg: GenConfig = GenConfig()) -
     if peak <= 0.0:
         return np.zeros((H, W))
     h *= rng.uniform(0.05, MAX_ELEVATION) / peak
-    gy, gx = np.gradient(h, cfg.grid_cell)
+    gy, gx = np.gradient(h, CELL)
     slope = float(np.hypot(gx, gy).max())
     if slope > MAX_SLOPE:
         h *= MAX_SLOPE / slope
@@ -338,12 +343,12 @@ def required_materials(composition: str) -> tuple:
     raise ValueError(f"unknown composition {composition!r}")
 
 
-def generate_task(task_id: str, materials, composition: str, seed, cfg: GenConfig = GenConfig()) -> TerrainTask:
+def generate_task(task_id: str, materials, composition: str, seed) -> TerrainTask:
     lo, hi = required_materials(composition)
     if not lo <= len(materials) <= hi:
         raise ValueError(f"{composition} needs between {lo} and {hi} materials, got {len(materials)}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    heightmap = generate_heightmap(rng, cfg)
+    heightmap = generate_heightmap(rng)
     region, hidden = _region_maps(rng, composition, len(materials), heightmap.shape)
     return TerrainTask(
         id=task_id,
@@ -352,15 +357,14 @@ def generate_task(task_id: str, materials, composition: str, seed, cfg: GenConfi
         heightmap=heightmap,
         region_map=region,
         hidden_map=hidden,
-        cell=cfg.grid_cell,
     )
 
 
-def _bilinear(grid: np.ndarray, xs: np.ndarray, ys: np.ndarray, cell: float) -> np.ndarray:
+def _bilinear(grid: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Sample a cell-centered grid at metric points, clamped at the borders."""
     H, W = grid.shape
-    u = np.clip(xs / cell - 0.5, 0.0, W - 1.0)
-    v = np.clip(ys / cell - 0.5, 0.0, H - 1.0)
+    u = np.clip(xs / CELL - 0.5, 0.0, W - 1.0)
+    v = np.clip(ys / CELL - 0.5, 0.0, H - 1.0)
     i0 = np.clip(np.floor(u).astype(int), 0, W - 2)
     j0 = np.clip(np.floor(v).astype(int), 0, H - 2)
     fu = u - i0
@@ -370,20 +374,11 @@ def _bilinear(grid: np.ndarray, xs: np.ndarray, ys: np.ndarray, cell: float) -> 
     return top * (1 - fv) + bot * fv
 
 
-def _cell_of(x: float, y: float, shape, cell: float) -> tuple:
+def _cell_of(x: float, y: float, shape) -> tuple:
     H, W = shape
-    col = min(max(int(x / cell), 0), W - 1)
-    row = min(max(int(y / cell), 0), H - 1)
+    col = min(max(int(x / CELL), 0), W - 1)
+    row = min(max(int(y / CELL), 0), H - 1)
     return row, col
-
-
-def observation_dim(cfg: GenConfig = GenConfig()) -> int:
-    return cfg.patch_cells + 3 + cfg.appearance_dim
-
-
-def gp_input_dim(cfg: GenConfig = GenConfig()) -> int:
-    # observation features plus (depth, stiffness flag)
-    return observation_dim(cfg) + 2
 
 
 # actions per block in compute_features_batch: on the 11520-action grid one
@@ -395,8 +390,7 @@ _YAW_COS = np.array([np.cos(k * (2.0 * np.pi / N_YAWS)) for k in range(N_YAWS)])
 _YAW_SIN = np.array([np.sin(k * (2.0 * np.pi / N_YAWS)) for k in range(N_YAWS)])
 
 
-def compute_features_batch(task: TerrainTask, actions, cfg: GenConfig = GenConfig(), *,
-                           gradient=None) -> np.ndarray:
+def compute_features_batch(task: TerrainTask, actions, *, gradient=None) -> np.ndarray:
     """Observation features for many actions against the current terrain.
 
     Per action: the height relief profile along the drag axis, the mean
@@ -406,42 +400,41 @@ def compute_features_batch(task: TerrainTask, actions, cfg: GenConfig = GenConfi
     (task state, action), so stored features can always be recomputed.
     Actions are processed FEATURE_BLOCK rows at a time, which bounds the
     memory of the per-point arrays. gradient is np.gradient(task.heightmap,
-    task.cell), computed here unless the caller already has it.
+    CELL), computed here unless the caller already has it.
     """
-    P = cfg.patch_cells
-    gy, gx = np.gradient(task.heightmap, task.cell) if gradient is None else gradient
+    P = PATCH_CELLS
+    gy, gx = np.gradient(task.heightmap, CELL) if gradient is None else gradient
     app = np.stack([m.appearance for m in task.materials])
     H, W = task.heightmap.shape
 
-    us = np.linspace(0.0, cfg.patch_extent, P)
-    vs = np.linspace(-0.5 * cfg.patch_extent, 0.5 * cfg.patch_extent, P)
+    us = np.linspace(0.0, PATCH_EXTENT, P)
+    vs = np.linspace(-0.5 * PATCH_EXTENT, 0.5 * PATCH_EXTENT, P)
     UU, VV = (g.ravel() for g in np.meshgrid(us, vs, indexing="ij"))
-    drag_cells = int(np.ceil(DRAG_LEN / cfg.patch_extent * (P - 1))) + 1
+    drag_cells = int(np.ceil(DRAG_LEN / PATCH_EXTENT * (P - 1))) + 1
     xs = np.array([a.x for a in actions], dtype=np.float64)
     ys = np.array([a.y for a in actions], dtype=np.float64)
     yaws = np.array([a.yaw_index for a in actions], dtype=np.int64)
 
-    out = np.empty((len(actions), observation_dim(cfg)))
+    out = np.empty((len(actions), OBS_DIM))
     for start in range(0, len(actions), FEATURE_BLOCK):
         rows = slice(start, start + FEATURE_BLOCK)
         x, y = xs[rows, None], ys[rows, None]
         c, s = _YAW_COS[yaws[rows], None], _YAW_SIN[yaws[rows], None]
         px = x + UU * c - VV * s
         py = y + UU * s + VV * c
-        h_patch = _bilinear(task.heightmap, px, py, task.cell)
-        gx_p = _bilinear(gx, px, py, task.cell)
-        gy_p = _bilinear(gy, px, py, task.cell)
+        h_patch = _bilinear(task.heightmap, px, py)
+        gx_p = _bilinear(gx, px, py)
+        gy_p = _bilinear(gy, px, py)
 
         line_x = x + us * c
         line_y = y + us * s
-        h0 = _bilinear(task.heightmap, x, y, task.cell)
-        relief = _bilinear(task.heightmap, line_x, line_y, task.cell) - h0
-        g_along = (_bilinear(gx, line_x, line_y, task.cell) * c
-                   + _bilinear(gy, line_x, line_y, task.cell) * s)
+        h0 = _bilinear(task.heightmap, x, y)
+        relief = _bilinear(task.heightmap, line_x, line_y) - h0
+        g_along = _bilinear(gx, line_x, line_y) * c + _bilinear(gy, line_x, line_y) * s
 
         # the cells under the drag, truncated and clamped as _cell_of does
-        cols = np.clip((line_x[:, :drag_cells] / task.cell).astype(np.int64), 0, W - 1)
-        cell_rows = np.clip((line_y[:, :drag_cells] / task.cell).astype(np.int64), 0, H - 1)
+        cols = np.clip((line_x[:, :drag_cells] / CELL).astype(np.int64), 0, W - 1)
+        cell_rows = np.clip((line_y[:, :drag_cells] / CELL).astype(np.int64), 0, H - 1)
         surf = app[task.region_map[cell_rows, cols]]
 
         block = out[rows]
@@ -466,7 +459,7 @@ def contact_material(task: TerrainTask, action: ScoopAction) -> Material:
     hidden layer when digging past HIDDEN_DEPTH on a layered terrain."""
     mx = action.x + np.cos(action.yaw) * 0.5 * DRAG_LEN
     my = action.y + np.sin(action.yaw) * 0.5 * DRAG_LEN
-    row, col = _cell_of(mx, my, task.heightmap.shape, task.cell)
+    row, col = _cell_of(mx, my, task.heightmap.shape)
     if task.hidden_map is not None and action.depth > HIDDEN_DEPTH:
         idx = int(task.hidden_map[row, col])
     else:
@@ -474,21 +467,20 @@ def contact_material(task: TerrainTask, action: ScoopAction) -> Material:
     return task.materials[idx]
 
 
-def reward_oracle(task: TerrainTask, action: ScoopAction, rng=None, cfg: GenConfig = GenConfig(), *,
-                  gradient=None) -> float:
+def reward_oracle(task: TerrainTask, action: ScoopAction, rng=None, *, gradient=None) -> float:
     """Scooped volume in cm^3 for executing the action on the terrain.
 
     Noiseless when rng is None; otherwise heteroscedastic noise with
-    std = noise_frac * value + noise_floor_cm3 is added before clamping
+    std = NOISE_FRAC * value + NOISE_FLOOR_CM3 is added before clamping
     at zero. Deterministic for a fixed (task, action, seed). gradient is
-    np.gradient(task.heightmap, task.cell), computed here when not given.
+    np.gradient(task.heightmap, CELL), computed here when not given.
     """
     mat = contact_material(task, action)
     mx = action.x + np.cos(action.yaw) * 0.5 * DRAG_LEN
     my = action.y + np.sin(action.yaw) * 0.5 * DRAG_LEN
-    gy, gx = np.gradient(task.heightmap, task.cell) if gradient is None else gradient
-    g_along = (_bilinear(gx, np.array([mx]), np.array([my]), task.cell)[0] * np.cos(action.yaw)
-               + _bilinear(gy, np.array([mx]), np.array([my]), task.cell)[0] * np.sin(action.yaw))
+    gy, gx = np.gradient(task.heightmap, CELL) if gradient is None else gradient
+    g_along = (_bilinear(gx, np.array([mx]), np.array([my]))[0] * np.cos(action.yaw)
+               + _bilinear(gy, np.array([mx]), np.array([my]))[0] * np.sin(action.yaw))
 
     dn = action.depth_norm
     volume_full = action.depth * DRAG_LEN * SCOOP_W * 1e6
@@ -508,7 +500,7 @@ def reward_oracle(task: TerrainTask, action: ScoopAction, rng=None, cfg: GenConf
     if rng is None:
         return float(value)
     rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    std = cfg.noise_frac * value + cfg.noise_floor_cm3
+    std = NOISE_FRAC * value + NOISE_FLOOR_CM3
     return float(max(value + rng.normal() * std, 0.0))
 
 
@@ -569,13 +561,13 @@ def _sample_action(rng: np.random.Generator) -> ScoopAction:
             return action
 
 
-def _sample_records(task: TerrainTask, n: int, rng: np.random.Generator, cfg: GenConfig) -> TaskDataset:
+def _sample_records(task: TerrainTask, n: int, rng: np.random.Generator) -> TaskDataset:
     actions = [_sample_action(rng) for _ in range(n)]
     # every record of a task is drawn from one unchanged terrain
-    gradient = np.gradient(task.heightmap, task.cell)
-    feats = compute_features_batch(task, actions, cfg, gradient=gradient)
+    gradient = np.gradient(task.heightmap, CELL)
+    feats = compute_features_batch(task, actions, gradient=gradient)
     records = [
-        ScoopRecord(action, reward_oracle(task, action, rng, cfg, gradient=gradient), feats[i])
+        ScoopRecord(action, reward_oracle(task, action, rng, gradient=gradient), feats[i])
         for i, action in enumerate(actions)
     ]
     return TaskDataset(task.id, task.composition, task.material_ids, tuple(records))
@@ -595,7 +587,7 @@ def _allocate(total: int, weights) -> list:
 OFFLINE_MIX = (8, 25, 18)
 
 
-def sample_task_family(pool: MaterialPool, n_tasks: int, records_per_task: int, seed, cfg: GenConfig = GenConfig()):
+def sample_task_family(pool: MaterialPool, n_tasks: int, records_per_task: int, seed):
     """Training-side terrains and their scoop datasets.
 
     Compositions are allocated in the offline 8:25:18 single:partition:mixture
@@ -614,18 +606,13 @@ def sample_task_family(pool: MaterialPool, n_tasks: int, records_per_task: int, 
         k = required_materials(comp)[0]
         idx = rng.choice(len(pool.training), size=k, replace=False)
         mats = [pool.training[j] for j in idx]
-        task = generate_task(f"task{i:03d}", mats, comp, rng, cfg)
+        task = generate_task(f"task{i:03d}", mats, comp, rng)
         tasks.append(task)
-        datasets.append(_sample_records(task, records_per_task, rng, cfg))
+        datasets.append(_sample_records(task, records_per_task, rng))
     return tasks, datasets
 
 
-def sample_offline_database(pool: MaterialPool, n_tasks: int = 51, records_per_task: int = 100, seed=0, cfg: GenConfig = GenConfig()) -> list:
-    """Offline training database; the default sizes give 51 tasks x 100 records."""
-    return sample_task_family(pool, n_tasks, records_per_task, seed, cfg)[1]
-
-
-def sample_ood_test_family(pool: MaterialPool, n_tasks: int, records_per_task: int, seed, cfg: GenConfig = GenConfig()):
+def sample_ood_test_family(pool: MaterialPool, n_tasks: int, records_per_task: int, seed):
     """Held-out terrains: every task contains at least one OOD material.
 
     Compositions rotate through single/partition/mixture/layers; layered
@@ -660,9 +647,9 @@ def sample_ood_test_family(pool: MaterialPool, n_tasks: int, records_per_task: i
         else:
             other = pool.training[int(rng.integers(0, len(pool.training)))]
             mats = [other, ood_mat] if rng.random() < 0.5 else [ood_mat, other]
-        task = generate_task(f"test{i:03d}", mats, comp, rng, cfg)
+        task = generate_task(f"test{i:03d}", mats, comp, rng)
         tasks.append(task)
-        datasets.append(_sample_records(task, records_per_task, rng, cfg))
+        datasets.append(_sample_records(task, records_per_task, rng))
     return tasks, datasets
 
 
@@ -694,8 +681,7 @@ def write_database(prefix: str, datasets) -> tuple:
             head = (f"{ds.task_id} {mats} {ds.composition} {_fmt(a.x)} {_fmt(a.y)} "
                     f"{a.yaw_index} {_fmt(a.depth)} {a.stiffness} {_fmt(rec.reward)}")
             records.append(head + " " + " ".join(_fmt(v) for v in rec.features) + "\n")
-    write_atomic(manifest_path, "".join(manifest))
-    write_atomic(records_path, "".join(records))
+    write_atomic({manifest_path: "".join(manifest), records_path: "".join(records)})
     return records_path, manifest_path
 
 
@@ -839,15 +825,15 @@ def ingest_released_dataset(path: str):
 # ---------------------------------------------------------------------------
 # Terrain bundles (binary, for live-mode deployment)
 
-def save_terrains(path: str, tasks, cfg: GenConfig = GenConfig()) -> None:
+def save_terrains(path: str, tasks) -> None:
     materials = {}
     for task in tasks:
         for m in task.materials:
             materials[m.id] = m
     mat_ids = sorted(materials)
     meta = {
-        "cell": cfg.grid_cell,
-        "appearance_dim": int(cfg.appearance_dim),
+        "cell": CELL,
+        "appearance_dim": APPEARANCE_DIM,
         "material_ids": mat_ids,
         "tasks": [
             {
@@ -872,6 +858,9 @@ def save_terrains(path: str, tasks, cfg: GenConfig = GenConfig()) -> None:
 
 def load_terrains(path: str) -> list:
     meta, blocks = read_container(path, "terrains")
+    if (meta.get("cell"), meta.get("appearance_dim")) != (CELL, APPEARANCE_DIM):
+        raise SerializationError(f"bad terrain bundle {path}: cell {meta.get('cell')!r} and appearance_dim "
+                                 f"{meta.get('appearance_dim')!r} differ from the rig's {CELL} and {APPEARANCE_DIM}")
     try:
         latents, appearances = blocks[0], blocks[1]
         materials = {
@@ -894,7 +883,6 @@ def load_terrains(path: str) -> list:
                 heightmap=heightmap,
                 region_map=region,
                 hidden_map=hidden,
-                cell=float(meta["cell"]),
             ))
     except (IndexError, KeyError, TypeError, ValueError) as exc:
         raise SerializationError(f"bad terrain bundle {path}: {exc!r}") from exc

@@ -15,7 +15,6 @@ WORLD_SEED = 11
 
 @dataclass(frozen=True)
 class World:
-    cfg: GenConfig
     pool: object
     train_tasks: tuple
     train_sets: tuple
@@ -25,12 +24,11 @@ class World:
 
 @pytest.fixture(scope="session")
 def world() -> World:
-    cfg = GenConfig()
-    pool = generate_materials(cfg.n_train_materials, cfg.n_ood_materials, cfg.rho,
-                              WORLD_SEED, cfg.appearance_dim)
-    train_tasks, train_sets = sample_task_family(pool, 10, 24, WORLD_SEED, cfg)
-    test_tasks, test_sets = sample_ood_test_family(pool, 4, 24, WORLD_SEED, cfg)
-    return World(cfg, pool, tuple(train_tasks), tuple(train_sets),
+    g = GenConfig()
+    pool = generate_materials(g.n_train_materials, g.n_ood_materials, g.rho, WORLD_SEED)
+    train_tasks, train_sets = sample_task_family(pool, 10, 24, WORLD_SEED)
+    test_tasks, test_sets = sample_ood_test_family(pool, 4, 24, WORLD_SEED)
+    return World(pool, tuple(train_tasks), tuple(train_sets),
                  tuple(test_tasks), tuple(test_sets))
 
 

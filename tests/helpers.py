@@ -6,17 +6,19 @@ import numpy as np
 
 from scoopgp.gp import DeepGpModel, embed_batch, kernel_matrix, mean_eval_batch
 from scoopgp.nnet import NetworkSpec, ParamVector, init_params, params_from_layers
-from scoopgp.config import GenConfig
 from scoopgp.tasks import (
+    CELL,
     DEPTH_MIN,
     DRAG_LEN,
+    OBS_DIM,
+    PATCH_CELLS,
+    PATCH_EXTENT,
     ScoopAction,
     ScoopRecord,
     TaskDataset,
     TerrainTask,
     _bilinear,
     _cell_of,
-    observation_dim,
 )
 
 
@@ -121,48 +123,47 @@ def toy_dataset(task_id: str, feats, rewards, composition: str = "single",
     return TaskDataset(task_id, composition, tuple(materials), records)
 
 
-def flat_task(material, task_id: str = "flat0", cell: float = 0.01) -> TerrainTask:
+def flat_task(material, task_id: str = "flat0") -> TerrainTask:
     """Perfectly flat single-material tray."""
-    H, W = int(round(0.6 / cell)), int(round(0.9 / cell))
+    H, W = int(round(0.6 / CELL)), int(round(0.9 / CELL))
     return TerrainTask(
         id=task_id,
         composition="single",
         materials=(material,),
         heightmap=np.zeros((H, W)),
         region_map=np.zeros((H, W), dtype=np.int64),
-        cell=cell,
     )
 
 
-def reference_features(task: TerrainTask, actions, cfg: GenConfig = GenConfig()) -> np.ndarray:
+def reference_features(task: TerrainTask, actions) -> np.ndarray:
     """compute_features_batch as a per-action loop: the reference the blocked
     version must reproduce bit for bit."""
     n = len(actions)
-    P = cfg.patch_cells
-    gy, gx = np.gradient(task.heightmap, task.cell)
+    P = PATCH_CELLS
+    gy, gx = np.gradient(task.heightmap, CELL)
     app = np.stack([m.appearance for m in task.materials])
 
-    out = np.empty((n, observation_dim(cfg)))
-    us = np.linspace(0.0, cfg.patch_extent, P)
-    vs = np.linspace(-0.5 * cfg.patch_extent, 0.5 * cfg.patch_extent, P)
+    out = np.empty((n, OBS_DIM))
+    us = np.linspace(0.0, PATCH_EXTENT, P)
+    vs = np.linspace(-0.5 * PATCH_EXTENT, 0.5 * PATCH_EXTENT, P)
     UU, VV = np.meshgrid(us, vs, indexing="ij")
     for i, action in enumerate(actions):
         c, s = np.cos(action.yaw), np.sin(action.yaw)
         px = action.x + UU * c - VV * s
         py = action.y + UU * s + VV * c
-        h_patch = _bilinear(task.heightmap, px.ravel(), py.ravel(), task.cell).reshape(P, P)
-        gx_p = _bilinear(gx, px.ravel(), py.ravel(), task.cell)
-        gy_p = _bilinear(gy, px.ravel(), py.ravel(), task.cell)
+        h_patch = _bilinear(task.heightmap, px.ravel(), py.ravel()).reshape(P, P)
+        gx_p = _bilinear(gx, px.ravel(), py.ravel())
+        gy_p = _bilinear(gy, px.ravel(), py.ravel())
 
         line_x = action.x + us * c
         line_y = action.y + us * s
-        h0 = _bilinear(task.heightmap, np.array([action.x]), np.array([action.y]), task.cell)[0]
-        relief = _bilinear(task.heightmap, line_x, line_y, task.cell) - h0
-        g_along = (_bilinear(gx, line_x, line_y, task.cell) * c
-                   + _bilinear(gy, line_x, line_y, task.cell) * s)
+        h0 = _bilinear(task.heightmap, np.array([action.x]), np.array([action.y]))[0]
+        relief = _bilinear(task.heightmap, line_x, line_y) - h0
+        g_along = (_bilinear(gx, line_x, line_y) * c
+                   + _bilinear(gy, line_x, line_y) * s)
 
-        drag_cells = int(np.ceil(DRAG_LEN / cfg.patch_extent * (P - 1))) + 1
-        rows_cols = [_cell_of(line_x[j], line_y[j], task.heightmap.shape, task.cell) for j in range(drag_cells)]
+        drag_cells = int(np.ceil(DRAG_LEN / PATCH_EXTENT * (P - 1))) + 1
+        rows_cols = [_cell_of(line_x[j], line_y[j], task.heightmap.shape) for j in range(drag_cells)]
         surf = np.stack([app[task.region_map[r, cc]] for r, cc in rows_cols])
 
         out[i, :P] = relief

@@ -19,7 +19,6 @@ from helpers import dense_posterior_oracle, random_model
 from scoopgp.bench import (deployment_threshold, eval_kshot_mae, eval_simulated_deployment,
                            mean_model_mae, paired_sign_test, pool_mae_reports)
 from scoopgp.cli import main
-from scoopgp.config import GenConfig
 from scoopgp.decide import DatasetTarget, ScorerConfig, run_deployment
 from scoopgp.gp import embed_batch, mean_eval_batch, nlml, nlml_grad, posterior_batch
 from scoopgp.meta import make_fold_splits, train_codega, train_dkmt
@@ -36,10 +35,9 @@ def _verdict(name: str, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def bench_world():
-    cfg = GenConfig()
-    pool = generate_materials(8, 4, 0.7, 1, cfg.appearance_dim)
-    _, train_sets = sample_task_family(pool, 51, 100, 1, cfg)
-    _, test_sets = sample_ood_test_family(pool, 6, 60, 1, cfg)
+    pool = generate_materials(8, 4, 0.7, 1)
+    _, train_sets = sample_task_family(pool, 51, 100, 1)
+    _, test_sets = sample_ood_test_family(pool, 6, 60, 1)
     return SimpleNamespace(train_sets=train_sets, test_sets=test_sets)
 
 
@@ -295,7 +293,7 @@ def test_pipeline_determinism(tmp_path):
         prefix = str(base / "fam")
         assert main(["gen", "--seed", "5", "--prefix", prefix, *gen_args]) == 0
         assert main(["train", "--seed", "3", "--data", prefix + ".train.records.txt",
-                     "--method", "codega", "--folds", "2",
+                     "--method", "codega", "--set", "train.folds=2",
                      "--out", str(base / "model.bin"), *train_args]) == 0
         assert main(["eval-mae", "--data", prefix + ".test.records.txt",
                      "--model", str(base / "model.bin"),

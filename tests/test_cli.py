@@ -6,6 +6,7 @@ spawning an interpreter. Scales are kept tiny; the module-scoped family
 and checkpoints are shared across tests.
 """
 
+import ast
 import importlib.util
 import json
 import os
@@ -18,6 +19,7 @@ import pytest
 
 from scoopgp.bench import read_deploy_report, read_mae_report
 from scoopgp.cli import main
+from scoopgp.config import RunConfig, apply_overrides
 from scoopgp.gp import load_model, mean_eval_batch
 from scoopgp.tasks import read_database
 
@@ -58,7 +60,7 @@ def codega_ckpt(cli_dir):
     out = cli_dir / "codega.model.bin"
     rc = main([
         "train", "--seed", "3", "--data", str(cli_dir / "fam.train.records.txt"),
-        "--method", "codega", "--folds", "2", "--out", str(out), *FAST_TRAIN,
+        "--method", "codega", "--set", "train.folds=2", "--out", str(out), *FAST_TRAIN,
     ])
     assert rc == 0
     return out
@@ -159,7 +161,7 @@ def test_train_dkmt_checkpoint_loads(cli_dir, tmp_path):
 
 def test_train_too_many_folds_fails(cli_dir, tmp_path, capsys):
     rc = main(["train", "--data", str(cli_dir / "fam.train.records.txt"),
-               "--folds", "7", "--out", str(tmp_path / "x.bin"), *FAST_TRAIN])
+               "--set", "train.folds=7", "--out", str(tmp_path / "x.bin"), *FAST_TRAIN])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "folds" in err
@@ -331,6 +333,21 @@ def test_bad_overrides_exit_1(tmp_path, capsys):
     assert "section.field" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["gen.grid_cell", "train.lr_mean", "bench.query_fraction"])
+def test_removed_config_keys_are_unknown(tmp_path, capsys, key):
+    prefix = str(tmp_path / "x")
+    rc = main(["gen", "--prefix", prefix, "--set", f"{key}=0.5"])
+    assert rc == 1
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = 0.5\n")
+    rc = main(["gen", "--prefix", prefix, "--config", str(cfg)])
+    assert rc == 1
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("x.*"))
+
+
 # ---------------------------------------------------------------------------
 # exit codes and env
 
@@ -352,6 +369,12 @@ def test_usage_errors_exit_2(capsys):
         main([])
     assert ei.value.code == 2
     capsys.readouterr()
+
+    # the fold count is the config key train.folds
+    with pytest.raises(SystemExit) as ei:
+        main(["train", "--data", "x.records.txt", "--out", "x.bin", "--folds", "2"])
+    assert ei.value.code == 2
+    assert "--folds" in capsys.readouterr().err
 
 
 def test_deploy_live_requires_terrains(cli_dir, tmp_path, capsys):
@@ -436,6 +459,23 @@ def test_benchmark_tracer_names_only_package_functions_that_exist():
     missing = [f"{module}.{fn}" for module, fn in names
                if not callable(getattr(importlib.import_module(f"{tracing.PACKAGE}.{module}"), fn, None))]
     assert len(names) > 30 and missing == []
+
+
+def test_benchmark_config_keys_are_all_accepted():
+    """perfbench/run.py passes its scenario settings to every stage as --set
+    keys; one the config no longer has would fail the stages that pass it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    names = ("SCENARIO", "OFFLINE", "QUICK_SCENARIO", "QUICK_OFFLINE")
+    found = {}
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in names:
+            found[node.targets[0].id] = [ast.literal_eval(d) for d in ast.walk(node.value)
+                                         if isinstance(d, ast.Dict)]
+    assert sorted(found) == sorted(names)
+    for dicts in found.values():
+        for overrides in dicts:
+            assert overrides
+            apply_overrides(RunConfig(), {key: str(value) for key, value in overrides.items()})
 
 
 def test_bench_record_pairs_runs_by_workload_and_seed(tmp_path):

@@ -310,12 +310,12 @@ def test_live_candidates_equal_the_stacked_gp_input_rows(world, monkeypatch):
 
     monkeypatch.setattr(decide, "score", recording_score)
     task = world.test_tasks[-1]
-    trace = run_deployment(None, ScorerConfig(kind="random"), LiveTarget(task, world.cfg),
+    trace = run_deployment(None, ScorerConfig(kind="random"), LiveTarget(task),
                            threshold=1e9, budget=2, seed=3)
     assert len(seen) == trace.attempts == 2
     actions = enumerate_action_grid()
     state = task.copy()
     for X, step in zip(seen, trace.episodes):
-        feats = compute_features_batch(state, actions, world.cfg)
+        feats = compute_features_batch(state, actions)
         assert np.array_equal(X, np.stack([assemble_gp_input(f, a) for f, a in zip(feats, actions)]))
         _scoop_terrain(state, step.action, step.reward)

@@ -12,6 +12,7 @@ from scoopgp.config import ModelConfig, TrainConfig
 from scoopgp.errors import ConfigError
 from scoopgp.gp import mean_eval_batch, model_to_bytes, posterior_batch
 from scoopgp.meta import (
+    NOISE_FLOOR,
     FoldCheckpoint,
     ResidualDataset,
     ResidualGroup,
@@ -221,8 +222,9 @@ def test_residuals_recompute_from_the_stored_checkpoints(world, fast_train):
         assert np.array_equal(g.inputs, ds.gp_inputs())
         expect = ds.rewards() - _mean_predict(fspec, ck.feature_params, mspec, ck.mean_params, g.inputs)
         assert np.allclose(g.residuals, expect, atol=1e-10)
-    # pooled residuals concatenate the groups
-    assert len(residuals.pooled_residuals()) == sum(len(g.residuals) for g in residuals.groups)
+    # pooled, the groups hold one residual per record of every fold's kernel set
+    pooled = np.concatenate([g.residuals for g in residuals.groups])
+    assert len(pooled) == sum(len(by_id[t]) for s in splits for t in s.kernel_task_ids)
 
 
 def test_residual_collection_rejects_starved_folds():
@@ -256,11 +258,10 @@ def test_zero_residuals_drive_noise_to_the_floor():
         ResidualGroup(f"t{i}", 0, rng.normal(size=(20, 4)), np.zeros(20)) for i in range(2)
     )
     checkpoints = {0: _identity_checkpoint(_ID_MODEL, 4)}
-    cfg = TrainConfig(lr_kernel=0.3, max_epochs_kernel=80, patience=80,
-                      train_kernel_head=False, noise_floor=1e-3)
+    cfg = TrainConfig(lr_kernel=0.3, max_epochs_kernel=80, patience=80, train_kernel_head=False)
     kr = train_kernel_codega(ResidualDataset(groups), checkpoints, seed=7,
                              model_cfg=_ID_MODEL, train_cfg=cfg)
-    assert kr.log_noise == math.log(cfg.noise_floor)
+    assert kr.log_noise == math.log(NOISE_FLOOR)
     assert kr.log_outputscale < math.log(1e-4)
 
 
@@ -378,16 +379,16 @@ def test_codega_support_shrinks_posterior_variance(world, codega_result):
 
 
 def test_codega_kernel_extractor_pinning(world, fast_train):
-    pinned_cfg = dataclasses.replace(fast_train, kernel_extractor_fold=0)
-    res = train_codega(world.train_sets, folds=2, seed=3, train_cfg=pinned_cfg)
+    pinned_cfg = dataclasses.replace(fast_train, folds=2, kernel_extractor_fold=0)
+    res = train_codega(world.train_sets, seed=3, train_cfg=pinned_cfg)
     assert len(res.splits) == 2
     ck = res.fold_checkpoints[0]
     assert res.model.kernel_feature_params is not None
     assert np.array_equal(res.model.kernel_feature_params.values, ck.feature_params.values)
 
-    bad_cfg = dataclasses.replace(fast_train, kernel_extractor_fold=7)
+    bad_cfg = dataclasses.replace(fast_train, folds=2, kernel_extractor_fold=7)
     with pytest.raises(ConfigError, match="kernel_extractor_fold"):
-        train_codega(world.train_sets, folds=2, seed=3, train_cfg=bad_cfg)
+        train_codega(world.train_sets, seed=3, train_cfg=bad_cfg)
 
 
 def test_dkmt_pipeline_is_deterministic(world, fast_train, dkmt_result):
@@ -414,7 +415,7 @@ def test_dkmt_learns_a_constant_mean():
     res = train_dkmt(datasets, seed=13, model_cfg=_SMALL_MODEL, train_cfg=cfg)
     pred = mean_eval_batch(res.model, np.concatenate([ds.gp_inputs() for ds in datasets]))
     assert np.abs(pred - 7.0).mean() < 1.5
-    assert res.model.log_noise >= math.log(cfg.noise_floor) - 1e-12
+    assert res.model.log_noise >= math.log(NOISE_FLOOR) - 1e-12
 
 
 def test_dkmt_tracks_its_optimum_and_rejects_empty_input(dkmt_result):

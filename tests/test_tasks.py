@@ -6,19 +6,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from scoopgp.config import GenConfig
 from scoopgp.errors import IngestError, SerializationError
 import scoopgp.serialize
 from scoopgp.serialize import read_container, write_container
 from scoopgp.tasks import (
+    APPEARANCE_DIM,
+    CELL,
     DEPTH_MAX,
     DEPTH_MIN,
     DRAG_LEN,
     FEATURE_BLOCK,
+    GP_INPUT_DIM,
     HIDDEN_DEPTH,
     MAX_ELEVATION,
     MAX_SLOPE,
+    NOISE_FLOOR_CM3,
+    NOISE_FRAC,
     N_YAWS,
+    OBS_DIM,
+    PATCH_CELLS,
     TRAY_H,
     TRAY_W,
     Material,
@@ -34,15 +40,12 @@ from scoopgp.tasks import (
     generate_heightmap,
     generate_materials,
     generate_task,
-    gp_input_dim,
     ingest_released_dataset,
     load_terrains,
-    observation_dim,
     read_database,
     required_materials,
     reward_oracle,
     sample_ood_test_family,
-    sample_offline_database,
     sample_task_family,
     save_terrains,
     write_database,
@@ -110,17 +113,15 @@ def test_jamming_novelty_material_stays_shallow_scoopable():
 
 def test_material_pool_lookup_and_validation():
     pool = generate_materials(4, 2, rho=0.5, seed=3)
-    assert len(pool.all) == 6
-    assert pool.by_id("mat02").id == "mat02"
-    assert pool.by_id("ood01").id == "ood01"
-    with pytest.raises(KeyError):
-        pool.by_id("mat99")
+    assert [m.id for m in pool.all] == ["mat00", "mat01", "mat02", "mat03", "ood00", "ood01"]
     with pytest.raises(ValueError):
         generate_materials(0, 2, rho=0.5, seed=0)
     with pytest.raises(ValueError):
         generate_materials(4, 2, rho=1.5, seed=0)
     with pytest.raises(ValueError):
         Material("bad", np.zeros(3), np.zeros(3))
+    with pytest.raises(ValueError, match="appearance"):
+        Material("bad", np.zeros(4), np.zeros(2))
 
 
 def test_material_arrays_are_immutable():
@@ -135,13 +136,12 @@ def test_material_arrays_are_immutable():
 # terrains
 
 def test_heightmap_respects_caps():
-    cfg = GenConfig()
     for seed in range(5):
-        h = generate_heightmap(np.random.default_rng(seed), cfg)
+        h = generate_heightmap(np.random.default_rng(seed))
         assert h.shape == (60, 90)
         assert h.min() >= 0.0
         assert h.max() <= MAX_ELEVATION + 1e-12
-        gy, gx = np.gradient(h, cfg.grid_cell)
+        gy, gx = np.gradient(h, CELL)
         assert np.hypot(gx, gy).max() <= MAX_SLOPE + 1e-9
 
 
@@ -243,13 +243,12 @@ def test_action_grid_size_and_depth_spacing():
 # features
 
 def test_feature_dimensions_line_up(world):
-    cfg = world.cfg
-    assert observation_dim(cfg) == cfg.patch_cells + 3 + cfg.appearance_dim
-    assert gp_input_dim(cfg) == observation_dim(cfg) + 2
+    assert OBS_DIM == PATCH_CELLS + 3 + APPEARANCE_DIM
+    assert GP_INPUT_DIM == OBS_DIM + 2
     ds = world.train_sets[0]
-    assert ds.feature_dim == observation_dim(cfg)
+    assert ds.feature_dim == OBS_DIM
     X = ds.gp_inputs()
-    assert X.shape == (len(ds), gp_input_dim(cfg))
+    assert X.shape == (len(ds), GP_INPUT_DIM)
     assert np.all((X[:, -2] >= 0.0) & (X[:, -2] <= 1.0))
     assert set(np.unique(X[:, -1])) <= {0.0, 1.0}
 
@@ -258,10 +257,10 @@ def test_stored_features_recompute_bit_exactly(world):
     task = world.train_tasks[0]
     ds = world.train_sets[0]
     actions = [r.action for r in ds.records]
-    feats = compute_features_batch(task, actions, world.cfg)
+    feats = compute_features_batch(task, actions)
     stored = np.stack([r.features for r in ds.records])
     assert np.array_equal(feats, stored)
-    one = compute_features_batch(task, [actions[0]], world.cfg)[0]
+    one = compute_features_batch(task, [actions[0]])[0]
     assert np.array_equal(one, feats[0])
 
 
@@ -285,19 +284,18 @@ def test_blocked_features_equal_the_per_action_loop(world):
     tasks = {t.composition: t for t in world.train_tasks + world.test_tasks}
     assert sorted(tasks) == sorted(["single", "partition", "mixture", "layers"])
     for task in tasks.values():
-        feats = compute_features_batch(task, actions, world.cfg)
-        assert np.array_equal(feats, reference_features(task, actions, world.cfg)), task.composition
-    assert compute_features_batch(task, [], world.cfg).shape == (0, observation_dim(world.cfg))
+        feats = compute_features_batch(task, actions)
+        assert np.array_equal(feats, reference_features(task, actions)), task.composition
+    assert compute_features_batch(task, []).shape == (0, OBS_DIM)
 
 
 def test_reward_oracle_with_a_passed_gradient_equals_its_own(world):
     actions = _edge_and_grid_actions()[::5]
     for task in (world.train_tasks[0], world.test_tasks[-1]):
-        gradient = np.gradient(task.heightmap, task.cell)
+        gradient = np.gradient(task.heightmap, CELL)
         for seed, action in enumerate(actions):
             for rng in (None, seed):
-                assert (reward_oracle(task, action, rng, world.cfg, gradient=gradient)
-                        == reward_oracle(task, action, rng, world.cfg))
+                assert reward_oracle(task, action, rng, gradient=gradient) == reward_oracle(task, action, rng)
 
 
 def test_depth_normalization_in_gp_input():
@@ -352,8 +350,7 @@ def test_noisy_rewards_are_nonnegative_and_centered():
     rng = np.random.default_rng(5)
     draws = np.array([reward_oracle(task, action, rng) for _ in range(500)])
     assert np.all(draws >= 0.0)
-    cfg = GenConfig()
-    se = (cfg.noise_frac * clean + cfg.noise_floor_cm3) / np.sqrt(500)
+    se = (NOISE_FRAC * clean + NOISE_FLOOR_CM3) / np.sqrt(500)
     assert abs(draws.mean() - clean) < 5 * se
 
 
@@ -364,8 +361,8 @@ def test_contact_material_switches_below_hidden_depth():
     rows, cols = np.where(task.region_map == side)
     # pick a drag midpoint well inside the replaced region
     r, c = rows[len(rows) // 2], cols[len(cols) // 2]
-    x = (c + 0.5) * task.cell - 0.5 * DRAG_LEN
-    y = (r + 0.5) * task.cell
+    x = (c + 0.5) * CELL - 0.5 * DRAG_LEN
+    y = (r + 0.5) * CELL
     if not (0 <= x <= TRAY_W):
         x = min(max(x, 0.0), TRAY_W - DRAG_LEN)
     shallow = ScoopAction(x, y, 0, HIDDEN_DEPTH - 0.01, "soft")
@@ -393,7 +390,7 @@ def test_allocation_follows_largest_remainder():
 
 def test_offline_database_matches_the_published_scale():
     pool = generate_materials(8, 4, rho=0.7, seed=6)
-    datasets = sample_offline_database(pool, seed=6)
+    datasets = sample_task_family(pool, 51, 100, seed=6)[1]
     assert len(datasets) == 51
     assert sum(len(ds) for ds in datasets) == 5100
     counts = {}
@@ -580,7 +577,7 @@ def test_ingest_reports_global_statistics(tmp_path, world):
 def test_terrain_bundle_round_trip(tmp_path, world):
     path = str(tmp_path / "terrains.bin")
     tasks = list(world.train_tasks[:2]) + [t for t in world.test_tasks if t.hidden_map is not None][:1]
-    save_terrains(path, tasks, world.cfg)
+    save_terrains(path, tasks)
     loaded = load_terrains(path)
     assert [t.id for t in loaded] == [t.id for t in tasks]
     for orig, back in zip(tasks, loaded):
@@ -601,11 +598,26 @@ def test_terrain_bundle_round_trip(tmp_path, world):
 
 def test_terrain_bundle_without_material_ids_is_a_serialization_error(tmp_path, world):
     path = str(tmp_path / "terrains.bin")
-    save_terrains(path, list(world.train_tasks[:1]), world.cfg)
+    save_terrains(path, list(world.train_tasks[:1]))
     meta, blocks = read_container(path, "terrains")
     del meta["material_ids"]
     write_container(path, "terrains", meta, blocks)
     with pytest.raises(SerializationError, match="material_ids"):
+        load_terrains(path)
+
+
+@pytest.mark.parametrize("change, message", [("cell", "cell 0.02"), ("appearance_dim", "appearance_dim 4"),
+                                             ("appearance_block", r"appearance must have shape \(3,\)")])
+def test_terrain_bundle_from_another_rig_is_a_serialization_error(tmp_path, world, change, message):
+    path = str(tmp_path / "terrains.bin")
+    save_terrains(path, list(world.train_tasks[:1]))
+    meta, blocks = read_container(path, "terrains")
+    if change == "appearance_block":
+        blocks[1] = np.hstack([blocks[1], blocks[1][:, :1]])
+    else:
+        meta[change] = {"cell": 0.02, "appearance_dim": 4}[change]
+    write_container(path, "terrains", meta, blocks)
+    with pytest.raises(SerializationError, match=message):
         load_terrains(path)
 
 
@@ -660,6 +672,27 @@ def test_a_write_failing_midway_leaves_the_old_file_intact(tmp_path, monkeypatch
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
     write(path, 2)
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} != before
+
+
+def test_a_database_whose_second_file_fails_to_write_keeps_the_old_pair(tmp_path, monkeypatch):
+    prefix = str(tmp_path / "db")
+    write_database(prefix, [toy_dataset("t1", np.ones((3, 3)), np.arange(3.0))])
+    opened = []
+
+    def second_fails(path, mode):
+        opened.append(path)
+        fh = open(path, mode)
+        return _HalfWriter(fh) if len(opened) == 2 else fh
+
+    monkeypatch.setattr(scoopgp.serialize, "open", second_fails, raising=False)
+    with pytest.raises(OSError, match="no space"):
+        write_database(prefix, [toy_dataset("t2", np.zeros((4, 3)), np.arange(4.0))])
+    monkeypatch.undo()
+    assert len(opened) == 2
+    back = read_database(prefix)
+    assert [ds.task_id for ds in back] == ["t1"]
+    assert np.array_equal(back[0].rewards(), np.arange(3.0))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["db.manifest.txt", "db.records.txt"]
 
 
 def test_task_dataset_validation():
