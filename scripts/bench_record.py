@@ -11,7 +11,9 @@ the same phase of the host. For every end-to-end metric the file records,
 per side, the median, the minimum and the IQR over the median, and per pair
 the ratio change/parent with its median. It also records the check counts,
 the environment of each run and, when traced runs exist, the median of
-each per-layer metric.
+each per-layer metric. It refuses, exiting non-zero and naming the run,
+when a run it would record failed a check, and it prints how many runs on
+each side were taken under contention.
 """
 
 import argparse
@@ -83,6 +85,15 @@ def record(parent: dict, change: dict) -> dict:
     return out
 
 
+def faults(runs: dict, label: str, workloads: dict) -> list:
+    """One line per run that feeds the record (a paired or a traced run) and
+    failed a check or is not marked correct."""
+    return [f"{label} run {w}-s{s}-t{t}: failed={r['failed']} correct={r.get('correct')}"
+            for (w, s, t), (r, _) in sorted(runs.items())
+            if w in workloads and (t == 1 or s in workloads[w]["seeds"])
+            and (r["failed"] or r.get("correct") is not True)]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--pr", type=int, required=True)
@@ -90,14 +101,21 @@ def main(argv=None) -> int:
     ap.add_argument("--change", type=Path, required=True, help="the change's .perfbench-runs directory")
     ap.add_argument("--out", type=Path, help="output path (default BENCH_<pr>.json at the repository root)")
     args = ap.parse_args(argv)
-    workloads = record(load_runs(args.parent), load_runs(args.change))
+    parent, change = load_runs(args.parent), load_runs(args.change)
+    workloads = record(parent, change)
     if not workloads:
         sys.exit("no untraced runs pair up by workload and seed")
+    problems = faults(parent, "parent", workloads) + faults(change, "change", workloads)
+    if problems:
+        sys.exit("runs that failed a check cannot be recorded:\n" + "\n".join(problems))
     out = args.out or ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps({"pr": args.pr, "workloads": workloads}, indent=1) + "\n")
     for workload, entry in workloads.items():
         ratio = entry["pairs"]["iteration_s"]["median_ratio"]
-        print(f"{workload}: {len(entry['seeds'])} pairs, iteration_s change/parent median {ratio:.3f}")
+        contended = {label: sum(bool(env.get("contended")) for env in entry[label]["env"])
+                     for label in ("parent", "change")}
+        print(f"{workload}: {len(entry['seeds'])} pairs, iteration_s change/parent median {ratio:.3f}, "
+              f"contended runs parent {contended['parent']} change {contended['change']}")
     return 0
 
 

@@ -217,7 +217,7 @@ def run_deployment(model, scorer: ScorerConfig, target, threshold: float, budget
 
         def execute(idx):
             noise_seed = int(rng.integers(0, 2 ** 31 - 1))
-            reward = reward_oracle(task, actions[idx], noise_seed)
+            reward = float(reward_oracle(task, [actions[idx]], noise_seed)[0])
             _scoop_terrain(task, actions[idx], reward)
             return reward
 

@@ -36,7 +36,7 @@ import hashlib
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import cho_solve, solve_triangular
 
 from .errors import NumericalError, SerializationError, ShapeError
 from .nnet import NetworkSpec, ParamVector, forward_batch, network_from_checkpoint, vjp
@@ -179,11 +179,6 @@ def _chol_with_jitter(K: np.ndarray, scale: float):
     ) from last
 
 
-def _chol_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
-    y = solve_triangular(L, B, lower=True)
-    return solve_triangular(L.T, y, lower=False)
-
-
 @dataclass(frozen=True)
 class Embedded:
     """Kernel embeddings Z and prior means m of a set of input rows.
@@ -265,7 +260,10 @@ class GpGrads:
     log_noise: float
 
 
-def _nlml_core(model: DeepGpModel, X: np.ndarray, y: np.ndarray, mean_mode: str):
+def _nlml_core(model: DeepGpModel, X: np.ndarray, y: np.ndarray, mean_mode: str, pull=()):
+    """The NLML and the terms its gradient reads. pull names the networks
+    ("feature", "kernel", "mean") whose pullbacks to return in a dict; each
+    network runs forward once either way."""
     if mean_mode not in ("model", "zero"):
         raise ValueError(f"mean_mode must be 'model' or 'zero', got {mean_mode!r}")
     X = _as_batch(model, X)
@@ -276,15 +274,21 @@ def _nlml_core(model: DeepGpModel, X: np.ndarray, y: np.ndarray, mean_mode: str)
     if y.shape[0] != n:
         raise ShapeError(f"targets length {y.shape[0]} does not match batch size {n}")
 
-    feats = model.kernel_feature_params if model.kernel_feature_params is not None else model.feature_params
-    U = forward_batch(model.feature_spec, feats, X)
-    Z = forward_batch(model.kernel_spec, _kernel_head(model), U)
+    pullbacks = {}
+
+    def run(name, spec, params, inputs):
+        if name not in pull:
+            return forward_batch(spec, params, inputs)
+        out, pullbacks[name] = vjp(spec, params, inputs)
+        return out
+
+    shared = model.kernel_feature_params is None
+    U = run("feature", model.feature_spec, model.feature_params if shared else model.kernel_feature_params, X)
+    Z = run("kernel", model.kernel_spec, _kernel_head(model), U)
     if mean_mode == "model":
-        Um = forward_batch(model.feature_spec, model.feature_params, X)
-        m = forward_batch(model.mean_spec, model.mean_params, Um)[:, 0]
-        resid = y - m
+        Um = U if shared else forward_batch(model.feature_spec, model.feature_params, X)
+        resid = y - run("mean", model.mean_spec, model.mean_params, Um)[:, 0]
     else:
-        Um = None
         resid = y
 
     s = model.outputscale
@@ -293,9 +297,11 @@ def _nlml_core(model: DeepGpModel, X: np.ndarray, y: np.ndarray, mean_mode: str)
     D2 = _sqdist(Z, Z)
     K = s * np.exp(-0.5 * D2 / ell2)
     L, _ = _chol_with_jitter(K + sigma2 * np.eye(n), s)
-    alpha = _chol_solve(L, resid)
+    # two triangular solves: cho_solve's one-column solve rounds differently,
+    # and alpha fixes every trained checkpoint
+    alpha = solve_triangular(L.T, solve_triangular(L, resid, lower=True), lower=False)
     value = float(np.sum(np.log(np.diag(L))) + 0.5 * resid @ alpha + 0.5 * n * LOG_2PI)
-    return X, y, U, Um, Z, resid, s, ell2, sigma2, D2, K, L, alpha, value
+    return Z, ell2, sigma2, D2, K, L, alpha, pullbacks, value
 
 
 def nlml(model: DeepGpModel, X, y, mean_mode: str = "model") -> float:
@@ -327,10 +333,10 @@ def nlml_grad(
         raise ValueError("train_mean requires mean_mode='model'")
     if train_extractor and model.kernel_feature_params is not None:
         raise ValueError("cannot train the extractor while kernel_feature_params overrides it")
-    (X, y, U, Um, Z, resid, s, ell2, sigma2, D2, K, L, alpha, value) = _nlml_core(model, X, y, mean_mode)
-    n = X.shape[0]
+    pull = ("kernel",) + ("mean",) * train_mean + ("feature",) * train_extractor
+    Z, ell2, sigma2, D2, K, L, alpha, pullbacks, value = _nlml_core(model, X, y, mean_mode, pull)
 
-    Kinv = _chol_solve(L, np.eye(n))
+    Kinv = cho_solve((L, True), np.eye(L.shape[0]))
     G = 0.5 * (Kinv - np.outer(alpha, alpha))
     GK = G * K
     g_log_os = float(GK.sum())
@@ -340,20 +346,18 @@ def nlml_grad(
     # dL/dZ from dK_ij/dz_i = -K_ij (z_i - z_j) / ell^2, using symmetry of G*K
     row = GK.sum(axis=1)
     dZ = -(2.0 / ell2) * (row[:, None] * Z - GK @ Z)
-    g_kernel, dU_kernel = vjp(model.kernel_spec, _kernel_head(model), U, dZ)
+    g_kernel, dU = pullbacks["kernel"](dZ)
     g_values = g_kernel.values.copy()
     g_values[model.kernel_spec.layers[-1].bias] = 0.0
     g_kernel = g_kernel.replace_values(g_values)
 
     g_mean = None
-    dU_mean = None
     if train_mean:
-        g_mean, dU_mean = vjp(model.mean_spec, model.mean_params, Um, (-alpha)[:, None])
+        g_mean, dU_mean = pullbacks["mean"]((-alpha)[:, None])
+        if train_extractor:
+            dU = dU + dU_mean
 
-    g_feature = None
-    if train_extractor:
-        upstream = dU_kernel if dU_mean is None else dU_kernel + dU_mean
-        g_feature, _ = vjp(model.feature_spec, model.feature_params, X, upstream)
+    g_feature = pullbacks["feature"](dU)[0] if train_extractor else None
 
     grads = GpGrads(
         kernel=g_kernel,

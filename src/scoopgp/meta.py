@@ -245,11 +245,10 @@ def train_mean(datasets, seed, model_cfg: ModelConfig = ModelConfig(), train_cfg
         for start in range(0, len(order), BATCH_SIZE):
             idx = order[start:start + BATCH_SIZE]
             Xb, yb = Xt[idx], yt[idx]
-            U = forward_batch(feature_spec, s["feat"], Xb)
-            pred = forward_batch(mean_spec, s["mean"], U)[:, 0]
-            upstream = (2.0 / len(idx)) * (pred - yb)[:, None]
-            g_mean, dU = vjp(mean_spec, s["mean"], U, upstream)
-            g_feat, _ = vjp(feature_spec, s["feat"], Xb, dU)
+            U, feat_pullback = vjp(feature_spec, s["feat"], Xb)
+            pred, mean_pullback = vjp(mean_spec, s["mean"], U)
+            g_mean, dU = mean_pullback((2.0 / len(idx)) * (pred[:, 0] - yb)[:, None])
+            g_feat, _ = feat_pullback(dU)
             s = _adam(s, {"mean": g_mean, "feat": g_feat}, opt, LR_MEAN)
         train_loss = mse(s, Xt, yt)
         val_loss = mse(s, Xv, yv)

@@ -31,13 +31,13 @@ def _act(name: str, z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _dact(name: str, z: np.ndarray) -> np.ndarray:
+def _dact(name: str, a: np.ndarray):
+    """Derivative of the activation, from the activation's output a."""
     if name == "relu":
-        return (z > 0.0).astype(np.float64)
+        return a > 0.0
     if name == "tanh":
-        t = np.tanh(z)
-        return 1.0 - t * t
-    return np.ones_like(z)
+        return 1.0 - a * a
+    return 1.0
 
 
 class Layer(NamedTuple):
@@ -194,42 +194,46 @@ def _check_batch(spec: NetworkSpec, X: np.ndarray) -> np.ndarray:
     return X
 
 
-def forward_batch(spec: NetworkSpec, params: ParamVector, X: np.ndarray) -> np.ndarray:
-    X = _check_batch(spec, X)
+def _forward(spec: NetworkSpec, params: ParamVector, X: np.ndarray, tape: list | None = None) -> np.ndarray:
+    """Run the stack on a checked batch. With a tape, append each layer's
+    weight matrix and input, which is what the backward pass reads."""
     h = X
     for (W, b), layer in zip(split_params(spec, params), spec.layers):
+        if tape is not None:
+            tape.append((W, h))
         h = _act(layer.activation, h @ W.T + b)
     return h
 
 
-def vjp(spec: NetworkSpec, params: ParamVector, X: np.ndarray, upstream: np.ndarray):
-    """Gradient of sum_b upstream[b] . f(X[b]) w.r.t. params and inputs.
+def forward_batch(spec: NetworkSpec, params: ParamVector, X: np.ndarray) -> np.ndarray:
+    return _forward(spec, params, _check_batch(spec, X))
 
-    Returns (param gradient as ParamVector, input gradient with X's shape).
+
+def vjp(spec: NetworkSpec, params: ParamVector, X: np.ndarray):
+    """f(X) and its pullback, in the JAX style.
+
+    pullback(upstream) returns the gradient of sum_b upstream[b] . f(X[b])
+    w.r.t. params (a ParamVector) and w.r.t. X (with X's shape). The
+    pullback holds the layer inputs of this forward pass until it is dropped.
     """
     X = _check_batch(spec, X)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != (X.shape[0], spec.output_dim):
-        raise ShapeError(f"upstream shape {upstream.shape} does not match ({X.shape[0]}, {spec.output_dim})")
-    layers = split_params(spec, params)
+    tape = []
+    out = _forward(spec, params, X, tape)
 
-    pre = []
-    post = [X]
-    h = X
-    for (W, b), layer in zip(layers, spec.layers):
-        z = h @ W.T + b
-        pre.append(z)
-        h = _act(layer.activation, z)
-        post.append(h)
+    def pullback(upstream: np.ndarray):
+        upstream = np.asarray(upstream, dtype=np.float64)
+        if upstream.shape != out.shape:
+            raise ShapeError(f"upstream shape {upstream.shape} does not match {out.shape}")
+        grad = np.empty(spec.param_count())
+        D, a = upstream, out
+        for layer, (W, h) in zip(reversed(spec.layers), reversed(tape)):
+            D = D * _dact(layer.activation, a)
+            grad[layer.weight] = (D.T @ h).reshape(-1)
+            grad[layer.bias] = D.sum(axis=0)
+            D, a = D @ W, h
+        return params.replace_values(grad), D
 
-    grad = np.empty(spec.param_count())
-    D = upstream
-    for i, layer in reversed(list(enumerate(spec.layers))):
-        D = D * _dact(layer.activation, pre[i])
-        grad[layer.weight] = (D.T @ post[i]).reshape(-1)
-        grad[layer.bias] = D.sum(axis=0)
-        D = D @ layers[i][0]
-    return params.replace_values(grad), D
+    return out, pullback
 
 
 @dataclass(frozen=True)

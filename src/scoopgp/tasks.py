@@ -43,6 +43,7 @@ NOISE_FRAC = 0.10       # reward noise std: this fraction of the noiseless value
 NOISE_FLOOR_CM3 = 2.0   # plus this absolute floor
 OBS_DIM = PATCH_CELLS + 3 + APPEARANCE_DIM
 GP_INPUT_DIM = OBS_DIM + 2  # observation features plus (depth, stiffness flag)
+GRID_SHAPE = (int(round(TRAY_H / CELL)), int(round(TRAY_W / CELL)))  # heightmap rows, columns
 
 COMPOSITIONS = ("single", "mixture", "partition", "layers")
 STIFFNESS_LEVELS = ("soft", "hard")
@@ -291,8 +292,7 @@ def enumerate_action_grid() -> list:
 
 def generate_heightmap(rng: np.random.Generator) -> np.ndarray:
     """Band-limited random field within the elevation and slope caps."""
-    H = int(round(TRAY_H / CELL))
-    W = int(round(TRAY_W / CELL))
+    H, W = GRID_SHAPE
     noise = rng.normal(size=(H, W))
     h = gaussian_filter(noise, sigma=6.0, mode="reflect")
     h -= h.min()
@@ -374,11 +374,12 @@ def _bilinear(grid: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return top * (1 - fv) + bot * fv
 
 
-def _cell_of(x: float, y: float, shape) -> tuple:
+def _cells(shape, xs: np.ndarray, ys: np.ndarray) -> tuple:
+    """Row and column indices of the cells holding metric points: the
+    coordinates over CELL, truncated, then clamped to the grid."""
     H, W = shape
-    col = min(max(int(x / CELL), 0), W - 1)
-    row = min(max(int(y / CELL), 0), H - 1)
-    return row, col
+    return (np.clip((ys / CELL).astype(np.int64), 0, H - 1),
+            np.clip((xs / CELL).astype(np.int64), 0, W - 1))
 
 
 # actions per block in compute_features_batch: on the 11520-action grid one
@@ -405,7 +406,6 @@ def compute_features_batch(task: TerrainTask, actions, *, gradient=None) -> np.n
     P = PATCH_CELLS
     gy, gx = np.gradient(task.heightmap, CELL) if gradient is None else gradient
     app = np.stack([m.appearance for m in task.materials])
-    H, W = task.heightmap.shape
 
     us = np.linspace(0.0, PATCH_EXTENT, P)
     vs = np.linspace(-0.5 * PATCH_EXTENT, 0.5 * PATCH_EXTENT, P)
@@ -432,10 +432,8 @@ def compute_features_batch(task: TerrainTask, actions, *, gradient=None) -> np.n
         relief = _bilinear(task.heightmap, line_x, line_y) - h0
         g_along = _bilinear(gx, line_x, line_y) * c + _bilinear(gy, line_x, line_y) * s
 
-        # the cells under the drag, truncated and clamped as _cell_of does
-        cols = np.clip((line_x[:, :drag_cells] / CELL).astype(np.int64), 0, W - 1)
-        cell_rows = np.clip((line_y[:, :drag_cells] / CELL).astype(np.int64), 0, H - 1)
-        surf = app[task.region_map[cell_rows, cols]]
+        drag = _cells(task.region_map.shape, line_x[:, :drag_cells], line_y[:, :drag_cells])
+        surf = app[task.region_map[drag]]
 
         block = out[rows]
         block[:, :P] = relief
@@ -454,54 +452,49 @@ def assemble_gp_input(features: np.ndarray, action: ScoopAction) -> np.ndarray:
     return np.concatenate([np.asarray(features, dtype=np.float64), [action.depth_norm, action.stiffness_bit]])
 
 
-def contact_material(task: TerrainTask, action: ScoopAction) -> Material:
-    """Material governing the scoop: surface at the drag midpoint, or the
-    hidden layer when digging past HIDDEN_DEPTH on a layered terrain."""
-    mx = action.x + np.cos(action.yaw) * 0.5 * DRAG_LEN
-    my = action.y + np.sin(action.yaw) * 0.5 * DRAG_LEN
-    row, col = _cell_of(mx, my, task.heightmap.shape)
-    if task.hidden_map is not None and action.depth > HIDDEN_DEPTH:
-        idx = int(task.hidden_map[row, col])
-    else:
-        idx = int(task.region_map[row, col])
-    return task.materials[idx]
+def reward_oracle(task: TerrainTask, actions, rng=None, *, gradient=None) -> np.ndarray:
+    """Scooped volume in cm^3 for executing each action on the terrain.
 
-
-def reward_oracle(task: TerrainTask, action: ScoopAction, rng=None, *, gradient=None) -> float:
-    """Scooped volume in cm^3 for executing the action on the terrain.
-
-    Noiseless when rng is None; otherwise heteroscedastic noise with
-    std = NOISE_FRAC * value + NOISE_FLOOR_CM3 is added before clamping
-    at zero. Deterministic for a fixed (task, action, seed). gradient is
-    np.gradient(task.heightmap, CELL), computed here when not given.
+    The material governing a scoop is the surface one at the drag
+    midpoint, or the hidden layer when digging past HIDDEN_DEPTH on a
+    layered terrain. Noiseless when rng is None; otherwise heteroscedastic
+    noise with std = NOISE_FRAC * value + NOISE_FLOOR_CM3, one normal draw
+    per action in order, is added before clamping at zero. Deterministic
+    for fixed (task, actions, seed), and each action's reward is the one a
+    call with that action alone, on the same generator, would give.
+    gradient is np.gradient(task.heightmap, CELL), computed here when not given.
     """
-    mat = contact_material(task, action)
-    mx = action.x + np.cos(action.yaw) * 0.5 * DRAG_LEN
-    my = action.y + np.sin(action.yaw) * 0.5 * DRAG_LEN
+    yaws = np.array([a.yaw_index for a in actions], dtype=np.int64)
+    depth = np.array([a.depth for a in actions], dtype=np.float64)
+    hard = np.array([a.stiffness == "hard" for a in actions], dtype=bool)
+    c, s = _YAW_COS[yaws], _YAW_SIN[yaws]
+    mx = np.array([a.x for a in actions], dtype=np.float64) + c * 0.5 * DRAG_LEN
+    my = np.array([a.y for a in actions], dtype=np.float64) + s * 0.5 * DRAG_LEN
+    rows, cols = _cells(task.region_map.shape, mx, my)
+    index = task.region_map[rows, cols]
+    if task.hidden_map is not None:
+        index = np.where(depth > HIDDEN_DEPTH, task.hidden_map[rows, cols], index)
+    gain, jam, depth_sens, slope_pref = np.stack([m.latent for m in task.materials])[index].T
     gy, gx = np.gradient(task.heightmap, CELL) if gradient is None else gradient
-    g_along = (_bilinear(gx, np.array([mx]), np.array([my]))[0] * np.cos(action.yaw)
-               + _bilinear(gy, np.array([mx]), np.array([my]))[0] * np.sin(action.yaw))
+    g_along = _bilinear(gx, mx, my) * c + _bilinear(gy, mx, my) * s
 
-    dn = action.depth_norm
-    volume_full = action.depth * DRAG_LEN * SCOOP_W * 1e6
-    sens = mat.depth_sens - FILL_KNEE_WIDTH * float(
-        np.log1p(np.exp((mat.depth_sens - FILL_KNEE) / FILL_KNEE_WIDTH)))
+    dn = (depth - DEPTH_MIN) / (DEPTH_MAX - DEPTH_MIN)
+    volume_full = depth * DRAG_LEN * SCOOP_W * 1e6
+    sens = depth_sens - FILL_KNEE_WIDTH * np.log1p(np.exp((depth_sens - FILL_KNEE) / FILL_KNEE_WIDTH))
     # a scoop cannot carry more than its swept volume
-    fill = min(mat.scoop_gain * (FILL_BASE + FILL_DEPTH * sens * dn), 1.0)
-    slope_mod = max(1.0 + SLOPE_GAIN * mat.slope_pref * np.tanh(g_along / SLOPE_REF), 0.15)
-    jam_drive = mat.jam * (JAM_BASE + JAM_DEPTH * dn) * float(expit(g_along / JAM_SLOPE_REF))
-    if action.stiffness == "hard":
-        jam_drive *= JAM_HARD_RELIEF
-    lock = float(expit((mat.jam - JAM_LOCK_KNEE) / JAM_LOCK_WIDTH)) * (
-        JAM_LOCK_BASE + JAM_LOCK_DEPTH * dn)
-    gate = float(np.clip(1.0 - jam_drive - lock, GATE_MIN, 1.0))
+    fill = np.minimum(gain * (FILL_BASE + FILL_DEPTH * sens * dn), 1.0)
+    slope_mod = np.maximum(1.0 + SLOPE_GAIN * slope_pref * np.tanh(g_along / SLOPE_REF), 0.15)
+    jam_drive = jam * (JAM_BASE + JAM_DEPTH * dn) * expit(g_along / JAM_SLOPE_REF)
+    jam_drive = np.where(hard, jam_drive * JAM_HARD_RELIEF, jam_drive)
+    lock = expit((jam - JAM_LOCK_KNEE) / JAM_LOCK_WIDTH) * (JAM_LOCK_BASE + JAM_LOCK_DEPTH * dn)
+    gate = np.clip(1.0 - jam_drive - lock, GATE_MIN, 1.0)
     value = volume_full * fill * slope_mod * gate
 
     if rng is None:
-        return float(value)
+        return value
     rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     std = NOISE_FRAC * value + NOISE_FLOOR_CM3
-    return float(max(value + rng.normal() * std, 0.0))
+    return np.maximum(value + rng.normal(size=len(actions)) * std, 0.0)
 
 
 @dataclass(frozen=True)
@@ -545,7 +538,16 @@ class TaskDataset:
         return np.array([r.reward for r in self.records])
 
     def gp_inputs(self) -> np.ndarray:
-        return np.stack([assemble_gp_input(r.features, r.action) for r in self.records])
+        """The records' assemble_gp_input rows, one per record, built on the
+        first call and read-only; every later call returns the same array."""
+        rows = self.__dict__.get("_gp_inputs")
+        if rows is None:
+            rows = np.column_stack([np.stack([r.features for r in self.records]),
+                                    [r.action.depth_norm for r in self.records],
+                                    [r.action.stiffness_bit for r in self.records]])
+            rows.flags.writeable = False
+            object.__setattr__(self, "_gp_inputs", rows)
+        return rows
 
 
 def _sample_action(rng: np.random.Generator) -> ScoopAction:
@@ -566,10 +568,8 @@ def _sample_records(task: TerrainTask, n: int, rng: np.random.Generator) -> Task
     # every record of a task is drawn from one unchanged terrain
     gradient = np.gradient(task.heightmap, CELL)
     feats = compute_features_batch(task, actions, gradient=gradient)
-    records = [
-        ScoopRecord(action, reward_oracle(task, action, rng, gradient=gradient), feats[i])
-        for i, action in enumerate(actions)
-    ]
+    rewards = reward_oracle(task, actions, rng, gradient=gradient)
+    records = [ScoopRecord(*row) for row in zip(actions, rewards.tolist(), feats)]
     return TaskDataset(task.id, task.composition, task.material_ids, tuple(records))
 
 
@@ -876,6 +876,10 @@ def load_terrains(path: str) -> list:
             if entry["has_hidden"]:
                 hidden = blocks[cursor]
                 cursor += 1
+            shapes = [g.shape for g in (heightmap, region, hidden) if g is not None]
+            if set(shapes) | {tuple(entry["shape"])} != {GRID_SHAPE}:
+                raise ValueError(f"task {entry['id']!r} has grids of shape {shapes} and shape entry "
+                                 f"{entry['shape']!r}; the tray grid is {GRID_SHAPE}")
             tasks.append(TerrainTask(
                 id=entry["id"],
                 composition=entry["composition"],

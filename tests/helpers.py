@@ -4,21 +4,44 @@ from __future__ import annotations
 
 import numpy as np
 
+from scipy.special import expit
+
+from scoopgp.errors import ShapeError
 from scoopgp.gp import DeepGpModel, embed_batch, kernel_matrix, mean_eval_batch
-from scoopgp.nnet import NetworkSpec, ParamVector, init_params, params_from_layers
+from scoopgp.nnet import (NetworkSpec, ParamVector, _act, _check_batch, init_params, params_from_layers,
+                          split_params)
 from scoopgp.tasks import (
     CELL,
     DEPTH_MIN,
     DRAG_LEN,
+    FILL_BASE,
+    FILL_DEPTH,
+    FILL_KNEE,
+    FILL_KNEE_WIDTH,
+    GATE_MIN,
+    HIDDEN_DEPTH,
+    JAM_BASE,
+    JAM_DEPTH,
+    JAM_HARD_RELIEF,
+    JAM_LOCK_BASE,
+    JAM_LOCK_DEPTH,
+    JAM_LOCK_KNEE,
+    JAM_LOCK_WIDTH,
+    JAM_SLOPE_REF,
+    NOISE_FLOOR_CM3,
+    NOISE_FRAC,
     OBS_DIM,
     PATCH_CELLS,
     PATCH_EXTENT,
+    SCOOP_W,
+    SLOPE_GAIN,
+    SLOPE_REF,
+    Material,
     ScoopAction,
     ScoopRecord,
     TaskDataset,
     TerrainTask,
     _bilinear,
-    _cell_of,
 )
 
 
@@ -172,3 +195,99 @@ def reference_features(task: TerrainTask, actions) -> np.ndarray:
         out[i, P + 2] = h_patch.std()
         out[i, P + 3:] = surf.mean(axis=0)
     return out
+
+
+def _cell_of(x: float, y: float, shape) -> tuple:
+    H, W = shape
+    col = min(max(int(x / CELL), 0), W - 1)
+    row = min(max(int(y / CELL), 0), H - 1)
+    return row, col
+
+
+def contact_material(task: TerrainTask, action: ScoopAction) -> Material:
+    """Material governing the scoop: surface at the drag midpoint, or the
+    hidden layer when digging past HIDDEN_DEPTH on a layered terrain."""
+    mx = action.x + np.cos(action.yaw) * 0.5 * DRAG_LEN
+    my = action.y + np.sin(action.yaw) * 0.5 * DRAG_LEN
+    row, col = _cell_of(mx, my, task.heightmap.shape)
+    if task.hidden_map is not None and action.depth > HIDDEN_DEPTH:
+        idx = int(task.hidden_map[row, col])
+    else:
+        idx = int(task.region_map[row, col])
+    return task.materials[idx]
+
+
+def reference_reward(task: TerrainTask, action: ScoopAction, rng=None, *, gradient=None) -> float:
+    """reward_oracle as a one-action scalar function: the reference the
+    batched oracle must reproduce bit for bit.
+
+    Noiseless when rng is None; otherwise heteroscedastic noise with
+    std = NOISE_FRAC * value + NOISE_FLOOR_CM3 is added before clamping
+    at zero. Deterministic for a fixed (task, action, seed). gradient is
+    np.gradient(task.heightmap, CELL), computed here when not given.
+    """
+    mat = contact_material(task, action)
+    mx = action.x + np.cos(action.yaw) * 0.5 * DRAG_LEN
+    my = action.y + np.sin(action.yaw) * 0.5 * DRAG_LEN
+    gy, gx = np.gradient(task.heightmap, CELL) if gradient is None else gradient
+    g_along = (_bilinear(gx, np.array([mx]), np.array([my]))[0] * np.cos(action.yaw)
+               + _bilinear(gy, np.array([mx]), np.array([my]))[0] * np.sin(action.yaw))
+
+    dn = action.depth_norm
+    volume_full = action.depth * DRAG_LEN * SCOOP_W * 1e6
+    sens = mat.depth_sens - FILL_KNEE_WIDTH * float(
+        np.log1p(np.exp((mat.depth_sens - FILL_KNEE) / FILL_KNEE_WIDTH)))
+    # a scoop cannot carry more than its swept volume
+    fill = min(mat.scoop_gain * (FILL_BASE + FILL_DEPTH * sens * dn), 1.0)
+    slope_mod = max(1.0 + SLOPE_GAIN * mat.slope_pref * np.tanh(g_along / SLOPE_REF), 0.15)
+    jam_drive = mat.jam * (JAM_BASE + JAM_DEPTH * dn) * float(expit(g_along / JAM_SLOPE_REF))
+    if action.stiffness == "hard":
+        jam_drive *= JAM_HARD_RELIEF
+    lock = float(expit((mat.jam - JAM_LOCK_KNEE) / JAM_LOCK_WIDTH)) * (
+        JAM_LOCK_BASE + JAM_LOCK_DEPTH * dn)
+    gate = float(np.clip(1.0 - jam_drive - lock, GATE_MIN, 1.0))
+    value = volume_full * fill * slope_mod * gate
+
+    if rng is None:
+        return float(value)
+    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    std = NOISE_FRAC * value + NOISE_FLOOR_CM3
+    return float(max(value + rng.normal() * std, 0.0))
+
+
+def _reference_dact(name: str, z: np.ndarray) -> np.ndarray:
+    if name == "relu":
+        return (z > 0.0).astype(np.float64)
+    if name == "tanh":
+        t = np.tanh(z)
+        return 1.0 - t * t
+    return np.ones_like(z)
+
+
+def reference_vjp(spec: NetworkSpec, params: ParamVector, X: np.ndarray, upstream: np.ndarray):
+    """vjp as one call that re-runs the forward pass and returns
+    (param gradient as ParamVector, input gradient with X's shape): the
+    reference the pullback must reproduce bit for bit."""
+    X = _check_batch(spec, X)
+    upstream = np.asarray(upstream, dtype=np.float64)
+    if upstream.shape != (X.shape[0], spec.output_dim):
+        raise ShapeError(f"upstream shape {upstream.shape} does not match ({X.shape[0]}, {spec.output_dim})")
+    layers = split_params(spec, params)
+
+    pre = []
+    post = [X]
+    h = X
+    for (W, b), layer in zip(layers, spec.layers):
+        z = h @ W.T + b
+        pre.append(z)
+        h = _act(layer.activation, z)
+        post.append(h)
+
+    grad = np.empty(spec.param_count())
+    D = upstream
+    for i, layer in reversed(list(enumerate(spec.layers))):
+        D = D * _reference_dact(layer.activation, pre[i])
+        grad[layer.weight] = (D.T @ post[i]).reshape(-1)
+        grad[layer.bias] = D.sum(axis=0)
+        D = D @ layers[i][0]
+    return params.replace_values(grad), D

@@ -478,31 +478,56 @@ def test_benchmark_config_keys_are_all_accepted():
             apply_overrides(RunConfig(), {key: str(value) for key, value in overrides.items()})
 
 
-def test_bench_record_pairs_runs_by_workload_and_seed(tmp_path):
-    path = Path(__file__).resolve().parents[1] / "scripts" / "bench_record.py"
-    spec = importlib.util.spec_from_file_location("bench_record", path)
-    bench_record = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench_record)
+def _load_script(name: str):
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
-    def write_run(side, name, iteration_s, failed=0):
-        run = tmp_path / side / name
-        run.mkdir(parents=True)
-        metrics = {"iteration_s": {"value": iteration_s, "unit": "s"}}
-        (run / "result.json").write_text(json.dumps({"attempted": 9, "failed": failed, "metrics": metrics}))
-        (run / "env.json").write_text(json.dumps({"git_sha": side, "nproc": 2}))
+
+def _write_perfbench_run(run: Path, iteration_s: float, attempted=9, failed=0, correct=None, contended=False):
+    """A perfbench run record: result.json and env.json in their own directory."""
+    run.mkdir(parents=True)
+    metrics = {"iteration_s": {"value": iteration_s, "unit": "s"}}
+    correct = failed == 0 if correct is None else correct
+    (run / "result.json").write_text(json.dumps({"correct": correct, "attempted": attempted, "failed": failed,
+                                                 "metrics": metrics}))
+    (run / "env.json").write_text(json.dumps({"git_sha": run.parent.name, "nproc": 2, "contended": contended}))
+
+
+def test_bench_record_pairs_runs_by_workload_and_seed(tmp_path, capsys):
+    bench_record = _load_script("bench_record")
 
     for seed, (parent_s, change_s) in enumerate([(10.0, 5.0), (8.0, 6.0), (12.0, 3.0)]):
-        write_run("parent", f"online-s{seed}-t0-a", parent_s)
-        write_run("change", f"online-s{seed}-t0-b", change_s, failed=seed)
-    write_run("change", "online-s9-t0-c", 1.0)  # no parent run at seed 9: not paired
+        _write_perfbench_run(tmp_path / "parent" / f"online-s{seed}-t0-a", parent_s)
+        _write_perfbench_run(tmp_path / "change" / f"online-s{seed}-t0-b", change_s, attempted=9 + seed,
+                             contended=seed == 1)
+    # no parent run at seed 9: not paired, so its failed check does not count
+    _write_perfbench_run(tmp_path / "change" / "online-s9-t0-c", 1.0, failed=1)
     out = tmp_path / "BENCH_1.json"
     assert bench_record.main(["--pr", "1", "--parent", str(tmp_path / "parent"),
                               "--change", str(tmp_path / "change"), "--out", str(out)]) == 0
+    assert "contended runs parent 0 change 1" in capsys.readouterr().out
     online = json.loads(out.read_text())["workloads"]["online"]
     assert online["seeds"] == [0, 1, 2]
     assert online["pairs"]["iteration_s"] == {"median_ratio": 0.5, "ratios": [0.5, 0.75, 0.25]}
     change = online["change"]
     assert change["metrics"]["iteration_s"]["median"] == 5.0 and change["metrics"]["iteration_s"]["min"] == 3.0
     assert online["parent"]["metrics"]["iteration_s"]["iqr_over_median"] == 0.2
-    assert change["checks"] == {"attempted": [9, 9, 9], "failed": [0, 1, 2]}
+    assert change["checks"] == {"attempted": [9, 10, 11], "failed": [0, 0, 0]}
     assert change["env"][0]["git_sha"] == "change"
+
+
+@pytest.mark.parametrize("fault", [{"failed": 1}, {"correct": False}])
+def test_bench_record_refuses_a_paired_run_that_failed_a_check(tmp_path, fault):
+    bench_record = _load_script("bench_record")
+    for seed in (0, 1):
+        _write_perfbench_run(tmp_path / "parent" / f"offline-s{seed}-t0-a", 4.0)
+        _write_perfbench_run(tmp_path / "change" / f"offline-s{seed}-t0-b", 3.0, **(fault if seed else {}))
+    out = tmp_path / "BENCH_1.json"
+    with pytest.raises(SystemExit) as exc:
+        bench_record.main(["--pr", "1", "--parent", str(tmp_path / "parent"),
+                           "--change", str(tmp_path / "change"), "--out", str(out)])
+    assert "change run offline-s1-t0" in str(exc.value.code) and "offline-s0" not in str(exc.value.code)
+    assert not out.exists()

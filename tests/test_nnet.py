@@ -19,7 +19,7 @@ from scoopgp.nnet import (
     vjp,
 )
 
-from helpers import identity_params
+from helpers import identity_params, reference_vjp
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +76,7 @@ def test_zero_upstream_gives_zero_gradients():
     spec = NetworkSpec(3, ((4, "tanh"),), 2)
     params = init_params(spec, 1)
     X = np.random.default_rng(2).normal(size=(5, 3))
-    grads, dX = vjp(spec, params, X, np.zeros((5, 2)))
+    grads, dX = vjp(spec, params, X)[1](np.zeros((5, 2)))
     assert np.array_equal(grads.values, np.zeros(len(params)))
     assert np.array_equal(dX, np.zeros_like(X))
 
@@ -86,7 +86,7 @@ def test_linear_gradient_equals_input():
     w = np.array([[0.5, -1.0, 2.0]])
     params = params_from_layers(spec, [(w, np.zeros(1))])
     x = np.array([[1.0, 2.0, 3.0]])
-    grads, dX = vjp(spec, params, x, np.ones((1, 1)))
+    grads, dX = vjp(spec, params, x)[1](np.ones((1, 1)))
     gW, gb = split_params(spec, grads)[0]
     assert np.array_equal(gW, x)
     assert np.array_equal(gb, np.ones(1))
@@ -117,7 +117,7 @@ def test_backward_matches_finite_differences_on_random_specs():
         params = init_params(spec, rng)
         X = rng.normal(size=(3, spec.input_dim))
         upstream = rng.normal(size=(3, spec.output_dim))
-        analytic = vjp(spec, params, X, upstream)[0].values
+        analytic = vjp(spec, params, X)[1](upstream)[0].values
         numeric = _fd_gradient(spec, params, X, upstream)
         denom = np.maximum(np.abs(numeric), 1e-6)
         assert np.max(np.abs(analytic - numeric) / denom) < 1e-4
@@ -130,7 +130,7 @@ def test_relu_gradient_matches_finite_differences_away_from_kink():
     # keep preactivations away from zero so central differences are exact
     X = np.sign(rng.normal(size=(4, 4))) * rng.uniform(0.5, 1.5, size=(4, 4))
     upstream = rng.normal(size=(4, 2))
-    analytic = vjp(spec, params, X, upstream)[0].values
+    analytic = vjp(spec, params, X)[1](upstream)[0].values
     numeric = _fd_gradient(spec, params, X, upstream)
     denom = np.maximum(np.abs(numeric), 1e-6)
     assert np.max(np.abs(analytic - numeric) / denom) < 1e-4
@@ -142,7 +142,7 @@ def test_input_gradient_matches_finite_differences():
     params = init_params(spec, rng)
     X = rng.normal(size=(2, 3))
     upstream = rng.normal(size=(2, 2))
-    _, dX = vjp(spec, params, X, upstream)
+    _, dX = vjp(spec, params, X)[1](upstream)
     step = 1e-6
     for b in range(2):
         for j in range(3):
@@ -154,11 +154,28 @@ def test_input_gradient_matches_finite_differences():
             assert abs(dX[b, j] - (fp - fm) / (2 * step)) < 1e-6
 
 
+def test_vjp_output_and_pullback_equal_forward_batch_and_the_reference_vjp():
+    rng = np.random.default_rng(21)
+    for _ in range(40):
+        hidden = tuple((int(rng.integers(1, 12)), str(rng.choice(["relu", "tanh", "identity"])))
+                       for _ in range(int(rng.integers(0, 4))))
+        spec = NetworkSpec(int(rng.integers(1, 7)), hidden, int(rng.integers(1, 5)))
+        params = init_params(spec, rng)
+        X = rng.normal(size=(int(rng.integers(1, 9)), spec.input_dim))
+        upstream = rng.normal(size=(X.shape[0], spec.output_dim))
+        out, pullback = vjp(spec, params, X)
+        assert np.array_equal(out, forward_batch(spec, params, X))
+        grads, dX = pullback(upstream)
+        ref_grads, ref_dX = reference_vjp(spec, params, X, upstream)
+        assert grads.layout == ref_grads.layout
+        assert grads.values.tobytes() == ref_grads.values.tobytes() and dX.tobytes() == ref_dX.tobytes()
+
+
 def test_vjp_rejects_wrong_upstream_shape():
     spec = NetworkSpec(3, (), 2)
     params = init_params(spec, 0)
     with pytest.raises(ShapeError):
-        vjp(spec, params, np.zeros((4, 3)), np.zeros((4, 3)))
+        vjp(spec, params, np.zeros((4, 3)))[1](np.zeros((4, 3)))
 
 
 # ---------------------------------------------------------------------------

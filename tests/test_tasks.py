@@ -35,7 +35,6 @@ from scoopgp.tasks import (
     action_feasible,
     assemble_gp_input,
     compute_features_batch,
-    contact_material,
     enumerate_action_grid,
     generate_heightmap,
     generate_materials,
@@ -51,7 +50,7 @@ from scoopgp.tasks import (
     write_database,
 )
 
-from helpers import flat_task, random_model, reference_features, toy_dataset
+from helpers import flat_task, random_model, reference_features, reference_reward, toy_dataset
 
 
 def _material(gain=0.8, jam=0.1, sens=0.6, slope=0.0, mat_id="m0"):
@@ -295,7 +294,29 @@ def test_reward_oracle_with_a_passed_gradient_equals_its_own(world):
         gradient = np.gradient(task.heightmap, CELL)
         for seed, action in enumerate(actions):
             for rng in (None, seed):
-                assert reward_oracle(task, action, rng, gradient=gradient) == reward_oracle(task, action, rng)
+                assert reward_oracle(task, [action], rng, gradient=gradient) == reward_oracle(task, [action], rng)
+
+
+def test_batched_reward_oracle_equals_the_scalar_reference(world):
+    actions = [a for a in _edge_and_grid_actions() if action_feasible(a)]
+    depths = {a.depth for a in actions}
+    assert min(depths) < HIDDEN_DEPTH < max(depths) and {a.stiffness for a in actions} == {"soft", "hard"}
+    tasks = {t.composition: t for t in world.train_tasks + world.test_tasks}
+    assert sorted(tasks) == sorted(["single", "partition", "mixture", "layers"])
+    for task in tasks.values():
+        assert np.array_equal(reward_oracle(task, actions), [reference_reward(task, a) for a in actions])
+        # one generator shared by sequential one-action calls gives the batched call's draws
+        rng = np.random.default_rng(11)
+        sequential = [reference_reward(task, a, rng) for a in actions]
+        assert np.array_equal(reward_oracle(task, actions, np.random.default_rng(11)), sequential), task.composition
+    assert reward_oracle(task, []).shape == (0,)
+
+
+def test_gp_inputs_are_built_once_and_equal_the_per_record_rows(world):
+    for ds in world.train_sets[:3] + world.test_sets[:1]:
+        rows = ds.gp_inputs()
+        assert np.array_equal(rows, np.stack([assemble_gp_input(r.features, r.action) for r in ds.records]))
+        assert ds.gp_inputs() is rows and not rows.flags.writeable
 
 
 def test_depth_normalization_in_gp_input():
@@ -312,9 +333,9 @@ def test_depth_normalization_in_gp_input():
 def test_reward_is_deterministic_per_seed():
     task = flat_task(_material())
     action = ScoopAction(0.4, 0.3, 0, 0.06, "soft")
-    assert reward_oracle(task, action) == reward_oracle(task, action)
-    assert reward_oracle(task, action, 7) == reward_oracle(task, action, 7)
-    assert reward_oracle(task, action, 7) != reward_oracle(task, action, 8)
+    assert reward_oracle(task, [action]) == reward_oracle(task, [action])
+    assert reward_oracle(task, [action], 7) == reward_oracle(task, [action], 7)
+    assert reward_oracle(task, [action], 7) != reward_oracle(task, [action], 8)
 
 
 def test_zero_gain_material_never_yields_volume():
@@ -323,13 +344,13 @@ def test_zero_gain_material_never_yields_volume():
     for _ in range(20):
         action = ScoopAction(float(rng.uniform(0, 0.8)), float(rng.uniform(0, 0.5)),
                              0, float(rng.uniform(DEPTH_MIN, DEPTH_MAX)), "soft")
-        assert reward_oracle(task, action) == 0.0
+        assert reward_oracle(task, [action])[0] == 0.0
 
 
 def test_reward_monotone_in_depth_on_benign_flat_cell():
     task = flat_task(_material(gain=0.9, jam=0.0, sens=0.7))
     depths = [DEPTH_MIN + (DEPTH_MAX - DEPTH_MIN) / 3.0 * k for k in range(4)]
-    rewards = [reward_oracle(task, ScoopAction(0.4, 0.3, 0, d, "soft")) for d in depths]
+    rewards = [reward_oracle(task, [ScoopAction(0.4, 0.3, 0, d, "soft")])[0] for d in depths]
     assert all(b > a for a, b in zip(rewards, rewards[1:]))
 
 
@@ -337,25 +358,26 @@ def test_high_jam_interlock_kills_deep_scoops():
     loose = flat_task(_material(jam=0.10))
     locked = flat_task(_material(jam=0.95))
     action = ScoopAction(0.4, 0.3, 0, DEPTH_MAX, "soft")
-    assert reward_oracle(locked, action) < 0.2 * reward_oracle(loose, action)
+    assert reward_oracle(locked, [action])[0] < 0.2 * reward_oracle(loose, [action])[0]
     # stiff scoops relieve jamming drag but not the interlock
     hard = ScoopAction(0.4, 0.3, 0, DEPTH_MAX, "hard")
-    assert reward_oracle(locked, hard) < 0.2 * reward_oracle(loose, hard)
+    assert reward_oracle(locked, [hard])[0] < 0.2 * reward_oracle(loose, [hard])[0]
 
 
 def test_noisy_rewards_are_nonnegative_and_centered():
     task = flat_task(_material())
     action = ScoopAction(0.4, 0.3, 0, 0.06, "soft")
-    clean = reward_oracle(task, action)
+    clean = reward_oracle(task, [action])[0]
     rng = np.random.default_rng(5)
-    draws = np.array([reward_oracle(task, action, rng) for _ in range(500)])
+    draws = np.array([reward_oracle(task, [action], rng)[0] for _ in range(500)])
     assert np.all(draws >= 0.0)
     se = (NOISE_FRAC * clean + NOISE_FLOOR_CM3) / np.sqrt(500)
     assert abs(draws.mean() - clean) < 5 * se
 
 
 def test_contact_material_switches_below_hidden_depth():
-    mats = [_material(mat_id="a"), _material(mat_id="b"), _material(gain=0.2, mat_id="c")]
+    # distinct gains, so a reward identifies the material that produced it
+    mats = [_material(mat_id="a"), _material(gain=0.5, mat_id="b"), _material(gain=0.2, mat_id="c")]
     task = generate_task("t6", mats, "layers", seed=3)
     side = 0 if np.array_equal(task.hidden_map != task.region_map, task.region_map == 0) else 1
     rows, cols = np.where(task.region_map == side)
@@ -367,8 +389,15 @@ def test_contact_material_switches_below_hidden_depth():
         x = min(max(x, 0.0), TRAY_W - DRAG_LEN)
     shallow = ScoopAction(x, y, 0, HIDDEN_DEPTH - 0.01, "soft")
     deep = ScoopAction(x, y, 0, HIDDEN_DEPTH + 0.01, "soft")
-    assert contact_material(task, shallow).id != contact_material(task, deep).id
-    assert contact_material(task, deep).id == "c"
+
+    def contact(action):
+        """The materials whose flat single-material tray gives the layered tray's reward."""
+        got = reward_oracle(task, [action])[0]
+        return [m.id for m in mats if reward_oracle(flat_task(m), [action])[0] == got]
+
+    task.heightmap[:] = 0.0  # flat, like the single-material trays
+    assert len(contact(shallow)) == 1 and contact(shallow) != contact(deep)
+    assert contact(deep) == ["c"]
 
 
 def test_scoop_record_rejects_bad_rewards():
@@ -618,6 +647,23 @@ def test_terrain_bundle_from_another_rig_is_a_serialization_error(tmp_path, worl
         meta[change] = {"cell": 0.02, "appearance_dim": 4}[change]
     write_container(path, "terrains", meta, blocks)
     with pytest.raises(SerializationError, match=message):
+        load_terrains(path)
+
+
+@pytest.mark.parametrize("change", ["subsampled", "shape_entry"])
+def test_terrain_bundle_whose_grids_miss_the_tray_grid_is_a_serialization_error(tmp_path, world, change):
+    path = str(tmp_path / "terrains.bin")
+    layered = [t for t in world.test_tasks if t.hidden_map is not None][:1]
+    save_terrains(path, list(world.train_tasks[:1]) + layered)
+    meta, blocks = read_container(path, "terrains")
+    if change == "subsampled":
+        # the layered task's heightmap, region and hidden blocks, every other row and column
+        blocks[-3:] = [b[::2, ::2].copy() for b in blocks[-3:]]
+        meta["tasks"][-1]["shape"] = list(blocks[-1].shape)
+    else:
+        meta["tasks"][0]["shape"] = [30, 45]
+    write_container(path, "terrains", meta, blocks)
+    with pytest.raises(SerializationError, match="the tray grid is"):
         load_terrains(path)
 
 
