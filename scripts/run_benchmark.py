@@ -1,90 +1,92 @@
 #!/usr/bin/env python3
-"""Synthetic-family benchmark: few-shot adaptation and deployment.
+"""Headline comparison of CoDeGa, DKMT and the mean-only reference, run as scoopgp stages.
 
-Generates an offline task family, trains the fold-decomposed model and
-the jointly-trained baseline on it, scores k-shot prediction error on
-held-out tasks with unfamiliar materials, then runs simulated deployment
-with each scorer. Desk-scale defaults finish in a couple of minutes;
---full switches to the benchmark scale used for headline numbers.
+    python3 scripts/run_benchmark.py --out DIR [--seed S] [--model-seeds N] [--config FILE] [--set KEY=VALUE ...]
+
+Runs the scoopgp stages through `scoopgp.cli.main`, each with --config and --set: gen; per model seed,
+train and eval-mae for codega, dkmt and mean-only and deploy ucb for codega and dkmt; deploy mean (the
+seed-0 codega model's prior mean) and random; report. scripts/full.conf is the benchmark scale.
+DIR/HEADLINE.txt holds the report tables, a checkpoint legend and paired sign tests; reruns reproduce it.
 """
 
 import argparse
+import contextlib
+import io
+import statistics
 import sys
-import time
+from pathlib import Path
 
-from scoopgp.bench import eval_kshot_mae, eval_simulated_deployment, render_deploy_table, \
-    render_mae_table
-from scoopgp.config import GenConfig
-from scoopgp.decide import ScorerConfig
-from scoopgp.meta import train_codega, train_dkmt
-from scoopgp.tasks import generate_materials, sample_ood_test_family, sample_task_family
+from scoopgp.bench import paired_sign_test, read_deploy_report, read_mae_report, render_mae_table
+from scoopgp.cli import main as scoopgp
+
+METHODS = ("codega", "dkmt", "mean-only")
 
 
-def parse_args(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seed", type=int, default=1, help="family seed")
-    ap.add_argument("--train-tasks", type=int, default=16)
-    ap.add_argument("--train-records", type=int, default=60)
-    ap.add_argument("--test-tasks", type=int, default=4)
-    ap.add_argument("--test-records", type=int, default=60)
-    ap.add_argument("--model-seeds", type=int, default=1)
-    ap.add_argument("--shots", default="0,5,10")
-    ap.add_argument("--trials", type=int, default=15, help="support resamples per task")
-    ap.add_argument("--budget", type=int, default=20, help="deployment attempt budget")
-    ap.add_argument("--deploy-trials", type=int, default=10)
-    ap.add_argument("--full", action="store_true",
-                    help="benchmark scale: 51 train tasks x 100 records, 6 test tasks, 3 seeds")
-    args = ap.parse_args(argv)
-    if args.full:
-        args.train_tasks, args.train_records = 51, 100
-        args.test_tasks, args.test_records = 6, 60
-        args.model_seeds, args.trials = 3, 30
-    return args
+def sign_test(name: str, pairs: list) -> str:
+    """One-sided sign test that the first value of each pair is the lower; ties are dropped."""
+    lower, higher = sum(a < b for a, b in pairs), sum(a > b for a, b in pairs)
+    return f"{name}: {lower} lower, {higher} higher, {len(pairs) - lower - higher} tied, p = {paired_sign_test(*zip(*pairs)):.3g}"
+
+
+def task_means(report) -> dict:
+    """Mean attempts per task: ucb and mean repeat one episode in every trial of a task."""
+    cells = report.attempts_by_cell()
+    return {task: statistics.mean(n for (t, _), n in cells.items() if t == task) for task, _ in cells}
 
 
 def main(argv=None) -> int:
-    args = parse_args(argv)
-    shots = tuple(int(s) for s in args.shots.split(","))
-    g = GenConfig()
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", required=True, help="directory for every artifact and HEADLINE.txt")
+    ap.add_argument("--seed", type=int, default=1, help="family seed")
+    ap.add_argument("--model-seeds", type=int, default=1, help="train seeds 0..N-1")
+    ap.add_argument("--config", help="config file passed to every stage")
+    ap.add_argument("--set", action="append", default=[], metavar="KEY=VALUE", help="override passed to every stage")
+    args = ap.parse_args(argv)
+    out = Path(args.out).resolve()
+    cfg = (["--config", args.config] if args.config else []) + [a for kv in args.set for a in ("--set", kv)]
+    seeds = range(args.model_seeds)
+    train, test = (str(out / f"fam.{split}.records.txt") for split in ("train", "test"))
+    mae_files = {(m, s): str(out / f"{m}-s{s}.mae.txt") for s in seeds for m in METHODS}
+    deploy_files = {(m, s): str(out / f"{m}-s{s}.ucb.deploy.txt") for s in seeds for m in METHODS[:2]}
+    deploy_files["mean", 0], deploy_files["random", 0] = (str(out / f"{m}.deploy.txt") for m in ("mean", "random"))
 
-    t0 = time.perf_counter()
-    pool = generate_materials(g.n_train_materials, g.n_ood_materials, g.rho, args.seed)
-    _, train_sets = sample_task_family(pool, args.train_tasks, args.train_records, args.seed)
-    _, test_sets = sample_ood_test_family(pool, args.test_tasks, args.test_records, args.seed)
-    print(f"family: {len(train_sets)} train tasks, {len(test_sets)} held-out tasks "
-          f"({time.perf_counter() - t0:.0f}s)")
+    def stage(*argv):
+        if scoopgp([*argv, *cfg]) != 0:
+            sys.exit(f"scoopgp {argv[0]} failed")
 
-    mae_reports = {"codega": [], "dkmt": []}
-    codega_first = None
-    for s in range(args.model_seeds):
-        t0 = time.perf_counter()
-        cg = train_codega(train_sets, seed=s).model
-        dk = train_dkmt(train_sets, seed=s).model
-        if codega_first is None:
-            codega_first = cg
-        print(f"seed {s}: trained both models in {time.perf_counter() - t0:.0f}s")
-        mae_reports["codega"].append(
-            eval_kshot_mae(cg, test_sets, shots=shots, trials=args.trials, seed=0))
-        mae_reports["dkmt"].append(
-            eval_kshot_mae(dk, test_sets, shots=shots, trials=args.trials, seed=0))
+    out.mkdir(parents=True, exist_ok=True)
+    stage("gen", "--seed", str(args.seed), "--prefix", str(out / "fam"))
+    for s in seeds:
+        for m in METHODS:
+            stem = str(out / f"{m}-s{s}")
+            stage("train", "--seed", str(s), "--data", train, "--method", m, "--out", stem + ".bin")
+            stage("eval-mae", "--data", test, "--model", stem + ".bin", "--out", mae_files[m, s],
+                  *(["--mean-only"] if m == "mean-only" else []))
+            if m != "mean-only":
+                stage("deploy", "--data", test, "--model", stem + ".bin", "--out", deploy_files[m, s])
+    stage("deploy", "--data", test, "--model", str(out / "codega-s0.bin"), "--scorer", "mean", "--out", deploy_files["mean", 0])
+    stage("deploy", "--data", test, "--scorer", "random", "--out", deploy_files["random", 0])
+    with contextlib.redirect_stdout(io.StringIO()) as tables:
+        stage("report", *mae_files.values(), *deploy_files.values())
 
-    print()
-    print(render_mae_table(mae_reports), end="")
-
-    methods = {
-        "codega-ucb": (codega_first, ScorerConfig(kind="ucb", gamma=2.0)),
-        "mean-greedy": (codega_first, ScorerConfig(kind="mean")),
-        "random": (None, ScorerConfig(kind="random")),
-    }
-    t0 = time.perf_counter()
-    deploy_reports = eval_simulated_deployment(methods, test_sets, budget=args.budget,
-                                               trials=args.deploy_trials, seed=0)
-    print()
-    print(render_deploy_table(deploy_reports), end="")
-    excluded = next(iter(deploy_reports.values())).excluded
-    if excluded:
-        print(f"excluded below-threshold tasks: {', '.join(excluded)}")
-    print(f"deployment: {time.perf_counter() - t0:.0f}s")
+    mae = {key: read_mae_report(path) for key, path in mae_files.items()}
+    deploys = {key: read_deploy_report(path) for key, path in deploy_files.items()}
+    attempts = {key: task_means(rep) for key, rep in deploys.items()}
+    lines = ["scoopgp headline: " + " ".join(["--seed", str(args.seed), "--model-seeds", str(args.model_seeds), *cfg]),
+             "", tables.getvalue(), "MAE pooled over model seeds",
+             render_mae_table({m: [mae[m, s] for s in seeds] for m in METHODS}), "checkpoint    model"]
+    lines += [f"{rep.checkpoint}  {m} seed {s}" for (m, s), rep in mae.items()]
+    lines += ["", f"deploy excludes the below-threshold tasks: {', '.join(deploys['mean', 0].excluded) or 'none'}",
+              "paired sign tests, one-sided that the first is lower (ties dropped)",
+              sign_test("deploy attempts, codega-ucb vs dkmt-ucb, by task and model seed",
+                        [(attempts["codega", s][t], attempts["dkmt", s][t]) for s in seeds for t in attempts["mean", 0]]),
+              sign_test("deploy attempts, codega-ucb vs mean (model seed 0), by task",
+                        [(attempts["codega", 0][t], attempts["mean", 0][t]) for t in attempts["mean", 0]])]
+    lines += [sign_test(f"{shot}-shot MAE, codega vs dkmt, by task and model seed", [
+        (a.mae, b.mae) for s in seeds for a, b in zip(mae["codega", s].rows, mae["dkmt", s].rows) if a.shot == shot])
+        for shot in mae["codega", 0].shots]
+    (out / "HEADLINE.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    print("\n".join(lines))
     return 0
 
 

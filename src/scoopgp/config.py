@@ -175,7 +175,10 @@ def apply_overrides(cfg: RunConfig, overrides: dict) -> RunConfig:
     return RunConfig(**sections)
 
 
-def load_config(path: str, base: RunConfig | None = None) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        overrides = parse_config_text(fh.read())
-    return apply_overrides(base if base is not None else RunConfig(), overrides)
+def load_config(path: str) -> RunConfig:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from None
+    return apply_overrides(RunConfig(), parse_config_text(text))

@@ -147,7 +147,7 @@ def network_from_checkpoint(spec_dict, values) -> tuple:
     try:
         spec = NetworkSpec.from_dict(spec_dict)
         return spec, ParamVector(values, spec.param_layout())
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise SerializationError(f"bad network section in checkpoint: {exc!r}") from exc
 
 

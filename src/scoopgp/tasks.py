@@ -685,11 +685,21 @@ def write_database(prefix: str, datasets) -> tuple:
     return records_path, manifest_path
 
 
-def _parse_float(token: str, path: str, line: int, fieldname: str) -> float:
+def _parse_number(kind, token: str, path: str, line: int, fieldname: str):
     try:
-        return float(token)
+        return kind(token)
     except ValueError as exc:
-        raise IngestError(f"cannot parse number {token!r}", path, line, fieldname) from exc
+        raise IngestError(f"cannot parse {kind.__name__} {token!r}", path, line, fieldname) from exc
+
+
+def _text_lines(path: str):
+    """(line number, stripped line) for each line of a UTF-8 text file, read one at a time."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                yield lineno, raw.strip()
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"file is not UTF-8 text: {exc}", path) from None
 
 
 def read_database(path: str) -> list:
@@ -711,67 +721,60 @@ def read_database(path: str) -> list:
 
     manifest = {}
     order = []
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 5:
-                raise IngestError(f"manifest line has {len(parts)} fields, expected 5", manifest_path, lineno)
-            task_id, comp, mats, n_records, feature_dim = parts
-            if comp not in COMPOSITIONS:
-                raise IngestError(f"unknown composition {comp!r}", manifest_path, lineno, "composition")
-            if task_id in manifest:
-                raise IngestError(f"duplicate task {task_id!r}", manifest_path, lineno, "task_id")
-            manifest[task_id] = {
-                "composition": comp,
-                "materials": tuple(mats.split(",")),
-                "n_records": int(n_records),
-                "feature_dim": int(feature_dim),
-                "rows": [],
-            }
-            order.append(task_id)
+    for lineno, line in _text_lines(manifest_path):
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 5:
+            raise IngestError(f"manifest line has {len(parts)} fields, expected 5", manifest_path, lineno)
+        task_id, comp, mats, n_records, feature_dim = parts
+        if comp not in COMPOSITIONS:
+            raise IngestError(f"unknown composition {comp!r}", manifest_path, lineno, "composition")
+        if task_id in manifest:
+            raise IngestError(f"duplicate task {task_id!r}", manifest_path, lineno, "task_id")
+        manifest[task_id] = {
+            "composition": comp,
+            "materials": tuple(mats.split(",")),
+            "n_records": _parse_number(int, n_records, manifest_path, lineno, "n_records"),
+            "feature_dim": _parse_number(int, feature_dim, manifest_path, lineno, "feature_dim"),
+            "rows": [],
+        }
+        order.append(task_id)
 
-    with open(records_path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) < 10:
-                raise IngestError(f"record has {len(parts)} fields, expected at least 10", records_path, lineno)
-            task_id = parts[0]
-            if task_id not in manifest:
-                raise IngestError(f"record for task {task_id!r} missing from manifest", records_path, lineno, "task_id")
-            entry = manifest[task_id]
-            mats = tuple(parts[1].split(","))
-            if mats != entry["materials"]:
-                raise IngestError(f"material ids {mats} disagree with manifest {entry['materials']}", records_path, lineno, "material_ids")
-            if parts[2] != entry["composition"]:
-                raise IngestError(f"composition {parts[2]!r} disagrees with manifest", records_path, lineno, "composition")
-            x = _parse_float(parts[3], records_path, lineno, "x")
-            y = _parse_float(parts[4], records_path, lineno, "y")
-            try:
-                yaw_index = int(parts[5])
-            except ValueError as exc:
-                raise IngestError(f"bad yaw index {parts[5]!r}", records_path, lineno, "yaw_index") from exc
-            depth = _parse_float(parts[6], records_path, lineno, "depth")
-            stiffness = parts[7]
-            reward = _parse_float(parts[8], records_path, lineno, "reward")
-            feats = np.array([_parse_float(t, records_path, lineno, "features") for t in parts[9:]])
-            if feats.shape[0] != entry["feature_dim"]:
-                raise IngestError(
-                    f"feature count {feats.shape[0]} does not match manifest dim {entry['feature_dim']}",
-                    records_path, lineno, "features",
-                )
-            if reward < 0.0 or not np.isfinite(reward):
-                raise IngestError(f"reward {reward} must be finite and non-negative", records_path, lineno, "reward")
-            try:
-                action = ScoopAction(x, y, yaw_index, depth, stiffness)
-            except ValueError as exc:
-                raise IngestError(str(exc), records_path, lineno, "action") from exc
-            entry["rows"].append(ScoopRecord(action, reward, feats))
+    for lineno, line in _text_lines(records_path):
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) < 10:
+            raise IngestError(f"record has {len(parts)} fields, expected at least 10", records_path, lineno)
+        task_id = parts[0]
+        if task_id not in manifest:
+            raise IngestError(f"record for task {task_id!r} missing from manifest", records_path, lineno, "task_id")
+        entry = manifest[task_id]
+        mats = tuple(parts[1].split(","))
+        if mats != entry["materials"]:
+            raise IngestError(f"material ids {mats} disagree with manifest {entry['materials']}", records_path, lineno, "material_ids")
+        if parts[2] != entry["composition"]:
+            raise IngestError(f"composition {parts[2]!r} disagrees with manifest", records_path, lineno, "composition")
+        x = _parse_number(float, parts[3], records_path, lineno, "x")
+        y = _parse_number(float, parts[4], records_path, lineno, "y")
+        yaw_index = _parse_number(int, parts[5], records_path, lineno, "yaw_index")
+        depth = _parse_number(float, parts[6], records_path, lineno, "depth")
+        stiffness = parts[7]
+        reward = _parse_number(float, parts[8], records_path, lineno, "reward")
+        feats = np.array([_parse_number(float, t, records_path, lineno, "features") for t in parts[9:]])
+        if feats.shape[0] != entry["feature_dim"]:
+            raise IngestError(
+                f"feature count {feats.shape[0]} does not match manifest dim {entry['feature_dim']}",
+                records_path, lineno, "features",
+            )
+        if reward < 0.0 or not np.isfinite(reward):
+            raise IngestError(f"reward {reward} must be finite and non-negative", records_path, lineno, "reward")
+        try:
+            action = ScoopAction(x, y, yaw_index, depth, stiffness)
+        except ValueError as exc:
+            raise IngestError(str(exc), records_path, lineno, "action") from exc
+        entry["rows"].append(ScoopRecord(action, reward, feats))
 
     datasets = []
     for task_id in order:

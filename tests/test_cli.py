@@ -280,6 +280,38 @@ def test_report_renders_tables(mae_report_path, deploy_report_path, capsys):
     assert "avg attempts" in out and "ucb" in out
 
 
+def test_report_keeps_each_models_rows_apart(cli_dir, codega_ckpt, mae_report_path,
+                                             deploy_report_path, tmp_path, capsys):
+    data = str(cli_dir / "fam.test.records.txt")
+    dkmt = tmp_path / "dkmt.bin"
+    assert main(["train", "--data", str(cli_dir / "fam.train.records.txt"), "--method", "dkmt",
+                 "--out", str(dkmt), *FAST_TRAIN]) == 0
+    assert main(["eval-mae", "--data", data, "--model", str(dkmt), "--out", str(tmp_path / "dkmt.mae.txt"),
+                 *SMALL_EVAL]) == 0
+    assert main(["deploy", "--data", data, "--model", str(dkmt), "--out", str(tmp_path / "dkmt.deploy.txt"),
+                 *SMALL_DEPLOY]) == 0
+    capsys.readouterr()
+    maes = [read_mae_report(str(p)) for p in (mae_report_path, tmp_path / "dkmt.mae.txt")]
+    deploys = [read_deploy_report(str(p)) for p in (deploy_report_path, tmp_path / "dkmt.deploy.txt")]
+    assert maes[0].checkpoint != maes[1].checkpoint
+
+    assert main(["report", str(mae_report_path), str(tmp_path / "dkmt.mae.txt"),
+                 str(deploy_report_path), str(tmp_path / "dkmt.deploy.txt")]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    for rep in maes:
+        cells = [f"{rep.aggregate(s)[i]:.1f}" for i in (0, 1) for s in rep.shots]
+        assert rows.count([f"kshot-mae@{rep.checkpoint}", *cells]) == 1
+    for rep in deploys:
+        cells = [f"{rep.avg_attempts:.1f}", str(rep.max_attempts), f"{rep.success_rate:.2f}"]
+        assert rows.count([f"ucb@{rep.checkpoint}", *cells]) == 1
+
+    again = tmp_path / "again.deploy.txt"
+    again.write_bytes(deploy_report_path.read_bytes())
+    assert main(["report", str(deploy_report_path), str(again)]) == 1
+    err = capsys.readouterr().err
+    assert str(deploy_report_path) in err and str(again) in err
+
+
 def test_report_rejects_unknown_file(tmp_path, capsys):
     bogus = tmp_path / "notes.txt"
     bogus.write_text("hello\n")
@@ -316,6 +348,14 @@ def test_missing_config_file(tmp_path, capsys):
                str(tmp_path / "nope.cfg")])
     assert rc == 1
     assert "config file not found" in capsys.readouterr().err
+
+
+def test_config_file_that_is_not_utf8_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"gen.rho = 0.5  # \xe9\n")
+    rc = main(["gen", "--prefix", str(tmp_path / "x"), "--config", str(cfg)])
+    assert rc == 1
+    assert "is not UTF-8 text" in capsys.readouterr().err
 
 
 def test_bad_overrides_exit_1(tmp_path, capsys):
@@ -531,3 +571,27 @@ def test_bench_record_refuses_a_paired_run_that_failed_a_check(tmp_path, fault):
                            "--change", str(tmp_path / "change"), "--out", str(out)])
     assert "change run offline-s1-t0" in str(exc.value.code) and "offline-s0" not in str(exc.value.code)
     assert not out.exists()
+
+
+def test_run_benchmark_drives_every_stage_and_reruns_identically(tmp_path, capsys):
+    run_benchmark = _load_script("run_benchmark")
+    argv = ["--seed", "5", "--set", "train.folds=2", *SMALL_GEN, *FAST_TRAIN, *SMALL_EVAL, *SMALL_DEPLOY]
+    for out in ("a", "b"):
+        assert run_benchmark.main(argv + ["--out", str(tmp_path / out)]) == 0
+    capsys.readouterr()
+
+    a = tmp_path / "a"
+    stems = [f"{m}-s0" for m in ("codega", "dkmt", "mean-only")]
+    expected = ["fam.train.records.txt", "fam.test.records.txt", "fam.terrains.bin", "mean.deploy.txt",
+                "random.deploy.txt", "HEADLINE.txt", *(f"{stem}.bin" for stem in stems),
+                *(f"{stem}.mae.txt" for stem in stems), "codega-s0.ucb.deploy.txt", "dkmt-s0.ucb.deploy.txt"]
+    assert [name for name in expected if not (a / name).exists()] == []
+    checkpoints = {m: read_mae_report(str(a / f"{m}-s0.mae.txt")).checkpoint for m in ("codega", "dkmt")}
+    assert checkpoints["codega"] != checkpoints["dkmt"]
+    headline = (a / "HEADLINE.txt").read_text()
+    for m, ckpt in checkpoints.items():
+        assert read_deploy_report(str(a / f"{m}-s0.ucb.deploy.txt")).checkpoint == ckpt
+        assert f"kshot-mae@{ckpt}" in headline and f"ucb@{ckpt}" in headline
+        assert f"{ckpt}  {m} seed 0" in headline
+    assert "codega-ucb vs dkmt-ucb" in headline and "2-shot MAE, codega vs dkmt" in headline
+    assert (tmp_path / "b" / "HEADLINE.txt").read_bytes() == (a / "HEADLINE.txt").read_bytes()

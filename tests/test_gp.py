@@ -450,3 +450,6 @@ def test_model_checkpoint_rejects_a_corrupt_network_section():
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     with pytest.raises(SerializationError):
         model_from_bytes(head + data[nl:])
+    # a width of 1e999 parses as float infinity, which int() cannot convert
+    with pytest.raises(SerializationError):
+        model_from_bytes(data.replace(b'"output_dim":1', b'"output_dim":1e999', 1))

@@ -1,0 +1,131 @@
+"""Every reader of a file the package writes either returns or raises one of
+the package's typed errors, whatever the bytes it is given.
+
+Each case starts from a valid file and applies a few random mutations:
+a token swapped for a troublesome one, bytes replaced (non-UTF-8 included),
+or the file cut short. Binary containers are mutated in their JSON header
+line, where a change reaches the reader's own checks rather than the raw
+blocks.
+"""
+
+import re
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from scoopgp.bench import (DeployReport, DeployRow, MaeReport, MaeRow, read_deploy_report,
+                           read_mae_report, write_deploy_report, write_mae_report)
+from scoopgp.config import load_config
+from scoopgp.errors import ConfigError, IngestError, SerializationError
+from scoopgp.gp import model_from_bytes, model_to_bytes
+from scoopgp.serialize import container_bytes, parse_container
+from scoopgp.tasks import (generate_materials, generate_task, load_terrains, read_database,
+                           save_terrains, write_database)
+
+from helpers import random_model, toy_dataset
+
+TYPED = (ConfigError, IngestError, SerializationError)
+
+TOKENS = [b"", b"0", b"-1", b"2", b"1e999", b"-1e400", b"Infinity", b"NaN", b"nan", b"-inf", b"x", b"\xff\xfe", b",", b"=", b"#", b":",
+          b"\n", b"{}", b"[]", b"null", b"true", b'"a"', b"99999999999", b"0.5", b"single", b"none"]
+
+_SEPARATORS = re.compile(rb"([\s,:=\[\]{}\"]+)")
+
+
+def _config_text() -> bytes:
+    return (b"# run\ngen.rho = 0.3\ntrain.folds = 2\ntrain.train_kernel_head = off\n"
+            b"bench.shots = 0,5\nmodel.kernel_hidden = 32:tanh,16:tanh\n")
+
+
+def _write_samples(root) -> dict:
+    """{case: (files, reader)}: the valid bytes of each file a case reads, by
+    path, and a call that reads them back."""
+    p = str(root)
+    write_database(f"{p}/db", [toy_dataset("a", [[1.0, 2.0], [3.0, 4.0]], [5.0, 6.0]),
+                               toy_dataset("b", [[0.5, 0.5]], [1.0], "mixture", ("m1", "m2"))])
+    write_mae_report(f"{p}/r.mae.txt", MaeReport("kshot-mae", 0, "c1", 2, (0, 5), (
+        MaeRow("a", 0, 2.0, 4.0), MaeRow("a", 5, 1.5, 3.0)), {}))
+    write_deploy_report(f"{p}/r.deploy.txt", DeployReport(
+        "ucb", 0, "c1", 20, 2, (DeployRow("a", 0, 3, True), DeployRow("a", 1, 20, False)), ("b",)))
+    pool = generate_materials(2, 1, 0.7, 0)
+    save_terrains(f"{p}/t.bin", [generate_task("t0", pool.training[:2], "layers", 0)])
+    with open(f"{p}/run.conf", "wb") as fh:
+        fh.write(_config_text())
+    model = model_to_bytes(random_model(4, 0))
+    container = container_bytes("probe", {"k": [1, 2]}, [[1.0, 2.0], [[3]]])
+
+    def files(*names):
+        out = {}
+        for name in names:
+            with open(f"{p}/{name}", "rb") as fh:
+                out[f"{p}/{name}"] = fh.read()
+        return out
+
+    return {
+        "read_database": (files("db.records.txt", "db.manifest.txt"), lambda: read_database(f"{p}/db")),
+        "read_mae_report": (files("r.mae.txt"), lambda: read_mae_report(f"{p}/r.mae.txt")),
+        "read_deploy_report": (files("r.deploy.txt"), lambda: read_deploy_report(f"{p}/r.deploy.txt")),
+        "load_terrains": (files("t.bin"), lambda: load_terrains(f"{p}/t.bin")),
+        "load_config": (files("run.conf"), lambda: load_config(f"{p}/run.conf")),
+        "parse_container": ({f"{p}/c.bin": container}, lambda: parse_container(_read(f"{p}/c.bin"))),
+        "model_from_bytes": ({f"{p}/m.bin": model}, lambda: model_from_bytes(_read(f"{p}/m.bin"))),
+    }
+
+
+def _read(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+@st.composite
+def _mutated(draw, data: bytes) -> bytes:
+    # containers: mutate the JSON header line and keep the blocks after it
+    binary = data.startswith(b'{"blocks"')
+    head, tail = (data.split(b"\n", 1)[0], data[data.index(b"\n"):]) if binary else (data, b"")
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["token", "bytes", "cut"]))
+        if kind == "token":
+            parts = _SEPARATORS.split(head)  # separators at the odd indices
+            parts[2 * draw(st.integers(0, len(parts) // 2))] = draw(st.sampled_from(TOKENS))
+            head = b"".join(parts)
+        elif kind == "bytes":
+            i = draw(st.integers(0, len(head)))
+            head = head[:i] + draw(st.binary(min_size=0, max_size=3)) + head[i + draw(st.integers(0, 3)):]
+        else:
+            cut = draw(st.integers(0, len(head) + len(tail)))
+            head, tail = (head + tail)[:cut], b""
+    return head + tail
+
+
+@pytest.fixture(scope="module")
+def samples(tmp_path_factory):
+    return _write_samples(tmp_path_factory.mktemp("readers"))
+
+
+CASES = ["read_database", "read_mae_report", "read_deploy_report",
+         "load_terrains", "load_config", "parse_container", "model_from_bytes"]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_readers_accept_the_valid_files(samples, case):
+    files, reader = samples[case]
+    for path, valid in files.items():
+        with open(path, "wb") as fh:
+            fh.write(valid)
+    assert reader()
+
+
+@pytest.mark.parametrize("case", CASES)
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_readers_raise_only_typed_errors_on_mutated_files(samples, case, data):
+    files, reader = samples[case]
+    target = data.draw(st.sampled_from(sorted(files)))
+    for path, valid in files.items():
+        with open(path, "wb") as fh:
+            fh.write(data.draw(_mutated(valid)) if path == target else valid)
+    try:
+        reader()
+    except TYPED:
+        pass

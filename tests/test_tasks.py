@@ -583,6 +583,21 @@ def test_read_database_validates_schema(tmp_path, world):
     with pytest.raises(IngestError, match="duplicate"):
         read_database(prefix)
 
+    for column, field in ((3, "n_records"), (4, "feature_dim")):
+        broken_m = manifest_lines.copy()
+        parts = broken_m[mbody].split()
+        parts[column] = "2.5"
+        broken_m[mbody] = " ".join(parts) + "\n"
+        rewrite(lines_m=broken_m)
+        with pytest.raises(IngestError, match=field):
+            read_database(prefix)
+
+    rewrite()
+    with open(records_path, "ab") as fh:
+        fh.write(b"\xff\xfe not UTF-8\n")
+    with pytest.raises(IngestError, match="not UTF-8"):
+        read_database(prefix)
+
 
 def test_ingest_reports_global_statistics(tmp_path, world):
     prefix = str(tmp_path / "fam")
