@@ -239,29 +239,34 @@ def eval_simulated_deployment(methods: dict, datasets, budget: int = 20, trials:
     whose threshold falls below exclude_below are dropped (the barely
     scoopable analog) and named in every report. Attempts count the
     episodes run; a failed run counts the full budget. Each task's
-    candidate rows are built once per method and shared by its trials.
+    candidate rows are built once per method and shared by its trials. A
+    deterministic scorer's episode does not depend on its seed, so it runs
+    once per task and every trial's row repeats it; random runs each trial
+    with its own seed.
     """
     included = []
     excluded = []
     for ds in datasets:
-        if deployment_threshold(ds, threshold_rank) < exclude_below:
+        B = deployment_threshold(ds, threshold_rank)
+        if B < exclude_below:
             excluded.append(ds.task_id)
         else:
-            included.append(ds)
+            included.append((ds, B))
     if not included:
         raise ValueError("every task fell below the deployment threshold floor")
 
     out = {}
     for mi, (name, (model, scorer)) in enumerate(sorted(methods.items())):
         rows = []
-        for ds in included:
-            B = deployment_threshold(ds, threshold_rank)
+        for ds, B in included:
             target = DatasetTarget(ds, dataset_pool(model, ds))
+            trace = None
             for trial in range(trials):
-                run_seed = np.random.SeedSequence(
-                    [int(seed) & 0xFFFFFFFF, _task_tag(ds.task_id), mi, trial]
-                ).generate_state(1)[0]
-                trace = run_deployment(model, scorer, target, B, budget, int(run_seed))
+                if trace is None or not scorer.deterministic:
+                    run_seed = np.random.SeedSequence(
+                        [int(seed) & 0xFFFFFFFF, _task_tag(ds.task_id), mi, trial]
+                    ).generate_state(1)[0]
+                    trace = run_deployment(model, scorer, target, B, budget, int(run_seed))
                 rows.append(DeployRow(ds.task_id, trial, trace.attempts, trace.success))
         out[name] = DeployReport(
             method=name,

@@ -21,12 +21,10 @@ from .tasks import (
     CELL,
     DRAG_LEN,
     SCOOP_W,
+    ActionGrid,
     ScoopAction,
     TaskDataset,
     TerrainTask,
-    action_feasible,
-    compute_features_batch,
-    enumerate_action_grid,
     reward_oracle,
 )
 
@@ -49,6 +47,13 @@ class ScorerConfig:
     def __post_init__(self):
         if self.kind not in SCORER_KINDS:
             raise ValueError(f"scorer kind must be one of {SCORER_KINDS}, got {self.kind!r}")
+
+    @property
+    def deterministic(self) -> bool:
+        """Whether a dataset-mode episode is the same whatever its seed:
+        only random draws from the seed there (live mode's reward noise
+        draws from it for every kind)."""
+        return self.kind != "random"
 
 
 def score(model: DeepGpModel | None, scorer: ScorerConfig, support_x, support_y, candidates,
@@ -139,7 +144,8 @@ def dataset_pool(model: DeepGpModel | None, dataset: TaskDataset):
 
 @dataclass(frozen=True)
 class LiveTarget:
-    """Score the full action grid against a synthetic terrain."""
+    """Score the full action grid (an ActionGrid, built per deployment)
+    against a synthetic terrain."""
 
     task: TerrainTask
 
@@ -170,10 +176,10 @@ def run_deployment(model, scorer: ScorerConfig, target, threshold: float, budget
 
     Every executed observation below the threshold is appended to the
     support set before the next episode, so adaptive scorers condition on
-    all failures so far. A target supplies the actions, a mask of the ones
-    still allowed, the candidate inputs and support rows of the current
-    step, an execute step that returns the observed reward, and a keep
-    step that adds a failed candidate to the support.
+    all failures so far. A target supplies a mask of the actions still
+    allowed, the candidate inputs and support rows of the current step, the
+    action at a candidate index, an execute step that returns the observed
+    reward, and a keep step that adds a failed candidate to the support.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -190,35 +196,31 @@ def run_deployment(model, scorer: ScorerConfig, target, threshold: float, budget
                 f"task {ds.task_id}: no recorded reward reaches the threshold {threshold:.3g} "
                 f"(max is {rewards.max():.3g})"
             )
-        task_id, actions = ds.task_id, [r.action for r in ds.records]
+        task_id, action_at = ds.task_id, [r.action for r in ds.records].__getitem__
         allowed = np.ones(len(ds), dtype=bool)
         failed = []
 
         def candidates():
             return pool, pool[failed]
 
-        def execute(idx):
+        def execute(idx, action):
             allowed[idx] = False
             return float(rewards[idx])
 
         def keep(X, idx):
             failed.append(idx)
     elif isinstance(target, LiveTarget):
-        task = target.task.copy()
-        task_id, actions = task.id, enumerate_action_grid()
-        allowed = np.array([action_feasible(a) for a in actions])
-        # the action columns of assemble_gp_input, which stay fixed across steps
-        depth_norm = np.array([a.depth_norm for a in actions])
-        stiffness = np.array([a.stiffness_bit for a in actions])
+        task, grid = target.task.copy(), ActionGrid()
+        task_id, action_at, allowed = task.id, grid.action, grid.feasible.copy()
         failed = []
 
         def candidates():
-            return np.column_stack([compute_features_batch(task, actions), depth_norm, stiffness]), failed
+            return grid.gp_inputs(task), failed
 
-        def execute(idx):
+        def execute(idx, action):
             noise_seed = int(rng.integers(0, 2 ** 31 - 1))
-            reward = float(reward_oracle(task, [actions[idx]], noise_seed)[0])
-            _scoop_terrain(task, actions[idx], reward)
+            reward = float(reward_oracle(task, [action], noise_seed)[0])
+            _scoop_terrain(task, action, reward)
             return reward
 
         def keep(X, idx):
@@ -232,12 +234,13 @@ def run_deployment(model, scorer: ScorerConfig, target, threshold: float, budget
         X, support_x = candidates()
         scores = score(model, scorer, support_x, support_y, X, rng)
         idx = select_action(scores, allowed)
-        reward = execute(idx)
+        action = action_at(idx)
+        reward = execute(idx, action)
         success = bool(reward >= threshold)
         if not success:
             keep(X, idx)
             support_y.append(reward)
-        episodes.append(EpisodeStep(actions[idx], float(scores[idx]), reward, len(support_y)))
+        episodes.append(EpisodeStep(action, float(scores[idx]), reward, len(support_y)))
         if success or not allowed.any():
             break
     return DeploymentTrace(task_id, float(threshold), int(budget), tuple(episodes), success)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
@@ -267,6 +268,19 @@ class ScoopAction:
         return 1.0 if self.stiffness == "hard" else 0.0
 
 
+class Placement(NamedTuple):
+    """Where a scoop starts and which way it drags. An action's
+    feasibility and observation features depend on nothing else."""
+
+    x: float
+    y: float
+    yaw_index: int
+
+    @property
+    def yaw(self) -> float:
+        return self.yaw_index * (2.0 * np.pi / N_YAWS)
+
+
 def action_feasible(action: ScoopAction) -> bool:
     """The full drag segment must stay inside the tray."""
     ex = action.x + np.cos(action.yaw) * DRAG_LEN
@@ -274,20 +288,47 @@ def action_feasible(action: ScoopAction) -> bool:
     return 0.0 <= ex <= TRAY_W and 0.0 <= ey <= TRAY_H
 
 
+# The deployment grid: 15 x positions 3 cm apart and 12 y positions 2 cm
+# apart, centred on the tray, times 8 yaws give its 1440 placements; 4
+# depths times 2 stiffness levels are the 8 settings tried at each one.
+GRID_XS = tuple(float(x) for x in 0.5 * (TRAY_W - 14 * 0.03) + 0.03 * np.arange(15))
+GRID_YS = tuple(float(y) for y in 0.5 * (TRAY_H - 11 * 0.02) + 0.02 * np.arange(12))
+GRID_SETTINGS = tuple((float(d), stiff) for d in DEPTH_MIN + (DEPTH_MAX - DEPTH_MIN) / 3.0 * np.arange(4)
+                      for stiff in STIFFNESS_LEVELS)
+
+
 def enumerate_action_grid() -> list:
-    """The deployment grid: 15 x positions (3 cm apart), 12 y positions
-    (2 cm apart), 8 yaws, 4 depths, 2 stiffness levels; 11520 actions."""
-    xs = 0.5 * (TRAY_W - 14 * 0.03) + 0.03 * np.arange(15)
-    ys = 0.5 * (TRAY_H - 11 * 0.02) + 0.02 * np.arange(12)
-    depths = DEPTH_MIN + (DEPTH_MAX - DEPTH_MIN) / 3.0 * np.arange(4)
-    actions = []
-    for x in xs:
-        for y in ys:
-            for yaw in range(N_YAWS):
-                for d in depths:
-                    for stiff in STIFFNESS_LEVELS:
-                        actions.append(ScoopAction(float(x), float(y), yaw, float(d), stiff))
-    return actions
+    """The 11520 grid actions in grid order: by x, then y, yaw index and
+    setting (GRID_SETTINGS, depth then stiffness)."""
+    return [ScoopAction(x, y, yaw, depth, stiff)
+            for x in GRID_XS for y in GRID_YS for yaw in range(N_YAWS) for depth, stiff in GRID_SETTINGS]
+
+
+class ActionGrid:
+    """The deployment grid held as placements x GRID_SETTINGS: action i is
+    setting i % 8 at placement i // 8, the order of enumerate_action_grid.
+
+    Feasibility and features depend only on the placement, so both are
+    computed once per placement and repeated over its settings, and a
+    ScoopAction is built only when action(i) asks for one.
+    """
+
+    def __init__(self):
+        self.placements = [Placement(x, y, yaw) for x in GRID_XS for y in GRID_YS for yaw in range(N_YAWS)]
+        n = len(GRID_SETTINGS)
+        self.feasible = np.repeat([action_feasible(p) for p in self.placements], n)
+        # the action columns of assemble_gp_input, the same at every placement
+        first = [self.action(i) for i in range(n)]
+        self.action_columns = np.tile([(a.depth_norm, a.stiffness_bit) for a in first], (len(self.placements), 1))
+
+    def action(self, i: int) -> ScoopAction:
+        p = self.placements[i // len(GRID_SETTINGS)]
+        return ScoopAction(p.x, p.y, p.yaw_index, *GRID_SETTINGS[i % len(GRID_SETTINGS)])
+
+    def gp_inputs(self, task: TerrainTask) -> np.ndarray:
+        """Every action's GP input row against the task's current terrain."""
+        features = compute_features_batch(task, self.placements)
+        return np.column_stack([np.repeat(features, len(GRID_SETTINGS), axis=0), self.action_columns])
 
 
 def generate_heightmap(rng: np.random.Generator) -> np.ndarray:
@@ -397,11 +438,13 @@ def compute_features_batch(task: TerrainTask, actions, *, gradient=None) -> np.n
     Per action: the height relief profile along the drag axis, the mean
     signed gradient along the drag, the mean gradient magnitude and the
     height spread over a local patch rotated to the yaw, and the mean
-    surface appearance over the dragged cells. Purely a function of
-    (task state, action), so stored features can always be recomputed.
-    Actions are processed FEATURE_BLOCK rows at a time, which bounds the
-    memory of the per-point arrays. gradient is np.gradient(task.heightmap,
-    CELL), computed here unless the caller already has it.
+    surface appearance over the dragged cells. Purely a function of the
+    task state and the action's placement (only x, y and yaw_index are
+    read, so Placement rows serve too), so stored features can always be
+    recomputed. Actions are processed FEATURE_BLOCK rows at a time, which
+    bounds the memory of the per-point arrays. gradient is
+    np.gradient(task.heightmap, CELL), computed here unless the caller
+    already has it.
     """
     P = PATCH_CELLS
     gy, gx = np.gradient(task.heightmap, CELL) if gradient is None else gradient

@@ -6,8 +6,10 @@ import numpy as np
 
 from scipy.special import expit
 
+from scoopgp.bench import DeployReport, DeployRow, _task_tag, deployment_threshold
+from scoopgp.decide import DatasetTarget, dataset_pool, run_deployment
 from scoopgp.errors import ShapeError
-from scoopgp.gp import DeepGpModel, embed_batch, kernel_matrix, mean_eval_batch
+from scoopgp.gp import DeepGpModel, checkpoint_id, embed_batch, kernel_matrix, mean_eval_batch
 from scoopgp.nnet import (NetworkSpec, ParamVector, _act, _check_batch, init_params, params_from_layers,
                           split_params)
 from scoopgp.tasks import (
@@ -291,3 +293,42 @@ def reference_vjp(spec: NetworkSpec, params: ParamVector, X: np.ndarray, upstrea
         grad[layer.bias] = D.sum(axis=0)
         D = D @ layers[i][0]
     return params.replace_values(grad), D
+
+
+def reference_simulated_deployment(methods: dict, datasets, budget: int = 20, trials: int = 10, seed: int = 0,
+                                   exclude_below: float = 5.0, threshold_rank: int = 5) -> dict:
+    """bench.eval_simulated_deployment as it was before deterministic scorers
+    ran once per task: one seeded run_deployment call for every (task,
+    trial), whatever the scorer. The reference its reports must equal."""
+    included = []
+    excluded = []
+    for ds in datasets:
+        if deployment_threshold(ds, threshold_rank) < exclude_below:
+            excluded.append(ds.task_id)
+        else:
+            included.append(ds)
+    if not included:
+        raise ValueError("every task fell below the deployment threshold floor")
+
+    out = {}
+    for mi, (name, (model, scorer)) in enumerate(sorted(methods.items())):
+        rows = []
+        for ds in included:
+            B = deployment_threshold(ds, threshold_rank)
+            target = DatasetTarget(ds, dataset_pool(model, ds))
+            for trial in range(trials):
+                run_seed = np.random.SeedSequence(
+                    [int(seed) & 0xFFFFFFFF, _task_tag(ds.task_id), mi, trial]
+                ).generate_state(1)[0]
+                trace = run_deployment(model, scorer, target, B, budget, int(run_seed))
+                rows.append(DeployRow(ds.task_id, trial, trace.attempts, trace.success))
+        out[name] = DeployReport(
+            method=name,
+            seed=int(seed),
+            checkpoint=checkpoint_id(model) if model is not None else "none",
+            budget=int(budget),
+            trials=int(trials),
+            rows=tuple(rows),
+            excluded=tuple(excluded),
+        )
+    return out

@@ -25,13 +25,13 @@ from scoopgp.bench import (
     write_mae_report,
 )
 from scoopgp.config import RunConfig, apply_overrides
-from scoopgp.decide import ScorerConfig
+from scoopgp.decide import ScorerConfig, run_deployment
 from scoopgp.errors import ConfigError, IngestError
 from scoopgp.gp import DeepGpModel, condition, embed, posterior_batch
 from scoopgp.nnet import NetworkSpec, params_from_layers
 from scoopgp.tasks import DEPTH_MIN, ScoopAction, ScoopRecord, TaskDataset
 
-from helpers import identity_params, random_model, toy_dataset
+from helpers import identity_params, random_model, reference_simulated_deployment, toy_dataset
 
 
 def _linear_mean_model(d, w, bias=0.0):
@@ -370,6 +370,31 @@ def test_simulated_deployment_runs_and_excludes(world):
 
     with pytest.raises(ValueError, match="below the deployment threshold"):
         eval_simulated_deployment(methods, [weak], budget=10, trials=2, seed=2)
+
+
+def test_deterministic_scorers_replay_one_episode_per_task(world, codega_result, monkeypatch):
+    import scoopgp.bench as bench
+
+    calls = []
+
+    def counting_run_deployment(model, scorer, target, *args):
+        calls.append((scorer.kind, target.dataset.task_id))
+        return run_deployment(model, scorer, target, *args)
+
+    monkeypatch.setattr(bench, "run_deployment", counting_run_deployment)
+    model = codega_result.model
+    methods = {kind: (None if kind == "random" else model, ScorerConfig(kind=kind))
+               for kind in ("ucb", "greedy", "mean", "random")}
+    trials = 5
+    out = eval_simulated_deployment(methods, world.test_sets, budget=8, trials=trials, seed=3)
+    assert out == reference_simulated_deployment(methods, world.test_sets, budget=8, trials=trials, seed=3)
+
+    included = sorted({r.task_id for r in out["ucb"].rows})
+    assert included
+    for kind in methods:
+        assert ScorerConfig(kind=kind).deterministic == (kind != "random")
+        per_task = [task for k, task in calls if k == kind]
+        assert sorted(per_task) == sorted(included * (1 if kind != "random" else trials))
 
 
 def test_equal_rewards_need_exactly_one_attempt():

@@ -319,3 +319,22 @@ def test_live_candidates_equal_the_stacked_gp_input_rows(world, monkeypatch):
         feats = compute_features_batch(state, actions)
         assert np.array_equal(X, np.stack([assemble_gp_input(f, a) for f, a in zip(feats, actions)]))
         _scoop_terrain(state, step.action, step.reward)
+
+
+def test_live_grid_matches_the_enumerated_grid(world):
+    from scoopgp.tasks import (COMPOSITIONS, GRID_SETTINGS, ActionGrid, action_feasible, compute_features_batch,
+                               enumerate_action_grid)
+
+    grid = ActionGrid()
+    actions = enumerate_action_grid()
+    assert len(grid.placements) * len(GRID_SETTINGS) == len(actions) == len(grid.feasible) == 11520
+    assert [grid.action(i) for i in range(len(actions))] == actions
+    assert np.array_equal(grid.feasible, [action_feasible(a) for a in actions])
+    assert np.array_equal(grid.action_columns, [(a.depth_norm, a.stiffness_bit) for a in actions])
+
+    tasks = world.train_tasks + world.test_tasks
+    for composition in COMPOSITIONS:
+        task = next(t for t in tasks if t.composition == composition)
+        features = compute_features_batch(task, grid.placements)
+        assert np.array_equal(np.repeat(features, len(GRID_SETTINGS), axis=0),
+                              compute_features_batch(task, actions))
