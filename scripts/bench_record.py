@@ -9,11 +9,12 @@ tree: perfbench writes each run to `<workload>-s<seed>-t<trace>-*/` with a
 seed; run the two sides alternately, at the same seeds, so each pair sees
 the same phase of the host. For every end-to-end metric the file records,
 per side, the median, the minimum and the IQR over the median, and per pair
-the ratio change/parent with its median. It also records the check counts,
-the environment of each run and, when traced runs exist, the median of
-each per-layer metric. It refuses, exiting non-zero and naming the run,
-when a run it would record failed a check, and it prints how many runs on
-each side were taken under contention.
+the ratio change/parent with its median. Per workload, `quality_identical`
+says whether each quality metric (QUALITY) was equal in every pair. It also
+records the check counts, the environment of each run and, when traced runs
+exist, the median of each per-layer metric. It refuses, exiting non-zero
+and naming the run, when a run it would record failed a check, and it
+prints how many runs on each side were taken under contention.
 """
 
 import argparse
@@ -23,6 +24,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+QUALITY = ("mae_0shot", "mae_10shot", "top_mae_10shot", "ucb_avg_attempts")
 
 
 def load_runs(runs_dir: Path) -> dict:
@@ -73,6 +75,9 @@ def record(parent: dict, change: dict) -> dict:
             ratios = [cr["metrics"][name]["value"] / pr["metrics"][name]["value"]
                       for (pr, _), (cr, _) in zip(p, c)]
             entry["pairs"][name] = {"median_ratio": statistics.median(ratios), "ratios": ratios}
+        entry["quality_identical"] = all(pr["metrics"][name]["value"] == cr["metrics"][name]["value"]
+                                         for name in QUALITY if name in entry["parent"]["metrics"]
+                                         for (pr, _), (cr, _) in zip(p, c))
         traced = {}
         for label, runs in (("parent", parent), ("change", change)):
             metrics = [r["metrics"] for (w, _, t), (r, _) in sorted(runs.items()) if w == workload and t == 1]
@@ -115,6 +120,7 @@ def main(argv=None) -> int:
         contended = {label: sum(bool(env.get("contended")) for env in entry[label]["env"])
                      for label in ("parent", "change")}
         print(f"{workload}: {len(entry['seeds'])} pairs, iteration_s change/parent median {ratio:.3f}, "
+              f"quality identical {entry['quality_identical']}, "
               f"contended runs parent {contended['parent']} change {contended['change']}")
     return 0
 

@@ -9,8 +9,16 @@ is a second head on the same features. Posteriors are exact, and the
 negative log marginal likelihood comes with analytic gradients for every
 kernel-path parameter so it can drive training directly.
 
-A posterior has one factor path, `condition`: with L L^T = K + sigma^2 I
-over the support and one triangular solve of [Kqs^T | y - m(X)], it
+Squared distances come from the Gram identity |z_i|^2 + |z_j|^2 - 2 z_i.z_j,
+clamped at zero, so no (n, m, d) difference array is formed. One Cholesky
+factor L L^T = K + sigma^2 I (LAPACK potrf, with an escalating diagonal
+jitter when it fails) serves each call: the NLML reads
+alpha = (K + sigma^2 I)^-1 r from one potrs solve on it, and its gradient
+reads the inverse itself from potri on the same factor (Rasmussen &
+Williams 2006, Alg. 2.1 and eq. 5.9).
+
+A posterior has one factor path, `condition`: with that factor over the
+support and one triangular solve of [Kqs^T | y - m(X)], it
 returns V = L^-1 Kqs^T and beta = L^-1 (y - m(X)), from which the mean is
 m(q) + V^T beta and the latent variance k(q, q) - sum_i V_iq^2. Because
 forward substitution is prefix-consistent, the first s rows of V and beta
@@ -36,7 +44,7 @@ import hashlib
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import lapack, solve_triangular
 
 from .errors import NumericalError, SerializationError, ShapeError
 from .nnet import NetworkSpec, ParamVector, forward_batch, network_from_checkpoint, vjp
@@ -149,34 +157,58 @@ def mean_eval_batch(model: DeepGpModel, X) -> np.ndarray:
 
 
 def _sqdist(Z1: np.ndarray, Z2: np.ndarray) -> np.ndarray:
-    diff = Z1[:, None, :] - Z2[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    """Squared distances |z1_i - z2_j|^2 by the Gram identity, clamped at 0.
+
+    Against itself (Z2 is Z1) the norms are read off the product's
+    diagonal, so every d(z_i, z_i) is exactly 0; numpy forms Z @ Z.T as a
+    symmetric rank-k update, so the result is also exactly symmetric."""
+    D = Z1 @ Z2.T
+    if Z2 is Z1:
+        sq1 = sq2 = D.diagonal().copy()
+    else:
+        sq1, sq2 = np.einsum("ij,ij->i", Z1, Z1), np.einsum("ij,ij->i", Z2, Z2)
+    D *= -2.0
+    D += sq1[:, None]
+    D += sq2[None, :]
+    return np.maximum(D, 0.0, out=D)
+
+
+def _rbf(model: DeepGpModel, D2: np.ndarray, out=None) -> np.ndarray:
+    """Kernel values from squared distances, written to out when given."""
+    K = np.multiply(D2, -0.5 / np.exp(2.0 * model.log_lengthscale), out=out)
+    np.exp(K, out=K)
+    K *= model.outputscale
+    return K
 
 
 def kernel_matrix(model: DeepGpModel, Z1: np.ndarray, Z2: np.ndarray) -> np.ndarray:
-    s = model.outputscale
-    ell2 = np.exp(2.0 * model.log_lengthscale)
-    return s * np.exp(-0.5 * _sqdist(Z1, Z2) / ell2)
+    D2 = _sqdist(Z1, Z2)
+    return _rbf(model, D2, out=D2)
 
 
 def _chol_with_jitter(K: np.ndarray, scale: float):
-    """Cholesky with an escalating diagonal jitter, scaled by outputscale."""
+    """Lower Cholesky factor with an escalating diagonal jitter, scaled by
+    outputscale. The factor's upper triangle is zero, which nlml_grad's
+    symmetrized potri inverse relies on."""
+    if not np.isfinite(K).all():
+        raise ValueError("Gram matrix must not contain infs or NaNs")
     jitters = [0.0]
     j = JITTER_START
     while j <= JITTER_MAX * (1.0 + 1e-12):
         jitters.append(j)
         j *= 10.0
-    last = None
     for jit in jitters:
-        try:
-            L = np.linalg.cholesky(K + (jit * scale) * np.eye(K.shape[0]) if jit else K)
+        A = K
+        if jit:
+            A = K.copy()
+            A.flat[:: K.shape[0] + 1] += jit * scale
+        L, info = lapack.dpotrf(A, lower=1, clean=1)
+        if info == 0:
             return L, jit * scale
-        except np.linalg.LinAlgError as exc:
-            last = exc
     raise NumericalError(
         f"Gram matrix of size {K.shape[0]} not positive definite after jitter "
-        f"{JITTER_MAX * scale:.3e} (outputscale {scale:.3e})"
-    ) from last
+        f"{JITTER_MAX * scale:.3e} (outputscale {scale:.3e}; potrf info {info})"
+    )
 
 
 @dataclass(frozen=True)
@@ -212,8 +244,8 @@ def condition(model: DeepGpModel, support: Embedded, y, queries: Embedded):
     L^-1 (y - m_support) of shape (n,), and the diagonal jitter the
     factor needed (0.0 when none).
     """
-    n = len(support)
-    K = kernel_matrix(model, support.Z, support.Z) + np.exp(2.0 * model.log_noise) * np.eye(n)
+    K = kernel_matrix(model, support.Z, support.Z)
+    K.flat[:: len(support) + 1] += np.exp(2.0 * model.log_noise)
     L, jitter = _chol_with_jitter(K, model.outputscale)
     B = np.column_stack([kernel_matrix(model, queries.Z, support.Z).T, y - support.m])
     S = solve_triangular(L, B, lower=True)
@@ -291,17 +323,18 @@ def _nlml_core(model: DeepGpModel, X: np.ndarray, y: np.ndarray, mean_mode: str,
     else:
         resid = y
 
-    s = model.outputscale
+    if not np.isfinite(resid).all():
+        raise ValueError("targets and prior means must not contain infs or NaNs")
     ell2 = np.exp(2.0 * model.log_lengthscale)
     sigma2 = np.exp(2.0 * model.log_noise)
     D2 = _sqdist(Z, Z)
-    K = s * np.exp(-0.5 * D2 / ell2)
-    L, _ = _chol_with_jitter(K + sigma2 * np.eye(n), s)
-    # two triangular solves: cho_solve's one-column solve rounds differently,
-    # and alpha fixes every trained checkpoint
-    alpha = solve_triangular(L.T, solve_triangular(L, resid, lower=True), lower=False)
-    value = float(np.sum(np.log(np.diag(L))) + 0.5 * resid @ alpha + 0.5 * n * LOG_2PI)
-    return Z, ell2, sigma2, D2, K, L, alpha, pullbacks, value
+    K = _rbf(model, D2)
+    A = K.copy()
+    A.flat[:: n + 1] += sigma2
+    L, jitter = _chol_with_jitter(A, model.outputscale)
+    alpha = lapack.dpotrs(L, resid, lower=1)[0]
+    value = float(np.sum(np.log(L.diagonal())) + 0.5 * resid @ alpha + 0.5 * n * LOG_2PI)
+    return Z, ell2, sigma2, jitter, D2, K, L, alpha, pullbacks, value
 
 
 def nlml(model: DeepGpModel, X, y, mean_mode: str = "model") -> float:
@@ -334,14 +367,23 @@ def nlml_grad(
     if train_extractor and model.kernel_feature_params is not None:
         raise ValueError("cannot train the extractor while kernel_feature_params overrides it")
     pull = ("kernel",) + ("mean",) * train_mean + ("feature",) * train_extractor
-    Z, ell2, sigma2, D2, K, L, alpha, pullbacks, value = _nlml_core(model, X, y, mean_mode, pull)
+    Z, ell2, sigma2, jitter, D2, K, L, alpha, pullbacks, value = _nlml_core(model, X, y, mean_mode, pull)
 
-    Kinv = cho_solve((L, True), np.eye(L.shape[0]))
-    G = 0.5 * (Kinv - np.outer(alpha, alpha))
-    GK = G * K
-    g_log_os = float(GK.sum())
-    g_log_ls = float((GK * D2).sum() / ell2)
-    g_log_noise = float(2.0 * sigma2 * np.trace(G))
+    # G = (K^-1 - alpha alpha^T) / 2. potri fills the lower triangle of
+    # K^-1 and leaves the factor's zero upper triangle, so adding the
+    # transpose and halving the doubled diagonal symmetrizes it exactly.
+    Kinv_lower = lapack.dpotri(L, lower=1)[0]
+    G = np.add(Kinv_lower, Kinv_lower.T)
+    G.flat[:: G.shape[0] + 1] *= 0.5
+    G -= np.outer(alpha, alpha)
+    G *= 0.5
+    # the jitter scales with outputscale, so it enters d/dlog_os like the
+    # noise enters d/dlog_noise
+    trace_G = np.trace(G)
+    g_log_noise = float(2.0 * sigma2 * trace_G)
+    GK = np.multiply(G, K, out=G)
+    g_log_os = float(GK.sum() + jitter * trace_G)
+    g_log_ls = float(np.vdot(GK, D2) / ell2)
 
     # dL/dZ from dK_ij/dz_i = -K_ij (z_i - z_j) / ell^2, using symmetry of G*K
     row = GK.sum(axis=1)

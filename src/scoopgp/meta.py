@@ -28,7 +28,7 @@ import numpy as np
 
 from .config import ModelConfig, TrainConfig
 from .errors import ConfigError
-from .gp import DeepGpModel, nlml_grad
+from .gp import DeepGpModel, _sqdist, nlml_grad
 from .nnet import (
     NetworkSpec,
     ParamVector,
@@ -357,13 +357,9 @@ def build_residual_dataset(splits, datasets, seed, model_cfg: ModelConfig = Mode
 
 
 def _median_embed_heuristic(embeddings: np.ndarray) -> float:
-    n = embeddings.shape[0]
-    if n > 256:
-        embeddings = embeddings[:256]
-        n = 256
-    diff = embeddings[:, None, :] - embeddings[None, :, :]
-    d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    vals = d[np.triu_indices(n, k=1)]
+    embeddings = embeddings[:256]
+    d = np.sqrt(_sqdist(embeddings, embeddings))
+    vals = d[np.triu_indices(embeddings.shape[0], k=1)]
     med = float(np.median(vals)) if vals.size else 0.0
     return med if med > 1e-6 else 1.0
 

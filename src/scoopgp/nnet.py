@@ -163,19 +163,6 @@ def split_params(spec: NetworkSpec, params: ParamVector) -> list:
     return [(v[layer.weight].reshape(layer.shape), v[layer.bias]) for layer in spec.layers]
 
 
-def params_from_layers(spec: NetworkSpec, layers: list) -> ParamVector:
-    """Assemble a ParamVector from explicit (W, b) pairs."""
-    if len(layers) != len(spec.layers):
-        raise ShapeError(f"expected {len(spec.layers)} layers, got {len(layers)}")
-    flat = np.empty(spec.param_count())
-    for i, ((W, b), layer) in enumerate(zip(layers, spec.layers)):
-        if np.shape(W) != layer.shape or np.shape(b) != layer.shape[:1]:
-            raise ShapeError(f"layer {i} has shape {np.shape(W)}/{np.shape(b)}, layout wants {layer.shape}/{layer.shape[:1]}")
-        flat[layer.weight] = np.ravel(W)
-        flat[layer.bias] = b
-    return ParamVector(flat, spec.param_layout())
-
-
 def init_params(spec: NetworkSpec, seed) -> ParamVector:
     """He-uniform for relu layers, Xavier-uniform otherwise; zero biases."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)

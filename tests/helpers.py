@@ -10,8 +10,7 @@ from scoopgp.bench import DeployReport, DeployRow, _task_tag, deployment_thresho
 from scoopgp.decide import DatasetTarget, dataset_pool, run_deployment
 from scoopgp.errors import ShapeError
 from scoopgp.gp import DeepGpModel, checkpoint_id, embed_batch, kernel_matrix, mean_eval_batch
-from scoopgp.nnet import (NetworkSpec, ParamVector, _act, _check_batch, init_params, params_from_layers,
-                          split_params)
+from scoopgp.nnet import NetworkSpec, ParamVector, _act, _check_batch, init_params, split_params
 from scoopgp.tasks import (
     CELL,
     DEPTH_MIN,
@@ -45,6 +44,19 @@ from scoopgp.tasks import (
     TerrainTask,
     _bilinear,
 )
+
+
+def params_from_layers(spec: NetworkSpec, layers: list) -> ParamVector:
+    """Assemble a ParamVector from explicit (W, b) pairs."""
+    if len(layers) != len(spec.layers):
+        raise ShapeError(f"expected {len(spec.layers)} layers, got {len(layers)}")
+    flat = np.empty(spec.param_count())
+    for i, ((W, b), layer) in enumerate(zip(layers, spec.layers)):
+        if np.shape(W) != layer.shape or np.shape(b) != layer.shape[:1]:
+            raise ShapeError(f"layer {i} has shape {np.shape(W)}/{np.shape(b)}, layout wants {layer.shape}/{layer.shape[:1]}")
+        flat[layer.weight] = np.ravel(W)
+        flat[layer.bias] = b
+    return ParamVector(flat, spec.param_layout())
 
 
 def identity_params(spec: NetworkSpec) -> ParamVector:

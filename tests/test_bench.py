@@ -28,10 +28,10 @@ from scoopgp.config import RunConfig, apply_overrides
 from scoopgp.decide import ScorerConfig, run_deployment
 from scoopgp.errors import ConfigError, IngestError
 from scoopgp.gp import DeepGpModel, condition, embed, posterior_batch
-from scoopgp.nnet import NetworkSpec, params_from_layers
+from scoopgp.nnet import NetworkSpec
 from scoopgp.tasks import DEPTH_MIN, ScoopAction, ScoopRecord, TaskDataset
 
-from helpers import identity_params, random_model, reference_simulated_deployment, toy_dataset
+from helpers import identity_params, params_from_layers, random_model, reference_simulated_deployment, toy_dataset
 
 
 def _linear_mean_model(d, w, bias=0.0):

@@ -526,10 +526,11 @@ def _load_script(name: str):
     return module
 
 
-def _write_perfbench_run(run: Path, iteration_s: float, attempted=9, failed=0, correct=None, contended=False):
+def _write_perfbench_run(run: Path, iteration_s: float, attempted=9, failed=0, correct=None, contended=False,
+                         mae_10shot=14.5):
     """A perfbench run record: result.json and env.json in their own directory."""
     run.mkdir(parents=True)
-    metrics = {"iteration_s": {"value": iteration_s, "unit": "s"}}
+    metrics = {"iteration_s": {"value": iteration_s, "unit": "s"}, "mae_10shot": {"value": mae_10shot, "unit": "cm3"}}
     correct = failed == 0 if correct is None else correct
     (run / "result.json").write_text(json.dumps({"correct": correct, "attempted": attempted, "failed": failed,
                                                  "metrics": metrics}))
@@ -557,6 +558,18 @@ def test_bench_record_pairs_runs_by_workload_and_seed(tmp_path, capsys):
     assert online["parent"]["metrics"]["iteration_s"]["iqr_over_median"] == 0.2
     assert change["checks"] == {"attempted": [9, 10, 11], "failed": [0, 0, 0]}
     assert change["env"][0]["git_sha"] == "change"
+    assert online["quality_identical"] is True
+
+    # one quality value that differs in one pair clears the flag
+    _write_perfbench_run(tmp_path / "parent" / "offline-s0-t0-a", 4.0)
+    _write_perfbench_run(tmp_path / "change" / "offline-s0-t0-b", 3.0)
+    _write_perfbench_run(tmp_path / "parent" / "offline-s1-t0-a", 4.0)
+    _write_perfbench_run(tmp_path / "change" / "offline-s1-t0-b", 3.0, mae_10shot=14.500000001)
+    assert bench_record.main(["--pr", "1", "--parent", str(tmp_path / "parent"),
+                              "--change", str(tmp_path / "change"), "--out", str(out)]) == 0
+    workloads = json.loads(out.read_text())["workloads"]
+    assert workloads["online"]["quality_identical"] is True and workloads["offline"]["quality_identical"] is False
+    assert "offline: 2 pairs, iteration_s change/parent median 0.750, quality identical False" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("fault", [{"failed": 1}, {"correct": False}])

@@ -16,10 +16,10 @@ from scoopgp.decide import (
 )
 from scoopgp.errors import SelectionError
 from scoopgp.gp import DeepGpModel, mean_eval_batch, posterior_batch
-from scoopgp.nnet import NetworkSpec, params_from_layers
+from scoopgp.nnet import NetworkSpec
 from scoopgp.tasks import DEPTH_MIN, ScoopAction, ScoopRecord, TaskDataset
 
-from helpers import flat_task, identity_embedding_model, identity_params, random_model, toy_dataset
+from helpers import flat_task, identity_embedding_model, identity_params, params_from_layers, random_model, toy_dataset
 
 
 def _linear_mean_model(d, w, bias=0.0, log_noise=np.log(0.1)):

@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+import scoopgp.gp as gp
 from scoopgp.errors import NumericalError, SerializationError, ShapeError
 from scoopgp.gp import (
+    JITTER_START,
     DeepGpModel,
     Embedded,
     _chol_with_jitter,
+    _sqdist,
     checkpoint_id,
     condition,
     embed,
@@ -108,6 +111,24 @@ def test_gram_is_symmetric_and_positive_semidefinite():
         K = kernel_matrix(model, Z, Z)
         assert np.max(np.abs(K - K.T)) < 1e-12
         assert np.linalg.eigvalsh(K).min() >= -1e-8 * model.outputscale
+
+
+def test_sqdist_stays_nonnegative_and_accurate_under_cancellation():
+    # rows of norm ~1e3 that repeat or nearly repeat: the Gram identity
+    # subtracts numbers near 2e6 to get distances near 0
+    rng = np.random.default_rng(51)
+    base = rng.normal(size=(6, 8))
+    base *= 1e3 / np.linalg.norm(base, axis=1, keepdims=True)
+    Z = np.concatenate([base, base, base + 1e-7 * rng.normal(size=base.shape)])
+    sq = np.einsum("ij,ij->i", Z, Z)
+    bound = 1e-12 * (sq[:, None] + sq[None, :])
+    for Z2 in (Z, Z.copy()):  # against itself, and against an equal copy
+        D = _sqdist(Z, Z2)
+        diff = Z[:, None, :] - Z2[None, :, :]
+        assert D.min() >= 0.0
+        assert np.all(np.abs(D - np.einsum("ijk,ijk->ij", diff, diff)) <= bound)
+    model = random_model(8, seed=52, log_lengthscale=-0.5, log_outputscale=0.4)
+    assert np.max(np.abs(np.diag(kernel_matrix(model, Z, Z)) - model.outputscale)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +296,20 @@ def test_nlml_rejects_empty_and_mismatched_batches():
         nlml(model, np.zeros((2, 3)), np.zeros(2), mean_mode="median")
 
 
+def test_nlml_rejects_a_nan_target():
+    model = random_model(3, seed=32)
+    X = np.random.default_rng(33).normal(size=(4, 3))
+    y = np.array([0.5, np.nan, -0.2, 1.0])
+    for mean_mode in ("model", "zero"):
+        with pytest.raises(ValueError):
+            nlml(model, X, y, mean_mode=mean_mode)
+        with pytest.raises(ValueError):
+            nlml_grad(model, X, y, mean_mode=mean_mode)
+    X[2, 1] = np.nan
+    with pytest.raises(ValueError):
+        nlml(model, X, np.zeros(4))
+
+
 def _fd_scalar(f, x0, step=1e-6):
     return (f(x0 + step) - f(x0 - step)) / (2.0 * step)
 
@@ -294,28 +329,71 @@ def test_hyperparameter_gradients_match_finite_differences():
         assert abs(analytic - numeric) / max(abs(numeric), 1e-6) < 1e-4, name
 
 
-def test_network_gradients_match_finite_differences():
+def _check_network_gradients(model, X, y, grads, mean_mode="model"):
     from dataclasses import replace
 
-    model = random_model(4, seed=35, log_noise=np.log(0.4))
-    rng = np.random.default_rng(36)
-    X, y = rng.normal(size=(6, 4)), rng.normal(size=6)
-    value, grads = nlml_grad(model, X, y, train_extractor=True, train_mean=True)
-    assert value == nlml(model, X, y)
     step = 1e-5
     for field, params, g in (
         ("kernel_params", model.kernel_params, grads.kernel),
         ("feature_params", model.feature_params, grads.feature),
         ("mean_params", model.mean_params, grads.mean),
     ):
+        if g is None:
+            continue
         for i in range(len(params)):
             vp, vm = params.values.copy(), params.values.copy()
             vp[i] += step
             vm[i] -= step
-            fp = nlml(replace(model, **{field: params.replace_values(vp)}), X, y)
-            fm = nlml(replace(model, **{field: params.replace_values(vm)}), X, y)
+            fp = nlml(replace(model, **{field: params.replace_values(vp)}), X, y, mean_mode)
+            fm = nlml(replace(model, **{field: params.replace_values(vm)}), X, y, mean_mode)
             numeric = (fp - fm) / (2.0 * step)
             assert abs(g.values[i] - numeric) / max(abs(numeric), 1e-6) < 1e-4, (field, i)
+
+
+def test_network_gradients_match_finite_differences():
+    model = random_model(4, seed=35, log_noise=np.log(0.4))
+    rng = np.random.default_rng(36)
+    X, y = rng.normal(size=(6, 4)), rng.normal(size=6)
+    value, grads = nlml_grad(model, X, y, train_extractor=True, train_mean=True)
+    assert value == nlml(model, X, y)
+    _check_network_gradients(model, X, y, grads)
+
+
+def test_gradients_on_a_jittered_factor_match_finite_differences(monkeypatch):
+    # The offline training size, n = 100, with rows 0 and 1 equal and the
+    # noise below the Gram matrix's rounding, so the factor needs jitter.
+    # Outputscales that are squares of short binary fractions (4 = 2^2 and
+    # the outputscale steps below) make the first two pivots exact: the
+    # second is exactly 0, so every evaluation, the finite-difference ones
+    # included, fails unjittered and takes the first rung.
+    rungs = []
+
+    def recording_chol(K, scale):
+        L, jitter = _chol_with_jitter(K, scale)
+        rungs.append(jitter / scale)
+        return L, jitter
+
+    monkeypatch.setattr(gp, "_chol_with_jitter", recording_chol)
+    model = random_model(6, seed=6, log_lengthscale=-1.5, log_outputscale=np.log(4.0), log_noise=np.log(1e-9))
+    rng = np.random.default_rng(106)
+    X, y = rng.normal(size=(100, 6)), rng.normal(size=100)
+    X[1], y[1] = X[0], y[0]
+    os_lo, os_hi = np.log((2.0 - 2.0 ** -20) ** 2), np.log((2.0 + 2.0 ** -20) ** 2)
+    for mean_mode, train in (("model", True), ("zero", False)):
+        _, grads = nlml_grad(model, X, y, mean_mode, train_extractor=train, train_mean=train)
+
+        def f(**hyper):
+            return nlml(model.with_hypers(**hyper), X, y, mean_mode)
+
+        checks = {
+            "log_lengthscale": _fd_scalar(lambda v: f(log_lengthscale=v), model.log_lengthscale),
+            "log_noise": _fd_scalar(lambda v: f(log_noise=v), model.log_noise),
+            "log_outputscale": (f(log_outputscale=os_hi) - f(log_outputscale=os_lo)) / (os_hi - os_lo),
+        }
+        for name, numeric in checks.items():
+            assert abs(getattr(grads, name) - numeric) / max(abs(numeric), 1e-6) < 1e-4, (mean_mode, name)
+        _check_network_gradients(model, X, y, grads, mean_mode)
+    assert set(rungs) == {JITTER_START}
 
 
 def test_kernel_output_bias_is_held_at_zero():

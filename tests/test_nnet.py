@@ -14,12 +14,11 @@ from scoopgp.nnet import (
     init_params,
     network_from_checkpoint,
     optimizer_step,
-    params_from_layers,
     split_params,
     vjp,
 )
 
-from helpers import identity_params, reference_vjp
+from helpers import identity_params, params_from_layers, reference_vjp
 
 
 # ---------------------------------------------------------------------------
