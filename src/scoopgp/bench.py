@@ -20,7 +20,8 @@ import numpy as np
 from .config import check_shots
 from .decide import DatasetTarget, ScorerConfig, dataset_pool, run_deployment
 from .errors import IngestError
-from .gp import DeepGpModel, checkpoint_id, condition, embed, mean_eval_batch, posterior_batch
+from .gp import (DeepGpModel, checkpoint_id, condition_gram, embed, kernel_matrix, mean_eval_batch,
+                 posterior_batch)
 from .serialize import write_atomic
 
 # share of each task's records held out as queries in every evaluation trial
@@ -33,6 +34,21 @@ def _task_tag(task_id: str) -> int:
     return int.from_bytes(hashlib.sha256(task_id.encode("utf-8")).digest()[:4], "big")
 
 
+def _trial_rng(seed: int, tag: int, trial: int, stream: int):
+    return np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, tag, int(trial), stream]))
+
+
+def _query_split(seed: int, tag: int, trial: int, n_records: int):
+    perm = _trial_rng(seed, tag, trial, _QUERY_TAG).permutation(n_records)
+    n_query = max(1, int(np.floor(QUERY_FRACTION * n_records)))
+    n_query = min(n_query, n_records - 1) if n_records > 1 else 1
+    return perm[:n_query], perm[n_query:]
+
+
+def _shuffled(seed: int, tag: int, trial: int, pool: np.ndarray) -> np.ndarray:
+    return pool[_trial_rng(seed, tag, trial, _SUPPORT_TAG).permutation(len(pool))]
+
+
 def query_split(seed: int, task_id: str, trial: int, n_records: int):
     """Deterministic query/support-pool split for one evaluation trial.
 
@@ -40,20 +56,11 @@ def query_split(seed: int, task_id: str, trial: int, n_records: int):
     support set is later drawn, so zero-shot results are invariant to
     support sampling.
     """
-    rng = np.random.default_rng(
-        np.random.SeedSequence([int(seed) & 0xFFFFFFFF, _task_tag(task_id), int(trial), _QUERY_TAG])
-    )
-    perm = rng.permutation(n_records)
-    n_query = max(1, int(np.floor(QUERY_FRACTION * n_records)))
-    n_query = min(n_query, n_records - 1) if n_records > 1 else 1
-    return perm[:n_query], perm[n_query:]
+    return _query_split(seed, _task_tag(task_id), trial, n_records)
 
 
 def _support_order(seed: int, task_id: str, trial: int, pool: np.ndarray) -> np.ndarray:
-    rng = np.random.default_rng(
-        np.random.SeedSequence([int(seed) & 0xFFFFFFFF, _task_tag(task_id), int(trial), _SUPPORT_TAG])
-    )
-    return pool[rng.permutation(len(pool))]
+    return _shuffled(seed, _task_tag(task_id), trial, pool)
 
 
 @dataclass(frozen=True)
@@ -87,25 +94,25 @@ def _aggregate_rows(rows, shots) -> dict:
     return out
 
 
-def _shot_means(model: DeepGpModel, rows, y: np.ndarray, order: np.ndarray, q_idx: np.ndarray, shots):
-    """Posterior means at the queries for each shot count, the supports
-    being prefixes of order.
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
 
-    One factor of the largest support serves every shot: the first s rows
-    of V and beta belong to the s-point prefix, so the s-shot mean is
-    m(q) + sum_{i<s} V_i beta_i. A factor that needed jitter is not the
-    jittered factor of its prefixes, so then every shot is conditioned on
-    its own, with the jitter posterior_batch gives it.
+
+def _mae_rows(task_id: str, shots, mu: np.ndarray, yq: np.ndarray, top_k: int) -> list:
+    """One MaeRow per shot from every trial's query means in one pass.
+
+    mu holds the query means, shaped (trials, shots, queries); yq the query
+    rewards, shaped (trials, queries). The top-k MAE averages over each
+    trial's top_k largest-reward queries. Each trial's errors are averaged
+    over its queries, then the trials are summed in order and divided by
+    their count.
     """
-    queries = rows[q_idx]
-    top = order[:max(shots)]
-    if not len(top):
-        return [queries.m for _ in shots]
-    V, beta, jitter = condition(model, rows[top], y[top], queries)
-    if jitter:
-        return [posterior_batch(model, rows[order[:s]], y[order[:s]], queries)[0] for s in shots]
-    partial = np.cumsum(V * beta[:, None], axis=0)
-    return [queries.m + partial[s - 1] if s else queries.m for s in shots]
+    err = np.abs(mu - yq[:, None, :])
+    top = np.take_along_axis(err, np.argsort(-yq, axis=1)[:, None, :top_k], axis=-1)
+    maes = np.cumsum(err.mean(axis=-1), axis=0)[-1] / len(mu)
+    tops = np.cumsum(top.mean(axis=-1), axis=0)[-1] / len(mu)
+    return [MaeRow(task_id, s, float(maes[i]), float(tops[i])) for i, s in enumerate(shots)]
 
 
 def eval_kshot_mae(model: DeepGpModel, datasets, shots=(0, 5, 10), trials: int = 30, seed: int = 0,
@@ -117,35 +124,50 @@ def eval_kshot_mae(model: DeepGpModel, datasets, shots=(0, 5, 10), trials: int =
     supports nest across shots). MAE is averaged over the query set and,
     separately, over its top_k largest-reward samples, then averaged over
     trials. Zero shots means the prior mean and is support-independent.
-    Each task's records go through the networks once.
+
+    Each task's records go through the networks once and into one Gram
+    matrix. A trial factors the sub-block of its largest support once:
+    the first s rows of V and beta belong to the s-point prefix, so the
+    s-shot mean is m(q) + sum_{i<s} V_i beta_i. A factor that needed
+    jitter is not the jittered factor of its prefixes, so such a trial
+    conditions every shot on its own, with the jitter posterior_batch
+    gives it.
     """
     shots = check_shots(shots)
+    _check_trials(trials)
+    max_shot = max(shots)
+    shot_arr = np.array(shots)
+    adapted = np.flatnonzero(shot_arr)
     rows = []
     for ds in datasets:
         n = len(ds)
         if n < 2:
             raise ValueError(f"task {ds.task_id} has too few records for the query split")
-        embedded = embed(model, ds.gp_inputs())
+        E = embed(model, ds.gp_inputs())
         y = ds.rewards()
-        acc = {s: [0.0, 0.0] for s in shots}
-        for trial in range(trials):
-            q_idx, pool = query_split(seed, ds.task_id, trial, n)
-            order = _support_order(seed, ds.task_id, trial, pool)
-            max_shot = max(shots)
-            if max_shot > len(order):
+        K = kernel_matrix(model, E.Z, E.Z)
+        tag = _task_tag(ds.task_id)
+        splits = [_query_split(seed, tag, trial, n) for trial in range(trials)]
+        q_idx = np.stack([q for q, _ in splits])
+        mu = np.repeat(E.m[q_idx][:, None, :], len(shots), axis=1)
+        for trial, (q, pool) in enumerate(splits):
+            if max_shot > len(pool):
                 raise ValueError(
-                    f"task {ds.task_id}: {max_shot} shots exceed the {len(order)} records "
+                    f"task {ds.task_id}: {max_shot} shots exceed the {len(pool)} records "
                     f"left outside the query set"
                 )
-            yq = y[q_idx]
-            top_idx = np.argsort(-yq)[:top_k]
-            for s, mu in zip(shots, _shot_means(model, embedded, y, order, q_idx, shots)):
-                err = np.abs(mu - yq)
-                acc[s][0] += float(err.mean())
-                acc[s][1] += float(err[top_idx].mean())
-        for s in shots:
-            rows.append(MaeRow(ds.task_id, s, acc[s][0] / trials, acc[s][1] / trials))
-    report = MaeReport(
+            if not max_shot:
+                continue
+            order = _shuffled(seed, tag, trial, pool)
+            top = order[:max_shot]
+            V, beta, jitter = condition_gram(model, K[top[:, None], top], K[q[:, None], top], y[top] - E.m[top])
+            if jitter:
+                for i, s in enumerate(shots):
+                    mu[trial, i] = posterior_batch(model, E[order[:s]], y[order[:s]], E[q])[0]
+            else:
+                mu[trial, adapted] += np.cumsum(V * beta[:, None], axis=0)[shot_arr[adapted] - 1]
+        rows += _mae_rows(ds.task_id, shots, mu, y[q_idx], top_k)
+    return MaeReport(
         label="kshot-mae",
         seed=int(seed),
         checkpoint=checkpoint_id(model),
@@ -154,30 +176,22 @@ def eval_kshot_mae(model: DeepGpModel, datasets, shots=(0, 5, 10), trials: int =
         rows=tuple(rows),
         aggregates=_aggregate_rows(rows, shots),
     )
-    return report
 
 
 def mean_model_mae(model: DeepGpModel, datasets, trials: int = 30, seed: int = 0,
                    top_k: int = 5) -> MaeReport:
     """Prediction error of the prior mean alone, on the same query sets the
     k-shot protocol draws. The non-adaptive reference: no support, no kernel.
-    The means are those of one pass over each task's records, as in
-    eval_kshot_mae, so its 0-shot rows equal these exactly."""
+    The means are those of one pass over each task's records, scored by
+    the same error helper as eval_kshot_mae, so its 0-shot rows equal
+    these exactly."""
+    _check_trials(trials)
     rows = []
     for ds in datasets:
         m = mean_eval_batch(model, ds.gp_inputs())
-        y = ds.rewards()
-        n = len(ds)
-        mae_sum = 0.0
-        top_sum = 0.0
-        for trial in range(trials):
-            q_idx, _ = query_split(seed, ds.task_id, trial, n)
-            yq = y[q_idx]
-            top_idx = np.argsort(-yq)[:top_k]
-            err = np.abs(m[q_idx] - yq)
-            mae_sum += float(err.mean())
-            top_sum += float(err[top_idx].mean())
-        rows.append(MaeRow(ds.task_id, 0, mae_sum / trials, top_sum / trials))
+        tag = _task_tag(ds.task_id)
+        q_idx = np.stack([_query_split(seed, tag, trial, len(ds))[0] for trial in range(trials)])
+        rows += _mae_rows(ds.task_id, (0,), m[q_idx][:, None, :], ds.rewards()[q_idx], top_k)
     return MaeReport(
         label="mean-only-mae",
         seed=int(seed),

@@ -73,10 +73,15 @@ def _cmd_train(args) -> int:
     cfg = _load_run_config(args)
     datasets = read_database(args.data)
     trainer = {"codega": train_codega, "dkmt": train_dkmt, "mean-only": train_mean_only}[args.method]
-    model = trainer(datasets, seed=args.seed, model_cfg=cfg.model, train_cfg=cfg.train).model
+    result = trainer(datasets, seed=args.seed, model_cfg=cfg.model, train_cfg=cfg.train)
+    if args.method == "codega":
+        folds = result.fold_checkpoints
+        reports = [folds[k].report for k in sorted(folds)] + [result.kernel_report, result.mean_report]
+    else:
+        reports = [result.report]
     out = _out_path(args.out)
-    save_model(out, model)
-    print(f"wrote {out} (checkpoint {checkpoint_id(model)})")
+    save_model(out, result.model, {f"{out}.train.txt": "".join(r.to_text() for r in reports)})
+    print(f"wrote {out} (checkpoint {checkpoint_id(result.model)})")
     return 0
 
 

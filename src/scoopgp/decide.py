@@ -76,15 +76,19 @@ def score(model: DeepGpModel | None, scorer: ScorerConfig, support_x, support_y,
 
 
 def select_action(scores: np.ndarray, feasible: np.ndarray) -> int:
-    """Index of the best feasible score; exact ties go to the lowest index."""
+    """Index of the best feasible score; exact ties go to the lowest index.
+    A NaN among the feasible scores raises SelectionError."""
     scores = np.asarray(scores, dtype=np.float64)
     feasible = np.asarray(feasible, dtype=bool)
     if scores.shape != feasible.shape:
         raise ValueError(f"scores shape {scores.shape} does not match mask shape {feasible.shape}")
     if not feasible.any():
         raise SelectionError("no feasible candidate action")
-    masked = np.where(feasible, scores, -np.inf)
-    return int(np.flatnonzero(masked == masked.max())[0])
+    # argmax returns the first maximum, and the first NaN when there is one
+    best = int(np.argmax(np.where(feasible, scores, -np.inf)))
+    if np.isnan(scores[best]):
+        raise SelectionError(f"feasible candidate {best} has a NaN score")
+    return best
 
 
 @dataclass(frozen=True)

@@ -18,14 +18,17 @@ reads the inverse itself from potri on the same factor (Rasmussen &
 Williams 2006, Alg. 2.1 and eq. 5.9).
 
 A posterior has one factor path, `condition`: with that factor over the
-support and one triangular solve of [Kqs^T | y - m(X)], it
+support and one triangular solve (trtrs) of [Kqs^T | y - m(X)], it
 returns V = L^-1 Kqs^T and beta = L^-1 (y - m(X)), from which the mean is
 m(q) + V^T beta and the latent variance k(q, q) - sum_i V_iq^2. Because
 forward substitution is prefix-consistent, the first s rows of V and beta
 are those of the support's first s points. Inputs may be raw rows or an
 `Embedded` set (kernel embeddings and prior means computed once by
 `embed`), so callers that condition the same rows many times run the
-networks on them once.
+networks on them once. `condition` forms the two kernel blocks and hands
+them to `condition_gram`, which does the factor and the solve; a caller
+holding one Gram matrix over all of a task's rows passes its sub-blocks
+to `condition_gram` directly.
 
 The kernel sees only differences g(x_i) - g(x_j), so the kernel head's
 output-layer bias, which shifts every embedding alike, cannot change any
@@ -44,7 +47,7 @@ import hashlib
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import lapack, solve_triangular
+from scipy.linalg import lapack
 
 from .errors import NumericalError, SerializationError, ShapeError
 from .nnet import NetworkSpec, ParamVector, forward_batch, network_from_checkpoint, vjp
@@ -244,11 +247,23 @@ def condition(model: DeepGpModel, support: Embedded, y, queries: Embedded):
     L^-1 (y - m_support) of shape (n,), and the diagonal jitter the
     factor needed (0.0 when none).
     """
-    K = kernel_matrix(model, support.Z, support.Z)
-    K.flat[:: len(support) + 1] += np.exp(2.0 * model.log_noise)
-    L, jitter = _chol_with_jitter(K, model.outputscale)
-    B = np.column_stack([kernel_matrix(model, queries.Z, support.Z).T, y - support.m])
-    S = solve_triangular(L, B, lower=True)
+    return condition_gram(model, kernel_matrix(model, support.Z, support.Z),
+                          kernel_matrix(model, queries.Z, support.Z), y - support.m)
+
+
+def condition_gram(model: DeepGpModel, Kss: np.ndarray, Kqs: np.ndarray, resid: np.ndarray):
+    """condition from kernel blocks already formed: the support's Gram
+    matrix Kss (n, n), the query-support block Kqs (Q, n) and the support
+    residuals y - m_support (n,). Kss is not modified; the noise goes on
+    the diagonal of a copy. Returns (V, beta, jitter) as condition does.
+    """
+    A = Kss.copy()
+    A.flat[:: A.shape[0] + 1] += np.exp(2.0 * model.log_noise)
+    L, jitter = _chol_with_jitter(A, model.outputscale)
+    B = np.column_stack([Kqs.T, resid])
+    if not np.isfinite(B).all():
+        raise ValueError("query kernel values and support residuals must not contain infs or NaNs")
+    S = lapack.dtrtrs(L, B, lower=1)[0]
     return S[:, :-1], S[:, -1], jitter
 
 
@@ -428,8 +443,10 @@ def model_to_bytes(model: DeepGpModel) -> bytes:
     return container_bytes("deepgp", meta, blocks)
 
 
-def save_model(path: str, model: DeepGpModel) -> None:
-    write_atomic({path: model_to_bytes(model)})
+def save_model(path: str, model: DeepGpModel, extra_files: dict | None = None) -> None:
+    """Write the checkpoint, and any {path: data} extra_files beside it, in
+    one atomic step."""
+    write_atomic({path: model_to_bytes(model), **(extra_files or {})})
 
 
 def model_from_bytes(data: bytes) -> DeepGpModel:

@@ -21,6 +21,7 @@ epoch loop, _fit.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -45,6 +46,8 @@ BATCH_SIZE = 64         # records per mean-training minibatch
 VAL_FRACTION = 0.1      # records held out to early-stop mean training
 NOISE_FLOOR = 1e-3      # lower clamp on the noise std, reward units
 MIN_GROUP_SIZE = 2      # residual groups and dkmt tasks smaller than this are skipped
+
+log = logging.getLogger("scoopgp")
 
 
 @dataclass(frozen=True)
@@ -398,13 +401,14 @@ def train_kernel_codega(residuals: ResidualDataset, fold_checkpoints: dict, seed
 
     Each batch loads its fold's extractor frozen; only the kernel head and
     the log hyperparameters receive gradients. Stops early on the
-    aggregate training NLML. Groups below MIN_GROUP_SIZE are skipped.
+    aggregate training NLML. Groups below MIN_GROUP_SIZE are skipped with a
+    warning on the "scoopgp" logger.
     """
     groups = []
     for g in residuals.groups:
         if len(g.residuals) < MIN_GROUP_SIZE:
-            print(f"[kernel] skipping task {g.task_id}: {len(g.residuals)} residuals "
-                  f"< min_group_size {MIN_GROUP_SIZE}")
+            log.warning("[kernel] skipping task %s: %d residuals < min_group_size %d",
+                        g.task_id, len(g.residuals), MIN_GROUP_SIZE)
             continue
         groups.append(g)
     if not groups:
@@ -520,9 +524,16 @@ def train_dkmt(datasets, seed=0, model_cfg: ModelConfig = ModelConfig(), train_c
     """Joint NLML training of mean, kernel and shared extractor.
 
     One task per batch, kernel-training optimizer settings, early stopping
-    on the aggregate training NLML.
+    on the aggregate training NLML. Tasks below MIN_GROUP_SIZE are skipped
+    with a warning on the "scoopgp" logger.
     """
-    live = [ds for ds in datasets if len(ds) >= MIN_GROUP_SIZE]
+    live = []
+    for ds in datasets:
+        if len(ds) < MIN_GROUP_SIZE:
+            log.warning("[joint] skipping task %s: %d records < min_group_size %d",
+                        ds.task_id, len(ds), MIN_GROUP_SIZE)
+            continue
+        live.append(ds)
     if not live:
         raise ValueError("no dataset meets min_group_size")
     X_all, y_all = _pool_training_data(live)

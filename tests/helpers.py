@@ -6,10 +6,13 @@ import numpy as np
 
 from scipy.special import expit
 
-from scoopgp.bench import DeployReport, DeployRow, _task_tag, deployment_threshold
+from scoopgp.bench import (DeployReport, DeployRow, MaeReport, MaeRow, _aggregate_rows, _support_order, _task_tag,
+                           deployment_threshold, query_split)
+from scoopgp.config import check_shots
 from scoopgp.decide import DatasetTarget, dataset_pool, run_deployment
 from scoopgp.errors import ShapeError
-from scoopgp.gp import DeepGpModel, checkpoint_id, embed_batch, kernel_matrix, mean_eval_batch
+from scoopgp.gp import (DeepGpModel, checkpoint_id, condition, embed, embed_batch, kernel_matrix, mean_eval_batch,
+                        posterior_batch)
 from scoopgp.nnet import NetworkSpec, ParamVector, _act, _check_batch, init_params, split_params
 from scoopgp.tasks import (
     CELL,
@@ -344,3 +347,67 @@ def reference_simulated_deployment(methods: dict, datasets, budget: int = 20, tr
             excluded=tuple(excluded),
         )
     return out
+
+
+def _reference_shot_means(model: DeepGpModel, rows, y: np.ndarray, order: np.ndarray, q_idx: np.ndarray, shots):
+    """Posterior means at the queries for each shot count, the supports
+    being prefixes of order.
+
+    One factor of the largest support serves every shot: the first s rows
+    of V and beta belong to the s-point prefix, so the s-shot mean is
+    m(q) + sum_{i<s} V_i beta_i. A factor that needed jitter is not the
+    jittered factor of its prefixes, so then every shot is conditioned on
+    its own, with the jitter posterior_batch gives it.
+    """
+    queries = rows[q_idx]
+    top = order[:max(shots)]
+    if not len(top):
+        return [queries.m for _ in shots]
+    V, beta, jitter = condition(model, rows[top], y[top], queries)
+    if jitter:
+        return [posterior_batch(model, rows[order[:s]], y[order[:s]], queries)[0] for s in shots]
+    partial = np.cumsum(V * beta[:, None], axis=0)
+    return [queries.m + partial[s - 1] if s else queries.m for s in shots]
+
+
+def reference_kshot_mae(model: DeepGpModel, datasets, shots=(0, 5, 10), trials: int = 30, seed: int = 0,
+                        top_k: int = 5) -> MaeReport:
+    """bench.eval_kshot_mae as it was before it worked per task: each trial
+    forms its own kernel blocks through condition and scores each shot with
+    scalar means. The reference the per-task protocol must reproduce."""
+    shots = check_shots(shots)
+    rows = []
+    for ds in datasets:
+        n = len(ds)
+        if n < 2:
+            raise ValueError(f"task {ds.task_id} has too few records for the query split")
+        embedded = embed(model, ds.gp_inputs())
+        y = ds.rewards()
+        acc = {s: [0.0, 0.0] for s in shots}
+        for trial in range(trials):
+            q_idx, pool = query_split(seed, ds.task_id, trial, n)
+            order = _support_order(seed, ds.task_id, trial, pool)
+            max_shot = max(shots)
+            if max_shot > len(order):
+                raise ValueError(
+                    f"task {ds.task_id}: {max_shot} shots exceed the {len(order)} records "
+                    f"left outside the query set"
+                )
+            yq = y[q_idx]
+            top_idx = np.argsort(-yq)[:top_k]
+            for s, mu in zip(shots, _reference_shot_means(model, embedded, y, order, q_idx, shots)):
+                err = np.abs(mu - yq)
+                acc[s][0] += float(err.mean())
+                acc[s][1] += float(err[top_idx].mean())
+        for s in shots:
+            rows.append(MaeRow(ds.task_id, s, acc[s][0] / trials, acc[s][1] / trials))
+    report = MaeReport(
+        label="kshot-mae",
+        seed=int(seed),
+        checkpoint=checkpoint_id(model),
+        trials=int(trials),
+        shots=shots,
+        rows=tuple(rows),
+        aggregates=_aggregate_rows(rows, shots),
+    )
+    return report

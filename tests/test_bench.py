@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import binomtest
 
+import scoopgp.bench
 from scoopgp.bench import (
     DeployReport,
     DeployRow,
@@ -29,9 +30,10 @@ from scoopgp.decide import ScorerConfig, run_deployment
 from scoopgp.errors import ConfigError, IngestError
 from scoopgp.gp import DeepGpModel, condition, embed, posterior_batch
 from scoopgp.nnet import NetworkSpec
-from scoopgp.tasks import DEPTH_MIN, ScoopAction, ScoopRecord, TaskDataset
+from scoopgp.tasks import DEPTH_MIN, ScoopAction, ScoopRecord, TaskDataset, sample_ood_test_family
 
-from helpers import identity_params, params_from_layers, random_model, reference_simulated_deployment, toy_dataset
+from helpers import (identity_params, params_from_layers, random_model, reference_kshot_mae,
+                     reference_simulated_deployment, toy_dataset)
 
 
 def _linear_mean_model(d, w, bias=0.0):
@@ -142,6 +144,9 @@ def test_kshot_validates_pool_and_record_counts():
     lone = _reward_dataset([2.0])
     with pytest.raises(ValueError, match="too few"):
         eval_kshot_mae(model, [lone], shots=(0,), trials=1)
+    for protocol in (eval_kshot_mae, mean_model_mae):
+        with pytest.raises(ValueError, match="at least 1"):
+            protocol(model, [small], trials=0)
 
 
 def test_kshot_rejects_negative_and_duplicate_shots():
@@ -177,6 +182,52 @@ def test_kshot_conditions_each_shot_alone_when_the_largest_support_needs_jitter(
         assert row.shot == s
         assert row.mae == pytest.approx(err.mean(), abs=1e-12)
         assert row.top_mae == pytest.approx(err[top_idx].mean(), abs=1e-12)
+
+
+def _assert_matches_reference(report, reference):
+    """Rows agree with the per-trial reference within 1e-12 relative, and
+    the 0-shot rows, which involve no factor, exactly."""
+    assert [(r.task_id, r.shot) for r in report.rows] == [(r.task_id, r.shot) for r in reference.rows]
+    for row, ref in zip(report.rows, reference.rows):
+        if row.shot == 0:
+            assert (row.mae, row.top_mae) == (ref.mae, ref.top_mae)
+        assert row.mae == pytest.approx(ref.mae, rel=1e-12, abs=0.0)
+        assert row.top_mae == pytest.approx(ref.top_mae, rel=1e-12, abs=0.0)
+
+
+def test_kshot_per_task_matches_the_per_trial_reference(world):
+    model = random_model(16, seed=12)
+    # the world's 24-record tasks leave 5 records outside the query set, so
+    # 10 shots need a family with more records per task
+    _, larger = sample_ood_test_family(world.pool, 3, 60, 12)
+    for datasets, shots in ((world.test_sets, (0, 1, 2, 5)), (larger, (0, 1, 2, 5, 10))):
+        report = eval_kshot_mae(model, datasets, shots=shots, trials=12, seed=3)
+        _assert_matches_reference(report, reference_kshot_mae(model, datasets, shots=shots, trials=12, seed=3))
+
+
+def test_kshot_per_task_matches_the_reference_with_and_without_jitter(monkeypatch):
+    # five rows repeated and noise far below any trained floor: a support
+    # holding both copies of a row needs jitter, one holding neither does not
+    rng = np.random.default_rng(0)
+    feats = rng.normal(size=(40, 2))
+    rewards = rng.uniform(1.0, 20.0, size=40)
+    feats[35:], rewards[35:] = feats[:5], rewards[:5]
+    ds = toy_dataset("dup1", feats, rewards)
+    model = random_model(4, seed=33, log_noise=np.log(1e-9))
+    jitters = []
+    real = scoopgp.bench.condition_gram
+
+    def recording(*args):
+        out = real(*args)
+        jitters.append(out[2])
+        return out
+
+    monkeypatch.setattr(scoopgp.bench, "condition_gram", recording)
+    shots = (0, 1, 2, 6)
+    report = eval_kshot_mae(model, [ds], shots=shots, trials=12, seed=2, top_k=3)
+    assert len(jitters) == 12
+    assert any(j > 0.0 for j in jitters) and any(j == 0.0 for j in jitters)
+    _assert_matches_reference(report, reference_kshot_mae(model, [ds], shots=shots, trials=12, seed=2, top_k=3))
 
 
 def test_aggregates_recompute_from_rows(world):

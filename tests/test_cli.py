@@ -132,6 +132,27 @@ def test_train_codega_checkpoint_loads(cli_dir, codega_ckpt):
     assert np.all(np.isfinite(preds))
 
 
+def _report_labels(path) -> list:
+    prefix = "# training report: "
+    return [ln[len(prefix):] for ln in path.read_text().splitlines() if ln.startswith(prefix)]
+
+
+def test_train_writes_its_training_curves_beside_the_checkpoint(cli_dir, codega_ckpt, tmp_path):
+    curves = codega_ckpt.parent / (codega_ckpt.name + ".train.txt")
+    assert _report_labels(curves) == ["fold0-mean", "fold1-mean", "kernel", "final-mean"]
+    # every section holds at least its first epoch's row
+    text = curves.read_text()
+    assert text.count("\n1 ") == 4
+    out = tmp_path / "dkmt.bin"
+    rc = main(["train", "--seed", "2", "--data", str(cli_dir / "fam.train.records.txt"),
+               "--method", "dkmt", "--out", str(out), "--set", "train.max_epochs_kernel=3"])
+    assert rc == 0
+    dkmt_curves = tmp_path / "dkmt.bin.train.txt"
+    assert _report_labels(dkmt_curves) == ["joint"]
+    rows = [ln for ln in dkmt_curves.read_text().splitlines() if not ln.startswith("#")]
+    assert [int(r.split()[0]) for r in rows] == [1, 2, 3]
+
+
 def test_train_mean_only_prints_checkpoint_and_repeats(cli_dir, tmp_path, capsys):
     data = str(cli_dir / "fam.train.records.txt")
     out1 = tmp_path / "m1.bin"
@@ -146,6 +167,7 @@ def test_train_mean_only_prints_checkpoint_and_repeats(cli_dir, tmp_path, capsys
                "--out", str(out2), *FAST_TRAIN])
     assert rc == 0
     assert out1.read_bytes() == out2.read_bytes()
+    assert _report_labels(tmp_path / "m1.bin.train.txt") == ["mean"]
     model = load_model(str(out1))
     assert np.isfinite(model.log_lengthscale)
 

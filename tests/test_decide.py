@@ -113,6 +113,14 @@ def test_select_action_basics():
         select_action(scores, np.ones(4, dtype=bool))
 
 
+def test_select_action_rejects_a_nan_among_feasible_scores():
+    scores = np.array([3.0, np.nan, 5.0])
+    with pytest.raises(SelectionError, match="NaN"):
+        select_action(scores, np.ones(3, dtype=bool))
+    # an infeasible NaN is never looked at
+    assert select_action(scores, np.array([True, False, True])) == 2
+
+
 def test_select_action_breaks_ties_deterministically():
     scores = np.array([7.0, 7.0, 1.0, 7.0])
     mask = np.ones(4, dtype=bool)

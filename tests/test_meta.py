@@ -1,6 +1,7 @@
 """Meta-training: supervised means, fold splits, residual kernels, pipelines."""
 
 import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -265,7 +266,7 @@ def test_zero_residuals_drive_noise_to_the_floor():
     assert kr.log_outputscale < math.log(1e-4)
 
 
-def test_small_groups_are_skipped_and_empty_sets_rejected(capsys):
+def test_small_groups_are_skipped_and_empty_sets_rejected(caplog):
     rng = np.random.default_rng(8)
     groups = tuple([
         ResidualGroup("tiny", 0, rng.normal(size=(1, 4)), rng.normal(size=1)),
@@ -276,7 +277,8 @@ def test_small_groups_are_skipped_and_empty_sets_rejected(capsys):
     kr = train_kernel_codega(ResidualDataset(groups), checkpoints, seed=9,
                              model_cfg=_ID_MODEL, train_cfg=cfg)
     assert kr.report.entries
-    assert "skipping task tiny" in capsys.readouterr().out
+    assert any(r.name == "scoopgp" and r.levelno == logging.WARNING and "skipping task tiny" in r.getMessage()
+               for r in caplog.records)
     only_tiny = ResidualDataset(groups[:1])
     with pytest.raises(ValueError, match="min_group_size"):
         train_kernel_codega(only_tiny, checkpoints, seed=9, model_cfg=_ID_MODEL, train_cfg=cfg)
@@ -418,10 +420,12 @@ def test_dkmt_learns_a_constant_mean():
     assert res.model.log_noise >= math.log(NOISE_FLOOR) - 1e-12
 
 
-def test_dkmt_tracks_its_optimum_and_rejects_empty_input(dkmt_result):
+def test_dkmt_tracks_its_optimum_and_rejects_empty_input(dkmt_result, caplog):
     report = dkmt_result.report
     trains = [e.train_loss for e in report.entries]
     assert report.entries[report.best_epoch - 1].train_loss == min(trains)
     single = TaskDataset("s", "single", ("m",), ())
     with pytest.raises(ValueError, match="min_group_size"):
         train_dkmt([single])
+    assert [r.getMessage() for r in caplog.records if r.name == "scoopgp" and r.levelno == logging.WARNING] \
+        == ["[joint] skipping task s: 0 records < min_group_size 2"]
