@@ -27,7 +27,7 @@ from .errors import (ConfigError, IngestError, NumericalError, ScoopGpError, Sel
 from .gp import DeepGpModel, checkpoint_id, load_model, nlml, nlml_grad, posterior_batch, save_model
 from .meta import CodegaResult, DkmtResult, train_codega, train_dkmt, train_mean, train_mean_only
 from .nnet import NetworkSpec, ParamVector, init_params
-from .tasks import (Material, MaterialPool, ScoopAction, ScoopRecord, TaskDataset, TerrainTask,
+from .tasks import (Material, MaterialPool, ScoopAction, TaskDataset, TerrainTask,
                     enumerate_action_grid, generate_materials, generate_task,
                     ingest_released_dataset, read_database, reward_oracle, sample_ood_test_family,
                     sample_task_family, write_database)
@@ -39,7 +39,7 @@ __all__ = [
     "DeployReport", "DkmtResult", "GenConfig", "IngestError", "LiveTarget", "MaeReport",
     "Material", "MaterialPool", "ModelConfig", "NetworkSpec", "NumericalError",
     "ParamVector", "RunConfig", "ScoopAction", "ScoopGpError",
-    "ScoopRecord", "ScorerConfig", "SelectionError", "SerializationError", "ShapeError",
+    "ScorerConfig", "SelectionError", "SerializationError", "ShapeError",
     "TaskDataset", "TerrainTask", "TrainConfig", "checkpoint_id",
     "enumerate_action_grid", "eval_kshot_mae", "eval_simulated_deployment",
     "generate_materials", "generate_task", "ingest_released_dataset", "load_config",

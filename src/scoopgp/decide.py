@@ -84,8 +84,10 @@ def select_action(scores: np.ndarray, feasible: np.ndarray) -> int:
         raise ValueError(f"scores shape {scores.shape} does not match mask shape {feasible.shape}")
     if not feasible.any():
         raise SelectionError("no feasible candidate action")
-    # argmax returns the first maximum, and the first NaN when there is one
-    best = int(np.argmax(np.where(feasible, scores, -np.inf)))
+    # argmax returns the first maximum, and the first NaN when there is one;
+    # taken over the feasible scores alone, it stays feasible when all are -inf
+    allowed = np.flatnonzero(feasible)
+    best = int(allowed[np.argmax(scores[allowed])])
     if np.isnan(scores[best]):
         raise SelectionError(f"feasible candidate {best} has a NaN score")
     return best
@@ -200,7 +202,7 @@ def run_deployment(model, scorer: ScorerConfig, target, threshold: float, budget
                 f"task {ds.task_id}: no recorded reward reaches the threshold {threshold:.3g} "
                 f"(max is {rewards.max():.3g})"
             )
-        task_id, action_at = ds.task_id, [r.action for r in ds.records].__getitem__
+        task_id, action_at = ds.task_id, ds.action
         allowed = np.ones(len(ds), dtype=bool)
         failed = []
 

@@ -163,8 +163,11 @@ def _sqdist(Z1: np.ndarray, Z2: np.ndarray) -> np.ndarray:
     """Squared distances |z1_i - z2_j|^2 by the Gram identity, clamped at 0.
 
     Against itself (Z2 is Z1) the norms are read off the product's
-    diagonal, so every d(z_i, z_i) is exactly 0; numpy forms Z @ Z.T as a
-    symmetric rank-k update, so the result is also exactly symmetric."""
+    diagonal, so every d(z_i, z_i) is exactly 0. The product Z @ Z.T is
+    exactly symmetric (numpy forms it as a symmetric rank-k update), but
+    the norms are added in two broadcast steps, (-2 g_ij + s_i) + s_j
+    against (-2 g_ij + s_j) + s_i, so the result is symmetric only up to
+    rounding."""
     D = Z1 @ Z2.T
     if Z2 is Z1:
         sq1 = sq2 = D.diagonal().copy()

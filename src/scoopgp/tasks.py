@@ -11,7 +11,9 @@ plain-text format: one record per line plus a separate task manifest.
 
 from __future__ import annotations
 
+import operator
 import os
+from array import array
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -232,6 +234,23 @@ class TerrainTask:
         )
 
 
+def _action_rules(x, y, yaw_index, depth, hard) -> tuple:
+    """Whether each range rule of an action holds, for one action's values or
+    elementwise over columns; hard is the stiffness bit (1 for hard, 0 for
+    soft). _ACTION_MESSAGES says, in the same order, what each rule wants."""
+    return ((0.0 <= x) & (x <= TRAY_W) & (0.0 <= y) & (y <= TRAY_H),
+            (0 <= yaw_index) & (yaw_index < N_YAWS) & (yaw_index % 1 == 0),
+            (DEPTH_MIN - 1e-9 <= depth) & (depth <= DEPTH_MAX + 1e-9),
+            (hard == 0.0) | (hard == 1.0))
+
+
+_ACTION_MESSAGES = ("scoop start ({x}, {y}) outside the tray",
+                    f"yaw_index must be in [0, {N_YAWS}), got {{yaw_index}}",
+                    f"depth {{depth}} outside [{DEPTH_MIN}, {DEPTH_MAX}]",
+                    f"stiffness must be one of {STIFFNESS_LEVELS}, got {{stiffness!r}}")
+_STIFFNESS_BITS = {level: float(bit) for bit, level in enumerate(STIFFNESS_LEVELS)}
+
+
 @dataclass(frozen=True)
 class ScoopAction:
     x: float
@@ -241,14 +260,10 @@ class ScoopAction:
     stiffness: str
 
     def __post_init__(self):
-        if not (0.0 <= self.x <= TRAY_W and 0.0 <= self.y <= TRAY_H):
-            raise ValueError(f"scoop start ({self.x}, {self.y}) outside the tray")
-        if not 0 <= int(self.yaw_index) < N_YAWS:
-            raise ValueError(f"yaw_index must be in [0, {N_YAWS}), got {self.yaw_index}")
-        if not (DEPTH_MIN - 1e-9 <= self.depth <= DEPTH_MAX + 1e-9):
-            raise ValueError(f"depth {self.depth} outside [{DEPTH_MIN}, {DEPTH_MAX}]")
-        if self.stiffness not in STIFFNESS_LEVELS:
-            raise ValueError(f"stiffness must be one of {STIFFNESS_LEVELS}, got {self.stiffness!r}")
+        holds = _action_rules(self.x, self.y, int(self.yaw_index), self.depth, _STIFFNESS_BITS.get(self.stiffness))
+        for ok, message in zip(holds, _ACTION_MESSAGES):
+            if not ok:
+                raise ValueError(message.format(**vars(self)))
         object.__setattr__(self, "x", float(self.x))
         object.__setattr__(self, "y", float(self.y))
         object.__setattr__(self, "yaw_index", int(self.yaw_index))
@@ -432,6 +447,16 @@ _YAW_COS = np.array([np.cos(k * (2.0 * np.pi / N_YAWS)) for k in range(N_YAWS)])
 _YAW_SIN = np.array([np.sin(k * (2.0 * np.pi / N_YAWS)) for k in range(N_YAWS)])
 
 
+def _action_columns(actions, width: int) -> np.ndarray:
+    """The first width of TaskDataset's action columns (x, y, yaw_index,
+    depth, stiffness bit) for an array of them, or for ScoopActions
+    (Placements carry the first three)."""
+    if isinstance(actions, np.ndarray):
+        return actions[:, :width]
+    get = operator.attrgetter(*("x", "y", "yaw_index", "depth", "stiffness_bit")[:width])
+    return np.array([get(a) for a in actions], dtype=np.float64).reshape(len(actions), width)
+
+
 def compute_features_batch(task: TerrainTask, actions, *, gradient=None) -> np.ndarray:
     """Observation features for many actions against the current terrain.
 
@@ -440,9 +465,10 @@ def compute_features_batch(task: TerrainTask, actions, *, gradient=None) -> np.n
     height spread over a local patch rotated to the yaw, and the mean
     surface appearance over the dragged cells. Purely a function of the
     task state and the action's placement (only x, y and yaw_index are
-    read, so Placement rows serve too), so stored features can always be
-    recomputed. Actions are processed FEATURE_BLOCK rows at a time, which
-    bounds the memory of the per-point arrays. gradient is
+    read, so Placement rows serve too, as do TaskDataset.actions columns),
+    so stored features can always be recomputed. Actions are processed
+    FEATURE_BLOCK rows at a time, which bounds the memory of the per-point
+    arrays. gradient is
     np.gradient(task.heightmap, CELL), computed here unless the caller
     already has it.
     """
@@ -454,9 +480,8 @@ def compute_features_batch(task: TerrainTask, actions, *, gradient=None) -> np.n
     vs = np.linspace(-0.5 * PATCH_EXTENT, 0.5 * PATCH_EXTENT, P)
     UU, VV = (g.ravel() for g in np.meshgrid(us, vs, indexing="ij"))
     drag_cells = int(np.ceil(DRAG_LEN / PATCH_EXTENT * (P - 1))) + 1
-    xs = np.array([a.x for a in actions], dtype=np.float64)
-    ys = np.array([a.y for a in actions], dtype=np.float64)
-    yaws = np.array([a.yaw_index for a in actions], dtype=np.int64)
+    xs, ys, yaws = _action_columns(actions, 3).T
+    yaws = yaws.astype(np.int64)
 
     out = np.empty((len(actions), OBS_DIM))
     for start in range(0, len(actions), FEATURE_BLOCK):
@@ -500,19 +525,19 @@ def reward_oracle(task: TerrainTask, actions, rng=None, *, gradient=None) -> np.
 
     The material governing a scoop is the surface one at the drag
     midpoint, or the hidden layer when digging past HIDDEN_DEPTH on a
-    layered terrain. Noiseless when rng is None; otherwise heteroscedastic
+    layered terrain. actions are ScoopActions or TaskDataset.actions
+    columns. Noiseless when rng is None; otherwise heteroscedastic
     noise with std = NOISE_FRAC * value + NOISE_FLOOR_CM3, one normal draw
     per action in order, is added before clamping at zero. Deterministic
     for fixed (task, actions, seed), and each action's reward is the one a
     call with that action alone, on the same generator, would give.
     gradient is np.gradient(task.heightmap, CELL), computed here when not given.
     """
-    yaws = np.array([a.yaw_index for a in actions], dtype=np.int64)
-    depth = np.array([a.depth for a in actions], dtype=np.float64)
-    hard = np.array([a.stiffness == "hard" for a in actions], dtype=bool)
+    x, y, yaws, depth, hard = _action_columns(actions, 5).T
+    yaws = yaws.astype(np.int64)
     c, s = _YAW_COS[yaws], _YAW_SIN[yaws]
-    mx = np.array([a.x for a in actions], dtype=np.float64) + c * 0.5 * DRAG_LEN
-    my = np.array([a.y for a in actions], dtype=np.float64) + s * 0.5 * DRAG_LEN
+    mx = x + c * 0.5 * DRAG_LEN
+    my = y + s * 0.5 * DRAG_LEN
     rows, cols = _cells(task.region_map.shape, mx, my)
     index = task.region_map[rows, cols]
     if task.hidden_map is not None:
@@ -528,7 +553,7 @@ def reward_oracle(task: TerrainTask, actions, rng=None, *, gradient=None) -> np.
     fill = np.minimum(gain * (FILL_BASE + FILL_DEPTH * sens * dn), 1.0)
     slope_mod = np.maximum(1.0 + SLOPE_GAIN * slope_pref * np.tanh(g_along / SLOPE_REF), 0.15)
     jam_drive = jam * (JAM_BASE + JAM_DEPTH * dn) * expit(g_along / JAM_SLOPE_REF)
-    jam_drive = np.where(hard, jam_drive * JAM_HARD_RELIEF, jam_drive)
+    jam_drive = np.where(hard == 1.0, jam_drive * JAM_HARD_RELIEF, jam_drive)
     lock = expit((jam - JAM_LOCK_KNEE) / JAM_LOCK_WIDTH) * (JAM_LOCK_BASE + JAM_LOCK_DEPTH * dn)
     gate = np.clip(1.0 - jam_drive - lock, GATE_MIN, 1.0)
     value = volume_full * fill * slope_mod * gate
@@ -540,80 +565,103 @@ def reward_oracle(task: TerrainTask, actions, rng=None, *, gradient=None) -> np.
     return np.maximum(value + rng.normal(size=len(actions)) * std, 0.0)
 
 
-@dataclass(frozen=True)
-class ScoopRecord:
-    action: ScoopAction
-    reward: float
-    features: np.ndarray
+class _RowError(ValueError):
+    """A TaskDataset row breaks a record rule: field is the record field the
+    rule is about, row the row's index."""
 
-    def __post_init__(self):
-        feats = np.asarray(self.features, dtype=np.float64)
-        feats.flags.writeable = False
-        object.__setattr__(self, "features", feats)
-        if not np.isfinite(self.reward) or self.reward < 0.0:
-            raise ValueError(f"reward must be finite and non-negative, got {self.reward}")
+    def __init__(self, message: str, field: str, row: int):
+        super().__init__(message)
+        self.row = row
+        self.field = field
 
 
-@dataclass(frozen=True)
+def _read_only(values) -> np.ndarray:
+    out = np.array(values, dtype=np.float64)
+    out.flags.writeable = False
+    return out
+
+
 class TaskDataset:
-    task_id: str
-    composition: str
-    material_ids: tuple
-    records: tuple
+    """One task's scoop records, held as read-only columns.
 
-    def __post_init__(self):
-        if not self.material_ids:
+    actions is (n, 5): x, y, yaw_index, depth and the stiffness bit (1 for
+    hard, 0 for soft); rewards() is (n,), in cm^3; features is (n, F).
+    Every row is checked once, when the dataset is built: actions against
+    ScoopAction's range rules, rewards finite and non-negative, features
+    finite. The first row that breaks a rule raises ValueError.
+    """
+
+    def __init__(self, task_id: str, composition: str, material_ids,
+                 actions=np.empty((0, 5)), rewards=np.empty(0), features=np.empty((0, 0))):
+        if not material_ids:
             raise ValueError("material_ids must be non-empty")
-        dims = {r.features.shape[0] for r in self.records}
-        if len(dims) > 1:
-            raise ValueError(f"records disagree on feature dim: {sorted(dims)}")
-        object.__setattr__(self, "material_ids", tuple(self.material_ids))
-        object.__setattr__(self, "records", tuple(self.records))
+        self.task_id = task_id
+        self.composition = composition
+        self.material_ids = tuple(material_ids)
+        self.actions, self._rewards, self.features = (_read_only(v) for v in (actions, rewards, features))
+        if (self._rewards.ndim != 1 or self.actions.shape != (len(self._rewards), 5)
+                or self.features.ndim != 2 or len(self.features) != len(self._rewards)):
+            raise ValueError(f"actions {self.actions.shape}, rewards {self._rewards.shape} and features "
+                             f"{self.features.shape} are not (n, 5), (n,) and (n, F) columns")
+        x, y, yaw, depth, hard = self.actions.T
+        with np.errstate(invalid="ignore"):  # yaw_index % 1 is NaN for a non-finite yaw, which fails its rule
+            rules = (np.isfinite(self._rewards) & (self._rewards >= 0.0),
+                     *_action_rules(x, y, yaw, depth, hard),
+                     np.isfinite(self.features).all(axis=1))
+        bad = ~np.logical_and.reduce(rules)
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise _RowError(*self._fault(row, next(k for k, holds in enumerate(rules) if not holds[row])), row)
+
+    def _fault(self, row: int, rule: int) -> tuple:
+        """The message and field of row's failure of rule (the order of __init__'s rules)."""
+        if rule == 0:
+            return f"reward {self._rewards[row]} must be finite and non-negative", "reward"
+        if rule == len(_ACTION_MESSAGES) + 1:
+            col = int(np.argmin(np.isfinite(self.features[row])))
+            return f"feature {col} is {self.features[row, col]}, must be finite", "features"
+        x, y, yaw, depth, hard = self.actions[row].tolist()
+        shown = dict(x=x, y=y, yaw_index=int(yaw) if yaw.is_integer() else yaw, depth=depth, stiffness=hard)
+        return _ACTION_MESSAGES[rule - 1].format(**shown), "action"
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._rewards)
 
     @property
     def feature_dim(self) -> int:
-        return self.records[0].features.shape[0] if self.records else 0
+        return self.features.shape[1]
 
     def rewards(self) -> np.ndarray:
-        return np.array([r.reward for r in self.records])
+        return self._rewards
+
+    def action(self, i: int) -> ScoopAction:
+        x, y, yaw, depth, hard = self.actions[i].tolist()
+        return ScoopAction(x, y, int(yaw), depth, STIFFNESS_LEVELS[int(hard)])
 
     def gp_inputs(self) -> np.ndarray:
-        """The records' assemble_gp_input rows, one per record, built on the
-        first call and read-only; every later call returns the same array."""
-        rows = self.__dict__.get("_gp_inputs")
-        if rows is None:
-            rows = np.column_stack([np.stack([r.features for r in self.records]),
-                                    [r.action.depth_norm for r in self.records],
-                                    [r.action.stiffness_bit for r in self.records]])
-            rows.flags.writeable = False
-            object.__setattr__(self, "_gp_inputs", rows)
-        return rows
+        """The records' assemble_gp_input rows: the features, then depth
+        rescaled to [0, 1] and the stiffness bit."""
+        depth_norm = (self.actions[:, 3] - DEPTH_MIN) / (DEPTH_MAX - DEPTH_MIN)
+        return np.column_stack([self.features, depth_norm, self.actions[:, 4]])
 
 
-def _sample_action(rng: np.random.Generator) -> ScoopAction:
+def _sample_action(rng: np.random.Generator) -> tuple:
+    """x, y, yaw_index, depth and stiffness bit of a random feasible action,
+    drawn in that order and redrawn until the drag stays inside the tray."""
     while True:
-        action = ScoopAction(
-            x=float(rng.uniform(0.0, TRAY_W)),
-            y=float(rng.uniform(0.0, TRAY_H)),
-            yaw_index=int(rng.integers(0, N_YAWS)),
-            depth=float(rng.uniform(DEPTH_MIN, DEPTH_MAX)),
-            stiffness=STIFFNESS_LEVELS[int(rng.integers(0, 2))],
-        )
-        if action_feasible(action):
-            return action
+        row = (float(rng.uniform(0.0, TRAY_W)), float(rng.uniform(0.0, TRAY_H)), int(rng.integers(0, N_YAWS)),
+               float(rng.uniform(DEPTH_MIN, DEPTH_MAX)), int(rng.integers(0, 2)))
+        if action_feasible(Placement(*row[:3])):
+            return row
 
 
 def _sample_records(task: TerrainTask, n: int, rng: np.random.Generator) -> TaskDataset:
-    actions = [_sample_action(rng) for _ in range(n)]
+    actions = np.array([_sample_action(rng) for _ in range(n)], dtype=np.float64).reshape(n, 5)
     # every record of a task is drawn from one unchanged terrain
     gradient = np.gradient(task.heightmap, CELL)
     feats = compute_features_batch(task, actions, gradient=gradient)
     rewards = reward_oracle(task, actions, rng, gradient=gradient)
-    records = [ScoopRecord(*row) for row in zip(actions, rewards.tolist(), feats)]
-    return TaskDataset(task.id, task.composition, task.material_ids, tuple(records))
+    return TaskDataset(task.id, task.composition, task.material_ids, actions, rewards, feats)
 
 
 def _allocate(total: int, weights) -> list:
@@ -702,13 +750,6 @@ def sample_ood_test_family(pool: MaterialPool, n_tasks: int, records_per_task: i
 RECORDS_SUFFIX = ".records.txt"
 MANIFEST_SUFFIX = ".manifest.txt"
 
-_FMT = "%.9g"
-
-
-def _fmt(value: float) -> str:
-    return _FMT % value
-
-
 def write_database(prefix: str, datasets) -> tuple:
     """Write datasets to {prefix}.records.txt and {prefix}.manifest.txt."""
     records_path = prefix + RECORDS_SUFFIX
@@ -719,11 +760,13 @@ def write_database(prefix: str, datasets) -> tuple:
     for ds in datasets:
         mats = ",".join(ds.material_ids)
         manifest.append(f"{ds.task_id} {ds.composition} {mats} {len(ds)} {ds.feature_dim}\n")
-        for rec in ds.records:
-            a = rec.action
-            head = (f"{ds.task_id} {mats} {ds.composition} {_fmt(a.x)} {_fmt(a.y)} "
-                    f"{a.yaw_index} {_fmt(a.depth)} {a.stiffness} {_fmt(rec.reward)}")
-            records.append(head + " " + " ".join(_fmt(v) for v in rec.features) + "\n")
+        # one format per stiffness level: x y yaw_index depth, the level, then reward and features
+        head = f"{ds.task_id} {mats} {ds.composition} ".replace("%", "%%") + "%.9g %.9g %d %.9g "
+        tail = " %.9g" * (1 + ds.feature_dim) + "\n"
+        formats = [head + level + tail for level in STIFFNESS_LEVELS]
+        rows = np.column_stack([ds.actions[:, :4], ds.rewards(), ds.features]).tolist()
+        hard = ds.actions[:, 4].astype(np.int64).tolist()
+        records.extend(formats[h] % tuple(row) for h, row in zip(hard, rows))
     write_atomic({manifest_path: "".join(manifest), records_path: "".join(records)})
     return records_path, manifest_path
 
@@ -735,12 +778,23 @@ def _parse_number(kind, token: str, path: str, line: int, fieldname: str):
         raise IngestError(f"cannot parse {kind.__name__} {token!r}", path, line, fieldname) from exc
 
 
-def _text_lines(path: str):
-    """(line number, stripped line) for each line of a UTF-8 text file, read one at a time."""
+def _raise_unparsed(parts: list, path: str, line: int) -> None:
+    """Raise the IngestError naming the first number field of a record line
+    that does not parse; called when the line's one conversion failed."""
+    for column, kind, name in ((3, float, "x"), (4, float, "y"), (5, int, "yaw_index"), (6, float, "depth"),
+                               (8, float, "reward")):
+        _parse_number(kind, parts[column], path, line, name)
+    for token in parts[9:]:
+        _parse_number(float, token, path, line, "features")
+
+
+def _text_fields(path: str):
+    """(line number, whitespace-separated fields) for each line of a UTF-8
+    text file, read one at a time."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
-                yield lineno, raw.strip()
+                yield lineno, raw.split()
     except UnicodeDecodeError as exc:
         raise IngestError(f"file is not UTF-8 text: {exc}", path) from None
 
@@ -749,7 +803,10 @@ def read_database(path: str) -> list:
     """Read datasets back from a records file (or a prefix).
 
     Validates every record against the schema and the manifest; any
-    violation raises IngestError naming the file, line and field.
+    violation raises IngestError naming the file, line and field. Each
+    line's numbers go into its task's buffer in one conversion; the range
+    rules are checked per task on the columns, and a row that breaks one
+    is reported at its line.
     """
     if path.endswith(RECORDS_SUFFIX):
         prefix = path[: -len(RECORDS_SUFFIX)]
@@ -762,12 +819,12 @@ def read_database(path: str) -> list:
     if not os.path.exists(manifest_path):
         raise IngestError("manifest file not found", manifest_path)
 
+    # task_id -> (composition, material_ids token, n_records, feature_dim,
+    # the numbers of its records from x on, the line of each record)
     manifest = {}
-    order = []
-    for lineno, line in _text_lines(manifest_path):
-        if not line or line.startswith("#"):
+    for lineno, parts in _text_fields(manifest_path):
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
         if len(parts) != 5:
             raise IngestError(f"manifest line has {len(parts)} fields, expected 5", manifest_path, lineno)
         task_id, comp, mats, n_records, feature_dim = parts
@@ -775,59 +832,50 @@ def read_database(path: str) -> list:
             raise IngestError(f"unknown composition {comp!r}", manifest_path, lineno, "composition")
         if task_id in manifest:
             raise IngestError(f"duplicate task {task_id!r}", manifest_path, lineno, "task_id")
-        manifest[task_id] = {
-            "composition": comp,
-            "materials": tuple(mats.split(",")),
-            "n_records": _parse_number(int, n_records, manifest_path, lineno, "n_records"),
-            "feature_dim": _parse_number(int, feature_dim, manifest_path, lineno, "feature_dim"),
-            "rows": [],
-        }
-        order.append(task_id)
+        manifest[task_id] = (comp, mats, _parse_number(int, n_records, manifest_path, lineno, "n_records"),
+                             _parse_number(int, feature_dim, manifest_path, lineno, "feature_dim"),
+                             array("d"), array("q"))
 
-    for lineno, line in _text_lines(records_path):
-        if not line or line.startswith("#"):
+    for lineno, parts in _text_fields(records_path):
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
         if len(parts) < 10:
             raise IngestError(f"record has {len(parts)} fields, expected at least 10", records_path, lineno)
-        task_id = parts[0]
-        if task_id not in manifest:
-            raise IngestError(f"record for task {task_id!r} missing from manifest", records_path, lineno, "task_id")
-        entry = manifest[task_id]
-        mats = tuple(parts[1].split(","))
-        if mats != entry["materials"]:
-            raise IngestError(f"material ids {mats} disagree with manifest {entry['materials']}", records_path, lineno, "material_ids")
-        if parts[2] != entry["composition"]:
+        entry = manifest.get(parts[0])
+        if entry is None:
+            raise IngestError(f"record for task {parts[0]!r} missing from manifest", records_path, lineno, "task_id")
+        comp, mats, _, feature_dim, numbers, lines = entry
+        if parts[1] != mats:
+            raise IngestError(f"material ids {tuple(parts[1].split(','))} disagree with manifest "
+                              f"{tuple(mats.split(','))}", records_path, lineno, "material_ids")
+        if parts[2] != comp:
             raise IngestError(f"composition {parts[2]!r} disagrees with manifest", records_path, lineno, "composition")
-        x = _parse_number(float, parts[3], records_path, lineno, "x")
-        y = _parse_number(float, parts[4], records_path, lineno, "y")
-        yaw_index = _parse_number(int, parts[5], records_path, lineno, "yaw_index")
-        depth = _parse_number(float, parts[6], records_path, lineno, "depth")
-        stiffness = parts[7]
-        reward = _parse_number(float, parts[8], records_path, lineno, "reward")
-        feats = np.array([_parse_number(float, t, records_path, lineno, "features") for t in parts[9:]])
-        if feats.shape[0] != entry["feature_dim"]:
-            raise IngestError(
-                f"feature count {feats.shape[0]} does not match manifest dim {entry['feature_dim']}",
-                records_path, lineno, "features",
-            )
-        if reward < 0.0 or not np.isfinite(reward):
-            raise IngestError(f"reward {reward} must be finite and non-negative", records_path, lineno, "reward")
+        if len(parts) - 9 != feature_dim:
+            raise IngestError(f"feature count {len(parts) - 9} does not match manifest dim {feature_dim}",
+                              records_path, lineno, "features")
+        bit = _STIFFNESS_BITS.get(parts[7])
+        if bit is None:
+            raise IngestError(_ACTION_MESSAGES[3].format(stiffness=parts[7]), records_path, lineno, "action")
+        parts[7] = bit  # float() passes it through
         try:
-            action = ScoopAction(x, y, yaw_index, depth, stiffness)
-        except ValueError as exc:
-            raise IngestError(str(exc), records_path, lineno, "action") from exc
-        entry["rows"].append(ScoopRecord(action, reward, feats))
+            int(parts[5])
+            numbers.extend(map(float, parts[3:]))
+        except ValueError:
+            _raise_unparsed(parts, records_path, lineno)
+        lines.append(lineno)
 
     datasets = []
-    for task_id in order:
-        entry = manifest[task_id]
-        if len(entry["rows"]) != entry["n_records"]:
-            raise IngestError(
-                f"task {task_id} has {len(entry['rows'])} records, manifest declares {entry['n_records']}",
-                records_path, 0, "n_records",
-            )
-        datasets.append(TaskDataset(task_id, entry["composition"], entry["materials"], tuple(entry["rows"])))
+    for task_id, (comp, mats, n_records, feature_dim, numbers, lines) in manifest.items():
+        # columns x, y, yaw_index, depth, stiffness bit, reward, features
+        table = np.frombuffer(numbers).reshape(len(lines), 6 + feature_dim) if lines else np.empty((0, 6))
+        try:
+            ds = TaskDataset(task_id, comp, mats.split(","), table[:, :5], table[:, 5], table[:, 6:])
+        except _RowError as exc:
+            raise IngestError(str(exc), records_path, lines[exc.row], exc.field) from exc
+        if len(lines) != n_records:
+            raise IngestError(f"task {task_id} has {len(lines)} records, manifest declares {n_records}",
+                              records_path, 0, "n_records")
+        datasets.append(ds)
     if not any(len(ds) for ds in datasets):
         raise IngestError("dataset is empty", records_path)
     return datasets

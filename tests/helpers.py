@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+from typing import NamedTuple
+
 import numpy as np
 
 from scipy.special import expit
@@ -10,12 +13,15 @@ from scoopgp.bench import (DeployReport, DeployRow, MaeReport, MaeRow, _aggregat
                            deployment_threshold, query_split)
 from scoopgp.config import check_shots
 from scoopgp.decide import DatasetTarget, dataset_pool, run_deployment
-from scoopgp.errors import ShapeError
+from scoopgp.errors import IngestError, ShapeError
 from scoopgp.gp import (DeepGpModel, checkpoint_id, condition, embed, embed_batch, kernel_matrix, mean_eval_batch,
                         posterior_batch)
 from scoopgp.nnet import NetworkSpec, ParamVector, _act, _check_batch, init_params, split_params
 from scoopgp.tasks import (
     CELL,
+    COMPOSITIONS,
+    MANIFEST_SUFFIX,
+    RECORDS_SUFFIX,
     DEPTH_MIN,
     DRAG_LEN,
     FILL_BASE,
@@ -42,10 +48,10 @@ from scoopgp.tasks import (
     SLOPE_REF,
     Material,
     ScoopAction,
-    ScoopRecord,
     TaskDataset,
     TerrainTask,
     _bilinear,
+    _parse_number,
 )
 
 
@@ -148,19 +154,24 @@ def dense_posterior_oracle(model: DeepGpModel, Xs, ys, Xq):
     return mu, np.maximum(var, 0.0)
 
 
-_TOY_ACTION = ScoopAction(0.1, 0.1, 0, DEPTH_MIN, "soft")
-
-
 def toy_dataset(task_id: str, feats, rewards, composition: str = "single",
                 materials=("matA",)) -> TaskDataset:
     """Dataset with hand-chosen features and rewards. Every record shares one
-    action, so gp_inputs() is the features plus a constant (0, 0) tail."""
-    feats = np.asarray(feats, dtype=np.float64)
+    soft, shallowest action, so gp_inputs() is the features plus a constant
+    (0, 0) tail."""
+    actions = np.tile([0.1, 0.1, 0, DEPTH_MIN, 0.0], (len(rewards), 1))
+    return TaskDataset(task_id, composition, materials, actions, rewards, feats)
+
+
+def reward_dataset(rewards, task_id: str, period: int) -> TaskDataset:
+    """Distinct soft, shallowest actions spread over the tray (y repeats
+    every period records), and one feature that exposes the reward: reward / 10."""
     rewards = np.asarray(rewards, dtype=np.float64)
-    records = tuple(
-        ScoopRecord(_TOY_ACTION, float(r), feats[i]) for i, r in enumerate(rewards)
-    )
-    return TaskDataset(task_id, composition, tuple(materials), records)
+    n = len(rewards)
+    i = np.arange(n)
+    actions = np.column_stack([0.05 + 0.7 * i / max(n - 1, 1), 0.1 + 0.3 * (i % period) / period, i % 8,
+                               np.full(n, DEPTH_MIN), np.zeros(n)])
+    return TaskDataset(task_id, "single", ("matA",), actions, rewards, rewards[:, None] / 10.0)
 
 
 def flat_task(material, task_id: str = "flat0") -> TerrainTask:
@@ -411,3 +422,132 @@ def reference_kshot_mae(model: DeepGpModel, datasets, shots=(0, 5, 10), trials: 
         aggregates=_aggregate_rows(rows, shots),
     )
     return report
+
+
+class ReferenceRecord(NamedTuple):
+    action: ScoopAction
+    reward: float
+    features: np.ndarray
+
+
+class ReferenceDataset(NamedTuple):
+    task_id: str
+    composition: str
+    material_ids: tuple
+    records: tuple
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+
+def _text_lines(path: str):
+    """(line number, stripped line) for each line of a UTF-8 text file, read one at a time."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                yield lineno, raw.strip()
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"file is not UTF-8 text: {exc}", path) from None
+
+
+def reference_read_database(path: str) -> list:
+    """The record-at-a-time reader that read_database replaced, verbatim but
+    for its return types: one ReferenceRecord per line, validated through
+    ScoopAction, in a ReferenceDataset per task."""
+    if path.endswith(RECORDS_SUFFIX):
+        prefix = path[: -len(RECORDS_SUFFIX)]
+    else:
+        prefix = path
+    records_path = prefix + RECORDS_SUFFIX
+    manifest_path = prefix + MANIFEST_SUFFIX
+    if not os.path.exists(records_path):
+        raise IngestError("records file not found", records_path)
+    if not os.path.exists(manifest_path):
+        raise IngestError("manifest file not found", manifest_path)
+
+    manifest = {}
+    order = []
+    for lineno, line in _text_lines(manifest_path):
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 5:
+            raise IngestError(f"manifest line has {len(parts)} fields, expected 5", manifest_path, lineno)
+        task_id, comp, mats, n_records, feature_dim = parts
+        if comp not in COMPOSITIONS:
+            raise IngestError(f"unknown composition {comp!r}", manifest_path, lineno, "composition")
+        if task_id in manifest:
+            raise IngestError(f"duplicate task {task_id!r}", manifest_path, lineno, "task_id")
+        manifest[task_id] = {
+            "composition": comp,
+            "materials": tuple(mats.split(",")),
+            "n_records": _parse_number(int, n_records, manifest_path, lineno, "n_records"),
+            "feature_dim": _parse_number(int, feature_dim, manifest_path, lineno, "feature_dim"),
+            "rows": [],
+        }
+        order.append(task_id)
+
+    for lineno, line in _text_lines(records_path):
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) < 10:
+            raise IngestError(f"record has {len(parts)} fields, expected at least 10", records_path, lineno)
+        task_id = parts[0]
+        if task_id not in manifest:
+            raise IngestError(f"record for task {task_id!r} missing from manifest", records_path, lineno, "task_id")
+        entry = manifest[task_id]
+        mats = tuple(parts[1].split(","))
+        if mats != entry["materials"]:
+            raise IngestError(f"material ids {mats} disagree with manifest {entry['materials']}", records_path, lineno, "material_ids")
+        if parts[2] != entry["composition"]:
+            raise IngestError(f"composition {parts[2]!r} disagrees with manifest", records_path, lineno, "composition")
+        x = _parse_number(float, parts[3], records_path, lineno, "x")
+        y = _parse_number(float, parts[4], records_path, lineno, "y")
+        yaw_index = _parse_number(int, parts[5], records_path, lineno, "yaw_index")
+        depth = _parse_number(float, parts[6], records_path, lineno, "depth")
+        stiffness = parts[7]
+        reward = _parse_number(float, parts[8], records_path, lineno, "reward")
+        feats = np.array([_parse_number(float, t, records_path, lineno, "features") for t in parts[9:]])
+        if feats.shape[0] != entry["feature_dim"]:
+            raise IngestError(
+                f"feature count {feats.shape[0]} does not match manifest dim {entry['feature_dim']}",
+                records_path, lineno, "features",
+            )
+        if reward < 0.0 or not np.isfinite(reward):
+            raise IngestError(f"reward {reward} must be finite and non-negative", records_path, lineno, "reward")
+        try:
+            action = ScoopAction(x, y, yaw_index, depth, stiffness)
+        except ValueError as exc:
+            raise IngestError(str(exc), records_path, lineno, "action") from exc
+        entry["rows"].append(ReferenceRecord(action, reward, feats))
+
+    datasets = []
+    for task_id in order:
+        entry = manifest[task_id]
+        if len(entry["rows"]) != entry["n_records"]:
+            raise IngestError(
+                f"task {task_id} has {len(entry['rows'])} records, manifest declares {entry['n_records']}",
+                records_path, 0, "n_records",
+            )
+        datasets.append(ReferenceDataset(task_id, entry["composition"], entry["materials"], tuple(entry["rows"])))
+    if not any(len(ds) for ds in datasets):
+        raise IngestError("dataset is empty", records_path)
+    return datasets
+
+
+def assert_columns_equal_reference(datasets, reference) -> None:
+    """The columns of read_database's datasets hold exactly the reference
+    reader's per-record values."""
+    assert len(datasets) == len(reference)
+    for ds, ref in zip(datasets, reference):
+        assert (ds.task_id, ds.composition, ds.material_ids, len(ds)) == \
+            (ref.task_id, ref.composition, ref.material_ids, len(ref))
+        if not len(ref):
+            continue
+        a = [r.action for r in ref.records]
+        expected = np.array([(r.x, r.y, r.yaw_index, r.depth, r.stiffness_bit) for r in a])
+        assert np.array_equal(ds.actions, expected)
+        assert np.array_equal(ds.rewards(), [r.reward for r in ref.records])
+        assert np.array_equal(ds.features, np.stack([r.features for r in ref.records]))
+        assert [ds.action(i) for i in range(len(ds))] == a

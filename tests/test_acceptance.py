@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from helpers import dense_posterior_oracle, random_model
+from helpers import dense_posterior_oracle, random_model, reward_dataset
 
 from scoopgp.bench import (deployment_threshold, eval_kshot_mae, eval_simulated_deployment,
                            mean_model_mae, paired_sign_test, pool_mae_reports)
@@ -22,7 +22,7 @@ from scoopgp.cli import main
 from scoopgp.decide import DatasetTarget, ScorerConfig, run_deployment
 from scoopgp.gp import embed_batch, mean_eval_batch, nlml, nlml_grad, posterior_batch
 from scoopgp.meta import make_fold_splits, train_codega, train_dkmt
-from scoopgp.tasks import (DEPTH_MIN, ScoopAction, ScoopRecord, TaskDataset, generate_materials,
+from scoopgp.tasks import (TaskDataset, generate_materials,
                            ingest_released_dataset, sample_ood_test_family, sample_task_family)
 
 MODEL_SEEDS = (0, 1, 2)
@@ -161,7 +161,7 @@ def test_split_invariants():
         for t in range(int(rng.integers(1, 9))):
             picked = rng.choice(len(mats), size=int(rng.integers(1, 4)), replace=False)
             datasets.append(TaskDataset(f"t{t}", "single",
-                                        tuple(mats[j] for j in sorted(picked)), ()))
+                                        tuple(mats[j] for j in sorted(picked))))
         used = sorted({m for ds in datasets for m in ds.material_ids})
         if len(used) < 2:
             continue
@@ -240,12 +240,7 @@ def test_random_policy_calibration():
     rng = np.random.default_rng(88)
     rewards = np.concatenate([rng.uniform(0.0, 50.0, 95), rng.uniform(90.0, 100.0, 5)])
     rng.shuffle(rewards)
-    records = []
-    for i, r in enumerate(rewards):
-        action = ScoopAction(0.05 + 0.7 * i / 99, 0.1 + 0.3 * (i % 7) / 7,
-                             i % 8, DEPTH_MIN, "soft")
-        records.append(ScoopRecord(action, float(r), np.array([r / 10.0])))
-    ds = TaskDataset("calib0", "single", ("matA",), tuple(records))
+    ds = reward_dataset(rewards, "calib0", period=7)
     threshold = deployment_threshold(ds)
     assert int((rewards >= threshold).sum()) == 5
 

@@ -30,10 +30,10 @@ from scoopgp.decide import ScorerConfig, run_deployment
 from scoopgp.errors import ConfigError, IngestError
 from scoopgp.gp import DeepGpModel, condition, embed, posterior_batch
 from scoopgp.nnet import NetworkSpec
-from scoopgp.tasks import DEPTH_MIN, ScoopAction, ScoopRecord, TaskDataset, sample_ood_test_family
+from scoopgp.tasks import sample_ood_test_family
 
 from helpers import (identity_params, params_from_layers, random_model, reference_kshot_mae,
-                     reference_simulated_deployment, toy_dataset)
+                     reference_simulated_deployment, reward_dataset, toy_dataset)
 
 
 def _linear_mean_model(d, w, bias=0.0):
@@ -51,14 +51,7 @@ def _linear_mean_model(d, w, bias=0.0):
 
 
 def _reward_dataset(rewards, task_id="bench0"):
-    rewards = np.asarray(rewards, dtype=np.float64)
-    n = len(rewards)
-    records = []
-    for i, r in enumerate(rewards):
-        action = ScoopAction(0.05 + 0.7 * i / max(n - 1, 1), 0.1 + 0.3 * (i % 5) / 5,
-                            i % 8, DEPTH_MIN, "soft")
-        records.append(ScoopRecord(action, float(r), np.array([r / 10.0])))
-    return TaskDataset(task_id, "single", ("matA",), tuple(records))
+    return reward_dataset(rewards, task_id, period=5)
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,10 @@ from scoopgp.decide import (
 from scoopgp.errors import SelectionError
 from scoopgp.gp import DeepGpModel, mean_eval_batch, posterior_batch
 from scoopgp.nnet import NetworkSpec
-from scoopgp.tasks import DEPTH_MIN, ScoopAction, ScoopRecord, TaskDataset
+from scoopgp.tasks import TaskDataset
 
-from helpers import flat_task, identity_embedding_model, identity_params, params_from_layers, random_model, toy_dataset
+from helpers import (flat_task, identity_embedding_model, identity_params, params_from_layers, random_model,
+                     reward_dataset, toy_dataset)
 
 
 def _linear_mean_model(d, w, bias=0.0, log_noise=np.log(0.1)):
@@ -36,16 +37,9 @@ def _linear_mean_model(d, w, bias=0.0, log_noise=np.log(0.1)):
     )
 
 
-def _deploy_dataset(rewards, task_id="dep0", seed=0):
+def _deploy_dataset(rewards, task_id="dep0"):
     """Distinct actions, features that expose the reward in coordinate 0."""
-    rewards = np.asarray(rewards, dtype=np.float64)
-    n = len(rewards)
-    records = []
-    for i, r in enumerate(rewards):
-        action = ScoopAction(0.05 + 0.7 * i / max(n - 1, 1), 0.1 + 0.3 * (i % 7) / 7,
-                            i % 8, DEPTH_MIN, "soft")
-        records.append(ScoopRecord(action, float(r), np.array([r / 10.0])))
-    return TaskDataset(task_id, "single", ("matA",), tuple(records))
+    return reward_dataset(rewards, task_id, period=7)
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +115,13 @@ def test_select_action_rejects_a_nan_among_feasible_scores():
     assert select_action(scores, np.array([True, False, True])) == 2
 
 
+def test_select_action_stays_feasible_when_every_feasible_score_is_minus_inf():
+    scores = np.array([1.0, -np.inf, -np.inf])
+    assert select_action(scores, np.array([False, True, True])) == 1
+    assert select_action(np.full(4, -np.inf), np.array([False, False, True, True])) == 2
+    assert select_action(np.array([-np.inf, np.inf, 2.0]), np.array([True, False, True])) == 2
+
+
 def test_select_action_breaks_ties_deterministically():
     scores = np.array([7.0, 7.0, 1.0, 7.0])
     mask = np.ones(4, dtype=bool)
@@ -153,7 +154,7 @@ def test_deployment_rejects_hopeless_or_empty_targets():
     ds = _deploy_dataset([1.0, 4.0, 9.0])
     with pytest.raises(ValueError, match="dep0.*threshold"):
         run_deployment(None, ScorerConfig(kind="random"), DatasetTarget(ds), 10.0, budget=5)
-    empty = TaskDataset("dep1", "single", ("matA",), ())
+    empty = TaskDataset("dep1", "single", ("matA",))
     with pytest.raises(ValueError, match="no records"):
         run_deployment(None, ScorerConfig(kind="random"), DatasetTarget(empty), 1.0, budget=5)
     with pytest.raises(ValueError, match="budget"):
@@ -175,7 +176,7 @@ def test_perfect_mean_model_goes_straight_to_the_best_record():
     trace = run_deployment(model, ScorerConfig(kind="mean"), DatasetTarget(ds), 11.0, budget=5)
     assert trace.success and trace.attempts == 1
     assert trace.episodes[0].reward == 11.0
-    assert trace.episodes[0].action == ds.records[2].action
+    assert trace.episodes[0].action == ds.action(2)
 
 
 def test_failures_accumulate_without_repeats():
@@ -201,7 +202,7 @@ def test_ucb_episodes_condition_on_the_failures_before_them():
     trace = run_deployment(model, UCB, DatasetTarget(ds), 11.0, budget=len(rewards))
     assert trace.success and trace.attempts > 2
     X = ds.gp_inputs()
-    index = {r.action: i for i, r in enumerate(ds.records)}
+    index = {ds.action(i): i for i in range(len(ds))}
     taken = [index[e.action] for e in trace.episodes]
     for n, (i, e) in enumerate(zip(taken, trace.episodes)):
         before = taken[:n]

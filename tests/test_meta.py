@@ -124,7 +124,7 @@ def test_mean_restores_the_best_validation_epoch():
 def test_mean_requires_data():
     with pytest.raises(ValueError):
         train_mean([], seed=0)
-    empty = TaskDataset("e", "single", ("m",), ())
+    empty = TaskDataset("e", "single", ("m",))
     with pytest.raises(ValueError):
         train_mean([empty], seed=0)
 
@@ -133,7 +133,7 @@ def test_mean_requires_data():
 # fold splits
 
 def _empty_task(task_id, materials):
-    return TaskDataset(task_id, "single", tuple(materials), ())
+    return TaskDataset(task_id, "single", tuple(materials))
 
 
 def test_single_material_tasks_split_into_singleton_folds():
@@ -424,7 +424,7 @@ def test_dkmt_tracks_its_optimum_and_rejects_empty_input(dkmt_result, caplog):
     report = dkmt_result.report
     trains = [e.train_loss for e in report.entries]
     assert report.entries[report.best_epoch - 1].train_loss == min(trains)
-    single = TaskDataset("s", "single", ("m",), ())
+    single = TaskDataset("s", "single", ("m",))
     with pytest.raises(ValueError, match="min_group_size"):
         train_dkmt([single])
     assert [r.getMessage() for r in caplog.records if r.name == "scoopgp" and r.levelno == logging.WARNING] \

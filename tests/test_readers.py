@@ -10,6 +10,7 @@ blocks.
 
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +24,7 @@ from scoopgp.serialize import container_bytes, parse_container
 from scoopgp.tasks import (generate_materials, generate_task, load_terrains, read_database,
                            save_terrains, write_database)
 
-from helpers import random_model, toy_dataset
+from helpers import assert_columns_equal_reference, random_model, reference_read_database, toy_dataset
 
 TYPED = (ConfigError, IngestError, SerializationError)
 
@@ -129,3 +130,29 @@ def test_readers_raise_only_typed_errors_on_mutated_files(samples, case, data):
         reader()
     except TYPED:
         pass
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_read_database_accepts_exactly_what_the_reference_reader_accepts(samples, data):
+    """The columnar reader against the record-at-a-time one it replaced: the
+    same files pass, with the same values, except that non-finite features
+    are now an IngestError; every other file raises IngestError in both."""
+    files, reader = samples["read_database"]
+    target = data.draw(st.sampled_from(sorted(files)))
+    for path, valid in files.items():
+        with open(path, "wb") as fh:
+            fh.write(data.draw(_mutated(valid)) if path == target else valid)
+    prefix = next(iter(files))[: -len(".records.txt")]
+    try:
+        reference = reference_read_database(prefix)
+    except IngestError:
+        with pytest.raises(IngestError):
+            reader()
+        return
+    if all(np.isfinite(r.features).all() for ds in reference for r in ds.records):
+        assert_columns_equal_reference(reader(), reference)
+    else:
+        with pytest.raises(IngestError) as info:
+            reader()
+        assert info.value.field == "features"

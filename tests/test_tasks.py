@@ -25,11 +25,11 @@ from scoopgp.tasks import (
     N_YAWS,
     OBS_DIM,
     PATCH_CELLS,
+    STIFFNESS_LEVELS,
     TRAY_H,
     TRAY_W,
     Material,
     ScoopAction,
-    ScoopRecord,
     TaskDataset,
     _allocate,
     action_feasible,
@@ -50,7 +50,8 @@ from scoopgp.tasks import (
     write_database,
 )
 
-from helpers import flat_task, random_model, reference_features, reference_reward, toy_dataset
+from helpers import (assert_columns_equal_reference, flat_task, random_model, reference_features, reference_read_database,
+                     reference_reward, toy_dataset)
 
 
 def _material(gain=0.8, jam=0.1, sens=0.6, slope=0.0, mat_id="m0"):
@@ -255,10 +256,10 @@ def test_feature_dimensions_line_up(world):
 def test_stored_features_recompute_bit_exactly(world):
     task = world.train_tasks[0]
     ds = world.train_sets[0]
-    actions = [r.action for r in ds.records]
+    actions = [ds.action(i) for i in range(len(ds))]
     feats = compute_features_batch(task, actions)
-    stored = np.stack([r.features for r in ds.records])
-    assert np.array_equal(feats, stored)
+    assert np.array_equal(feats, ds.features)
+    assert np.array_equal(compute_features_batch(task, ds.actions), feats)
     one = compute_features_batch(task, [actions[0]])[0]
     assert np.array_equal(one, feats[0])
 
@@ -312,11 +313,14 @@ def test_batched_reward_oracle_equals_the_scalar_reference(world):
     assert reward_oracle(task, []).shape == (0,)
 
 
-def test_gp_inputs_are_built_once_and_equal_the_per_record_rows(world):
+def test_gp_inputs_equal_the_per_record_rows_and_columns_are_read_only(world):
     for ds in world.train_sets[:3] + world.test_sets[:1]:
         rows = ds.gp_inputs()
-        assert np.array_equal(rows, np.stack([assemble_gp_input(r.features, r.action) for r in ds.records]))
-        assert ds.gp_inputs() is rows and not rows.flags.writeable
+        assert np.array_equal(rows, np.stack([assemble_gp_input(ds.features[i], ds.action(i)) for i in range(len(ds))]))
+        for column in (ds.actions, ds.rewards(), ds.features):
+            assert not column.flags.writeable
+        task = next(t for t in world.train_tasks + world.test_tasks if t.id == ds.task_id)
+        assert np.array_equal(reward_oracle(task, ds.actions), reward_oracle(task, [ds.action(i) for i in range(len(ds))]))
 
 
 def test_depth_normalization_in_gp_input():
@@ -400,12 +404,12 @@ def test_contact_material_switches_below_hidden_depth():
     assert contact(deep) == ["c"]
 
 
-def test_scoop_record_rejects_bad_rewards():
-    action = ScoopAction(0.1, 0.1, 0, 0.05, "soft")
-    with pytest.raises(ValueError):
-        ScoopRecord(action, -1.0, np.zeros(3))
-    with pytest.raises(ValueError):
-        ScoopRecord(action, float("nan"), np.zeros(3))
+def test_task_dataset_rejects_bad_rewards():
+    actions = np.tile([0.1, 0.1, 0, 0.05, 0.0], (3, 1))
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"reward {bad} must be finite and non-negative") as info:
+            TaskDataset("t", "single", ("a",), actions, [1.0, bad, 2.0], np.zeros((3, 2)))
+        assert (info.value.row, info.value.field) == (1, "reward")
 
 
 # ---------------------------------------------------------------------------
@@ -480,10 +484,9 @@ def _assert_same_datasets(a, b):
         assert da.composition == db.composition
         assert da.material_ids == db.material_ids
         assert len(da) == len(db)
-        for ra, rb in zip(da.records, db.records):
-            assert ra.action == rb.action
-            assert ra.reward == rb.reward
-            assert np.array_equal(ra.features, rb.features)
+        assert np.array_equal(da.actions, db.actions)
+        assert np.array_equal(da.rewards(), db.rewards())
+        assert np.array_equal(da.features, db.features)
 
 
 def test_database_round_trip_is_stable(tmp_path, world):
@@ -510,8 +513,14 @@ def test_read_database_validates_schema(tmp_path, world):
     records_path = prefix + ".records.txt"
     manifest_path = prefix + ".manifest.txt"
 
-    with pytest.raises(IngestError, match="not found"):
+    def expect(match, path, line, field):
+        with pytest.raises(IngestError, match=match) as info:
+            read_database(prefix)
+        assert (info.value.path, info.value.line, info.value.field) == (path, line, field)
+
+    with pytest.raises(IngestError, match="not found") as info:
         read_database(str(tmp_path / "missing"))
+    assert (info.value.line, info.value.field) == (0, "")
 
     with open(records_path) as fh:
         record_lines = fh.readlines()
@@ -524,64 +533,68 @@ def test_read_database_validates_schema(tmp_path, world):
         with open(manifest_path, "w") as fh:
             fh.writelines(lines_m if lines_m is not None else manifest_lines)
 
-    body = next(i for i, ln in enumerate(record_lines) if not ln.startswith("#"))
+    # a fault in the last record of the file, whose task is not the first
+    body = len(record_lines) - 1
+    assert record_lines[body].split()[0] != record_lines[2].split()[0]
 
-    broken = record_lines.copy()
-    broken[body] = broken[body].replace(" soft ", " squishy ", 1).replace(" hard ", " squishy ", 1)
-    rewrite(lines_r=broken)
-    with pytest.raises(IngestError, match="stiffness"):
-        read_database(prefix)
+    def broken_field(column, token):
+        broken = record_lines.copy()
+        parts = broken[body].split()
+        parts[column] = token
+        broken[body] = " ".join(parts) + "\n"
+        return broken
 
-    broken = record_lines.copy()
-    parts = broken[body].split()
-    parts[8] = "-5.0"
-    broken[body] = " ".join(parts) + "\n"
-    rewrite(lines_r=broken)
-    with pytest.raises(IngestError, match="reward"):
-        read_database(prefix)
+    rewrite(lines_r=broken_field(7, "squishy"))
+    expect("stiffness must be one of .*'squishy'", records_path, body + 1, "action")
 
-    broken = record_lines.copy()
-    parts = broken[body].split()
-    parts[3] = "abc"
-    broken[body] = " ".join(parts) + "\n"
-    rewrite(lines_r=broken)
-    with pytest.raises(IngestError, match="cannot parse"):
-        read_database(prefix)
+    rewrite(lines_r=broken_field(8, "-5.0"))
+    expect("reward", records_path, body + 1, "reward")
+
+    for column, token, field in ((3, "abc", "x"), (4, "1.2.3", "y"), (5, "2.0", "yaw_index"),
+                                 (6, "deep", "depth"), (8, "lots", "reward"), (12, "?", "features")):
+        rewrite(lines_r=broken_field(column, token))
+        expect("cannot parse", records_path, body + 1, field)
+
+    for column, token, match in ((3, "1.5", "outside the tray"), (4, "nan", "outside the tray"),
+                                 (5, "8", r"yaw_index must be in \[0, 8\), got 8"), (6, "0.2", "depth 0.2 outside")):
+        rewrite(lines_r=broken_field(column, token))
+        expect(match, records_path, body + 1, "action")
+
+    for token in ("nan", "inf", "-Infinity", "1e999"):
+        rewrite(lines_r=broken_field(12, token))
+        expect("feature 3 is .*, must be finite", records_path, body + 1, "features")
 
     broken = record_lines.copy()
     parts = broken[body].split()
     broken[body] = " ".join(parts[:-1]) + "\n"
     rewrite(lines_r=broken)
-    with pytest.raises(IngestError, match="feature count"):
-        read_database(prefix)
+    expect("feature count", records_path, body + 1, "features")
 
     broken = record_lines.copy()
     del broken[body]
     rewrite(lines_r=broken)
-    with pytest.raises(IngestError, match="records, manifest declares"):
-        read_database(prefix)
+    expect("records, manifest declares", records_path, 0, "n_records")
 
-    broken = record_lines.copy()
-    parts = broken[body].split()
-    parts[0] = "task999"
-    broken[body] = " ".join(parts) + "\n"
-    rewrite(lines_r=broken)
-    with pytest.raises(IngestError, match="missing from manifest"):
-        read_database(prefix)
+    rewrite(lines_r=broken_field(0, "task999"))
+    expect("missing from manifest", records_path, body + 1, "task_id")
+
+    rewrite(lines_r=broken_field(1, "mat99"))
+    expect("material ids", records_path, body + 1, "material_ids")
+
+    rewrite(lines_r=broken_field(2, "layers"))
+    expect("composition 'layers' disagrees", records_path, body + 1, "composition")
 
     mbody = next(i for i, ln in enumerate(manifest_lines) if not ln.startswith("#"))
     broken_m = manifest_lines.copy()
     broken_m[mbody] = broken_m[mbody].replace(" partition ", " marble ").replace(
         " single ", " marble ").replace(" mixture ", " marble ")
     rewrite(lines_m=broken_m)
-    with pytest.raises(IngestError, match="composition"):
-        read_database(prefix)
+    expect("composition", manifest_path, mbody + 1, "composition")
 
     broken_m = manifest_lines.copy()
     broken_m.append(broken_m[mbody])
     rewrite(lines_m=broken_m)
-    with pytest.raises(IngestError, match="duplicate"):
-        read_database(prefix)
+    expect("duplicate", manifest_path, len(broken_m), "task_id")
 
     for column, field in ((3, "n_records"), (4, "feature_dim")):
         broken_m = manifest_lines.copy()
@@ -589,14 +602,20 @@ def test_read_database_validates_schema(tmp_path, world):
         parts[column] = "2.5"
         broken_m[mbody] = " ".join(parts) + "\n"
         rewrite(lines_m=broken_m)
-        with pytest.raises(IngestError, match=field):
-            read_database(prefix)
+        expect(field, manifest_path, mbody + 1, field)
 
     rewrite()
     with open(records_path, "ab") as fh:
         fh.write(b"\xff\xfe not UTF-8\n")
-    with pytest.raises(IngestError, match="not UTF-8"):
-        read_database(prefix)
+    expect("not UTF-8", records_path, 0, "")
+
+
+def test_read_database_columns_equal_the_reference_reader(tmp_path, world):
+    prefix = str(tmp_path / "fam")
+    for sets in (world.train_sets, world.test_sets):
+        write_database(prefix, sets)
+        datasets = read_database(prefix)
+        assert_columns_equal_reference(datasets, reference_read_database(prefix))
 
 
 def test_ingest_reports_global_statistics(tmp_path, world):
@@ -757,9 +776,47 @@ def test_a_database_whose_second_file_fails_to_write_keeps_the_old_pair(tmp_path
 
 
 def test_task_dataset_validation():
-    action = ScoopAction(0.1, 0.1, 0, 0.05, "soft")
-    with pytest.raises(ValueError):
-        TaskDataset("t", "single", (), ())
-    records = (ScoopRecord(action, 1.0, np.zeros(3)), ScoopRecord(action, 1.0, np.zeros(4)))
-    with pytest.raises(ValueError):
-        TaskDataset("t", "single", ("a",), records)
+    actions = np.tile([0.1, 0.1, 0, 0.05, 0.0], (2, 1))
+    with pytest.raises(ValueError, match="material_ids"):
+        TaskDataset("t", "single", ())
+    for cols in ((actions[:, :4], [1.0, 1.0], np.zeros((2, 3))), (actions, [1.0], np.zeros((2, 3))),
+                 (actions, [1.0, 1.0], np.zeros((3, 3))), (actions, [1.0, 1.0], np.zeros(6)),
+                 (actions, [[1.0, 1.0]], np.zeros((1, 3)))):
+        with pytest.raises(ValueError, match="are not"):
+            TaskDataset("t", "single", ("a",), *cols)
+    empty = TaskDataset("t", "single", ["a"])
+    assert (len(empty), empty.feature_dim, empty.material_ids, empty.gp_inputs().shape) == (0, 0, ("a",), (0, 2))
+
+    # each column rule names the first row that breaks it, with ScoopAction's message
+    for column, value, message in ((0, 1.5, r"scoop start \(1.5, 0.1\) outside the tray"),
+                                   (1, -0.1, r"scoop start \(0.1, -0.1\) outside the tray"),
+                                   (2, 8.0, r"yaw_index must be in \[0, 8\), got 8$"),
+                                   (2, 2.5, r"yaw_index must be in \[0, 8\), got 2.5"),
+                                   (2, np.inf, r"got inf"),
+                                   (3, 0.2, r"depth 0.2 outside \[0.03, 0.08\]"),
+                                   (4, 0.5, r"stiffness must be one of \('soft', 'hard'\), got 0.5")):
+        bad = np.tile([0.1, 0.1, 0, 0.05, 0.0], (4, 1))
+        bad[2:, column] = value
+        with pytest.raises(ValueError, match=message) as info:
+            TaskDataset("t", "single", ("a",), bad, np.ones(4), np.zeros((4, 3)))
+        assert (info.value.row, info.value.field) == (2, "action")
+    for x, y, yaw, depth in ((1.5, 0.1, 0, 0.05), (0.1, -0.1, 0, 0.05), (0.1, 0.1, 8, 0.05), (0.1, 0.1, 0, 0.2)):
+        with pytest.raises(ValueError) as scalar:
+            ScoopAction(x, y, yaw, depth, "soft")
+        with pytest.raises(ValueError) as column:
+            TaskDataset("t", "single", ("a",), [[x, y, yaw, depth, 0.0]], [1.0], [[0.0]])
+        assert str(column.value) == str(scalar.value)
+
+    for value in (np.nan, np.inf, -np.inf):
+        feats = np.zeros((3, 4))
+        feats[1, 2] = value
+        with pytest.raises(ValueError, match=f"feature 2 is {value}, must be finite") as info:
+            TaskDataset("t", "single", ("a",), np.tile(actions[0], (3, 1)), np.ones(3), feats)
+        assert (info.value.row, info.value.field) == (1, "features")
+
+
+def test_task_dataset_actions_round_trip_through_scoop_actions(world):
+    for ds in world.train_sets[:2] + world.test_sets[-1:]:
+        actions = [ds.action(i) for i in range(len(ds))]
+        assert np.array_equal([(a.x, a.y, a.yaw_index, a.depth, a.stiffness_bit) for a in actions], ds.actions)
+        assert {a.stiffness for a in actions} == set(STIFFNESS_LEVELS)
