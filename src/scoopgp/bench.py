@@ -126,12 +126,13 @@ def eval_kshot_mae(model: DeepGpModel, datasets, shots=(0, 5, 10), trials: int =
     trials. Zero shots means the prior mean and is support-independent.
 
     Each task's records go through the networks once and into one Gram
-    matrix. A trial factors the sub-block of its largest support once:
-    the first s rows of V and beta belong to the s-point prefix, so the
-    s-shot mean is m(q) + sum_{i<s} V_i beta_i. A factor that needed
-    jitter is not the jittered factor of its prefixes, so such a trial
-    conditions every shot on its own, with the jitter posterior_batch
-    gives it.
+    matrix. Every trial's largest support is factored from its sub-block,
+    all of a task's trials in one stacked condition_gram call: the first s
+    rows of V and beta belong to the s-point prefix, so the s-shot mean is
+    m(q) + sum_{i<s} V_i beta_i, one cumulative sum along the support axis.
+    A factor that needed jitter is not the jittered factor of its
+    prefixes, so such a trial conditions every shot on its own, with the
+    jitter posterior_batch gives it.
     """
     shots = check_shots(shots)
     _check_trials(trials)
@@ -150,22 +151,25 @@ def eval_kshot_mae(model: DeepGpModel, datasets, shots=(0, 5, 10), trials: int =
         splits = [_query_split(seed, tag, trial, n) for trial in range(trials)]
         q_idx = np.stack([q for q, _ in splits])
         mu = np.repeat(E.m[q_idx][:, None, :], len(shots), axis=1)
-        for trial, (q, pool) in enumerate(splits):
-            if max_shot > len(pool):
-                raise ValueError(
-                    f"task {ds.task_id}: {max_shot} shots exceed the {len(pool)} records "
-                    f"left outside the query set"
-                )
-            if not max_shot:
-                continue
-            order = _shuffled(seed, tag, trial, pool)
-            top = order[:max_shot]
-            V, beta, jitter = condition_gram(model, K[top[:, None], top], K[q[:, None], top], y[top] - E.m[top])
-            if jitter:
+        # every trial's pool holds the records left outside its query set
+        pool_size = n - q_idx.shape[1]
+        if max_shot > pool_size:
+            raise ValueError(
+                f"task {ds.task_id}: {max_shot} shots exceed the {pool_size} records "
+                f"left outside the query set"
+            )
+        if max_shot:
+            orders = np.stack([_shuffled(seed, tag, trial, pool) for trial, (_, pool) in enumerate(splits)])
+            top = orders[:, :max_shot]
+            V, beta, jitter = condition_gram(model, K[top[:, :, None], top[:, None, :]],
+                                             K[q_idx[:, :, None], top[:, None, :]], y[top] - E.m[top])
+            gain = np.cumsum(V * beta[:, :, None], axis=1)[:, shot_arr[adapted] - 1]
+            exact = np.flatnonzero(jitter == 0.0)
+            mu[np.ix_(exact, adapted)] += gain[exact]
+            for trial in np.flatnonzero(jitter):
+                order, q = orders[trial], q_idx[trial]
                 for i, s in enumerate(shots):
                     mu[trial, i] = posterior_batch(model, E[order[:s]], y[order[:s]], E[q])[0]
-            else:
-                mu[trial, adapted] += np.cumsum(V * beta[:, None], axis=0)[shot_arr[adapted] - 1]
         rows += _mae_rows(ds.task_id, shots, mu, y[q_idx], top_k)
     return MaeReport(
         label="kshot-mae",

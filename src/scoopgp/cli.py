@@ -14,6 +14,7 @@ before numpy loads); SCOOPGP_OUT_DIR prefixes every relative output path.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -188,7 +189,10 @@ def _cmd_report(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args fills a new
+    namespace on every call, so calls do not share parsed values."""
     parser = argparse.ArgumentParser(prog="scoopgp",
                                      description="few-shot scooping reward models")
     sub = parser.add_subparsers(dest="command", required=True)

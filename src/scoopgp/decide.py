@@ -11,7 +11,9 @@ heightmap loses the scooped volume after every attempt.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -55,13 +57,20 @@ class ScorerConfig:
         draws from it for every kind)."""
         return self.kind != "random"
 
+    @property
+    def adaptive(self) -> bool:
+        """Whether scores condition on the support set: only ucb and greedy
+        read it, so only they need its rows gathered."""
+        return self.kind in ("ucb", "greedy")
+
 
 def score(model: DeepGpModel | None, scorer: ScorerConfig, support_x, support_y, candidates,
           rng=None) -> np.ndarray:
     """Score every candidate row; the best feasible one is executed.
 
     support_x (input rows) and support_y (rewards) are the failures observed
-    so far; only greedy and ucb condition on them. Candidates and support
+    so far; only greedy and ucb (ScorerConfig.adaptive) condition on them,
+    and the other kinds never look at them. Candidates and support
     are input rows or Embedded sets. random draws from rng and needs no
     model.
     """
@@ -82,23 +91,34 @@ def select_action(scores: np.ndarray, feasible: np.ndarray) -> int:
     feasible = np.asarray(feasible, dtype=bool)
     if scores.shape != feasible.shape:
         raise ValueError(f"scores shape {scores.shape} does not match mask shape {feasible.shape}")
-    if not feasible.any():
+    allowed = feasible.nonzero()[0]
+    if not len(allowed):
         raise SelectionError("no feasible candidate action")
     # argmax returns the first maximum, and the first NaN when there is one;
     # taken over the feasible scores alone, it stays feasible when all are -inf
-    allowed = np.flatnonzero(feasible)
-    best = int(allowed[np.argmax(scores[allowed])])
-    if np.isnan(scores[best]):
+    best = int(allowed[scores[allowed].argmax()])
+    if math.isnan(scores[best]):
         raise SelectionError(f"feasible candidate {best} has a NaN score")
     return best
 
 
 @dataclass(frozen=True)
 class EpisodeStep:
-    action: ScoopAction
+    """One executed step: the candidate's index in its target (a record or
+    a grid action), its score, the observed reward and the support size
+    after it. action_of maps an index to its ScoopAction; steps compare
+    without it."""
+
+    index: int
     score: float
     reward: float
     support_size: int
+    action_of: Callable[[int], ScoopAction] = field(compare=False, repr=False)
+
+    @property
+    def action(self) -> ScoopAction:
+        """The executed action, built on each call."""
+        return self.action_of(self.index)
 
 
 @dataclass(frozen=True)
@@ -183,9 +203,12 @@ def run_deployment(model, scorer: ScorerConfig, target, threshold: float, budget
     Every executed observation below the threshold is appended to the
     support set before the next episode, so adaptive scorers condition on
     all failures so far. A target supplies a mask of the actions still
-    allowed, the candidate inputs and support rows of the current step, the
-    action at a candidate index, an execute step that returns the observed
-    reward, and a keep step that adds a failed candidate to the support.
+    allowed, the candidate inputs of the current step, the support rows
+    (gathered only for a scorer that reads them), the action at a
+    candidate index, an execute step that returns the observed reward, and
+    a keep step that adds a failed candidate to the support. A step is
+    recorded by its candidate index; a dataset episode builds no
+    ScoopAction unless its trace is rendered.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -207,9 +230,12 @@ def run_deployment(model, scorer: ScorerConfig, target, threshold: float, budget
         failed = []
 
         def candidates():
-            return pool, pool[failed]
+            return pool
 
-        def execute(idx, action):
+        def support():
+            return pool[failed]
+
+        def execute(idx):
             allowed[idx] = False
             return float(rewards[idx])
 
@@ -217,13 +243,17 @@ def run_deployment(model, scorer: ScorerConfig, target, threshold: float, budget
             failed.append(idx)
     elif isinstance(target, LiveTarget):
         task, grid = target.task.copy(), ActionGrid()
-        task_id, action_at, allowed = task.id, grid.action, grid.feasible.copy()
+        task_id, action_at, allowed = task.id, grid.action, grid.feasible
         failed = []
 
         def candidates():
-            return grid.gp_inputs(task), failed
+            return grid.gp_inputs(task)
 
-        def execute(idx, action):
+        def support():
+            return failed
+
+        def execute(idx):
+            action = grid.action(idx)
             noise_seed = int(rng.integers(0, 2 ** 31 - 1))
             reward = float(reward_oracle(task, [action], noise_seed)[0])
             _scoop_terrain(task, action, reward)
@@ -237,16 +267,15 @@ def run_deployment(model, scorer: ScorerConfig, target, threshold: float, budget
     support_y, episodes = [], []
     success = False
     while len(episodes) < budget:
-        X, support_x = candidates()
-        scores = score(model, scorer, support_x, support_y, X, rng)
+        X = candidates()
+        scores = score(model, scorer, support() if scorer.adaptive else None, support_y, X, rng)
         idx = select_action(scores, allowed)
-        action = action_at(idx)
-        reward = execute(idx, action)
+        reward = execute(idx)
         success = bool(reward >= threshold)
         if not success:
             keep(X, idx)
             support_y.append(reward)
-        episodes.append(EpisodeStep(action, float(scores[idx]), reward, len(support_y)))
-        if success or not allowed.any():
+        episodes.append(EpisodeStep(idx, float(scores[idx]), reward, len(support_y), action_at))
+        if success or not np.count_nonzero(allowed):
             break
     return DeploymentTrace(task_id, float(threshold), int(budget), tuple(episodes), success)

@@ -28,7 +28,11 @@ are those of the support's first s points. Inputs may be raw rows or an
 networks on them once. `condition` forms the two kernel blocks and hands
 them to `condition_gram`, which does the factor and the solve; a caller
 holding one Gram matrix over all of a task's rows passes its sub-blocks
-to `condition_gram` directly.
+to `condition_gram` directly. Those blocks may be stacks, (..., n, n),
+(..., Q, n) and (..., n), of supports of one size: the noise goes on
+every diagonal and the finiteness checks run once, and each support
+still gets its own potrf and trtrs calls, so a stacked result is bit for
+bit the one a single support gets.
 
 The kernel sees only differences g(x_i) - g(x_j), so the kernel head's
 output-layer bias, which shifts every embedding alike, cannot change any
@@ -192,18 +196,28 @@ def kernel_matrix(model: DeepGpModel, Z1: np.ndarray, Z2: np.ndarray) -> np.ndar
     return _rbf(model, D2, out=D2)
 
 
+def _jitter_ladder() -> tuple:
+    ladder, j = [0.0], JITTER_START
+    while j <= JITTER_MAX * (1.0 + 1e-12):
+        ladder.append(j)
+        j *= 10.0
+    return tuple(ladder)
+
+
+# the diagonal jitters _chol_with_jitter tries in turn, in units of outputscale
+_JITTERS = _jitter_ladder()
+
+
+def _require_finite(A: np.ndarray, what: str) -> None:
+    if not np.isfinite(A).all():
+        raise ValueError(f"{what} must not contain infs or NaNs")
+
+
 def _chol_with_jitter(K: np.ndarray, scale: float):
     """Lower Cholesky factor with an escalating diagonal jitter, scaled by
-    outputscale. The factor's upper triangle is zero, which nlml_grad's
-    symmetrized potri inverse relies on."""
-    if not np.isfinite(K).all():
-        raise ValueError("Gram matrix must not contain infs or NaNs")
-    jitters = [0.0]
-    j = JITTER_START
-    while j <= JITTER_MAX * (1.0 + 1e-12):
-        jitters.append(j)
-        j *= 10.0
-    for jit in jitters:
+    outputscale. K must be finite. The factor's upper triangle is zero,
+    which nlml_grad's symmetrized potri inverse relies on."""
+    for jit in _JITTERS:
         A = K
         if jit:
             A = K.copy()
@@ -256,18 +270,31 @@ def condition(model: DeepGpModel, support: Embedded, y, queries: Embedded):
 
 def condition_gram(model: DeepGpModel, Kss: np.ndarray, Kqs: np.ndarray, resid: np.ndarray):
     """condition from kernel blocks already formed: the support's Gram
-    matrix Kss (n, n), the query-support block Kqs (Q, n) and the support
-    residuals y - m_support (n,). Kss is not modified; the noise goes on
-    the diagonal of a copy. Returns (V, beta, jitter) as condition does.
+    matrix Kss (..., n, n), the query-support block Kqs (..., Q, n) and the
+    support residuals y - m_support (..., n). Leading axes stack supports
+    of one size; each is factored and solved on its own, with the same
+    LAPACK calls as a single one. Kss is not modified; the noise goes on
+    the diagonals of a copy. Returns (V, beta, jitter): V (..., n, Q) and
+    beta (..., n) as condition gives them, and the jitter each factor
+    needed, a float for one support and an array (...) for a stack.
     """
-    A = Kss.copy()
-    A.flat[:: A.shape[0] + 1] += np.exp(2.0 * model.log_noise)
-    L, jitter = _chol_with_jitter(A, model.outputscale)
-    B = np.column_stack([Kqs.T, resid])
-    if not np.isfinite(B).all():
-        raise ValueError("query kernel values and support residuals must not contain infs or NaNs")
-    S = lapack.dtrtrs(L, B, lower=1)[0]
-    return S[:, :-1], S[:, -1], jitter
+    batch, n, Q = Kss.shape[:-2], Kss.shape[-1], Kqs.shape[-2]
+    A = Kss.reshape(-1, n, n).copy()
+    diag = np.arange(n)
+    A[:, diag, diag] += np.exp(2.0 * model.log_noise)
+    _require_finite(A, "Gram matrix")
+    factors = [_chol_with_jitter(a, model.outputscale) for a in A]
+    # one right-hand side [Kqs^T | resid] per support, each Fortran-ordered
+    # as trtrs solves it in place
+    S = np.empty((len(A), Q + 1, n)).transpose(0, 2, 1)
+    S[:, :, :Q] = np.swapaxes(Kqs.reshape(-1, Q, n), 1, 2)
+    S[:, :, Q] = resid.reshape(-1, n)
+    _require_finite(S, "query kernel values and support residuals")
+    for (L, _), b in zip(factors, S):
+        b[...] = lapack.dtrtrs(L, b, lower=1, overwrite_b=1)[0]
+    S = S.reshape(batch + (n, Q + 1))
+    jitters = [jit for _, jit in factors]
+    return S[..., :-1], S[..., -1], np.reshape(jitters, batch) if batch else jitters[0]
 
 
 def posterior_batch(model: DeepGpModel, support_x, support_y, queries):
@@ -349,6 +376,7 @@ def _nlml_core(model: DeepGpModel, X: np.ndarray, y: np.ndarray, mean_mode: str,
     K = _rbf(model, D2)
     A = K.copy()
     A.flat[:: n + 1] += sigma2
+    _require_finite(A, "Gram matrix")
     L, jitter = _chol_with_jitter(A, model.outputscale)
     alpha = lapack.dpotrs(L, resid, lower=1)[0]
     value = float(np.sum(np.log(L.diagonal())) + 0.5 * resid @ alpha + 0.5 * n * LOG_2PI)

@@ -303,6 +303,19 @@ def action_feasible(action: ScoopAction) -> bool:
     return 0.0 <= ex <= TRAY_W and 0.0 <= ey <= TRAY_H
 
 
+# cos and sin of every yaw index, from the angle ScoopAction.yaw returns
+_YAW_COS = np.array([np.cos(k * (2.0 * np.pi / N_YAWS)) for k in range(N_YAWS)])
+_YAW_SIN = np.array([np.sin(k * (2.0 * np.pi / N_YAWS)) for k in range(N_YAWS)])
+
+
+def _placements_feasible(x: np.ndarray, y: np.ndarray, yaw_index: np.ndarray) -> np.ndarray:
+    """action_feasible's expression elementwise over placement columns;
+    yaw_index holds integers."""
+    ex = x + _YAW_COS[yaw_index] * DRAG_LEN
+    ey = y + _YAW_SIN[yaw_index] * DRAG_LEN
+    return (0.0 <= ex) & (ex <= TRAY_W) & (0.0 <= ey) & (ey <= TRAY_H)
+
+
 # The deployment grid: 15 x positions 3 cm apart and 12 y positions 2 cm
 # apart, centred on the tray, times 8 yaws give its 1440 placements; 4
 # depths times 2 stiffness levels are the 8 settings tried at each one.
@@ -331,7 +344,8 @@ class ActionGrid:
     def __init__(self):
         self.placements = [Placement(x, y, yaw) for x in GRID_XS for y in GRID_YS for yaw in range(N_YAWS)]
         n = len(GRID_SETTINGS)
-        self.feasible = np.repeat([action_feasible(p) for p in self.placements], n)
+        x, y, yaw = np.array(self.placements).T
+        self.feasible = np.repeat(_placements_feasible(x, y, yaw.astype(np.int64)), n)
         # the action columns of assemble_gp_input, the same at every placement
         first = [self.action(i) for i in range(n)]
         self.action_columns = np.tile([(a.depth_norm, a.stiffness_bit) for a in first], (len(self.placements), 1))
@@ -442,9 +456,6 @@ def _cells(shape, xs: np.ndarray, ys: np.ndarray) -> tuple:
 # block raised peak memory by ~86 MiB, 256-row blocks by ~3 MiB, and 256 rows
 # ran as fast as 1024 (64 rows ran ~40% slower)
 FEATURE_BLOCK = 256
-# cos and sin of every yaw index, from the angle ScoopAction.yaw returns
-_YAW_COS = np.array([np.cos(k * (2.0 * np.pi / N_YAWS)) for k in range(N_YAWS)])
-_YAW_SIN = np.array([np.sin(k * (2.0 * np.pi / N_YAWS)) for k in range(N_YAWS)])
 
 
 def _action_columns(actions, width: int) -> np.ndarray:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -12,8 +13,8 @@ from scipy.special import expit
 from scoopgp.bench import (DeployReport, DeployRow, MaeReport, MaeRow, _aggregate_rows, _support_order, _task_tag,
                            deployment_threshold, query_split)
 from scoopgp.config import check_shots
-from scoopgp.decide import DatasetTarget, dataset_pool, run_deployment
-from scoopgp.errors import IngestError, ShapeError
+from scoopgp.decide import DatasetTarget, dataset_pool, run_deployment, score
+from scoopgp.errors import IngestError, SelectionError, ShapeError
 from scoopgp.gp import (DeepGpModel, checkpoint_id, condition, embed, embed_batch, kernel_matrix, mean_eval_batch,
                         posterior_batch)
 from scoopgp.nnet import NetworkSpec, ParamVector, _act, _check_batch, init_params, split_params
@@ -358,6 +359,110 @@ def reference_simulated_deployment(methods: dict, datasets, budget: int = 20, tr
             excluded=tuple(excluded),
         )
     return out
+
+
+def _reference_select_action(scores: np.ndarray, feasible: np.ndarray) -> int:
+    """decide.select_action as it was before it took fewer wrapper calls."""
+    scores = np.asarray(scores, dtype=np.float64)
+    feasible = np.asarray(feasible, dtype=bool)
+    if scores.shape != feasible.shape:
+        raise ValueError(f"scores shape {scores.shape} does not match mask shape {feasible.shape}")
+    if not feasible.any():
+        raise SelectionError("no feasible candidate action")
+    # argmax returns the first maximum, and the first NaN when there is one;
+    # taken over the feasible scores alone, it stays feasible when all are -inf
+    allowed = np.flatnonzero(feasible)
+    best = int(allowed[np.argmax(scores[allowed])])
+    if np.isnan(scores[best]):
+        raise SelectionError(f"feasible candidate {best} has a NaN score")
+    return best
+
+
+@dataclass(frozen=True)
+class ReferenceStep:
+    action: ScoopAction
+    score: float
+    reward: float
+    support_size: int
+
+
+@dataclass(frozen=True)
+class ReferenceTrace:
+    task_id: str
+    threshold: float
+    budget: int
+    episodes: tuple
+    success: bool
+
+    @property
+    def attempts(self) -> int:
+        return len(self.episodes)
+
+    def to_text(self) -> str:
+        lines = [
+            f"# deployment trace task={self.task_id} threshold={self.threshold:.9g} "
+            f"budget={self.budget} attempts={self.attempts} success={int(self.success)}",
+            "# episode x y yaw_index depth stiffness score reward support_size",
+        ]
+        for i, e in enumerate(self.episodes, start=1):
+            a = e.action
+            lines.append(
+                f"{i} {a.x:.9g} {a.y:.9g} {a.yaw_index} {a.depth:.9g} {a.stiffness} "
+                f"{e.score:.9g} {e.reward:.9g} {e.support_size}"
+            )
+        return "\n".join(lines) + "\n"
+
+
+def reference_dataset_deployment(model, scorer, target: DatasetTarget, threshold: float, budget: int,
+                                 seed=0) -> ReferenceTrace:
+    """decide.run_deployment's dataset mode as it was before episodes worked
+    on record indices: every step gathers the support rows, whatever the
+    scorer, and builds the executed ScoopAction. The reference its traces
+    must equal."""
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, 0xDE9107]))
+
+    ds = target.dataset
+    if not len(ds):
+        raise ValueError(f"task {ds.task_id} has no records to deploy against")
+    pool = target.pool if target.pool is not None else dataset_pool(model, ds)
+    rewards = ds.rewards()
+    if rewards.max() < threshold:
+        raise ValueError(
+            f"task {ds.task_id}: no recorded reward reaches the threshold {threshold:.3g} "
+            f"(max is {rewards.max():.3g})"
+        )
+    task_id, action_at = ds.task_id, ds.action
+    allowed = np.ones(len(ds), dtype=bool)
+    failed = []
+
+    def candidates():
+        return pool, pool[failed]
+
+    def execute(idx, action):
+        allowed[idx] = False
+        return float(rewards[idx])
+
+    def keep(X, idx):
+        failed.append(idx)
+
+    support_y, episodes = [], []
+    success = False
+    while len(episodes) < budget:
+        X, support_x = candidates()
+        scores = score(model, scorer, support_x, support_y, X, rng)
+        idx = _reference_select_action(scores, allowed)
+        action = action_at(idx)
+        reward = execute(idx, action)
+        success = bool(reward >= threshold)
+        if not success:
+            keep(X, idx)
+            support_y.append(reward)
+        episodes.append(ReferenceStep(action, float(scores[idx]), reward, len(support_y)))
+        if success or not allowed.any():
+            break
+    return ReferenceTrace(task_id, float(threshold), int(budget), tuple(episodes), success)
 
 
 def _reference_shot_means(model: DeepGpModel, rows, y: np.ndarray, order: np.ndarray, q_idx: np.ndarray, shots):

@@ -211,8 +211,9 @@ def test_kshot_per_task_matches_the_reference_with_and_without_jitter(monkeypatc
     real = scoopgp.bench.condition_gram
 
     def recording(*args):
+        # one stacked call per task: collect the jitter of every support in it
         out = real(*args)
-        jitters.append(out[2])
+        jitters.extend(np.ravel(out[2]))
         return out
 
     monkeypatch.setattr(scoopgp.bench, "condition_gram", recording)

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from scoopgp.bench import read_deploy_report, read_mae_report
-from scoopgp.cli import main
+from scoopgp.cli import build_parser, main
 from scoopgp.config import RunConfig, apply_overrides
 from scoopgp.gp import load_model, mean_eval_batch
 from scoopgp.tasks import read_database
@@ -393,6 +393,18 @@ def test_bad_overrides_exit_1(tmp_path, capsys):
     rc = main(["gen", "--prefix", prefix, "--set", "rho=0.5"])
     assert rc == 1
     assert "section.field" in capsys.readouterr().err
+
+
+def test_calls_in_one_process_share_the_parser_but_not_its_values(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    rc = main(["gen", "--seed", "9", "--prefix", str(tmp_path / "x"), "--set", "gen.bogus=3"])
+    assert rc == 1
+    assert "unknown config key" in capsys.readouterr().err
+    # neither the first call's --set nor its --seed reaches the second
+    rc = main(["gen", "--prefix", str(tmp_path / "y"), *SMALL_GEN])
+    assert rc == 0
+    args = build_parser().parse_args(["gen", "--prefix", "z"])
+    assert args.set is None and args.seed == 0
 
 
 @pytest.mark.parametrize("key", ["gen.grid_cell", "train.lr_mean", "bench.query_fraction"])

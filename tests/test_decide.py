@@ -5,11 +5,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from scoopgp.bench import deployment_threshold
 from scoopgp.decide import (
     DatasetTarget,
     DeploymentTrace,
     LiveTarget,
     ScorerConfig,
+    dataset_pool,
     run_deployment,
     score,
     select_action,
@@ -20,7 +22,7 @@ from scoopgp.nnet import NetworkSpec
 from scoopgp.tasks import TaskDataset
 
 from helpers import (flat_task, identity_embedding_model, identity_params, params_from_layers, random_model,
-                     reward_dataset, toy_dataset)
+                     reference_dataset_deployment, reward_dataset, toy_dataset)
 
 
 def _linear_mean_model(d, w, bias=0.0, log_noise=np.log(0.1)):
@@ -223,6 +225,30 @@ def test_ucb_deployment_over_duplicate_rows_runs_to_budget():
     assert [e.reward for e in trace.episodes] == list(rewards[:8])
     assert [e.support_size for e in trace.episodes] == list(range(1, 9))
     assert all(np.isfinite(e.score) for e in trace.episodes)
+
+
+@pytest.mark.parametrize("kind", ["ucb", "greedy", "mean", "random"])
+def test_dataset_episodes_equal_the_reference_loop(world, codega_result, kind):
+    # the index-based episode against the loop that gathered support rows
+    # for every scorer and built each step's ScoopAction: the world's test
+    # tasks under a trained model, and a task of one repeated input row on
+    # which every support of two or more rows needs jitter
+    scorer = ScorerConfig(kind=kind)
+    dup = toy_dataset("dup0", np.tile([0.3, -0.2], (12, 1)), np.append(np.linspace(1.0, 5.0, 11), 50.0))
+    cases = [(codega_result.model, ds, deployment_threshold(ds), 20) for ds in world.test_sets]
+    cases.append((random_model(4, seed=41, log_noise=np.log(1e-9)), dup, 50.0, 8))
+    for model, ds, threshold, budget in cases:
+        model = None if kind == "random" else model
+        target = DatasetTarget(ds, dataset_pool(model, ds))
+        for seed in (0, 1, 7):
+            trace = run_deployment(model, scorer, target, threshold, budget, seed)
+            ref = reference_dataset_deployment(model, scorer, target, threshold, budget, seed)
+            assert (trace.attempts, trace.success) == (ref.attempts, ref.success)
+            for step, ref_step in zip(trace.episodes, ref.episodes):
+                assert ds.action(step.index) == step.action == ref_step.action
+                assert (step.score, step.reward, step.support_size) == (
+                    ref_step.score, ref_step.reward, ref_step.support_size)
+            assert trace.to_text() == ref.to_text()
 
 
 def test_budget_caps_the_episode_count():

@@ -16,6 +16,7 @@ from scoopgp.gp import (
     _sqdist,
     checkpoint_id,
     condition,
+    condition_gram,
     embed,
     embed_batch,
     kernel_matrix,
@@ -201,6 +202,36 @@ def test_condition_prefix_rows_are_the_prefix_posterior():
         mu, var = posterior_batch(model, support[:s], ys[:s], queries)
         assert np.max(np.abs(queries.m + V[:s].T @ beta[:s] - mu)) < 1e-12
         assert np.max(np.abs(np.maximum(model.outputscale - (V[:s] ** 2).sum(axis=0), 0.0) - var)) < 1e-12
+
+
+def test_stacked_condition_gram_equals_one_call_per_support():
+    # five supports of six rows from one Gram matrix; the third holds a row
+    # twice and the noise is far below any trained floor, so only its
+    # factor needs jitter
+    model = random_model(3, seed=29, log_noise=np.log(1e-9))
+    rng = np.random.default_rng(30)
+    rows = embed(model, rng.normal(size=(40, 3)))
+    y = rng.normal(size=40)
+    K = kernel_matrix(model, rows.Z, rows.Z)
+    top = np.stack([rng.permutation(30)[:6] for _ in range(5)])
+    top[2, 5] = top[2, 0]
+    q = np.stack([30 + rng.permutation(10) for _ in range(5)])
+    blocks = (K[top[:, :, None], top[:, None, :]], K[q[:, :, None], top[:, None, :]], y[top] - rows.m[top])
+    V, beta, jitter = condition_gram(model, *blocks)
+    assert V.shape == (5, 6, 10) and beta.shape == (5, 6) and jitter.shape == (5,)
+    for t in range(5):
+        V_t, beta_t, jitter_t = condition_gram(model, *(b[t] for b in blocks))
+        assert isinstance(jitter_t, float)
+        assert np.array_equal(V[t], V_t) and np.array_equal(beta[t], beta_t) and jitter[t] == jitter_t
+        assert (jitter_t > 0.0) == (t == 2)
+    # the stack keeps its leading axes
+    V2, beta2, jitter2 = condition_gram(model, *(b.reshape(5, 1, *b.shape[1:]) for b in blocks))
+    assert np.array_equal(V2[:, 0], V) and np.array_equal(beta2[:, 0], beta) and np.array_equal(jitter2[:, 0], jitter)
+    # one non-finite residual anywhere in the stack is rejected
+    resid = blocks[2].copy()
+    resid[3, 1] = np.nan
+    with pytest.raises(ValueError, match="residuals"):
+        condition_gram(model, blocks[0], blocks[1], resid)
 
 
 def test_posterior_invariant_to_support_permutation():

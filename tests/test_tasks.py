@@ -28,10 +28,12 @@ from scoopgp.tasks import (
     STIFFNESS_LEVELS,
     TRAY_H,
     TRAY_W,
+    ActionGrid,
     Material,
     ScoopAction,
     TaskDataset,
     _allocate,
+    _placements_feasible,
     action_feasible,
     assemble_gp_input,
     compute_features_batch,
@@ -275,6 +277,24 @@ def _edge_and_grid_actions() -> list:
             for yaw in range(N_YAWS):
                 actions.append(ScoopAction(x, y, yaw, DEPTH_MAX, "hard"))
     return actions
+
+
+def test_feasibility_columns_equal_the_scalar_rule():
+    # the grid's mask, computed over all placements at once, and the same
+    # expression on edge placements, many of them infeasible, and on
+    # boundary-hugging starts where the last ulp decides
+    grid = ActionGrid()
+    assert np.array_equal(grid.feasible[::8], [action_feasible(p) for p in grid.placements])
+    rng = np.random.default_rng(8)
+    hugging = [ScoopAction(float(x), float(y), int(k), DEPTH_MIN, "soft")
+               for x, y, k in zip(rng.choice([DRAG_LEN, TRAY_W - DRAG_LEN, 0.5 * DRAG_LEN], 400),
+                                  rng.choice([DRAG_LEN, TRAY_H - DRAG_LEN, 0.5 * DRAG_LEN], 400),
+                                  rng.integers(0, N_YAWS, 400))]
+    actions = _edge_and_grid_actions() + hugging
+    x, y, yaw = np.array([(a.x, a.y, a.yaw_index) for a in actions]).T
+    mask = _placements_feasible(x, y, yaw.astype(np.int64))
+    assert np.array_equal(mask, [action_feasible(a) for a in actions])
+    assert 0 < mask.sum() < len(actions)
 
 
 def test_blocked_features_equal_the_per_action_loop(world):
