@@ -25,9 +25,9 @@ from .decide import DatasetTarget, LiveTarget, ScorerConfig, run_deployment
 from .errors import (ConfigError, IngestError, NumericalError, ScoopGpError, SelectionError,
                      SerializationError, ShapeError)
 from .gp import DeepGpModel, checkpoint_id, load_model, nlml, nlml_grad, posterior_batch, save_model
-from .meta import CodegaResult, DkmtResult, train_codega, train_dkmt, train_mean, train_mean_only
+from .meta import CodegaResult, ModelResult, train_codega, train_dkmt, train_mean, train_mean_only
 from .nnet import NetworkSpec, ParamVector, init_params
-from .tasks import (Material, MaterialPool, ScoopAction, TaskDataset, TerrainTask,
+from .tasks import (Material, MaterialPool, TaskDataset, TerrainTask,
                     enumerate_action_grid, generate_materials, generate_task,
                     ingest_released_dataset, read_database, reward_oracle, sample_ood_test_family,
                     sample_task_family, write_database)
@@ -36,9 +36,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BenchConfig", "CodegaResult", "ConfigError", "DatasetTarget", "DeepGpModel",
-    "DeployReport", "DkmtResult", "GenConfig", "IngestError", "LiveTarget", "MaeReport",
-    "Material", "MaterialPool", "ModelConfig", "NetworkSpec", "NumericalError",
-    "ParamVector", "RunConfig", "ScoopAction", "ScoopGpError",
+    "DeployReport", "GenConfig", "IngestError", "LiveTarget", "MaeReport",
+    "Material", "MaterialPool", "ModelConfig", "ModelResult", "NetworkSpec", "NumericalError",
+    "ParamVector", "RunConfig", "ScoopGpError",
     "ScorerConfig", "SelectionError", "SerializationError", "ShapeError",
     "TaskDataset", "TerrainTask", "TrainConfig", "checkpoint_id",
     "enumerate_action_grid", "eval_kshot_mae", "eval_simulated_deployment",

@@ -355,13 +355,25 @@ def _parsing(path: str, lineno: int, line: str):
         raise IngestError(f"cannot parse {line!r} ({type(exc).__name__}: {exc})", path, lineno) from None
 
 
-def _report_lines(path: str, header_key: str, kind: str):
-    """Split a report file into its header line, its 4-field rows and its
-    aggregate lines, each with its line number. A file without a header
-    line (the one naming header_key=) raises IngestError."""
+# the header key of each report kind: "# label=..." for mae, "# method=..." for deploy
+_HEADER_KEYS = {"mae": "label", "deploy": "method"}
+
+
+def _report_lines(path: str, kind: str | None = None):
+    """Read a report file once and split it into its kind, its header
+    line, its 4-field rows and its aggregate lines, each with its line
+    number. kind None takes the kind from the file's first line ("# scoopgp
+    mae-report v1"). A file of no known kind, or without its kind's header
+    line (the one naming the header key=), raises IngestError."""
     header, rows, aggregates = None, [], []
-    with _parsing(path, 0, f"{kind} report"), open(path, "r", encoding="utf-8") as fh:
+    with _parsing(path, 0, f"{kind} report" if kind else "report"), open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
+    if kind is None:
+        first = text.split("\n", 1)[0]
+        kind = next((k for k in _HEADER_KEYS if f"{k}-report" in first), None)
+        if kind is None:
+            raise IngestError("not a recognized report file", path)
+    header_key = _HEADER_KEYS[kind]
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if line.startswith("#aggregate"):
@@ -376,7 +388,7 @@ def _report_lines(path: str, header_key: str, kind: str):
             rows.append((lineno, line))
     if header is None:
         raise IngestError(f"{kind} report has no '# {header_key}=' header line", path)
-    return header, rows, aggregates
+    return kind, header, rows, aggregates
 
 
 def _check_aggregate(stated, got, what: str, path: str) -> None:
@@ -389,7 +401,11 @@ def _check_aggregate(stated, got, what: str, path: str) -> None:
 
 def read_mae_report(path: str) -> MaeReport:
     """Parse a report file, recomputing and checking its aggregate lines."""
-    (lineno, line), lines, aggregate_lines = _report_lines(path, "label", "mae")
+    return _mae_report(path, *_report_lines(path, "mae")[1:])
+
+
+def _mae_report(path: str, header_line: tuple, lines: list, aggregate_lines: list) -> MaeReport:
+    lineno, line = header_line
     with _parsing(path, lineno, line):
         kv = _key_values(line)
         header = dict(label=kv["label"], seed=int(kv["seed"]), checkpoint=kv["checkpoint"],
@@ -432,7 +448,11 @@ def write_deploy_report(path: str, report: DeployReport) -> None:
 
 def read_deploy_report(path: str) -> DeployReport:
     """Parse a deploy report file, checking its aggregate line if it has one."""
-    (lineno, line), lines, aggregate_lines = _report_lines(path, "method", "deploy")
+    return _deploy_report(path, *_report_lines(path, "deploy")[1:])
+
+
+def _deploy_report(path: str, header_line: tuple, lines: list, aggregate_lines: list) -> DeployReport:
+    lineno, line = header_line
     with _parsing(path, lineno, line):
         kv = _key_values(line)
         header = dict(method=kv["method"], seed=int(kv["seed"]), checkpoint=kv["checkpoint"],
@@ -453,6 +473,12 @@ def read_deploy_report(path: str) -> DeployReport:
         got = (report.avg_attempts, report.max_attempts, report.success_rate)
         _check_aggregate(stated, got, "avg, max, success_rate", path)
     return report
+
+
+def read_report(path: str):
+    """A mae or deploy report file, parsed as the kind its first line names."""
+    kind, *parts = _report_lines(path)
+    return (_mae_report if kind == "mae" else _deploy_report)(path, *parts)
 
 
 def pool_mae_reports(reports) -> dict:

@@ -160,26 +160,21 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    from .bench import read_deploy_report, read_mae_report, render_deploy_table, render_mae_table
+    from .bench import MaeReport, read_report, render_deploy_table, render_mae_table
 
     # a row is one model: reports of one checkpoint pool, others never do
     mae_reports = {}
     deploy_reports = {}
     deploy_paths = {}
     for path in args.files:
-        with open(path, "r", encoding="utf-8") as fh:
-            head = fh.readline()
-        if "mae-report" in head:
-            rep = read_mae_report(path)
+        rep = read_report(path)
+        if isinstance(rep, MaeReport):
             mae_reports.setdefault(f"{rep.label}@{rep.checkpoint}", []).append(rep)
-        elif "deploy-report" in head:
-            rep = read_deploy_report(path)
+        else:
             key = f"{rep.method}@{rep.checkpoint}"
             if key in deploy_paths:
                 raise ValueError(f"{deploy_paths[key]} and {path} both hold deploy rows for {key}")
             deploy_reports[key], deploy_paths[key] = rep, path
-        else:
-            raise ValueError(f"{path} is not a recognized report file")
     if mae_reports:
         print(render_mae_table(mae_reports), end="")
     if deploy_reports:

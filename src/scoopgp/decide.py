@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -23,8 +22,10 @@ from .tasks import (
     CELL,
     DRAG_LEN,
     SCOOP_W,
+    STIFFNESS_LEVELS,
+    _YAW_COS,
+    _YAW_SIN,
     ActionGrid,
-    ScoopAction,
     TaskDataset,
     TerrainTask,
     reward_oracle,
@@ -106,19 +107,19 @@ def select_action(scores: np.ndarray, feasible: np.ndarray) -> int:
 class EpisodeStep:
     """One executed step: the candidate's index in its target (a record or
     a grid action), its score, the observed reward and the support size
-    after it. action_of maps an index to its ScoopAction; steps compare
+    after it. actions is the target's (n, 5) action rows; steps compare
     without it."""
 
     index: int
     score: float
     reward: float
     support_size: int
-    action_of: Callable[[int], ScoopAction] = field(compare=False, repr=False)
+    actions: np.ndarray = field(compare=False, repr=False)
 
     @property
-    def action(self) -> ScoopAction:
-        """The executed action, built on each call."""
-        return self.action_of(self.index)
+    def action(self) -> np.ndarray:
+        """The executed action row (x, y, yaw_index, depth, stiffness bit)."""
+        return self.actions[self.index]
 
 
 @dataclass(frozen=True)
@@ -140,9 +141,9 @@ class DeploymentTrace:
             "# episode x y yaw_index depth stiffness score reward support_size",
         ]
         for i, e in enumerate(self.episodes, start=1):
-            a = e.action
+            x, y, yaw, depth, bit = e.action.tolist()
             lines.append(
-                f"{i} {a.x:.9g} {a.y:.9g} {a.yaw_index} {a.depth:.9g} {a.stiffness} "
+                f"{i} {x:.9g} {y:.9g} {int(yaw)} {depth:.9g} {STIFFNESS_LEVELS[int(bit)]} "
                 f"{e.score:.9g} {e.reward:.9g} {e.support_size}"
             )
         return "\n".join(lines) + "\n"
@@ -176,17 +177,19 @@ class LiveTarget:
     task: TerrainTask
 
 
-def _scoop_terrain(task: TerrainTask, action: ScoopAction, volume_cm3: float) -> None:
-    """Lower the heightmap by the removed volume, spread over the drag footprint."""
+def _scoop_terrain(task: TerrainTask, action: np.ndarray, volume_cm3: float) -> None:
+    """Lower the heightmap by the removed volume, spread over the drag
+    footprint of the action row."""
     if volume_cm3 <= 0.0:
         return
     H, W = task.heightmap.shape
     ys, xs = np.meshgrid(
         (np.arange(H) + 0.5) * CELL, (np.arange(W) + 0.5) * CELL, indexing="ij"
     )
-    dx, dy = np.cos(action.yaw), np.sin(action.yaw)
-    rel_x = xs - action.x
-    rel_y = ys - action.y
+    x, y, yaw = action[:3].tolist()
+    dx, dy = _YAW_COS[int(yaw)], _YAW_SIN[int(yaw)]
+    rel_x = xs - x
+    rel_y = ys - y
     t = np.clip(rel_x * dx + rel_y * dy, 0.0, DRAG_LEN)
     dist = np.hypot(rel_x - t * dx, rel_y - t * dy)
     footprint = dist <= 0.5 * SCOOP_W
@@ -204,11 +207,10 @@ def run_deployment(model, scorer: ScorerConfig, target, threshold: float, budget
     support set before the next episode, so adaptive scorers condition on
     all failures so far. A target supplies a mask of the actions still
     allowed, the candidate inputs of the current step, the support rows
-    (gathered only for a scorer that reads them), the action at a
-    candidate index, an execute step that returns the observed reward, and
-    a keep step that adds a failed candidate to the support. A step is
-    recorded by its candidate index; a dataset episode builds no
-    ScoopAction unless its trace is rendered.
+    (gathered only for a scorer that reads them), its action rows, an
+    execute step that returns the observed reward, and a keep step that
+    adds a failed candidate to the support. A step is recorded by its
+    candidate index into the action rows.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -225,7 +227,7 @@ def run_deployment(model, scorer: ScorerConfig, target, threshold: float, budget
                 f"task {ds.task_id}: no recorded reward reaches the threshold {threshold:.3g} "
                 f"(max is {rewards.max():.3g})"
             )
-        task_id, action_at = ds.task_id, ds.action
+        task_id, actions = ds.task_id, ds.actions
         allowed = np.ones(len(ds), dtype=bool)
         failed = []
 
@@ -243,7 +245,7 @@ def run_deployment(model, scorer: ScorerConfig, target, threshold: float, budget
             failed.append(idx)
     elif isinstance(target, LiveTarget):
         task, grid = target.task.copy(), ActionGrid()
-        task_id, action_at, allowed = task.id, grid.action, grid.feasible
+        task_id, actions, allowed = task.id, grid.columns, grid.feasible
         failed = []
 
         def candidates():
@@ -253,10 +255,9 @@ def run_deployment(model, scorer: ScorerConfig, target, threshold: float, budget
             return failed
 
         def execute(idx):
-            action = grid.action(idx)
             noise_seed = int(rng.integers(0, 2 ** 31 - 1))
-            reward = float(reward_oracle(task, [action], noise_seed)[0])
-            _scoop_terrain(task, action, reward)
+            reward = float(reward_oracle(task, actions[idx:idx + 1], noise_seed)[0])
+            _scoop_terrain(task, actions[idx], reward)
             return reward
 
         def keep(X, idx):
@@ -275,7 +276,7 @@ def run_deployment(model, scorer: ScorerConfig, target, threshold: float, budget
         if not success:
             keep(X, idx)
             support_y.append(reward)
-        episodes.append(EpisodeStep(idx, float(scores[idx]), reward, len(support_y), action_at))
+        episodes.append(EpisodeStep(idx, float(scores[idx]), reward, len(support_y), actions))
         if success or not np.count_nonzero(allowed):
             break
     return DeploymentTrace(task_id, float(threshold), int(budget), tuple(episodes), success)

@@ -86,24 +86,11 @@ class FoldSplit:
 
 
 @dataclass(frozen=True)
-class FoldCheckpoint:
-    fold_index: int
-    feature_params: ParamVector
-    mean_params: ParamVector
-    report: TrainingReport
-
-
-@dataclass(frozen=True)
 class ResidualGroup:
     task_id: str
     fold_index: int
     inputs: np.ndarray
     residuals: np.ndarray
-
-
-@dataclass(frozen=True)
-class ResidualDataset:
-    groups: tuple
 
 
 @dataclass(frozen=True)
@@ -125,13 +112,9 @@ class CodegaResult:
 
 
 @dataclass(frozen=True)
-class DkmtResult:
-    model: DeepGpModel
-    report: TrainingReport
+class ModelResult:
+    """A trained model and its training report (train_dkmt, train_mean_only)."""
 
-
-@dataclass(frozen=True)
-class MeanOnlyResult:
     model: DeepGpModel
     report: TrainingReport
 
@@ -262,7 +245,7 @@ def train_mean(datasets, seed, model_cfg: ModelConfig = ModelConfig(), train_cfg
     return MeanResult(feature_params=best["feat"], mean_params=mean, report=report)
 
 
-def train_mean_only(datasets, seed=0, model_cfg: ModelConfig = ModelConfig(), train_cfg: TrainConfig = TrainConfig()) -> MeanOnlyResult:
+def train_mean_only(datasets, seed=0, model_cfg: ModelConfig = ModelConfig(), train_cfg: TrainConfig = TrainConfig()) -> ModelResult:
     """The supervised mean with an untrained kernel head.
 
     The kernel head keeps its seeded initialization; the lengthscale is
@@ -286,7 +269,7 @@ def train_mean_only(datasets, seed=0, model_cfg: ModelConfig = ModelConfig(), tr
         log_outputscale=float(np.clip(np.log(max(float(np.var(y)), 1e-8)), LOG_OS_MIN, LOG_OS_MAX)),
         log_noise=float(np.log(max(0.5 * float(np.std(y)), NOISE_FLOOR))),
     )
-    return MeanOnlyResult(model=model, report=res.report)
+    return ModelResult(model=model, report=res.report)
 
 
 def make_fold_splits(datasets, folds: int, seed) -> list:
@@ -317,9 +300,10 @@ def make_fold_splits(datasets, folds: int, seed) -> list:
 def build_residual_dataset(splits, datasets, seed, model_cfg: ModelConfig = ModelConfig(), train_cfg: TrainConfig = TrainConfig()):
     """Train one mean per fold and collect held-out residuals.
 
-    Returns (ResidualDataset, fold checkpoints); each group's residuals
-    are r - m_fold(x) for one task, tagged with the fold that produced
-    them so they stay reproducible from the stored checkpoint.
+    Returns (residual groups, fold checkpoints): a tuple of ResidualGroup,
+    each holding r - m_fold(x) for one task, tagged with the fold that
+    produced them so they stay reproducible from the stored checkpoint,
+    and each fold's MeanResult by fold index.
     """
     by_id = {ds.task_id: ds for ds in datasets}
     ss = np.random.SeedSequence([int(seed) & 0xFFFFFFFF, 0x2E51D])
@@ -343,12 +327,7 @@ def build_residual_dataset(splits, datasets, seed, model_cfg: ModelConfig = Mode
         )
         feature_spec = model_cfg.feature_spec(by_id[split.mean_task_ids[0]].feature_dim + 2)
         mean_spec = model_cfg.mean_spec()
-        checkpoints[split.fold_index] = FoldCheckpoint(
-            fold_index=split.fold_index,
-            feature_params=result.feature_params,
-            mean_params=result.mean_params,
-            report=result.report,
-        )
+        checkpoints[split.fold_index] = result
         for task_id in split.kernel_task_ids:
             ds = by_id[task_id]
             if not len(ds):
@@ -356,7 +335,7 @@ def build_residual_dataset(splits, datasets, seed, model_cfg: ModelConfig = Mode
             X = ds.gp_inputs()
             resid = ds.rewards() - _mean_predict(feature_spec, result.feature_params, mean_spec, result.mean_params, X)
             groups.append(ResidualGroup(task_id=task_id, fold_index=split.fold_index, inputs=X, residuals=resid))
-    return ResidualDataset(groups=tuple(groups)), checkpoints
+    return tuple(groups), checkpoints
 
 
 def _median_embed_heuristic(embeddings: np.ndarray) -> float:
@@ -396,8 +375,9 @@ def _raw_hypers(h: ParamVector, sigma: float) -> dict:
     return hypers
 
 
-def train_kernel_codega(residuals: ResidualDataset, fold_checkpoints: dict, seed, model_cfg: ModelConfig = ModelConfig(), train_cfg: TrainConfig = TrainConfig()) -> KernelResult:
-    """Shared kernel over residual groups, one task per batch.
+def train_kernel_codega(residuals: tuple, fold_checkpoints: dict, seed, model_cfg: ModelConfig = ModelConfig(), train_cfg: TrainConfig = TrainConfig()) -> KernelResult:
+    """Shared kernel over residual groups (a tuple of ResidualGroup), one
+    task per batch; fold_checkpoints maps a fold index to its MeanResult.
 
     Each batch loads its fold's extractor frozen; only the kernel head and
     the log hyperparameters receive gradients. Stops early on the
@@ -405,7 +385,7 @@ def train_kernel_codega(residuals: ResidualDataset, fold_checkpoints: dict, seed
     warning on the "scoopgp" logger.
     """
     groups = []
-    for g in residuals.groups:
+    for g in residuals:
         if len(g.residuals) < MIN_GROUP_SIZE:
             log.warning("[kernel] skipping task %s: %d residuals < min_group_size %d",
                         g.task_id, len(g.residuals), MIN_GROUP_SIZE)
@@ -520,7 +500,7 @@ def train_codega(datasets, seed=0, model_cfg: ModelConfig = ModelConfig(), train
     )
 
 
-def train_dkmt(datasets, seed=0, model_cfg: ModelConfig = ModelConfig(), train_cfg: TrainConfig = TrainConfig()) -> DkmtResult:
+def train_dkmt(datasets, seed=0, model_cfg: ModelConfig = ModelConfig(), train_cfg: TrainConfig = TrainConfig()) -> ModelResult:
     """Joint NLML training of mean, kernel and shared extractor.
 
     One task per batch, kernel-training optimizer settings, early stopping
@@ -588,4 +568,4 @@ def train_dkmt(datasets, seed=0, model_cfg: ModelConfig = ModelConfig(), train_c
     best, report = _fit("joint", init, epoch_step, train_cfg.max_epochs_kernel, train_cfg)
     mean = _scale_output_layer(mean_spec, best["mean"], mu, sigma)
     model = joint_model(best, mean, _raw_hypers(best["hyper"], sigma))
-    return DkmtResult(model=model, report=report)
+    return ModelResult(model=model, report=report)

@@ -11,11 +11,9 @@ plain-text format: one record per line plus a separate task manifest.
 
 from __future__ import annotations
 
-import operator
 import os
 from array import array
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
@@ -251,66 +249,19 @@ _ACTION_MESSAGES = ("scoop start ({x}, {y}) outside the tray",
 _STIFFNESS_BITS = {level: float(bit) for bit, level in enumerate(STIFFNESS_LEVELS)}
 
 
-@dataclass(frozen=True)
-class ScoopAction:
-    x: float
-    y: float
-    yaw_index: int
-    depth: float
-    stiffness: str
-
-    def __post_init__(self):
-        holds = _action_rules(self.x, self.y, int(self.yaw_index), self.depth, _STIFFNESS_BITS.get(self.stiffness))
-        for ok, message in zip(holds, _ACTION_MESSAGES):
-            if not ok:
-                raise ValueError(message.format(**vars(self)))
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
-        object.__setattr__(self, "yaw_index", int(self.yaw_index))
-        object.__setattr__(self, "depth", float(self.depth))
-
-    @property
-    def yaw(self) -> float:
-        return self.yaw_index * (2.0 * np.pi / N_YAWS)
-
-    @property
-    def depth_norm(self) -> float:
-        """Depth rescaled to [0, 1]."""
-        return (self.depth - DEPTH_MIN) / (DEPTH_MAX - DEPTH_MIN)
-
-    @property
-    def stiffness_bit(self) -> float:
-        return 1.0 if self.stiffness == "hard" else 0.0
-
-
-class Placement(NamedTuple):
-    """Where a scoop starts and which way it drags. An action's
-    feasibility and observation features depend on nothing else."""
-
-    x: float
-    y: float
-    yaw_index: int
-
-    @property
-    def yaw(self) -> float:
-        return self.yaw_index * (2.0 * np.pi / N_YAWS)
-
-
-def action_feasible(action: ScoopAction) -> bool:
-    """The full drag segment must stay inside the tray."""
-    ex = action.x + np.cos(action.yaw) * DRAG_LEN
-    ey = action.y + np.sin(action.yaw) * DRAG_LEN
-    return 0.0 <= ex <= TRAY_W and 0.0 <= ey <= TRAY_H
-
-
-# cos and sin of every yaw index, from the angle ScoopAction.yaw returns
+# cos and sin of every yaw index: index k drags k * 45 degrees from the +x axis
 _YAW_COS = np.array([np.cos(k * (2.0 * np.pi / N_YAWS)) for k in range(N_YAWS)])
 _YAW_SIN = np.array([np.sin(k * (2.0 * np.pi / N_YAWS)) for k in range(N_YAWS)])
 
 
-def _placements_feasible(x: np.ndarray, y: np.ndarray, yaw_index: np.ndarray) -> np.ndarray:
-    """action_feasible's expression elementwise over placement columns;
-    yaw_index holds integers."""
+def _depth_norm(depth):
+    """Scoop depth rescaled from [DEPTH_MIN, DEPTH_MAX] to [0, 1]."""
+    return (depth - DEPTH_MIN) / (DEPTH_MAX - DEPTH_MIN)
+
+
+def _placements_feasible(x, y, yaw_index):
+    """Whether the full drag segment stays inside the tray, for one action's
+    x, y and integer yaw_index or elementwise over their columns."""
     ex = x + _YAW_COS[yaw_index] * DRAG_LEN
     ey = y + _YAW_SIN[yaw_index] * DRAG_LEN
     return (0.0 <= ex) & (ex <= TRAY_W) & (0.0 <= ey) & (ey <= TRAY_H)
@@ -318,46 +269,47 @@ def _placements_feasible(x: np.ndarray, y: np.ndarray, yaw_index: np.ndarray) ->
 
 # The deployment grid: 15 x positions 3 cm apart and 12 y positions 2 cm
 # apart, centred on the tray, times 8 yaws give its 1440 placements; 4
-# depths times 2 stiffness levels are the 8 settings tried at each one.
+# depths times 2 stiffness bits are the 8 settings tried at each one.
 GRID_XS = tuple(float(x) for x in 0.5 * (TRAY_W - 14 * 0.03) + 0.03 * np.arange(15))
 GRID_YS = tuple(float(y) for y in 0.5 * (TRAY_H - 11 * 0.02) + 0.02 * np.arange(12))
-GRID_SETTINGS = tuple((float(d), stiff) for d in DEPTH_MIN + (DEPTH_MAX - DEPTH_MIN) / 3.0 * np.arange(4)
-                      for stiff in STIFFNESS_LEVELS)
+GRID_SETTINGS = tuple((float(d), float(bit)) for d in DEPTH_MIN + (DEPTH_MAX - DEPTH_MIN) / 3.0 * np.arange(4)
+                      for bit in range(len(STIFFNESS_LEVELS)))
 
 
-def enumerate_action_grid() -> list:
-    """The 11520 grid actions in grid order: by x, then y, yaw index and
-    setting (GRID_SETTINGS, depth then stiffness)."""
-    return [ScoopAction(x, y, yaw, depth, stiff)
-            for x in GRID_XS for y in GRID_YS for yaw in range(N_YAWS) for depth, stiff in GRID_SETTINGS]
+def enumerate_action_grid() -> np.ndarray:
+    """The 11520 grid action rows (x, y, yaw_index, depth, stiffness bit) in
+    grid order: by x, then y, yaw index and setting (GRID_SETTINGS, depth
+    then stiffness)."""
+    grid = np.empty((len(GRID_XS), len(GRID_YS), N_YAWS, len(GRID_SETTINGS), 5))
+    grid[..., 0] = np.reshape(GRID_XS, (-1, 1, 1, 1))
+    grid[..., 1] = np.reshape(GRID_YS, (-1, 1, 1))
+    grid[..., 2] = np.arange(N_YAWS)[:, None]
+    grid[..., 3:] = GRID_SETTINGS
+    return grid.reshape(-1, 5)
 
 
 class ActionGrid:
-    """The deployment grid held as placements x GRID_SETTINGS: action i is
-    setting i % 8 at placement i // 8, the order of enumerate_action_grid.
+    """The deployment grid: columns holds its action rows, in the order of
+    enumerate_action_grid, so row i is setting i % 8 at placement i // 8.
 
-    Feasibility and features depend only on the placement, so both are
-    computed once per placement and repeated over its settings, and a
-    ScoopAction is built only when action(i) asks for one.
+    Feasibility and features depend only on the placement (x, y and
+    yaw_index), so both are computed once per placement and repeated over
+    its settings.
     """
 
     def __init__(self):
-        self.placements = [Placement(x, y, yaw) for x in GRID_XS for y in GRID_YS for yaw in range(N_YAWS)]
-        n = len(GRID_SETTINGS)
-        x, y, yaw = np.array(self.placements).T
-        self.feasible = np.repeat(_placements_feasible(x, y, yaw.astype(np.int64)), n)
-        # the action columns of assemble_gp_input, the same at every placement
-        first = [self.action(i) for i in range(n)]
-        self.action_columns = np.tile([(a.depth_norm, a.stiffness_bit) for a in first], (len(self.placements), 1))
-
-    def action(self, i: int) -> ScoopAction:
-        p = self.placements[i // len(GRID_SETTINGS)]
-        return ScoopAction(p.x, p.y, p.yaw_index, *GRID_SETTINGS[i % len(GRID_SETTINGS)])
+        self.columns = enumerate_action_grid()
+        self.columns.flags.writeable = False
+        self.placements = self.columns[::len(GRID_SETTINGS), :3]
+        x, y, yaw = self.placements.T
+        self.feasible = np.repeat(_placements_feasible(x, y, yaw.astype(np.int64)), len(GRID_SETTINGS))
 
     def gp_inputs(self, task: TerrainTask) -> np.ndarray:
-        """Every action's GP input row against the task's current terrain."""
+        """Every action's GP input row against the task's current terrain:
+        each placement's features broadcast over its settings."""
         features = compute_features_batch(task, self.placements)
-        return np.column_stack([np.repeat(features, len(GRID_SETTINGS), axis=0), self.action_columns])
+        n = len(GRID_SETTINGS)
+        return assemble_gp_input(features[:, None, :], self.columns.reshape(-1, n, 5)).reshape(len(self.columns), -1)
 
 
 def generate_heightmap(rng: np.random.Generator) -> np.ndarray:
@@ -459,13 +411,10 @@ FEATURE_BLOCK = 256
 
 
 def _action_columns(actions, width: int) -> np.ndarray:
-    """The first width of TaskDataset's action columns (x, y, yaw_index,
-    depth, stiffness bit) for an array of them, or for ScoopActions
-    (Placements carry the first three)."""
-    if isinstance(actions, np.ndarray):
-        return actions[:, :width]
-    get = operator.attrgetter(*("x", "y", "yaw_index", "depth", "stiffness_bit")[:width])
-    return np.array([get(a) for a in actions], dtype=np.float64).reshape(len(actions), width)
+    """The first width columns (x, y, yaw_index, depth, stiffness bit) of
+    action rows, given as an (n, 5) array or a sequence of rows."""
+    actions = np.asarray(actions, dtype=np.float64)
+    return actions[:, :width] if len(actions) else np.empty((0, width))
 
 
 def compute_features_batch(task: TerrainTask, actions, *, gradient=None) -> np.ndarray:
@@ -475,9 +424,9 @@ def compute_features_batch(task: TerrainTask, actions, *, gradient=None) -> np.n
     signed gradient along the drag, the mean gradient magnitude and the
     height spread over a local patch rotated to the yaw, and the mean
     surface appearance over the dragged cells. Purely a function of the
-    task state and the action's placement (only x, y and yaw_index are
-    read, so Placement rows serve too, as do TaskDataset.actions columns),
-    so stored features can always be recomputed. Actions are processed
+    task state and the action's placement: only the x, y and yaw_index
+    columns of the action rows are read, so stored features can always be
+    recomputed, and (n, 3) placement rows serve too. Actions are processed
     FEATURE_BLOCK rows at a time, which bounds the memory of the per-point
     arrays. gradient is
     np.gradient(task.heightmap, CELL), computed here unless the caller
@@ -523,12 +472,20 @@ def compute_features_batch(task: TerrainTask, actions, *, gradient=None) -> np.n
     return out
 
 
-def assemble_gp_input(features: np.ndarray, action: ScoopAction) -> np.ndarray:
-    """Observation-action vector consumed by the models.
-
-    Depth is rescaled to [0, 1] so it carries weight comparable to the
-    observation channels."""
-    return np.concatenate([np.asarray(features, dtype=np.float64), [action.depth_norm, action.stiffness_bit]])
+def assemble_gp_input(features, actions) -> np.ndarray:
+    """Observation-action rows consumed by the models: the features, then
+    the depth rescaled to [0, 1], so it carries weight comparable to the
+    observation channels, and the stiffness bit. Takes (n, F) features with
+    (n, 5) action rows, or one (F,) feature row with one (5,) action row;
+    leading axes broadcast, so (m, 1, F) features serve (m, k, 5) actions.
+    """
+    features = np.asarray(features, dtype=np.float64)
+    actions = np.asarray(actions, dtype=np.float64)
+    out = np.empty(np.broadcast_shapes(features.shape[:-1], actions.shape[:-1]) + (features.shape[-1] + 2,))
+    out[..., :-2] = features
+    out[..., -2] = _depth_norm(actions[..., 3])
+    out[..., -1] = actions[..., 4]
+    return out
 
 
 def reward_oracle(task: TerrainTask, actions, rng=None, *, gradient=None) -> np.ndarray:
@@ -536,8 +493,8 @@ def reward_oracle(task: TerrainTask, actions, rng=None, *, gradient=None) -> np.
 
     The material governing a scoop is the surface one at the drag
     midpoint, or the hidden layer when digging past HIDDEN_DEPTH on a
-    layered terrain. actions are ScoopActions or TaskDataset.actions
-    columns. Noiseless when rng is None; otherwise heteroscedastic
+    layered terrain. actions are (n, 5) action rows, as an array or a
+    sequence of rows. Noiseless when rng is None; otherwise heteroscedastic
     noise with std = NOISE_FRAC * value + NOISE_FLOOR_CM3, one normal draw
     per action in order, is added before clamping at zero. Deterministic
     for fixed (task, actions, seed), and each action's reward is the one a
@@ -557,7 +514,7 @@ def reward_oracle(task: TerrainTask, actions, rng=None, *, gradient=None) -> np.
     gy, gx = np.gradient(task.heightmap, CELL) if gradient is None else gradient
     g_along = _bilinear(gx, mx, my) * c + _bilinear(gy, mx, my) * s
 
-    dn = (depth - DEPTH_MIN) / (DEPTH_MAX - DEPTH_MIN)
+    dn = _depth_norm(depth)
     volume_full = depth * DRAG_LEN * SCOOP_W * 1e6
     sens = depth_sens - FILL_KNEE_WIDTH * np.log1p(np.exp((depth_sens - FILL_KNEE) / FILL_KNEE_WIDTH))
     # a scoop cannot carry more than its swept volume
@@ -598,8 +555,8 @@ class TaskDataset:
     actions is (n, 5): x, y, yaw_index, depth and the stiffness bit (1 for
     hard, 0 for soft); rewards() is (n,), in cm^3; features is (n, F).
     Every row is checked once, when the dataset is built: actions against
-    ScoopAction's range rules, rewards finite and non-negative, features
-    finite. The first row that breaks a rule raises ValueError.
+    _action_rules, rewards finite and non-negative, features finite. The
+    first row that breaks a rule raises ValueError.
     """
 
     def __init__(self, task_id: str, composition: str, material_ids,
@@ -645,15 +602,9 @@ class TaskDataset:
     def rewards(self) -> np.ndarray:
         return self._rewards
 
-    def action(self, i: int) -> ScoopAction:
-        x, y, yaw, depth, hard = self.actions[i].tolist()
-        return ScoopAction(x, y, int(yaw), depth, STIFFNESS_LEVELS[int(hard)])
-
     def gp_inputs(self) -> np.ndarray:
-        """The records' assemble_gp_input rows: the features, then depth
-        rescaled to [0, 1] and the stiffness bit."""
-        depth_norm = (self.actions[:, 3] - DEPTH_MIN) / (DEPTH_MAX - DEPTH_MIN)
-        return np.column_stack([self.features, depth_norm, self.actions[:, 4]])
+        """The records' assemble_gp_input rows."""
+        return assemble_gp_input(self.features, self.actions)
 
 
 def _sample_action(rng: np.random.Generator) -> tuple:
@@ -662,7 +613,7 @@ def _sample_action(rng: np.random.Generator) -> tuple:
     while True:
         row = (float(rng.uniform(0.0, TRAY_W)), float(rng.uniform(0.0, TRAY_H)), int(rng.integers(0, N_YAWS)),
                float(rng.uniform(DEPTH_MIN, DEPTH_MAX)), int(rng.integers(0, 2)))
-        if action_feasible(Placement(*row[:3])):
+        if _placements_feasible(*row[:3]):
             return row
 
 

@@ -23,6 +23,7 @@ from scoopgp.tasks import (
     COMPOSITIONS,
     MANIFEST_SUFFIX,
     RECORDS_SUFFIX,
+    DEPTH_MAX,
     DEPTH_MIN,
     DRAG_LEN,
     FILL_BASE,
@@ -41,14 +42,17 @@ from scoopgp.tasks import (
     JAM_SLOPE_REF,
     NOISE_FLOOR_CM3,
     NOISE_FRAC,
+    N_YAWS,
     OBS_DIM,
     PATCH_CELLS,
     PATCH_EXTENT,
     SCOOP_W,
     SLOPE_GAIN,
     SLOPE_REF,
+    STIFFNESS_LEVELS,
+    TRAY_H,
+    TRAY_W,
     Material,
-    ScoopAction,
     TaskDataset,
     TerrainTask,
     _bilinear,
@@ -187,9 +191,24 @@ def flat_task(material, task_id: str = "flat0") -> TerrainTask:
     )
 
 
+def _yaw(yaw_index) -> float:
+    """The drag angle of a yaw index, in radians."""
+    return int(yaw_index) * (2.0 * np.pi / N_YAWS)
+
+
+def reference_feasible(action) -> bool:
+    """The drag-endpoint rule for one action row, in scalar arithmetic: the
+    full drag segment must stay inside the tray."""
+    x, y, yaw_index = (float(v) for v in action[:3])
+    ex = x + np.cos(_yaw(yaw_index)) * DRAG_LEN
+    ey = y + np.sin(_yaw(yaw_index)) * DRAG_LEN
+    return bool(0.0 <= ex <= TRAY_W and 0.0 <= ey <= TRAY_H)
+
+
 def reference_features(task: TerrainTask, actions) -> np.ndarray:
-    """compute_features_batch as a per-action loop: the reference the blocked
-    version must reproduce bit for bit."""
+    """compute_features_batch as a per-action loop over action rows (x, y,
+    yaw_index, depth, stiffness bit): the reference the blocked version
+    must reproduce bit for bit."""
     n = len(actions)
     P = PATCH_CELLS
     gy, gx = np.gradient(task.heightmap, CELL)
@@ -200,16 +219,17 @@ def reference_features(task: TerrainTask, actions) -> np.ndarray:
     vs = np.linspace(-0.5 * PATCH_EXTENT, 0.5 * PATCH_EXTENT, P)
     UU, VV = np.meshgrid(us, vs, indexing="ij")
     for i, action in enumerate(actions):
-        c, s = np.cos(action.yaw), np.sin(action.yaw)
-        px = action.x + UU * c - VV * s
-        py = action.y + UU * s + VV * c
+        x, y = float(action[0]), float(action[1])
+        c, s = np.cos(_yaw(action[2])), np.sin(_yaw(action[2]))
+        px = x + UU * c - VV * s
+        py = y + UU * s + VV * c
         h_patch = _bilinear(task.heightmap, px.ravel(), py.ravel()).reshape(P, P)
         gx_p = _bilinear(gx, px.ravel(), py.ravel())
         gy_p = _bilinear(gy, px.ravel(), py.ravel())
 
-        line_x = action.x + us * c
-        line_y = action.y + us * s
-        h0 = _bilinear(task.heightmap, np.array([action.x]), np.array([action.y]))[0]
+        line_x = x + us * c
+        line_y = y + us * s
+        h0 = _bilinear(task.heightmap, np.array([x]), np.array([y]))[0]
         relief = _bilinear(task.heightmap, line_x, line_y) - h0
         g_along = (_bilinear(gx, line_x, line_y) * c
                    + _bilinear(gy, line_x, line_y) * s)
@@ -233,22 +253,27 @@ def _cell_of(x: float, y: float, shape) -> tuple:
     return row, col
 
 
-def contact_material(task: TerrainTask, action: ScoopAction) -> Material:
-    """Material governing the scoop: surface at the drag midpoint, or the
-    hidden layer when digging past HIDDEN_DEPTH on a layered terrain."""
-    mx = action.x + np.cos(action.yaw) * 0.5 * DRAG_LEN
-    my = action.y + np.sin(action.yaw) * 0.5 * DRAG_LEN
-    row, col = _cell_of(mx, my, task.heightmap.shape)
-    if task.hidden_map is not None and action.depth > HIDDEN_DEPTH:
+def _drag_midpoint(action) -> tuple:
+    """The metric point halfway along an action row's drag."""
+    yaw = _yaw(action[2])
+    return (float(action[0]) + np.cos(yaw) * 0.5 * DRAG_LEN, float(action[1]) + np.sin(yaw) * 0.5 * DRAG_LEN)
+
+
+def contact_material(task: TerrainTask, action) -> Material:
+    """Material governing the scoop of an action row: surface at the drag
+    midpoint, or the hidden layer when digging past HIDDEN_DEPTH on a
+    layered terrain."""
+    row, col = _cell_of(*_drag_midpoint(action), task.heightmap.shape)
+    if task.hidden_map is not None and float(action[3]) > HIDDEN_DEPTH:
         idx = int(task.hidden_map[row, col])
     else:
         idx = int(task.region_map[row, col])
     return task.materials[idx]
 
 
-def reference_reward(task: TerrainTask, action: ScoopAction, rng=None, *, gradient=None) -> float:
-    """reward_oracle as a one-action scalar function: the reference the
-    batched oracle must reproduce bit for bit.
+def reference_reward(task: TerrainTask, action, rng=None, *, gradient=None) -> float:
+    """reward_oracle as a scalar function of one action row: the reference
+    the batched oracle must reproduce bit for bit.
 
     Noiseless when rng is None; otherwise heteroscedastic noise with
     std = NOISE_FRAC * value + NOISE_FLOOR_CM3 is added before clamping
@@ -256,21 +281,21 @@ def reference_reward(task: TerrainTask, action: ScoopAction, rng=None, *, gradie
     np.gradient(task.heightmap, CELL), computed here when not given.
     """
     mat = contact_material(task, action)
-    mx = action.x + np.cos(action.yaw) * 0.5 * DRAG_LEN
-    my = action.y + np.sin(action.yaw) * 0.5 * DRAG_LEN
+    mx, my = _drag_midpoint(action)
+    yaw, depth = _yaw(action[2]), float(action[3])
     gy, gx = np.gradient(task.heightmap, CELL) if gradient is None else gradient
-    g_along = (_bilinear(gx, np.array([mx]), np.array([my]))[0] * np.cos(action.yaw)
-               + _bilinear(gy, np.array([mx]), np.array([my]))[0] * np.sin(action.yaw))
+    g_along = (_bilinear(gx, np.array([mx]), np.array([my]))[0] * np.cos(yaw)
+               + _bilinear(gy, np.array([mx]), np.array([my]))[0] * np.sin(yaw))
 
-    dn = action.depth_norm
-    volume_full = action.depth * DRAG_LEN * SCOOP_W * 1e6
+    dn = (depth - DEPTH_MIN) / (DEPTH_MAX - DEPTH_MIN)
+    volume_full = depth * DRAG_LEN * SCOOP_W * 1e6
     sens = mat.depth_sens - FILL_KNEE_WIDTH * float(
         np.log1p(np.exp((mat.depth_sens - FILL_KNEE) / FILL_KNEE_WIDTH)))
     # a scoop cannot carry more than its swept volume
     fill = min(mat.scoop_gain * (FILL_BASE + FILL_DEPTH * sens * dn), 1.0)
     slope_mod = max(1.0 + SLOPE_GAIN * mat.slope_pref * np.tanh(g_along / SLOPE_REF), 0.15)
     jam_drive = mat.jam * (JAM_BASE + JAM_DEPTH * dn) * float(expit(g_along / JAM_SLOPE_REF))
-    if action.stiffness == "hard":
+    if action[4] == 1.0:
         jam_drive *= JAM_HARD_RELIEF
     lock = float(expit((mat.jam - JAM_LOCK_KNEE) / JAM_LOCK_WIDTH)) * (
         JAM_LOCK_BASE + JAM_LOCK_DEPTH * dn)
@@ -378,9 +403,40 @@ def _reference_select_action(scores: np.ndarray, feasible: np.ndarray) -> int:
     return best
 
 
+class ReferenceAction(NamedTuple):
+    """An action as the trace text and the record format spell it."""
+
+    x: float
+    y: float
+    yaw_index: int
+    depth: float
+    stiffness: str
+
+
+def reference_action(x, y, yaw_index, depth, stiffness: str) -> ReferenceAction:
+    """One action's values checked against the action range rules, one at
+    a time; the first that fails raises ValueError with the readers'
+    message for it."""
+    if not (0.0 <= x <= TRAY_W and 0.0 <= y <= TRAY_H):
+        raise ValueError(f"scoop start ({x}, {y}) outside the tray")
+    if not 0 <= yaw_index < N_YAWS:
+        raise ValueError(f"yaw_index must be in [0, {N_YAWS}), got {yaw_index}")
+    if not DEPTH_MIN - 1e-9 <= depth <= DEPTH_MAX + 1e-9:
+        raise ValueError(f"depth {depth} outside [{DEPTH_MIN}, {DEPTH_MAX}]")
+    if stiffness not in STIFFNESS_LEVELS:
+        raise ValueError(f"stiffness must be one of {STIFFNESS_LEVELS}, got {stiffness!r}")
+    return ReferenceAction(float(x), float(y), int(yaw_index), float(depth), stiffness)
+
+
+def action_of_row(row) -> ReferenceAction:
+    """The ReferenceAction of an action row (x, y, yaw_index, depth, stiffness bit)."""
+    x, y, yaw, depth, bit = (float(v) for v in row)
+    return ReferenceAction(x, y, int(yaw), depth, STIFFNESS_LEVELS[int(bit)])
+
+
 @dataclass(frozen=True)
 class ReferenceStep:
-    action: ScoopAction
+    action: ReferenceAction
     score: float
     reward: float
     support_size: int
@@ -417,8 +473,8 @@ def reference_dataset_deployment(model, scorer, target: DatasetTarget, threshold
                                  seed=0) -> ReferenceTrace:
     """decide.run_deployment's dataset mode as it was before episodes worked
     on record indices: every step gathers the support rows, whatever the
-    scorer, and builds the executed ScoopAction. The reference its traces
-    must equal."""
+    scorer, and builds the executed action. The reference its traces must
+    equal."""
     if budget < 1:
         raise ValueError("budget must be at least 1")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, 0xDE9107]))
@@ -433,7 +489,7 @@ def reference_dataset_deployment(model, scorer, target: DatasetTarget, threshold
             f"task {ds.task_id}: no recorded reward reaches the threshold {threshold:.3g} "
             f"(max is {rewards.max():.3g})"
         )
-    task_id, action_at = ds.task_id, ds.action
+    task_id = ds.task_id
     allowed = np.ones(len(ds), dtype=bool)
     failed = []
 
@@ -453,7 +509,7 @@ def reference_dataset_deployment(model, scorer, target: DatasetTarget, threshold
         X, support_x = candidates()
         scores = score(model, scorer, support_x, support_y, X, rng)
         idx = _reference_select_action(scores, allowed)
-        action = action_at(idx)
+        action = action_of_row(ds.actions[idx])
         reward = execute(idx, action)
         success = bool(reward >= threshold)
         if not success:
@@ -530,7 +586,7 @@ def reference_kshot_mae(model: DeepGpModel, datasets, shots=(0, 5, 10), trials: 
 
 
 class ReferenceRecord(NamedTuple):
-    action: ScoopAction
+    action: ReferenceAction
     reward: float
     features: np.ndarray
 
@@ -558,7 +614,7 @@ def _text_lines(path: str):
 def reference_read_database(path: str) -> list:
     """The record-at-a-time reader that read_database replaced, verbatim but
     for its return types: one ReferenceRecord per line, validated through
-    ScoopAction, in a ReferenceDataset per task."""
+    reference_action, in a ReferenceDataset per task."""
     if path.endswith(RECORDS_SUFFIX):
         prefix = path[: -len(RECORDS_SUFFIX)]
     else:
@@ -622,7 +678,7 @@ def reference_read_database(path: str) -> list:
         if reward < 0.0 or not np.isfinite(reward):
             raise IngestError(f"reward {reward} must be finite and non-negative", records_path, lineno, "reward")
         try:
-            action = ScoopAction(x, y, yaw_index, depth, stiffness)
+            action = reference_action(x, y, yaw_index, depth, stiffness)
         except ValueError as exc:
             raise IngestError(str(exc), records_path, lineno, "action") from exc
         entry["rows"].append(ReferenceRecord(action, reward, feats))
@@ -651,8 +707,8 @@ def assert_columns_equal_reference(datasets, reference) -> None:
         if not len(ref):
             continue
         a = [r.action for r in ref.records]
-        expected = np.array([(r.x, r.y, r.yaw_index, r.depth, r.stiffness_bit) for r in a])
+        expected = np.array([(r.x, r.y, r.yaw_index, r.depth, STIFFNESS_LEVELS.index(r.stiffness)) for r in a])
         assert np.array_equal(ds.actions, expected)
         assert np.array_equal(ds.rewards(), [r.reward for r in ref.records])
         assert np.array_equal(ds.features, np.stack([r.features for r in ref.records]))
-        assert [ds.action(i) for i in range(len(ds))] == a
+        assert [action_of_row(row) for row in ds.actions] == a

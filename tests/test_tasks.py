@@ -25,16 +25,15 @@ from scoopgp.tasks import (
     N_YAWS,
     OBS_DIM,
     PATCH_CELLS,
-    STIFFNESS_LEVELS,
     TRAY_H,
     TRAY_W,
+    _YAW_COS,
+    _YAW_SIN,
     ActionGrid,
     Material,
-    ScoopAction,
     TaskDataset,
     _allocate,
     _placements_feasible,
-    action_feasible,
     assemble_gp_input,
     compute_features_batch,
     enumerate_action_grid,
@@ -52,8 +51,8 @@ from scoopgp.tasks import (
     write_database,
 )
 
-from helpers import (assert_columns_equal_reference, flat_task, random_model, reference_features, reference_read_database,
-                     reference_reward, toy_dataset)
+from helpers import (assert_columns_equal_reference, flat_task, random_model, reference_action, reference_feasible,
+                     reference_features, reference_read_database, reference_reward, toy_dataset)
 
 
 def _material(gain=0.8, jam=0.1, sens=0.6, slope=0.0, mat_id="m0"):
@@ -196,18 +195,12 @@ def test_terrain_copy_is_independent():
 # ---------------------------------------------------------------------------
 # actions
 
-def test_scoop_action_validation():
-    with pytest.raises(ValueError):
-        ScoopAction(-0.1, 0.3, 0, 0.05, "soft")
-    with pytest.raises(ValueError):
-        ScoopAction(0.1, 0.3, 8, 0.05, "soft")
-    with pytest.raises(ValueError):
-        ScoopAction(0.1, 0.3, 0, 0.02, "soft")
-    with pytest.raises(ValueError):
-        ScoopAction(0.1, 0.3, 0, 0.05, "squishy")
-    action = ScoopAction(0.1, 0.3, 2, 0.05, "hard")
-    assert action.yaw == pytest.approx(np.pi / 2)
-    assert action.stiffness_bit == 1.0
+def test_action_row_validation():
+    # test_task_dataset_validation rejects a row breaking each rule; a row on every rule's edge is kept
+    edge = [[TRAY_W, 0.0, N_YAWS - 1, DEPTH_MAX, 1.0]]
+    assert np.array_equal(TaskDataset("t", "single", ("a",), edge, [1.0], [[0.0]]).actions, edge)
+    # yaw index 2 drags along +y
+    assert (_YAW_COS[2], _YAW_SIN[2]) == (pytest.approx(0.0, abs=1e-15), 1.0)
 
 
 @given(
@@ -217,28 +210,27 @@ def test_scoop_action_validation():
 )
 @settings(max_examples=200, deadline=None)
 def test_feasibility_matches_drag_endpoint_rule(x, y, yaw_index):
-    action = ScoopAction(x, y, yaw_index, 0.05, "soft")
     yaw = np.deg2rad(45.0 * yaw_index)
     ex = x + np.cos(yaw) * DRAG_LEN
     ey = y + np.sin(yaw) * DRAG_LEN
     margin = min(ex, TRAY_W - ex, ey, TRAY_H - ey)
     # only decide away from the boundary; the last ulp belongs to the impl
     if margin > 1e-9:
-        assert action_feasible(action)
+        assert _placements_feasible(x, y, yaw_index)
     elif margin < -1e-9:
-        assert not action_feasible(action)
+        assert not _placements_feasible(x, y, yaw_index)
 
 
 def test_action_grid_size_and_depth_spacing():
     actions = enumerate_action_grid()
-    assert len(actions) == 11520
-    depths = sorted({a.depth for a in actions})
+    assert actions.shape == (11520, 5)
+    depths = np.unique(actions[:, 3])
     assert len(depths) == 4
     assert depths[0] == DEPTH_MIN
     assert depths[-1] == pytest.approx(DEPTH_MAX, abs=1e-12)
     spacing = np.diff(depths)
     assert np.allclose(spacing, (DEPTH_MAX - DEPTH_MIN) / 3.0)
-    assert all(action_feasible(a) for a in actions)
+    assert all(reference_feasible(a) for a in actions)
 
 
 # ---------------------------------------------------------------------------
@@ -252,31 +244,28 @@ def test_feature_dimensions_line_up(world):
     X = ds.gp_inputs()
     assert X.shape == (len(ds), GP_INPUT_DIM)
     assert np.all((X[:, -2] >= 0.0) & (X[:, -2] <= 1.0))
-    assert set(np.unique(X[:, -1])) <= {0.0, 1.0}
+    assert set(np.unique(X[:, -1])) == {0.0, 1.0}
 
 
 def test_stored_features_recompute_bit_exactly(world):
     task = world.train_tasks[0]
     ds = world.train_sets[0]
-    actions = [ds.action(i) for i in range(len(ds))]
-    feats = compute_features_batch(task, actions)
+    feats = compute_features_batch(task, ds.actions)
     assert np.array_equal(feats, ds.features)
-    assert np.array_equal(compute_features_batch(task, ds.actions), feats)
-    one = compute_features_batch(task, [actions[0]])[0]
+    # a list of rows, and placement rows alone, give the same features
+    assert np.array_equal(compute_features_batch(task, list(ds.actions)), feats)
+    assert np.array_equal(compute_features_batch(task, ds.actions[:, :3]), feats)
+    one = compute_features_batch(task, [ds.actions[0]])[0]
     assert np.array_equal(one, feats[0])
 
 
-def _edge_and_grid_actions() -> list:
-    """Every 13th grid action, plus starts on and just inside the tray edges
-    at every yaw, many of them infeasible."""
-    actions = enumerate_action_grid()[::13]
+def _edge_and_grid_actions() -> np.ndarray:
+    """Every 13th grid action row, plus starts on and just inside the tray
+    edges at every yaw, many of them infeasible."""
     xs = (0.0, 0.004, 0.5 * TRAY_W, TRAY_W - 0.004, TRAY_W)
     ys = (0.0, 0.006, 0.5 * TRAY_H, TRAY_H - 0.006, TRAY_H)
-    for x in xs:
-        for y in ys:
-            for yaw in range(N_YAWS):
-                actions.append(ScoopAction(x, y, yaw, DEPTH_MAX, "hard"))
-    return actions
+    edges = [(x, y, yaw, DEPTH_MAX, 1.0) for x in xs for y in ys for yaw in range(N_YAWS)]
+    return np.concatenate([enumerate_action_grid()[::13], edges])
 
 
 def test_feasibility_columns_equal_the_scalar_rule():
@@ -284,23 +273,24 @@ def test_feasibility_columns_equal_the_scalar_rule():
     # expression on edge placements, many of them infeasible, and on
     # boundary-hugging starts where the last ulp decides
     grid = ActionGrid()
-    assert np.array_equal(grid.feasible[::8], [action_feasible(p) for p in grid.placements])
+    assert np.array_equal(grid.feasible[::8], [reference_feasible(p) for p in grid.placements])
     rng = np.random.default_rng(8)
-    hugging = [ScoopAction(float(x), float(y), int(k), DEPTH_MIN, "soft")
-               for x, y, k in zip(rng.choice([DRAG_LEN, TRAY_W - DRAG_LEN, 0.5 * DRAG_LEN], 400),
-                                  rng.choice([DRAG_LEN, TRAY_H - DRAG_LEN, 0.5 * DRAG_LEN], 400),
-                                  rng.integers(0, N_YAWS, 400))]
-    actions = _edge_and_grid_actions() + hugging
-    x, y, yaw = np.array([(a.x, a.y, a.yaw_index) for a in actions]).T
+    hugging = np.column_stack([rng.choice([DRAG_LEN, TRAY_W - DRAG_LEN, 0.5 * DRAG_LEN], 400),
+                               rng.choice([DRAG_LEN, TRAY_H - DRAG_LEN, 0.5 * DRAG_LEN], 400),
+                               rng.integers(0, N_YAWS, 400), np.full(400, DEPTH_MIN), np.zeros(400)])
+    actions = np.concatenate([_edge_and_grid_actions(), hugging])
+    x, y, yaw = actions[:, :3].T
     mask = _placements_feasible(x, y, yaw.astype(np.int64))
-    assert np.array_equal(mask, [action_feasible(a) for a in actions])
+    assert np.array_equal(mask, [reference_feasible(a) for a in actions])
+    # one action's values in, one bool out, as _sample_action calls it
+    assert [bool(_placements_feasible(x, y, int(k))) for x, y, k in actions[:, :3].tolist()] == mask.tolist()
     assert 0 < mask.sum() < len(actions)
 
 
 def test_blocked_features_equal_the_per_action_loop(world):
     actions = _edge_and_grid_actions()
     assert len(actions) % FEATURE_BLOCK and len(actions) > 2 * FEATURE_BLOCK
-    assert not all(action_feasible(a) for a in actions)
+    assert not all(reference_feasible(a) for a in actions)
     tasks = {t.composition: t for t in world.train_tasks + world.test_tasks}
     assert sorted(tasks) == sorted(["single", "partition", "mixture", "layers"])
     for task in tasks.values():
@@ -319,9 +309,9 @@ def test_reward_oracle_with_a_passed_gradient_equals_its_own(world):
 
 
 def test_batched_reward_oracle_equals_the_scalar_reference(world):
-    actions = [a for a in _edge_and_grid_actions() if action_feasible(a)]
-    depths = {a.depth for a in actions}
-    assert min(depths) < HIDDEN_DEPTH < max(depths) and {a.stiffness for a in actions} == {"soft", "hard"}
+    actions = np.array([a for a in _edge_and_grid_actions() if reference_feasible(a)])
+    depths = actions[:, 3]
+    assert min(depths) < HIDDEN_DEPTH < max(depths) and set(actions[:, 4]) == {0.0, 1.0}
     tasks = {t.composition: t for t in world.train_tasks + world.test_tasks}
     assert sorted(tasks) == sorted(["single", "partition", "mixture", "layers"])
     for task in tasks.values():
@@ -336,19 +326,21 @@ def test_batched_reward_oracle_equals_the_scalar_reference(world):
 def test_gp_inputs_equal_the_per_record_rows_and_columns_are_read_only(world):
     for ds in world.train_sets[:3] + world.test_sets[:1]:
         rows = ds.gp_inputs()
-        assert np.array_equal(rows, np.stack([assemble_gp_input(ds.features[i], ds.action(i)) for i in range(len(ds))]))
+        assert np.array_equal(rows, np.stack([assemble_gp_input(f, a) for f, a in zip(ds.features, ds.actions)]))
         for column in (ds.actions, ds.rewards(), ds.features):
             assert not column.flags.writeable
         task = next(t for t in world.train_tasks + world.test_tasks if t.id == ds.task_id)
-        assert np.array_equal(reward_oracle(task, ds.actions), reward_oracle(task, [ds.action(i) for i in range(len(ds))]))
+        assert np.array_equal(reward_oracle(task, ds.actions), reward_oracle(task, list(ds.actions)))
 
 
 def test_depth_normalization_in_gp_input():
     feats = np.zeros(4)
-    shallow = assemble_gp_input(feats, ScoopAction(0.2, 0.2, 0, DEPTH_MIN, "soft"))
-    deep = assemble_gp_input(feats, ScoopAction(0.2, 0.2, 0, DEPTH_MAX, "hard"))
-    assert shallow[-2] == 0.0 and shallow[-1] == 0.0
+    shallow = assemble_gp_input(feats, [0.2, 0.2, 0, DEPTH_MIN, 0.0])
+    deep = assemble_gp_input(feats, [0.2, 0.2, 0, DEPTH_MAX, 1.0])
+    assert shallow.shape == (6,) and shallow[-2] == 0.0 and shallow[-1] == 0.0
     assert deep[-2] == 1.0 and deep[-1] == 1.0
+    both = assemble_gp_input(np.zeros((2, 4)), [[0.2, 0.2, 0, DEPTH_MIN, 0.0], [0.2, 0.2, 0, DEPTH_MAX, 1.0]])
+    assert np.array_equal(both, [shallow, deep])
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +348,7 @@ def test_depth_normalization_in_gp_input():
 
 def test_reward_is_deterministic_per_seed():
     task = flat_task(_material())
-    action = ScoopAction(0.4, 0.3, 0, 0.06, "soft")
+    action = [0.4, 0.3, 0, 0.06, 0.0]
     assert reward_oracle(task, [action]) == reward_oracle(task, [action])
     assert reward_oracle(task, [action], 7) == reward_oracle(task, [action], 7)
     assert reward_oracle(task, [action], 7) != reward_oracle(task, [action], 8)
@@ -366,31 +358,30 @@ def test_zero_gain_material_never_yields_volume():
     task = flat_task(_material(gain=0.0))
     rng = np.random.default_rng(4)
     for _ in range(20):
-        action = ScoopAction(float(rng.uniform(0, 0.8)), float(rng.uniform(0, 0.5)),
-                             0, float(rng.uniform(DEPTH_MIN, DEPTH_MAX)), "soft")
+        action = [rng.uniform(0, 0.8), rng.uniform(0, 0.5), 0, rng.uniform(DEPTH_MIN, DEPTH_MAX), 0.0]
         assert reward_oracle(task, [action])[0] == 0.0
 
 
 def test_reward_monotone_in_depth_on_benign_flat_cell():
     task = flat_task(_material(gain=0.9, jam=0.0, sens=0.7))
     depths = [DEPTH_MIN + (DEPTH_MAX - DEPTH_MIN) / 3.0 * k for k in range(4)]
-    rewards = [reward_oracle(task, [ScoopAction(0.4, 0.3, 0, d, "soft")])[0] for d in depths]
+    rewards = [reward_oracle(task, [[0.4, 0.3, 0, d, 0.0]])[0] for d in depths]
     assert all(b > a for a, b in zip(rewards, rewards[1:]))
 
 
 def test_high_jam_interlock_kills_deep_scoops():
     loose = flat_task(_material(jam=0.10))
     locked = flat_task(_material(jam=0.95))
-    action = ScoopAction(0.4, 0.3, 0, DEPTH_MAX, "soft")
+    action = [0.4, 0.3, 0, DEPTH_MAX, 0.0]
     assert reward_oracle(locked, [action])[0] < 0.2 * reward_oracle(loose, [action])[0]
     # stiff scoops relieve jamming drag but not the interlock
-    hard = ScoopAction(0.4, 0.3, 0, DEPTH_MAX, "hard")
+    hard = [0.4, 0.3, 0, DEPTH_MAX, 1.0]
     assert reward_oracle(locked, [hard])[0] < 0.2 * reward_oracle(loose, [hard])[0]
 
 
 def test_noisy_rewards_are_nonnegative_and_centered():
     task = flat_task(_material())
-    action = ScoopAction(0.4, 0.3, 0, 0.06, "soft")
+    action = [0.4, 0.3, 0, 0.06, 0.0]
     clean = reward_oracle(task, [action])[0]
     rng = np.random.default_rng(5)
     draws = np.array([reward_oracle(task, [action], rng)[0] for _ in range(500)])
@@ -411,8 +402,8 @@ def test_contact_material_switches_below_hidden_depth():
     y = (r + 0.5) * CELL
     if not (0 <= x <= TRAY_W):
         x = min(max(x, 0.0), TRAY_W - DRAG_LEN)
-    shallow = ScoopAction(x, y, 0, HIDDEN_DEPTH - 0.01, "soft")
-    deep = ScoopAction(x, y, 0, HIDDEN_DEPTH + 0.01, "soft")
+    shallow = [x, y, 0, HIDDEN_DEPTH - 0.01, 0.0]
+    deep = [x, y, 0, HIDDEN_DEPTH + 0.01, 0.0]
 
     def contact(action):
         """The materials whose flat single-material tray gives the layered tray's reward."""
@@ -807,13 +798,15 @@ def test_task_dataset_validation():
     empty = TaskDataset("t", "single", ["a"])
     assert (len(empty), empty.feature_dim, empty.material_ids, empty.gp_inputs().shape) == (0, 0, ("a",), (0, 2))
 
-    # each column rule names the first row that breaks it, with ScoopAction's message
+    # each column rule names the first row that breaks it, with the message of the per-value rules
     for column, value, message in ((0, 1.5, r"scoop start \(1.5, 0.1\) outside the tray"),
+                                   (0, -0.1, r"scoop start \(-0.1, 0.1\) outside the tray"),
                                    (1, -0.1, r"scoop start \(0.1, -0.1\) outside the tray"),
                                    (2, 8.0, r"yaw_index must be in \[0, 8\), got 8$"),
                                    (2, 2.5, r"yaw_index must be in \[0, 8\), got 2.5"),
                                    (2, np.inf, r"got inf"),
                                    (3, 0.2, r"depth 0.2 outside \[0.03, 0.08\]"),
+                                   (3, 0.02, r"depth 0.02 outside \[0.03, 0.08\]"),
                                    (4, 0.5, r"stiffness must be one of \('soft', 'hard'\), got 0.5")):
         bad = np.tile([0.1, 0.1, 0, 0.05, 0.0], (4, 1))
         bad[2:, column] = value
@@ -822,7 +815,7 @@ def test_task_dataset_validation():
         assert (info.value.row, info.value.field) == (2, "action")
     for x, y, yaw, depth in ((1.5, 0.1, 0, 0.05), (0.1, -0.1, 0, 0.05), (0.1, 0.1, 8, 0.05), (0.1, 0.1, 0, 0.2)):
         with pytest.raises(ValueError) as scalar:
-            ScoopAction(x, y, yaw, depth, "soft")
+            reference_action(x, y, yaw, depth, "soft")
         with pytest.raises(ValueError) as column:
             TaskDataset("t", "single", ("a",), [[x, y, yaw, depth, 0.0]], [1.0], [[0.0]])
         assert str(column.value) == str(scalar.value)
@@ -835,8 +828,3 @@ def test_task_dataset_validation():
         assert (info.value.row, info.value.field) == (1, "features")
 
 
-def test_task_dataset_actions_round_trip_through_scoop_actions(world):
-    for ds in world.train_sets[:2] + world.test_sets[-1:]:
-        actions = [ds.action(i) for i in range(len(ds))]
-        assert np.array_equal([(a.x, a.y, a.yaw_index, a.depth, a.stiffness_bit) for a in actions], ds.actions)
-        assert {a.stiffness for a in actions} == set(STIFFNESS_LEVELS)
