@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Headline comparison of CoDeGa, DKMT and the mean-only reference, run as scoopgp stages.
+"""Headline comparison of CoDeGa, DKMT and the untrained-kernel GP, run as scoopgp stages.
 
     python3 scripts/run_benchmark.py --out DIR [--seed S] [--model-seeds N] [--config FILE] [--set KEY=VALUE ...]
 
 Runs the scoopgp stages through `scoopgp.cli.main`, each with --config and --set: gen; per model seed,
-train and eval-mae for codega, dkmt and mean-only and deploy ucb for codega and dkmt; deploy mean (the
-seed-0 codega model's prior mean) and random; report. scripts/full.conf is the benchmark scale.
-DIR/HEADLINE.txt holds the report tables, a checkpoint legend and paired sign tests; reruns reproduce it.
+train, eval-mae at every shot and deploy ucb for codega, dkmt and mean-only (the supervised mean with an
+untrained kernel head, labelled "untrained kernel"); deploy mean (the seed-0 codega model's prior mean)
+and random; report. scripts/full.conf is the benchmark scale. DIR/HEADLINE.txt holds the report tables,
+a checkpoint legend and paired sign tests; reruns reproduce it.
 """
 
 import argparse
@@ -20,6 +21,7 @@ from scoopgp.bench import paired_sign_test, read_deploy_report, read_mae_report,
 from scoopgp.cli import main as scoopgp
 
 METHODS = ("codega", "dkmt", "mean-only")
+LABELS = {"codega": "codega", "dkmt": "dkmt", "mean-only": "untrained kernel"}
 
 
 def sign_test(name: str, pairs: list) -> str:
@@ -32,6 +34,11 @@ def task_means(report) -> dict:
     """Mean attempts per task: ucb and mean repeat one episode in every trial of a task."""
     cells = report.attempts_by_cell()
     return {task: statistics.mean(n for (t, _), n in cells.items() if t == task) for task, _ in cells}
+
+
+def mae_pairs(mae: dict, seeds, a: str, b: str, shot: int) -> list:
+    """(a, b) MAE per task and model seed at one shot count."""
+    return [(x.mae, y.mae) for s in seeds for x, y in zip(mae[a, s].rows, mae[b, s].rows) if x.shot == shot]
 
 
 def main(argv=None) -> int:
@@ -47,7 +54,7 @@ def main(argv=None) -> int:
     seeds = range(args.model_seeds)
     train, test = (str(out / f"fam.{split}.records.txt") for split in ("train", "test"))
     mae_files = {(m, s): str(out / f"{m}-s{s}.mae.txt") for s in seeds for m in METHODS}
-    deploy_files = {(m, s): str(out / f"{m}-s{s}.ucb.deploy.txt") for s in seeds for m in METHODS[:2]}
+    deploy_files = {(m, s): str(out / f"{m}-s{s}.ucb.deploy.txt") for s in seeds for m in METHODS}
     deploy_files["mean", 0], deploy_files["random", 0] = (str(out / f"{m}.deploy.txt") for m in ("mean", "random"))
 
     def stage(*argv):
@@ -60,10 +67,8 @@ def main(argv=None) -> int:
         for m in METHODS:
             stem = str(out / f"{m}-s{s}")
             stage("train", "--seed", str(s), "--data", train, "--method", m, "--out", stem + ".bin")
-            stage("eval-mae", "--data", test, "--model", stem + ".bin", "--out", mae_files[m, s],
-                  *(["--mean-only"] if m == "mean-only" else []))
-            if m != "mean-only":
-                stage("deploy", "--data", test, "--model", stem + ".bin", "--out", deploy_files[m, s])
+            stage("eval-mae", "--data", test, "--model", stem + ".bin", "--out", mae_files[m, s])
+            stage("deploy", "--data", test, "--model", stem + ".bin", "--out", deploy_files[m, s])
     stage("deploy", "--data", test, "--model", str(out / "codega-s0.bin"), "--scorer", "mean", "--out", deploy_files["mean", 0])
     stage("deploy", "--data", test, "--scorer", "random", "--out", deploy_files["random", 0])
     with contextlib.redirect_stdout(io.StringIO()) as tables:
@@ -74,17 +79,22 @@ def main(argv=None) -> int:
     attempts = {key: task_means(rep) for key, rep in deploys.items()}
     lines = ["scoopgp headline: " + " ".join(["--seed", str(args.seed), "--model-seeds", str(args.model_seeds), *cfg]),
              "", tables.getvalue(), "MAE pooled over model seeds",
-             render_mae_table({m: [mae[m, s] for s in seeds] for m in METHODS}), "checkpoint    model"]
-    lines += [f"{rep.checkpoint}  {m} seed {s}" for (m, s), rep in mae.items()]
+             render_mae_table({LABELS[m]: [mae[m, s] for s in seeds] for m in METHODS}), "checkpoint    model"]
+    lines += [f"{rep.checkpoint}  {LABELS[m]} seed {s}" for (m, s), rep in mae.items()]
+    tasks, top = attempts["mean", 0], max(mae["codega", 0].shots)
     lines += ["", f"deploy excludes the below-threshold tasks: {', '.join(deploys['mean', 0].excluded) or 'none'}",
               "paired sign tests, one-sided that the first is lower (ties dropped)",
               sign_test("deploy attempts, codega-ucb vs dkmt-ucb, by task and model seed",
-                        [(attempts["codega", s][t], attempts["dkmt", s][t]) for s in seeds for t in attempts["mean", 0]]),
+                        [(attempts["codega", s][t], attempts["dkmt", s][t]) for s in seeds for t in tasks]),
               sign_test("deploy attempts, codega-ucb vs mean (model seed 0), by task",
-                        [(attempts["codega", 0][t], attempts["mean", 0][t]) for t in attempts["mean", 0]])]
-    lines += [sign_test(f"{shot}-shot MAE, codega vs dkmt, by task and model seed", [
-        (a.mae, b.mae) for s in seeds for a, b in zip(mae["codega", s].rows, mae["dkmt", s].rows) if a.shot == shot])
-        for shot in mae["codega", 0].shots]
+                        [(attempts["codega", 0][t], attempts["mean", 0][t]) for t in tasks])]
+    lines += [sign_test(f"{shot}-shot MAE, codega vs dkmt, by task and model seed", mae_pairs(mae, seeds, "codega", "dkmt", shot))
+              for shot in mae["codega", 0].shots]
+    for m in METHODS[:2]:
+        lines += [sign_test(f"deploy attempts, {m}-ucb vs untrained-kernel-ucb, by task and model seed",
+                            [(attempts[m, s][t], attempts["mean-only", s][t]) for s in seeds for t in tasks]),
+                  sign_test(f"{top}-shot MAE, {m} vs untrained kernel, by task and model seed",
+                            mae_pairs(mae, seeds, m, "mean-only", top))]
     (out / "HEADLINE.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print("\n".join(lines))
     return 0

@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--data", required=True)
     p.add_argument("--model", help="model checkpoint (optional for --scorer random)")
-    p.add_argument("--scorer", choices=("ucb", "greedy", "mean", "random"), default="ucb")
+    p.add_argument("--scorer", choices=("ucb", "mean", "random"), default="ucb")
     p.add_argument("--mode", choices=("dataset", "live"), default="dataset")
     p.add_argument("--terrains", help="terrain container (required for --mode live)")
     p.add_argument("--threshold", type=float, default=None,

@@ -50,8 +50,6 @@ class TrainConfig:
     max_epochs_mean: int = 200
     max_epochs_kernel: int = 150
     folds: int = 4                  # material folds of train_codega
-    train_kernel_head: bool = True  # set False to fit hyperparameters only
-    kernel_extractor_fold: int = -1  # >= 0 pins kernel embeddings to that fold's extractor
     log_every: int = 0              # print a progress line every n epochs (0 = quiet)
 
 
@@ -125,12 +123,6 @@ def _parse_value(raw: str, kind, key: str):
             return int(raw)
         if kind is float:
             return float(raw)
-        if kind is bool:
-            if raw.lower() in ("1", "true", "yes", "on"):
-                return True
-            if raw.lower() in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
         if kind is tuple:
             if ":" in raw:
                 return _parse_hidden(raw)

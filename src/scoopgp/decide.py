@@ -31,15 +31,15 @@ from .tasks import (
     reward_oracle,
 )
 
-SCORER_KINDS = ("ucb", "greedy", "mean", "random")
+SCORER_KINDS = ("ucb", "mean", "random")
 
 
 @dataclass(frozen=True)
 class ScorerConfig:
     """How candidate actions are ranked.
 
-    ucb:    posterior mean + gamma * posterior std (adaptive)
-    greedy: posterior mean (adaptive)
+    ucb:    posterior mean + gamma * posterior std (adaptive; gamma = 0
+            ranks by the posterior mean alone)
     mean:   prior mean only, support ignored (the non-adaptive baseline)
     random: uniform random scores, no model involved
     """
@@ -60,9 +60,9 @@ class ScorerConfig:
 
     @property
     def adaptive(self) -> bool:
-        """Whether scores condition on the support set: only ucb and greedy
-        read it, so only they need its rows gathered."""
-        return self.kind in ("ucb", "greedy")
+        """Whether scores condition on the support set: only ucb reads it,
+        so only ucb needs its rows gathered."""
+        return self.kind == "ucb"
 
 
 def score(model: DeepGpModel | None, scorer: ScorerConfig, support_x, support_y, candidates,
@@ -70,10 +70,9 @@ def score(model: DeepGpModel | None, scorer: ScorerConfig, support_x, support_y,
     """Score every candidate row; the best feasible one is executed.
 
     support_x (input rows) and support_y (rewards) are the failures observed
-    so far; only greedy and ucb (ScorerConfig.adaptive) condition on them,
-    and the other kinds never look at them. Candidates and support
-    are input rows or Embedded sets. random draws from rng and needs no
-    model.
+    so far; only ucb (ScorerConfig.adaptive) conditions on them, and the
+    other kinds never look at them. Candidates and support are input rows
+    or Embedded sets. random draws from rng and needs no model.
     """
     if scorer.kind == "random":
         return rng.random(len(candidates))
@@ -82,7 +81,7 @@ def score(model: DeepGpModel | None, scorer: ScorerConfig, support_x, support_y,
     if scorer.kind == "mean":
         return candidates.m if isinstance(candidates, Embedded) else mean_eval_batch(model, candidates)
     mu, var = posterior_batch(model, support_x, support_y, candidates)
-    return mu + scorer.gamma * np.sqrt(var) if scorer.kind == "ucb" else mu
+    return mu + scorer.gamma * np.sqrt(var)
 
 
 def select_action(scores: np.ndarray, feasible: np.ndarray) -> int:

@@ -7,16 +7,19 @@ train_codega
     each fold's mean is trained only on tasks that avoid the fold's
     materials, so the residuals collected on the held-out tasks look like
     genuine deployment errors. A shared kernel is then trained on those
-    residual groups (one task per batch, fold extractor loaded frozen),
-    and the final mean is retrained from scratch on everything.
+    residual groups (one group per batch, each on its own residuals with
+    its fold's extractor loaded frozen), and the final mean is retrained
+    from scratch on everything.
 
 train_dkmt
     The joint baseline: mean, kernel and shared extractor trained
-    together by marginal likelihood, one task per batch.
+    together by marginal likelihood, one task per batch (deep kernel
+    transfer, Patacchiola et al. 2020).
 
 train_mean_only builds the non-adaptive reference: the supervised mean
 with an untrained kernel head. Every trainer runs the same early-stopping
-epoch loop, _fit.
+epoch loop, _fit; the two marginal-likelihood trainers run it through
+one NLML loop, _train_nlml, and every model is assembled by _model.
 """
 
 from __future__ import annotations
@@ -119,6 +122,19 @@ class ModelResult:
     report: TrainingReport
 
 
+def _specs(model_cfg: ModelConfig, input_dim: int) -> tuple:
+    """The (feature, mean, kernel) NetworkSpecs of a model on input_dim inputs."""
+    return model_cfg.feature_spec(input_dim), model_cfg.mean_spec(), model_cfg.kernel_spec()
+
+
+def _model(specs: tuple, feat: ParamVector, mean: ParamVector, kernel: ParamVector, **hypers) -> DeepGpModel:
+    """The DeepGpModel with _specs' networks, these parameters and the three
+    log hyperparameters given by keyword."""
+    feature_spec, mean_spec, kernel_spec = specs
+    return DeepGpModel(feature_spec=feature_spec, feature_params=feat, mean_spec=mean_spec, mean_params=mean,
+                       kernel_spec=kernel_spec, kernel_params=kernel, **hypers)
+
+
 def _pool_training_data(datasets) -> tuple:
     xs = [ds.gp_inputs() for ds in datasets if len(ds)]
     ys = [ds.rewards() for ds in datasets if len(ds)]
@@ -178,14 +194,12 @@ def _fit(label: str, state: dict, epoch_step, max_epochs: int, train_cfg: TrainC
     return best_state, TrainingReport(label=label, entries=tuple(entries), best_epoch=best_epoch)
 
 
-def _adam(state: dict, grads: dict, opt: dict, lr: float, log_noise_min: float | None = None) -> dict:
-    """One Adam step on each named vector in grads, clamping "hyper" after
-    its step. opt holds the Adam state per name and is updated in place."""
+def _adam(state: dict, grads: dict, opt: dict, lr: float) -> dict:
+    """A copy of state after one Adam step on each named vector in grads.
+    opt holds the Adam state per name and is updated in place."""
     state = dict(state)
     for name, g in grads.items():
         state[name], opt[name] = optimizer_step(state[name], g, opt.get(name), lr)
-    if "hyper" in grads:
-        state["hyper"] = _clamp_hypers(state["hyper"], log_noise_min)
     return state
 
 
@@ -215,8 +229,7 @@ def train_mean(datasets, seed, model_cfg: ModelConfig = ModelConfig(), train_cfg
     Xt, yt = X[train_idx], y_std[train_idx]
     Xv, yv = X[val_idx], y_std[val_idx]
 
-    feature_spec = model_cfg.feature_spec(X.shape[1])
-    mean_spec = model_cfg.mean_spec()
+    feature_spec, mean_spec, _ = _specs(model_cfg, X.shape[1])
     rng_init = np.random.default_rng(init_ss)
     init = {"feat": init_params(feature_spec, rng_init), "mean": init_params(mean_spec, rng_init)}
     opt = {}
@@ -254,17 +267,12 @@ def train_mean_only(datasets, seed=0, model_cfg: ModelConfig = ModelConfig(), tr
     """
     res = train_mean(datasets, seed, model_cfg, train_cfg, label="mean")
     X, y = _pool_training_data(datasets)
-    feature_spec = model_cfg.feature_spec(X.shape[1])
-    kernel_spec = model_cfg.kernel_spec()
+    specs = _specs(model_cfg, X.shape[1])
+    feature_spec, _, kernel_spec = specs
     kernel = init_params(kernel_spec, np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, 0x6E51])))
     emb = forward_batch(kernel_spec, kernel, forward_batch(feature_spec, res.feature_params, X[:256]))
-    model = DeepGpModel(
-        feature_spec=feature_spec,
-        feature_params=res.feature_params,
-        mean_spec=model_cfg.mean_spec(),
-        mean_params=res.mean_params,
-        kernel_spec=kernel_spec,
-        kernel_params=kernel,
+    model = _model(
+        specs, res.feature_params, res.mean_params, kernel,
         log_lengthscale=float(np.log(_median_embed_heuristic(emb))),
         log_outputscale=float(np.clip(np.log(max(float(np.var(y)), 1e-8)), LOG_OS_MIN, LOG_OS_MAX)),
         log_noise=float(np.log(max(0.5 * float(np.std(y)), NOISE_FLOOR))),
@@ -325,8 +333,7 @@ def build_residual_dataset(splits, datasets, seed, model_cfg: ModelConfig = Mode
             train_cfg,
             label=f"fold{split.fold_index}-mean",
         )
-        feature_spec = model_cfg.feature_spec(by_id[split.mean_task_ids[0]].feature_dim + 2)
-        mean_spec = model_cfg.mean_spec()
+        feature_spec, mean_spec, _ = _specs(model_cfg, by_id[split.mean_task_ids[0]].feature_dim + 2)
         checkpoints[split.fold_index] = result
         for task_id in split.kernel_task_ids:
             ds = by_id[task_id]
@@ -361,9 +368,12 @@ def _hyper_grad(grads) -> ParamVector:
     return ParamVector(np.array([grads.log_lengthscale, grads.log_outputscale, grads.log_noise]), _HYPER_LAYOUT)
 
 
+_HYPER_NAMES = ("log_lengthscale", "log_outputscale", "log_noise")
+
+
 def _hyper_kwargs(h: ParamVector) -> dict:
     """DeepGpModel keyword arguments for the three log hyperparameters."""
-    return dict(zip(("log_lengthscale", "log_outputscale", "log_noise"), (float(v) for v in h.values)))
+    return dict(zip(_HYPER_NAMES, (float(v) for v in h.values)))
 
 
 def _raw_hypers(h: ParamVector, sigma: float) -> dict:
@@ -375,83 +385,89 @@ def _raw_hypers(h: ParamVector, sigma: float) -> dict:
     return hypers
 
 
-def train_kernel_codega(residuals: tuple, fold_checkpoints: dict, seed, model_cfg: ModelConfig = ModelConfig(), train_cfg: TrainConfig = TrainConfig()) -> KernelResult:
-    """Shared kernel over residual groups (a tuple of ResidualGroup), one
-    task per batch; fold_checkpoints maps a fold index to its MeanResult.
+def _at_least_min_size(items, sizes, label: str, unit: str) -> list:
+    """The items whose size is at least MIN_GROUP_SIZE; each smaller one is
+    skipped with a warning on the "scoopgp" logger. Raises ValueError when
+    none is left."""
+    kept = []
+    for item, n in zip(items, sizes):
+        if n < MIN_GROUP_SIZE:
+            log.warning("[%s] skipping task %s: %d %s < min_group_size %d", label, item.task_id, n, unit, MIN_GROUP_SIZE)
+        else:
+            kept.append(item)
+    if not kept:
+        raise ValueError(f"[{label}] no task has at least min_group_size {MIN_GROUP_SIZE} {unit}")
+    return kept
 
-    Each batch loads its fold's extractor frozen; only the kernel head and
-    the log hyperparameters receive gradients. Stops early on the
-    aggregate training NLML. Groups below MIN_GROUP_SIZE are skipped with a
-    warning on the "scoopgp" logger.
+
+def _train_nlml(label: str, tasks: list, model_of, trained: dict, init: dict, sigma: float, rng,
+                train_cfg: TrainConfig, **nlml_kw) -> tuple:
+    """Marginal-likelihood training, one Adam step per task on its NLML.
+
+    tasks holds (X, y) pairs, y in units of sigma; model_of(i, state) builds
+    task i's DeepGpModel. state maps "hyper" (the log hyperparameters, held
+    above the noise floor) and each key of trained, which names the GpGrads
+    field that trains it, to a ParamVector; nlml_kw go to nlml_grad. Each
+    epoch visits the tasks in an order rng draws; _fit stops early on their
+    summed NLML, reported in raw units. Returns the best state, its
+    hyperparameters in raw units and the TrainingReport.
     """
-    groups = []
-    for g in residuals:
-        if len(g.residuals) < MIN_GROUP_SIZE:
-            log.warning("[kernel] skipping task %s: %d residuals < min_group_size %d",
-                        g.task_id, len(g.residuals), MIN_GROUP_SIZE)
-            continue
-        groups.append(g)
-    if not groups:
-        raise ValueError("no residual group meets min_group_size")
-
-    input_dim = groups[0].inputs.shape[1]
-    feature_spec = model_cfg.feature_spec(input_dim)
-    mean_spec = model_cfg.mean_spec()
-    kernel_spec = model_cfg.kernel_spec()
-    mean_zero = ParamVector(np.zeros(mean_spec.param_count()), mean_spec.param_layout())
-
-    pooled = np.concatenate([g.residuals for g in groups])
-    sigma_sc = float(pooled.std())
-    if sigma_sc < 1e-12:
-        sigma_sc = 1.0
-    scaled = {g.task_id: g.residuals / sigma_sc for g in groups}
-    log_noise_min = math.log(NOISE_FLOOR) - math.log(sigma_sc)
-
-    ss = np.random.SeedSequence([int(seed) & 0xFFFFFFFF, 0x6E51])
-    init_ss, batch_ss = ss.spawn(2)
-    kernel = init_params(kernel_spec, np.random.default_rng(init_ss))
-    rng = np.random.default_rng(batch_ss)
-
-    # initial hyperparameters: unit variance after scaling, median embedding
-    # distance for the lengthscale, half a residual std of noise
-    sample_feats = []
-    for g in groups:
-        ck = fold_checkpoints[g.fold_index]
-        U = forward_batch(feature_spec, ck.feature_params, g.inputs[:64])
-        sample_feats.append(forward_batch(kernel_spec, kernel, U))
-    med = _median_embed_heuristic(np.concatenate(sample_feats)[:256])
-    var0 = float(np.var(pooled / sigma_sc))
-    hyper = ParamVector(np.array([math.log(med), math.log(max(var0, 1e-4)), math.log(0.5)]), _HYPER_LAYOUT)
-    hyper = _clamp_hypers(hyper, log_noise_min)
-
-    def epoch_model(g: ResidualGroup, s: dict) -> DeepGpModel:
-        return DeepGpModel(
-            feature_spec=feature_spec,
-            feature_params=fold_checkpoints[g.fold_index].feature_params,
-            mean_spec=mean_spec,
-            mean_params=mean_zero,
-            kernel_spec=kernel_spec,
-            kernel_params=s["kernel"],
-            **_hyper_kwargs(s["hyper"]),
-        )
-
+    log_noise_min = math.log(NOISE_FLOOR) - math.log(sigma)
+    init = dict(init, hyper=_clamp_hypers(init["hyper"], log_noise_min))
+    raw_shift = sum(len(y) for _, y in tasks) * math.log(sigma)
     opt = {}
-    raw_shift = sum(len(g.residuals) for g in groups) * math.log(sigma_sc)
 
     def epoch_step(s):
         total = 0.0
-        for gi in rng.permutation(len(groups)):
-            g = groups[gi]
-            value, grads = nlml_grad(epoch_model(g, s), g.inputs, scaled[g.task_id], mean_mode="zero")
+        for i in rng.permutation(len(tasks)):
+            X, y = tasks[i]
+            value, grads = nlml_grad(model_of(i, s), X, y, **nlml_kw)
             total += value
-            step = {"hyper": _hyper_grad(grads)}
-            if train_cfg.train_kernel_head:
-                step["kernel"] = grads.kernel
-            s = _adam(s, step, opt, train_cfg.lr_kernel, log_noise_min)
+            step = {name: getattr(grads, field) for name, field in trained.items()}
+            step["hyper"] = _hyper_grad(grads)
+            s = _adam(s, step, opt, train_cfg.lr_kernel)
+            s["hyper"] = _clamp_hypers(s["hyper"], log_noise_min)
         return s, total, total + raw_shift, None
 
-    best, report = _fit("kernel", {"kernel": kernel, "hyper": hyper}, epoch_step, train_cfg.max_epochs_kernel, train_cfg)
-    return KernelResult(kernel_params=best["kernel"], **_raw_hypers(best["hyper"], sigma_sc), report=report)
+    best, report = _fit(label, init, epoch_step, train_cfg.max_epochs_kernel, train_cfg)
+    return best, _raw_hypers(best["hyper"], sigma), report
+
+
+def train_kernel_codega(residuals: tuple, fold_checkpoints: dict, seed, model_cfg: ModelConfig = ModelConfig(), train_cfg: TrainConfig = TrainConfig()) -> KernelResult:
+    """Shared kernel over residual groups (a tuple of ResidualGroup), one
+    group per batch; fold_checkpoints maps a fold index to its MeanResult.
+
+    Each group trains on its own residuals, embedded through its fold's
+    extractor loaded frozen; only the kernel head and the log
+    hyperparameters receive gradients. Stops early on the aggregate
+    training NLML. Groups below MIN_GROUP_SIZE are skipped with a warning
+    on the "scoopgp" logger.
+    """
+    groups = _at_least_min_size(residuals, [len(g.residuals) for g in residuals], "kernel", "residuals")
+    specs = _specs(model_cfg, groups[0].inputs.shape[1])
+    feature_spec, mean_spec, kernel_spec = specs
+    mean_zero = ParamVector(np.zeros(mean_spec.param_count()), mean_spec.param_layout())
+    feats = [fold_checkpoints[g.fold_index].feature_params for g in groups]
+
+    pooled = np.concatenate([g.residuals for g in groups])
+    _, sigma = _standardizer(pooled)
+    ss = np.random.SeedSequence([int(seed) & 0xFFFFFFFF, 0x6E51])
+    init_ss, batch_ss = ss.spawn(2)
+    kernel = init_params(kernel_spec, np.random.default_rng(init_ss))
+
+    # initial hyperparameters: unit variance after scaling, median embedding
+    # distance for the lengthscale, half a residual std of noise
+    med = _median_embed_heuristic(np.concatenate([
+        forward_batch(kernel_spec, kernel, forward_batch(feature_spec, f, g.inputs[:64])) for f, g in zip(feats, groups)]))
+    var0 = float(np.var(pooled / sigma))
+    hyper = ParamVector(np.array([math.log(med), math.log(max(var0, 1e-4)), math.log(0.5)]), _HYPER_LAYOUT)
+
+    best, hypers, report = _train_nlml(
+        "kernel", [(g.inputs, g.residuals / sigma) for g in groups],
+        lambda i, s: _model(specs, feats[i], mean_zero, s["kernel"], **_hyper_kwargs(s["hyper"])),
+        {"kernel": "kernel"}, {"kernel": kernel, "hyper": hyper}, sigma, np.random.default_rng(batch_ss), train_cfg,
+        mean_mode="zero")
+    return KernelResult(kernel_params=best["kernel"], **hypers, report=report)
 
 
 def train_codega(datasets, seed=0, model_cfg: ModelConfig = ModelConfig(), train_cfg: TrainConfig = TrainConfig()) -> CodegaResult:
@@ -460,8 +476,7 @@ def train_codega(datasets, seed=0, model_cfg: ModelConfig = ModelConfig(), train
     Fold split, per-fold means, residual collection, kernel training on
     the residual groups, then a fresh mean on all data. The deployed
     model pairs the final mean and extractor with the residual-trained
-    kernel head; the kernel path can be pinned to a fold extractor via
-    train_cfg.kernel_extractor_fold.
+    kernel head.
     """
     ss = np.random.SeedSequence([int(seed) & 0xFFFFFFFF, 0xC0DE6A])
     seeds = [int(c.generate_state(1)[0]) for c in ss.spawn(4)]
@@ -472,25 +487,8 @@ def train_codega(datasets, seed=0, model_cfg: ModelConfig = ModelConfig(), train
     # the same initialization the kernel head was trained against
     mean_seed = int(np.random.SeedSequence([seeds[1] & 0xFFFFFFFF, 0x2E51D]).generate_state(1)[0])
     final = train_mean(datasets, mean_seed, model_cfg, train_cfg, label="final-mean")
-
-    input_dim = datasets[0].feature_dim + 2
-    kernel_feature = None
-    if train_cfg.kernel_extractor_fold >= 0:
-        if train_cfg.kernel_extractor_fold not in checkpoints:
-            raise ConfigError(f"kernel_extractor_fold {train_cfg.kernel_extractor_fold} is not a fold index")
-        kernel_feature = checkpoints[train_cfg.kernel_extractor_fold].feature_params
-    model = DeepGpModel(
-        feature_spec=model_cfg.feature_spec(input_dim),
-        feature_params=final.feature_params,
-        mean_spec=model_cfg.mean_spec(),
-        mean_params=final.mean_params,
-        kernel_spec=model_cfg.kernel_spec(),
-        kernel_params=kernel.kernel_params,
-        log_lengthscale=kernel.log_lengthscale,
-        log_outputscale=kernel.log_outputscale,
-        log_noise=kernel.log_noise,
-        kernel_feature_params=kernel_feature,
-    )
+    model = _model(_specs(model_cfg, datasets[0].feature_dim + 2), final.feature_params, final.mean_params,
+                   kernel.kernel_params, **{h: getattr(kernel, h) for h in _HYPER_NAMES})
     return CodegaResult(
         model=model,
         splits=tuple(splits),
@@ -507,65 +505,24 @@ def train_dkmt(datasets, seed=0, model_cfg: ModelConfig = ModelConfig(), train_c
     on the aggregate training NLML. Tasks below MIN_GROUP_SIZE are skipped
     with a warning on the "scoopgp" logger.
     """
-    live = []
-    for ds in datasets:
-        if len(ds) < MIN_GROUP_SIZE:
-            log.warning("[joint] skipping task %s: %d records < min_group_size %d",
-                        ds.task_id, len(ds), MIN_GROUP_SIZE)
-            continue
-        live.append(ds)
-    if not live:
-        raise ValueError("no dataset meets min_group_size")
+    live = _at_least_min_size(datasets, [len(ds) for ds in datasets], "joint", "records")
     X_all, y_all = _pool_training_data(live)
     mu, sigma = _standardizer(y_all)
-    log_noise_min = math.log(NOISE_FLOOR) - math.log(sigma)
-
-    input_dim = X_all.shape[1]
-    feature_spec = model_cfg.feature_spec(input_dim)
-    mean_spec = model_cfg.mean_spec()
-    kernel_spec = model_cfg.kernel_spec()
+    specs = _specs(model_cfg, X_all.shape[1])
+    feature_spec, mean_spec, kernel_spec = specs
 
     ss = np.random.SeedSequence([int(seed) & 0xFFFFFFFF, 0xD6A7])
     init_ss, batch_ss = ss.spawn(2)
     rng_init = np.random.default_rng(init_ss)
-    feat = init_params(feature_spec, rng_init)
-    mean = init_params(mean_spec, rng_init)
-    kernel = init_params(kernel_spec, rng_init)
-    rng = np.random.default_rng(batch_ss)
+    init = {name: init_params(spec, rng_init) for name, spec in zip(("feat", "mean", "kernel"), specs)}
+    U0 = forward_batch(feature_spec, init["feat"], X_all[:256])
+    med = _median_embed_heuristic(forward_batch(kernel_spec, init["kernel"], U0))
+    init["hyper"] = ParamVector(np.array([math.log(med), 0.0, math.log(0.5)]), _HYPER_LAYOUT)
 
-    U0 = forward_batch(feature_spec, feat, X_all[:256])
-    med = _median_embed_heuristic(forward_batch(kernel_spec, kernel, U0))
-    hyper = ParamVector(np.array([math.log(med), 0.0, math.log(0.5)]), _HYPER_LAYOUT)
-    hyper = _clamp_hypers(hyper, log_noise_min)
-
-    data = [(ds.gp_inputs(), (ds.rewards() - mu) / sigma) for ds in live]
-    raw_shift = sum(len(y) for _, y in data) * math.log(sigma)
-    opt = {}
-
-    def joint_model(s: dict, mean: ParamVector, hypers: dict) -> DeepGpModel:
-        return DeepGpModel(
-            feature_spec=feature_spec,
-            feature_params=s["feat"],
-            mean_spec=mean_spec,
-            mean_params=mean,
-            kernel_spec=kernel_spec,
-            kernel_params=s["kernel"],
-            **hypers,
-        )
-
-    def epoch_step(s):
-        total = 0.0
-        for ti in rng.permutation(len(data)):
-            Xb, yb = data[ti]
-            model = joint_model(s, s["mean"], _hyper_kwargs(s["hyper"]))
-            value, grads = nlml_grad(model, Xb, yb, mean_mode="model", train_extractor=True, train_mean=True)
-            total += value
-            step = {"feat": grads.feature, "mean": grads.mean, "kernel": grads.kernel, "hyper": _hyper_grad(grads)}
-            s = _adam(s, step, opt, train_cfg.lr_kernel, log_noise_min)
-        return s, total, total + raw_shift, None
-
-    init = {"feat": feat, "mean": mean, "kernel": kernel, "hyper": hyper}
-    best, report = _fit("joint", init, epoch_step, train_cfg.max_epochs_kernel, train_cfg)
+    best, hypers, report = _train_nlml(
+        "joint", [(ds.gp_inputs(), (ds.rewards() - mu) / sigma) for ds in live],
+        lambda i, s: _model(specs, s["feat"], s["mean"], s["kernel"], **_hyper_kwargs(s["hyper"])),
+        {"feat": "feature", "mean": "mean", "kernel": "kernel"}, init, sigma, np.random.default_rng(batch_ss),
+        train_cfg, mean_mode="model", train_extractor=True, train_mean=True)
     mean = _scale_output_layer(mean_spec, best["mean"], mu, sigma)
-    model = joint_model(best, mean, _raw_hypers(best["hyper"], sigma))
-    return ModelResult(model=model, report=report)
+    return ModelResult(model=_model(specs, best["feat"], mean, best["kernel"], **hypers), report=report)

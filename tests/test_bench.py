@@ -429,7 +429,7 @@ def test_deterministic_scorers_replay_one_episode_per_task(world, codega_result,
     monkeypatch.setattr(bench, "run_deployment", counting_run_deployment)
     model = codega_result.model
     methods = {kind: (None if kind == "random" else model, ScorerConfig(kind=kind))
-               for kind in ("ucb", "greedy", "mean", "random")}
+               for kind in ("ucb", "mean", "random")}
     trials = 5
     out = eval_simulated_deployment(methods, world.test_sets, budget=8, trials=trials, seed=3)
     assert out == reference_simulated_deployment(methods, world.test_sets, budget=8, trials=trials, seed=3)

@@ -7,9 +7,11 @@ and checkpoints are shared across tests.
 """
 
 import ast
+import dataclasses
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -433,7 +435,8 @@ def test_calls_in_one_process_share_the_parser_but_not_its_values(tmp_path, caps
     assert args.set is None and args.seed == 0
 
 
-@pytest.mark.parametrize("key", ["gen.grid_cell", "train.lr_mean", "bench.query_fraction"])
+@pytest.mark.parametrize("key", ["gen.grid_cell", "train.lr_mean", "bench.query_fraction",
+                                 "train.train_kernel_head", "train.kernel_extractor_fold"])
 def test_removed_config_keys_are_unknown(tmp_path, capsys, key):
     prefix = str(tmp_path / "x")
     rc = main(["gen", "--prefix", prefix, "--set", f"{key}=0.5"])
@@ -446,6 +449,19 @@ def test_removed_config_keys_are_unknown(tmp_path, capsys, key):
     assert rc == 1
     assert f"unknown config key {key!r}" in capsys.readouterr().err
     assert not list(tmp_path.glob("x.*"))
+
+
+def test_readme_lists_every_config_key_and_their_count():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    sections = {name: getattr(RunConfig(), name) for name in ("model", "train", "gen", "bench")}
+    # a bullet ends at the next bullet or at a blank line
+    bullets = {b.split("`", 2)[1]: b.split("\n\n", 1)[0] for b in section.split("\n- ") if b.startswith("`")}
+    for name, cfg in sections.items():
+        listed = re.findall(r"`(\w+)`", bullets[f"{name}.*"])
+        assert sorted(listed) == sorted(f.name for f in dataclasses.fields(cfg)), name
+    total = sum(len(dataclasses.fields(cfg)) for cfg in sections.values())
+    assert re.search(r"\b(\d+) keys in all", section).group(1) == str(total)
 
 
 # ---------------------------------------------------------------------------
@@ -643,14 +659,19 @@ def test_run_benchmark_drives_every_stage_and_reruns_identically(tmp_path, capsy
     stems = [f"{m}-s0" for m in ("codega", "dkmt", "mean-only")]
     expected = ["fam.train.records.txt", "fam.test.records.txt", "fam.terrains.bin", "mean.deploy.txt",
                 "random.deploy.txt", "HEADLINE.txt", *(f"{stem}.bin" for stem in stems),
-                *(f"{stem}.mae.txt" for stem in stems), "codega-s0.ucb.deploy.txt", "dkmt-s0.ucb.deploy.txt"]
+                *(f"{stem}.mae.txt" for stem in stems), *(f"{stem}.ucb.deploy.txt" for stem in stems)]
     assert [name for name in expected if not (a / name).exists()] == []
-    checkpoints = {m: read_mae_report(str(a / f"{m}-s0.mae.txt")).checkpoint for m in ("codega", "dkmt")}
-    assert checkpoints["codega"] != checkpoints["dkmt"]
+    checkpoints = {m: read_mae_report(str(a / f"{m}-s0.mae.txt")).checkpoint for m in ("codega", "dkmt", "mean-only")}
+    assert len(set(checkpoints.values())) == 3
     headline = (a / "HEADLINE.txt").read_text()
     for m, ckpt in checkpoints.items():
         assert read_deploy_report(str(a / f"{m}-s0.ucb.deploy.txt")).checkpoint == ckpt
         assert f"kshot-mae@{ckpt}" in headline and f"ucb@{ckpt}" in headline
-        assert f"{ckpt}  {m} seed 0" in headline
+        label = "untrained kernel" if m == "mean-only" else m
+        assert f"{ckpt}  {label} seed 0" in headline
+    # the untrained kernel is evaluated at every shot, not only at 0
+    assert read_mae_report(str(a / "mean-only-s0.mae.txt")).shots == read_mae_report(str(a / "codega-s0.mae.txt")).shots
     assert "codega-ucb vs dkmt-ucb" in headline and "2-shot MAE, codega vs dkmt" in headline
+    for m in ("codega", "dkmt"):
+        assert f"{m}-ucb vs untrained-kernel-ucb" in headline and f"MAE, {m} vs untrained kernel" in headline
     assert (tmp_path / "b" / "HEADLINE.txt").read_bytes() == (a / "HEADLINE.txt").read_bytes()

@@ -50,11 +50,13 @@ def _deploy_dataset(rewards, task_id="dep0"):
 def test_scorer_config_validation():
     assert ScorerConfig().kind == "ucb"
     assert ScorerConfig().gamma == 2.0
-    with pytest.raises(ValueError):
-        ScorerConfig(kind="thompson")
+    for kind in ("thompson", "greedy"):
+        with pytest.raises(ValueError):
+            ScorerConfig(kind=kind)
 
 
-UCB, GREEDY, MEAN = ScorerConfig("ucb"), ScorerConfig("greedy"), ScorerConfig("mean")
+# ucb at gamma = 0 ranks by the posterior mean alone
+UCB, UCB0, MEAN = ScorerConfig("ucb"), ScorerConfig("ucb", gamma=0.0), ScorerConfig("mean")
 
 
 def test_ucb_combines_mean_and_uncertainty():
@@ -69,8 +71,7 @@ def test_ucb_combines_mean_and_uncertainty():
     mu, var = posterior_batch(model, xs, ys, candidates)
     assert np.allclose(score(model, ScorerConfig("ucb", gamma=1.7), xs, ys, candidates),
                        mu + 1.7 * np.sqrt(var))
-    assert np.allclose(score(model, ScorerConfig("ucb", gamma=0.0), xs, ys, candidates),
-                       score(model, GREEDY, xs, ys, candidates))
+    assert np.array_equal(score(model, UCB0, xs, ys, candidates), mu)
 
 
 def test_mean_scorer_ignores_the_support_set():
@@ -82,15 +83,15 @@ def test_mean_scorer_ignores_the_support_set():
     xs, ys = [np.array([0.0, 0.0])], [50.0]
     assert np.array_equal(score(model, MEAN, xs, ys, candidates), base)
     # the adaptive scorer does react to the same evidence
-    adapted = score(model, GREEDY, xs, ys, candidates)
+    adapted = score(model, UCB0, xs, ys, candidates)
     assert not np.allclose(adapted, base)
     assert adapted[0] > base[0]
 
 
-def test_greedy_ranking_follows_the_posterior_mean():
+def test_ucb_at_zero_gamma_ranks_by_the_posterior_mean():
     model = _linear_mean_model(3, (10.0, 0.0, 0.0))
     candidates = np.array([[0.3, 0.0, 0.0], [0.9, 0.0, 0.0], [0.1, 0.0, 0.0]])
-    scores = score(model, GREEDY, [], [], candidates)
+    scores = score(model, UCB0, [], [], candidates)
     assert np.allclose(scores, candidates[:, 0] * 10.0)
     assert select_action(scores, np.ones(3, dtype=bool)) == 1
 
@@ -228,7 +229,7 @@ def test_ucb_deployment_over_duplicate_rows_runs_to_budget():
     assert all(np.isfinite(e.score) for e in trace.episodes)
 
 
-@pytest.mark.parametrize("kind", ["ucb", "greedy", "mean", "random"])
+@pytest.mark.parametrize("kind", ["ucb", "mean", "random"])
 def test_dataset_episodes_equal_the_reference_loop(world, codega_result, kind):
     # the index-based episode against the loop that gathered support rows
     # for every scorer and built each step's action: the world's test
@@ -281,7 +282,7 @@ def test_deployment_is_deterministic_and_renders():
 
 def test_adaptive_scorers_require_a_model():
     ds = _deploy_dataset([1.0, 2.0, 3.0])
-    for kind in ("ucb", "greedy", "mean"):
+    for kind in ("ucb", "mean"):
         with pytest.raises(ValueError, match="needs a model"):
             run_deployment(None, ScorerConfig(kind=kind), DatasetTarget(ds), 3.0, budget=2)
 

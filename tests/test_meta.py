@@ -1,6 +1,5 @@
 """Meta-training: supervised means, fold splits, residual kernels, pipelines."""
 
-import dataclasses
 import logging
 import math
 
@@ -257,7 +256,7 @@ def test_zero_residuals_drive_noise_to_the_floor():
         ResidualGroup(f"t{i}", 0, rng.normal(size=(20, 4)), np.zeros(20)) for i in range(2)
     )
     checkpoints = {0: _identity_checkpoint(_ID_MODEL, 4)}
-    cfg = TrainConfig(lr_kernel=0.3, max_epochs_kernel=80, patience=80, train_kernel_head=False)
+    cfg = TrainConfig(lr_kernel=0.3, max_epochs_kernel=80, patience=80)
     kr = train_kernel_codega(groups, checkpoints, seed=7,
                              model_cfg=_ID_MODEL, train_cfg=cfg)
     assert kr.log_noise == math.log(NOISE_FLOOR)
@@ -271,7 +270,7 @@ def test_small_groups_are_skipped_and_empty_sets_rejected(caplog):
         ResidualGroup("full", 0, rng.normal(size=(12, 4)), rng.normal(size=12)),
     ])
     checkpoints = {0: _identity_checkpoint(_ID_MODEL, 4)}
-    cfg = TrainConfig(max_epochs_kernel=3, patience=3, train_kernel_head=False)
+    cfg = TrainConfig(max_epochs_kernel=3, patience=3)
     kr = train_kernel_codega(groups, checkpoints, seed=9,
                              model_cfg=_ID_MODEL, train_cfg=cfg)
     assert kr.report.entries
@@ -282,22 +281,21 @@ def test_small_groups_are_skipped_and_empty_sets_rejected(caplog):
         train_kernel_codega(only_tiny, checkpoints, seed=9, model_cfg=_ID_MODEL, train_cfg=cfg)
 
 
-def _frozen_kernel_init(inputs_by_task, checkpoints, seed, cfg_probe):
-    """One throwaway epoch exposes the fixed kernel head for this seed."""
-    groups = tuple(
-        ResidualGroup(tid, 0, X, np.zeros(len(X))) for tid, X in inputs_by_task.items()
-    )
-    kr = train_kernel_codega(groups, checkpoints, seed,
-                             model_cfg=_ID_MODEL, train_cfg=cfg_probe)
-    return kr.kernel_params
+def _kernel_matrix(kr, inputs):
+    """The learned kernel on inputs, through _ID_MODEL's identity extractor."""
+    Z = forward_batch(_ID_MODEL.kernel_spec(), kr.kernel_params, inputs)
+    D2 = ((Z[:, None, :] - Z[None, :, :]) ** 2).sum(-1)
+    return math.exp(kr.log_outputscale) * np.exp(-0.5 * D2 * math.exp(-2.0 * kr.log_lengthscale))
 
 
 def test_kernel_training_recovers_a_known_lengthscale():
     rng = np.random.default_rng(10)
     inputs = {f"t{i}": rng.normal(size=(48, 4)) for i in range(5)}
     checkpoints = {0: _identity_checkpoint(_ID_MODEL, 4)}
-    probe = TrainConfig(max_epochs_kernel=1, patience=1, train_kernel_head=False)
-    kernel = _frozen_kernel_init(inputs, checkpoints, seed=21, cfg_probe=probe)
+    # zero epochs return the seeded initial head, which draws the data
+    probe = tuple(ResidualGroup(t, 0, X, np.zeros(len(X))) for t, X in inputs.items())
+    kernel = train_kernel_codega(probe, checkpoints, seed=21, model_cfg=_ID_MODEL,
+                                 train_cfg=TrainConfig(max_epochs_kernel=0)).kernel_params
 
     kspec = _ID_MODEL.kernel_spec()
     embeds = {t: forward_batch(kspec, kernel, X) for t, X in inputs.items()}
@@ -314,14 +312,39 @@ def test_kernel_training_recovers_a_known_lengthscale():
         y = np.linalg.cholesky(K) @ rng.normal(size=len(E))
         groups.append(ResidualGroup(tid, 0, inputs[tid], y))
 
-    cfg = TrainConfig(lr_kernel=0.02, max_epochs_kernel=150, patience=10, train_kernel_head=False)
+    cfg = TrainConfig(lr_kernel=0.02, max_epochs_kernel=150, patience=10)
     kr = train_kernel_codega(tuple(groups), checkpoints, seed=21,
                              model_cfg=_ID_MODEL, train_cfg=cfg)
-    # same seed, frozen head: the embedding is the one the data was drawn in
-    assert np.array_equal(kr.kernel_params.values, kernel.values)
-    assert abs(kr.log_lengthscale - math.log(true_ls)) < math.log(1.5)
+    # the head trains with the lengthscale, so only their joint kernel is
+    # identifiable: compare it with the generating one on the pooled inputs
     assert 0.3 < math.exp(kr.log_outputscale) < 3.0
     assert math.exp(kr.log_noise) < 3.0 * tau
+    X = np.concatenate(list(inputs.values()))
+    K_true = np.exp(-0.5 * dists**2 / true_ls**2)
+    assert np.linalg.norm(_kernel_matrix(kr, X) - K_true) < 0.5 * np.linalg.norm(K_true)
+
+
+def test_each_residual_group_trains_on_its_own_residuals():
+    # a task whose materials fall in two folds has one group per fold, with
+    # the same task id, its fold's extractor and that fold's residuals
+    rng = np.random.default_rng(14)
+    X = rng.normal(size=(16, 4))
+    fold1 = _identity_checkpoint(_ID_MODEL, 4)
+    fold1 = MeanResult(fold1.feature_params.replace_values(2.0 * fold1.feature_params.values),
+                       fold1.mean_params, fold1.report)
+    checkpoints = {0: _identity_checkpoint(_ID_MODEL, 4), 1: fold1}
+    r0, r1 = rng.normal(size=16), 3.0 * rng.normal(size=16)
+    cfg = TrainConfig(max_epochs_kernel=5, patience=5)
+
+    def train(id0, id1):
+        groups = (ResidualGroup(id0, 0, X, r0), ResidualGroup(id1, 1, X, r1))
+        return train_kernel_codega(groups, checkpoints, seed=15, model_cfg=_ID_MODEL, train_cfg=cfg)
+
+    shared, distinct = train("t0", "t0"), train("t0", "t1")
+    assert np.array_equal(shared.kernel_params.values, distinct.kernel_params.values)
+    assert (shared.log_lengthscale, shared.log_outputscale, shared.log_noise) == \
+        (distinct.log_lengthscale, distinct.log_outputscale, distinct.log_noise)
+    assert shared.report.to_text() == distinct.report.to_text()
 
 
 # ---------------------------------------------------------------------------
@@ -376,19 +399,6 @@ def test_codega_support_shrinks_posterior_variance(world, codega_result):
     _, var_other = posterior_batch(model, Xs, ys, X[8:])
     assert var_support.mean() < var_other.mean()
     assert var_support.mean() < 0.5 * prior
-
-
-def test_codega_kernel_extractor_pinning(world, fast_train):
-    pinned_cfg = dataclasses.replace(fast_train, folds=2, kernel_extractor_fold=0)
-    res = train_codega(world.train_sets, seed=3, train_cfg=pinned_cfg)
-    assert len(res.splits) == 2
-    ck = res.fold_checkpoints[0]
-    assert res.model.kernel_feature_params is not None
-    assert np.array_equal(res.model.kernel_feature_params.values, ck.feature_params.values)
-
-    bad_cfg = dataclasses.replace(fast_train, folds=2, kernel_extractor_fold=7)
-    with pytest.raises(ConfigError, match="kernel_extractor_fold"):
-        train_codega(world.train_sets, seed=3, train_cfg=bad_cfg)
 
 
 def test_dkmt_pipeline_is_deterministic(world, fast_train, dkmt_result):

@@ -35,7 +35,7 @@ _SEPARATORS = re.compile(rb"([\s,:=\[\]{}\"]+)")
 
 
 def _config_text() -> bytes:
-    return (b"# run\ngen.rho = 0.3\ntrain.folds = 2\ntrain.train_kernel_head = off\n"
+    return (b"# run\ngen.rho = 0.3\ntrain.folds = 2\ntrain.log_every = 0\n"
             b"bench.shots = 0,5\nmodel.kernel_hidden = 32:tanh,16:tanh\n")
 
 
