@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -79,10 +79,12 @@ class MaeReport:
     trials: int
     shots: tuple
     rows: tuple
-    aggregates: dict = field(default_factory=dict)
 
     def aggregate(self, shot: int) -> tuple:
-        return self.aggregates[shot]
+        """(MAE, top-k MAE) at one listed shot count, averaged over its rows."""
+        if shot not in self.shots:
+            raise KeyError(f"shot {shot} is not one of the report's shots {self.shots}")
+        return _aggregate_rows(self.rows, (shot,))[shot]
 
 
 def _aggregate_rows(rows, shots) -> dict:
@@ -123,7 +125,9 @@ def eval_kshot_mae(model: DeepGpModel, datasets, shots=(0, 5, 10), trials: int =
     is drawn from the remainder (prefixes of one shuffled order, so the
     supports nest across shots). MAE is averaged over the query set and,
     separately, over its top_k largest-reward samples, then averaged over
-    trials. Zero shots means the prior mean and is support-independent.
+    trials. Zero shots means the prior mean and is support-independent;
+    when the largest shot is 0 only the mean path runs, with no kernel
+    embedding and no Gram matrix.
 
     Each task's records go through the networks once and into one Gram
     matrix. Every trial's largest support is factored from its sub-block,
@@ -144,13 +148,10 @@ def eval_kshot_mae(model: DeepGpModel, datasets, shots=(0, 5, 10), trials: int =
         n = len(ds)
         if n < 2:
             raise ValueError(f"task {ds.task_id} has too few records for the query split")
-        E = embed(model, ds.gp_inputs())
-        y = ds.rewards()
-        K = kernel_matrix(model, E.Z, E.Z)
+        X, y = ds.gp_inputs(), ds.rewards()
         tag = _task_tag(ds.task_id)
         splits = [_query_split(seed, tag, trial, n) for trial in range(trials)]
         q_idx = np.stack([q for q, _ in splits])
-        mu = np.repeat(E.m[q_idx][:, None, :], len(shots), axis=1)
         # every trial's pool holds the records left outside its query set
         pool_size = n - q_idx.shape[1]
         if max_shot > pool_size:
@@ -158,7 +159,12 @@ def eval_kshot_mae(model: DeepGpModel, datasets, shots=(0, 5, 10), trials: int =
                 f"task {ds.task_id}: {max_shot} shots exceed the {pool_size} records "
                 f"left outside the query set"
             )
-        if max_shot:
+        if not max_shot:
+            mu = mean_eval_batch(model, X)[q_idx][:, None, :]
+        else:
+            E = embed(model, X)
+            K = kernel_matrix(model, E.Z, E.Z)
+            mu = np.repeat(E.m[q_idx][:, None, :], len(shots), axis=1)
             orders = np.stack([_shuffled(seed, tag, trial, pool) for trial, (_, pool) in enumerate(splits)])
             top = orders[:, :max_shot]
             V, beta, jitter = condition_gram(model, K[top[:, :, None], top[:, None, :]],
@@ -178,33 +184,15 @@ def eval_kshot_mae(model: DeepGpModel, datasets, shots=(0, 5, 10), trials: int =
         trials=int(trials),
         shots=shots,
         rows=tuple(rows),
-        aggregates=_aggregate_rows(rows, shots),
     )
 
 
 def mean_model_mae(model: DeepGpModel, datasets, trials: int = 30, seed: int = 0,
                    top_k: int = 5) -> MaeReport:
-    """Prediction error of the prior mean alone, on the same query sets the
-    k-shot protocol draws. The non-adaptive reference: no support, no kernel.
-    The means are those of one pass over each task's records, scored by
-    the same error helper as eval_kshot_mae, so its 0-shot rows equal
-    these exactly."""
-    _check_trials(trials)
-    rows = []
-    for ds in datasets:
-        m = mean_eval_batch(model, ds.gp_inputs())
-        tag = _task_tag(ds.task_id)
-        q_idx = np.stack([_query_split(seed, tag, trial, len(ds))[0] for trial in range(trials)])
-        rows += _mae_rows(ds.task_id, (0,), m[q_idx][:, None, :], ds.rewards()[q_idx], top_k)
-    return MaeReport(
-        label="mean-only-mae",
-        seed=int(seed),
-        checkpoint=checkpoint_id(model),
-        trials=int(trials),
-        shots=(0,),
-        rows=tuple(rows),
-        aggregates=_aggregate_rows(rows, (0,)),
-    )
+    """Prediction error of the prior mean alone: the 0-shot k-shot protocol,
+    labelled "mean-only-mae". The non-adaptive reference: no support, no kernel."""
+    report = eval_kshot_mae(model, datasets, shots=(0,), trials=trials, seed=seed, top_k=top_k)
+    return replace(report, label="mean-only-mae")
 
 
 @dataclass(frozen=True)
@@ -429,7 +417,7 @@ def _mae_report(path: str, header_line: tuple, lines: list, aggregate_lines: lis
         if shot not in aggregates:
             raise IngestError(f"aggregate for shot {shot}, which the header does not list", path)
         _check_aggregate(stated_pair, aggregates[shot], f"shot {shot}", path)
-    return MaeReport(rows=tuple(rows), aggregates=aggregates, **header)
+    return MaeReport(rows=tuple(rows), **header)
 
 
 def write_deploy_report(path: str, report: DeployReport) -> None:

@@ -36,12 +36,7 @@ def _load_run_config(args):
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
         overrides[key.strip()] = value.strip()
-    if getattr(args, "config", None):
-        if not os.path.exists(args.config):
-            raise FileNotFoundError(f"config file not found: {args.config}")
-        cfg = load_config(args.config)
-    else:
-        cfg = RunConfig()
+    cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
     return apply_overrides(cfg, overrides)
 
 
@@ -74,7 +69,7 @@ def _cmd_train(args) -> int:
     cfg = _load_run_config(args)
     datasets = read_database(args.data)
     trainer = {"codega": train_codega, "dkmt": train_dkmt, "mean-only": train_mean_only}[args.method]
-    result = trainer(datasets, seed=args.seed, model_cfg=cfg.model, train_cfg=cfg.train)
+    result = trainer(datasets, seed=args.seed, train_cfg=cfg.train)
     if args.method == "codega":
         folds = result.fold_checkpoints
         reports = [folds[k].report for k in sorted(folds)] + [result.kernel_report, result.mean_report]
@@ -96,10 +91,9 @@ def _cmd_eval_mae(args) -> int:
     model = load_model(args.model)
     datasets = read_database(args.data)
     if args.mean_only:
-        report = mean_model_mae(model, datasets, trials=b.mae_trials, seed=args.seed, top_k=b.top_k)
+        report = mean_model_mae(model, datasets, trials=b.mae_trials, seed=args.seed)
     else:
-        report = eval_kshot_mae(model, datasets, shots=b.shots, trials=b.mae_trials,
-                                seed=args.seed, top_k=b.top_k)
+        report = eval_kshot_mae(model, datasets, shots=b.shots, trials=b.mae_trials, seed=args.seed)
     out = _out_path(args.out)
     write_mae_report(out, report)
     for shot in report.shots:
@@ -119,7 +113,7 @@ def _cmd_deploy(args) -> int:
     cfg = _load_run_config(args)
     b = cfg.bench
     model = load_model(args.model) if args.model else None
-    scorer = ScorerConfig(kind=args.scorer, gamma=b.gamma)
+    scorer = ScorerConfig(kind=args.scorer)
     if args.mode == "live":
         tasks = load_terrains(args.terrains)
         by_id = {t.id: t for t in tasks}
@@ -249,6 +243,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "deploy" and args.mode == "live" and not args.terrains:
         parser.error("--mode live requires --terrains")
+    if args.command == "deploy" and args.mode != "live" and args.threshold is not None:
+        parser.error("--threshold requires --mode live")
     if args.command == "deploy" and args.scorer != "random" and not args.model:
         parser.error(f"--scorer {args.scorer} requires --model")
     try:

@@ -1,10 +1,11 @@
 """Run configuration dataclasses and the flat key-value config file format.
 
 Config files hold one `section.key = value` assignment per line; `#`
-starts a comment. Keys map onto the dataclass fields below, so every key
-and its default is visible in one place. Only settings that some run
-varies are keys; the fixed scoop rig (heightmap cell, observation patch,
-appearance channels, reward noise) is a set of constants in tasks.py.
+starts a comment. Keys map onto the fields of RunConfig's sections below,
+so every key and its default is visible in one place. Only settings that
+some run varies are keys; the fixed scoop rig (heightmap cell, observation
+patch, appearance channels, reward noise) is a set of constants in
+tasks.py, and the network shapes are ModelConfig's defaults.
 """
 
 from __future__ import annotations
@@ -13,22 +14,20 @@ from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError
 from .nnet import NetworkSpec
-
-
-def _hidden(*pairs) -> tuple:
-    return tuple((int(w), str(a)) for w, a in pairs)
+from .serialize import read_file
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Network shapes for the extractor and the two heads."""
+    """Network shapes for the extractor and the two heads. No run varies
+    them, so they are not config keys; the trainers take one as model_cfg."""
 
-    feature_hidden: tuple = _hidden((32, "relu"))
+    feature_hidden: tuple = ((32, "relu"),)
     feature_dim: int = 16
-    mean_hidden: tuple = _hidden((16, "relu"))
+    mean_hidden: tuple = ((16, "relu"),)
     # bounded activations keep the embedding finite far outside the data,
     # so kernel distances stay meaningful on unfamiliar terrain
-    kernel_hidden: tuple = _hidden((32, "tanh"), (16, "tanh"))
+    kernel_hidden: tuple = ((32, "tanh"), (16, "tanh"))
     embed_dim: int = 8
 
     def feature_spec(self, input_dim: int) -> NetworkSpec:
@@ -74,8 +73,6 @@ class BenchConfig:
     mae_trials: int = 30
     deploy_trials: int = 10
     budget: int = 20
-    gamma: float = 2.0
-    top_k: int = 5
     exclude_below: float = 5.0      # drop deployment tasks whose threshold is under this
 
     def __post_init__(self):
@@ -96,39 +93,18 @@ def check_shots(shots) -> tuple:
 
 @dataclass(frozen=True)
 class RunConfig:
-    model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     gen: GenConfig = field(default_factory=GenConfig)
     bench: BenchConfig = field(default_factory=BenchConfig)
 
 
-def _parse_hidden(text: str) -> tuple:
-    # "32:relu,16:tanh" -> ((32, "relu"), (16, "tanh")); empty string -> no hidden layers
-    text = text.strip()
-    if not text:
-        return ()
-    out = []
-    for part in text.split(","):
-        if ":" not in part:
-            raise ConfigError(f"hidden layer entry {part!r} must look like WIDTH:ACTIVATION")
-        w, a = part.split(":", 1)
-        out.append((int(w), a.strip()))
-    return tuple(out)
-
-
 def _parse_value(raw: str, kind, key: str):
     raw = raw.strip()
     try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
         if kind is tuple:
-            if ":" in raw:
-                return _parse_hidden(raw)
             return tuple(int(p) for p in raw.split(",") if p.strip() != "")
-        return raw
-    except (ValueError, TypeError) as exc:
+        return kind(raw)
+    except ValueError as exc:
         raise ConfigError(f"cannot parse value {raw!r} for key {key!r}") from exc
 
 
@@ -146,31 +122,23 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
-_SECTIONS = {"model": ModelConfig, "train": TrainConfig, "gen": GenConfig, "bench": BenchConfig}
-
-
 def apply_overrides(cfg: RunConfig, overrides: dict) -> RunConfig:
-    sections = {name: getattr(cfg, name) for name in _SECTIONS}
+    sections = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
     for key, raw in overrides.items():
         if "." not in key:
             raise ConfigError(f"config key {key!r} must look like section.field")
         section, name = key.split(".", 1)
-        if section not in _SECTIONS:
-            raise ConfigError(f"unknown config section {section!r} in key {key!r}")
-        cls = _SECTIONS[section]
-        by_name = {f.name: f for f in fields(cls)}
-        if name not in by_name:
+        if section not in sections or name not in {f.name for f in fields(sections[section])}:
             raise ConfigError(f"unknown config key {key!r}")
-        current = getattr(sections[section], name)
-        kind = type(current) if current is not None else str
+        kind = type(getattr(sections[section], name))
         sections[section] = replace(sections[section], **{name: _parse_value(raw, kind, key)})
     return RunConfig(**sections)
 
 
 def load_config(path: str) -> RunConfig:
+    data = read_file(path, "config file", ConfigError)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from None
     return apply_overrides(RunConfig(), parse_config_text(text))

@@ -55,7 +55,7 @@ from scipy.linalg import lapack
 
 from .errors import NumericalError, SerializationError, ShapeError
 from .nnet import NetworkSpec, ParamVector, forward_batch, network_from_checkpoint, vjp
-from .serialize import container_bytes, parse_container, write_atomic
+from .serialize import container_bytes, parse_container, read_file, write_atomic
 
 # Cholesky retry ladder: first attempt is unjittered, escalation starts at
 # 1e-8 * outputscale and stops at 1e-4 * outputscale.
@@ -505,8 +505,7 @@ def model_from_bytes(data: bytes) -> DeepGpModel:
 
 
 def load_model(path: str) -> DeepGpModel:
-    with open(path, "rb") as fh:
-        return model_from_bytes(fh.read())
+    return model_from_bytes(read_file(path, "model checkpoint"))
 
 
 def checkpoint_id(model: DeepGpModel) -> str:

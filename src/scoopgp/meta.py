@@ -385,14 +385,14 @@ def _raw_hypers(h: ParamVector, sigma: float) -> dict:
     return hypers
 
 
-def _at_least_min_size(items, sizes, label: str, unit: str) -> list:
+def _at_least_min_size(items, sizes, names, label: str, unit: str) -> list:
     """The items whose size is at least MIN_GROUP_SIZE; each smaller one is
-    skipped with a warning on the "scoopgp" logger. Raises ValueError when
-    none is left."""
+    skipped with a warning on the "scoopgp" logger that gives its name.
+    Raises ValueError when none is left."""
     kept = []
-    for item, n in zip(items, sizes):
+    for item, n, name in zip(items, sizes, names):
         if n < MIN_GROUP_SIZE:
-            log.warning("[%s] skipping task %s: %d %s < min_group_size %d", label, item.task_id, n, unit, MIN_GROUP_SIZE)
+            log.warning("[%s] skipping task %s: %d %s < min_group_size %d", label, name, n, unit, MIN_GROUP_SIZE)
         else:
             kept.append(item)
     if not kept:
@@ -443,7 +443,9 @@ def train_kernel_codega(residuals: tuple, fold_checkpoints: dict, seed, model_cf
     training NLML. Groups below MIN_GROUP_SIZE are skipped with a warning
     on the "scoopgp" logger.
     """
-    groups = _at_least_min_size(residuals, [len(g.residuals) for g in residuals], "kernel", "residuals")
+    # a task in two folds has one group per fold, so the warning names the fold
+    groups = _at_least_min_size(residuals, [len(g.residuals) for g in residuals],
+                                [f"{g.task_id} (fold {g.fold_index})" for g in residuals], "kernel", "residuals")
     specs = _specs(model_cfg, groups[0].inputs.shape[1])
     feature_spec, mean_spec, kernel_spec = specs
     mean_zero = ParamVector(np.zeros(mean_spec.param_count()), mean_spec.param_layout())
@@ -505,7 +507,8 @@ def train_dkmt(datasets, seed=0, model_cfg: ModelConfig = ModelConfig(), train_c
     on the aggregate training NLML. Tasks below MIN_GROUP_SIZE are skipped
     with a warning on the "scoopgp" logger.
     """
-    live = _at_least_min_size(datasets, [len(ds) for ds in datasets], "joint", "records")
+    live = _at_least_min_size(datasets, [len(ds) for ds in datasets], [ds.task_id for ds in datasets],
+                              "joint", "records")
     X_all, y_all = _pool_training_data(live)
     mu, sigma = _standardizer(y_all)
     specs = _specs(model_cfg, X_all.shape[1])

@@ -101,7 +101,17 @@ def parse_container(data: bytes, kind: str | None = None) -> tuple[dict, list[np
     return header["meta"], blocks
 
 
+def read_file(path: str, what: str, error: type = SerializationError) -> bytes:
+    """The bytes of the file at path; a file that is missing or cannot be
+    read raises error, naming what it is and its path."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise error(f"{what} not found: {path}") from None
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc.strerror or exc}") from None
+
+
 def read_container(path: str, kind: str | None = None) -> tuple[dict, list[np.ndarray]]:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    return parse_container(data, kind)
+    return parse_container(read_file(path, f"{kind or 'container'} file"), kind)

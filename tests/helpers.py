@@ -10,7 +10,7 @@ import numpy as np
 
 from scipy.special import expit
 
-from scoopgp.bench import (DeployReport, DeployRow, MaeReport, MaeRow, _aggregate_rows, _support_order, _task_tag,
+from scoopgp.bench import (DeployReport, DeployRow, MaeReport, MaeRow, _support_order, _task_tag,
                            deployment_threshold, query_split)
 from scoopgp.config import check_shots
 from scoopgp.decide import DatasetTarget, dataset_pool, run_deployment, score
@@ -580,7 +580,6 @@ def reference_kshot_mae(model: DeepGpModel, datasets, shots=(0, 5, 10), trials: 
         trials=int(trials),
         shots=shots,
         rows=tuple(rows),
-        aggregates=_aggregate_rows(rows, shots),
     )
     return report
 

@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import binomtest
 
 import scoopgp.bench
+import scoopgp.gp
 from scoopgp.bench import (
     DeployReport,
     DeployRow,
@@ -98,6 +99,19 @@ def test_zero_shot_rows_equal_the_mean_model_protocol(world):
     assert kshot.aggregate(0) == mean_only.aggregate(0)
     assert kshot.label == "kshot-mae" and mean_only.label == "mean-only-mae"
     assert kshot.checkpoint == mean_only.checkpoint
+
+
+def test_zero_shot_evaluation_runs_only_the_mean_head(world, monkeypatch):
+    model = random_model(16, seed=3)
+    expected = eval_kshot_mae(model, world.test_sets, shots=(0,), trials=3, seed=2)
+
+    def unused(*args, **kwargs):
+        raise AssertionError("a 0-shot evaluation formed a kernel embedding or Gram matrix")
+
+    monkeypatch.setattr(scoopgp.gp, "embed_batch", unused)
+    monkeypatch.setattr(scoopgp.bench, "kernel_matrix", unused)
+    assert eval_kshot_mae(model, world.test_sets, shots=(0,), trials=3, seed=2) == expected
+    assert mean_model_mae(model, world.test_sets, trials=3, seed=2).rows == expected.rows
 
 
 def test_perfect_model_scores_zero_at_every_shot():
@@ -479,16 +493,16 @@ def test_sign_test_drops_ties():
 # pooling and rendering
 
 def test_pooling_averages_rows_across_reports():
-    r1 = MaeReport("kshot-mae", 0, "c1", 1, (0,), (MaeRow("a", 0, 2.0, 4.0),), {0: (2.0, 4.0)})
-    r2 = MaeReport("kshot-mae", 1, "c2", 1, (0,), (MaeRow("a", 0, 6.0, 8.0),), {0: (6.0, 8.0)})
+    r1 = MaeReport("kshot-mae", 0, "c1", 1, (0,), (MaeRow("a", 0, 2.0, 4.0),))
+    r2 = MaeReport("kshot-mae", 1, "c2", 1, (0,), (MaeRow("a", 0, 6.0, 8.0),))
     pooled = pool_mae_reports([r1, r2])
     assert pooled == {0: (4.0, 6.0)}
 
 
 def test_tables_render_every_method():
     r1 = MaeReport("kshot-mae", 0, "c1", 1, (0, 5), (
-        MaeRow("a", 0, 2.0, 4.0), MaeRow("a", 5, 1.0, 2.0)), {})
-    r2 = MaeReport("mean-only-mae", 0, "c2", 1, (0,), (MaeRow("a", 0, 3.0, 5.0),), {})
+        MaeRow("a", 0, 2.0, 4.0), MaeRow("a", 5, 1.0, 2.0)))
+    r2 = MaeReport("mean-only-mae", 0, "c2", 1, (0,), (MaeRow("a", 0, 3.0, 5.0),))
     table = render_mae_table({"codega": [r1], "mean-only": [r2]})
     lines = table.strip().splitlines()
     assert len(lines) == 3

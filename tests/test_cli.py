@@ -436,7 +436,9 @@ def test_calls_in_one_process_share_the_parser_but_not_its_values(tmp_path, caps
 
 
 @pytest.mark.parametrize("key", ["gen.grid_cell", "train.lr_mean", "bench.query_fraction",
-                                 "train.train_kernel_head", "train.kernel_extractor_fold"])
+                                 "train.train_kernel_head", "train.kernel_extractor_fold",
+                                 "model.feature_hidden", "model.feature_dim", "model.mean_hidden",
+                                 "model.kernel_hidden", "model.embed_dim", "bench.gamma", "bench.top_k"])
 def test_removed_config_keys_are_unknown(tmp_path, capsys, key):
     prefix = str(tmp_path / "x")
     rc = main(["gen", "--prefix", prefix, "--set", f"{key}=0.5"])
@@ -454,7 +456,7 @@ def test_removed_config_keys_are_unknown(tmp_path, capsys, key):
 def test_readme_lists_every_config_key_and_their_count():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
-    sections = {name: getattr(RunConfig(), name) for name in ("model", "train", "gen", "bench")}
+    sections = {f.name: getattr(RunConfig(), f.name) for f in dataclasses.fields(RunConfig)}
     # a bullet ends at the next bullet or at a blank line
     bullets = {b.split("`", 2)[1]: b.split("\n\n", 1)[0] for b in section.split("\n- ") if b.startswith("`")}
     for name, cfg in sections.items():
@@ -500,6 +502,16 @@ def test_deploy_live_requires_terrains(cli_dir, tmp_path, capsys):
               "--out", str(tmp_path / "x.txt")])
     assert ei.value.code == 2
     assert "--mode live requires --terrains" in capsys.readouterr().err
+
+
+def test_deploy_threshold_requires_live_mode(cli_dir, tmp_path, capsys):
+    with pytest.raises(SystemExit) as ei:
+        main(["deploy", "--data", str(cli_dir / "fam.test.records.txt"),
+              "--scorer", "random", "--threshold", "5",
+              "--out", str(tmp_path / "x.txt")])
+    assert ei.value.code == 2
+    assert "--threshold requires --mode live" in capsys.readouterr().err
+    assert not (tmp_path / "x.txt").exists()
 
 
 def test_deploy_adaptive_scorer_requires_model(cli_dir, tmp_path, capsys):

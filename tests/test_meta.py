@@ -274,8 +274,8 @@ def test_small_groups_are_skipped_and_empty_sets_rejected(caplog):
     kr = train_kernel_codega(groups, checkpoints, seed=9,
                              model_cfg=_ID_MODEL, train_cfg=cfg)
     assert kr.report.entries
-    assert any(r.name == "scoopgp" and r.levelno == logging.WARNING and "skipping task tiny" in r.getMessage()
-               for r in caplog.records)
+    assert [r.getMessage() for r in caplog.records if r.name == "scoopgp" and r.levelno == logging.WARNING] \
+        == ["[kernel] skipping task tiny (fold 0): 1 residuals < min_group_size 2"]
     only_tiny = groups[:1]
     with pytest.raises(ValueError, match="min_group_size"):
         train_kernel_codega(only_tiny, checkpoints, seed=9, model_cfg=_ID_MODEL, train_cfg=cfg)

@@ -19,7 +19,7 @@ from scoopgp.bench import (DeployReport, DeployRow, MaeReport, MaeRow, read_depl
                            read_mae_report, write_deploy_report, write_mae_report)
 from scoopgp.config import load_config
 from scoopgp.errors import ConfigError, IngestError, SerializationError
-from scoopgp.gp import model_from_bytes, model_to_bytes
+from scoopgp.gp import load_model, model_from_bytes, model_to_bytes
 from scoopgp.serialize import container_bytes, parse_container
 from scoopgp.tasks import (generate_materials, generate_task, load_terrains, read_database,
                            save_terrains, write_database)
@@ -36,7 +36,7 @@ _SEPARATORS = re.compile(rb"([\s,:=\[\]{}\"]+)")
 
 def _config_text() -> bytes:
     return (b"# run\ngen.rho = 0.3\ntrain.folds = 2\ntrain.log_every = 0\n"
-            b"bench.shots = 0,5\nmodel.kernel_hidden = 32:tanh,16:tanh\n")
+            b"bench.shots = 0,5\nbench.exclude_below = 2.5\n")
 
 
 def _write_samples(root) -> dict:
@@ -46,7 +46,7 @@ def _write_samples(root) -> dict:
     write_database(f"{p}/db", [toy_dataset("a", [[1.0, 2.0], [3.0, 4.0]], [5.0, 6.0]),
                                toy_dataset("b", [[0.5, 0.5]], [1.0], "mixture", ("m1", "m2"))])
     write_mae_report(f"{p}/r.mae.txt", MaeReport("kshot-mae", 0, "c1", 2, (0, 5), (
-        MaeRow("a", 0, 2.0, 4.0), MaeRow("a", 5, 1.5, 3.0)), {}))
+        MaeRow("a", 0, 2.0, 4.0), MaeRow("a", 5, 1.5, 3.0))))
     write_deploy_report(f"{p}/r.deploy.txt", DeployReport(
         "ucb", 0, "c1", 20, 2, (DeployRow("a", 0, 3, True), DeployRow("a", 1, 20, False)), ("b",)))
     pool = generate_materials(2, 1, 0.7, 0)
@@ -130,6 +130,18 @@ def test_readers_raise_only_typed_errors_on_mutated_files(samples, case, data):
         reader()
     except TYPED:
         pass
+
+
+@pytest.mark.parametrize("where", ["missing", "directory"])
+@pytest.mark.parametrize("reader, error", [(load_model, SerializationError), (load_terrains, SerializationError),
+                                           (load_config, ConfigError)])
+def test_file_readers_name_a_missing_or_unreadable_path(tmp_path, reader, error, where):
+    path = tmp_path / "input"
+    if where == "directory":
+        path.mkdir()
+    with pytest.raises(error, match="not found" if where == "missing" else "Is a directory") as info:
+        reader(str(path))
+    assert str(path) in str(info.value)
 
 
 @given(data=st.data())
