@@ -3,6 +3,11 @@
 Used for network checkpoints, full model checkpoints and terrain bundles.
 The format is byte-stable: identical inputs always produce identical files,
 which the reproducibility guarantees of the training pipeline rely on.
+
+Writers stream: `write_atomic` takes a file as an iterable of parts and
+writes them into the file's temporary one at a time. A container's parts
+are its header line and then a byte view of each block, so a writer never
+holds the whole file in memory.
 """
 
 from __future__ import annotations
@@ -10,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -28,23 +34,29 @@ def _canonical_dtype(arr: np.ndarray) -> str:
     raise SerializationError(f"unsupported block dtype {arr.dtype}")
 
 
+def _container_parts(kind: str, meta: dict, blocks: list[np.ndarray]):
+    """The parts of a container file: its header line, then a byte view of
+    each block. A block is copied only when its dtype or layout differs from
+    the canonical little-endian C-contiguous one."""
+    arrays = [np.asarray(arr) for arr in blocks]
+    tags = [_canonical_dtype(arr) for arr in arrays]
+    entries = [{"dtype": tag, "shape": list(arr.shape)} for arr, tag in zip(arrays, tags)]
+    header = {"magic": MAGIC, "kind": kind, "meta": meta, "blocks": entries}
+    yield (json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+    for arr, tag in zip(arrays, tags):
+        yield np.ascontiguousarray(arr, dtype=_DTYPES[tag]).reshape(-1).view(np.uint8).data
+
+
 def container_bytes(kind: str, meta: dict, blocks: list[np.ndarray]) -> bytes:
     """Serialize to bytes. meta must be JSON-encodable."""
-    entries = []
-    payload = []
-    for arr in blocks:
-        arr = np.asarray(arr)
-        tag = _canonical_dtype(arr)
-        entries.append({"dtype": tag, "shape": list(arr.shape)})
-        payload.append(np.ascontiguousarray(arr, dtype=_DTYPES[tag]).tobytes())
-    header = {"magic": MAGIC, "kind": kind, "meta": meta, "blocks": entries}
-    head = json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n"
-    return head.encode("utf-8") + b"".join(payload)
+    return b"".join(_container_parts(kind, meta, blocks))
 
 
 def write_atomic(files: dict) -> None:
-    """Write each {path: data} entry (str as UTF-8) through a temporary file
-    beside its path, then os.replace each temporary over its path.
+    """Write each {path: data} entry through a temporary file beside its
+    path, then os.replace each temporary over its path. data is one part or
+    an iterable of parts, each str (written as UTF-8) or bytes-like; parts
+    are written one at a time, so an iterable is never held whole.
 
     Every temporary is complete before the first replace, so a failure
     while writing leaves every path with its old contents, never a part;
@@ -56,7 +68,8 @@ def write_atomic(files: dict) -> None:
         for path, data in files.items():
             tmps[path] = f"{path}.{os.getpid()}.tmp"
             with open(tmps[path], "wb") as fh:
-                fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+                for part in (data,) if isinstance(data, (str, bytes, bytearray, memoryview)) else data:
+                    fh.write(part.encode("utf-8") if isinstance(part, str) else part)
         for path, tmp in tmps.items():
             os.replace(tmp, path)
     except BaseException:
@@ -67,7 +80,7 @@ def write_atomic(files: dict) -> None:
 
 
 def write_container(path: str, kind: str, meta: dict, blocks: list[np.ndarray]) -> None:
-    write_atomic({path: container_bytes(kind, meta, blocks)})
+    write_atomic({path: _container_parts(kind, meta, blocks)})
 
 
 def parse_container(data: bytes, kind: str | None = None) -> tuple[dict, list[np.ndarray]]:
@@ -85,13 +98,14 @@ def parse_container(data: bytes, kind: str | None = None) -> tuple[dict, list[np
     if not isinstance(header.get("meta"), dict) or not isinstance(header.get("blocks"), list):
         raise SerializationError("container header needs a 'meta' object and a 'blocks' list")
     blocks = []
+    view = memoryview(data)  # a block is copied once, out of its slice of the view
     offset = newline + 1
     for entry in header["blocks"]:
         tag, shape = (entry.get("dtype"), entry.get("shape")) if isinstance(entry, dict) else (None, None)
         if tag not in list(_DTYPES) or not (isinstance(shape, list) and all(type(s) is int and s >= 0 for s in shape)):
             raise SerializationError(f"bad block entry {entry!r}: needs a dtype in {list(_DTYPES)} and a list of sizes")
         nbytes = math.prod(shape) * 8
-        chunk = data[offset:offset + nbytes]
+        chunk = view[offset:offset + nbytes]
         if len(chunk) != nbytes:
             raise SerializationError("container truncated: block shorter than header declares")
         blocks.append(np.frombuffer(chunk, dtype=_DTYPES[tag]).reshape(shape).copy())
@@ -101,16 +115,23 @@ def parse_container(data: bytes, kind: str | None = None) -> tuple[dict, list[np
     return header["meta"], blocks
 
 
-def read_file(path: str, what: str, error: type = SerializationError) -> bytes:
-    """The bytes of the file at path; a file that is missing or cannot be
-    read raises error, naming what it is and its path."""
+@contextmanager
+def open_file(path: str, what: str, error: type = SerializationError, mode: str = "rb", encoding: str | None = None):
+    """The file at path, opened in mode; a file that is missing or cannot be
+    opened or read raises error, naming what it is and its path."""
     try:
-        with open(path, "rb") as fh:
-            return fh.read()
+        with open(path, mode, encoding=encoding) as fh:
+            yield fh
     except FileNotFoundError:
         raise error(f"{what} not found: {path}") from None
     except OSError as exc:
         raise error(f"cannot read {what} {path}: {exc.strerror or exc}") from None
+
+
+def read_file(path: str, what: str, error: type = SerializationError) -> bytes:
+    """The bytes of the file at path, read through open_file."""
+    with open_file(path, what, error) as fh:
+        return fh.read()
 
 
 def read_container(path: str, kind: str | None = None) -> tuple[dict, list[np.ndarray]]:

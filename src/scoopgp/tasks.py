@@ -11,7 +11,6 @@ plain-text format: one record per line plus a separate task manifest.
 
 from __future__ import annotations
 
-import os
 from array import array
 from dataclasses import dataclass, field
 
@@ -20,7 +19,7 @@ from scipy.ndimage import gaussian_filter
 from scipy.special import expit
 
 from .errors import IngestError, SerializationError
-from .serialize import read_container, write_atomic, write_container
+from .serialize import open_file, read_container, write_atomic, write_container
 
 TRAY_W = 0.9            # meters, x extent
 TRAY_H = 0.6            # meters, y extent
@@ -712,24 +711,37 @@ def sample_ood_test_family(pool: MaterialPool, n_tasks: int, records_per_task: i
 RECORDS_SUFFIX = ".records.txt"
 MANIFEST_SUFFIX = ".manifest.txt"
 
+def _record_lines(ds):
+    """The records file lines of one task's dataset, formatted one at a time."""
+    # one format per stiffness level: x y yaw_index depth, the level, then reward and features
+    mats = ",".join(ds.material_ids)
+    head = f"{ds.task_id} {mats} {ds.composition} ".replace("%", "%%") + "%.9g %.9g %d %.9g "
+    tail = " %.9g" * (1 + ds.feature_dim) + "\n"
+    formats = [head + level + tail for level in STIFFNESS_LEVELS]
+    rows = np.column_stack([ds.actions[:, :4], ds.rewards(), ds.features]).tolist()
+    hard = ds.actions[:, 4].astype(np.int64).tolist()
+    return (formats[h] % tuple(row) for h, row in zip(hard, rows))
+
+
 def write_database(prefix: str, datasets) -> tuple:
-    """Write datasets to {prefix}.records.txt and {prefix}.manifest.txt."""
+    """Write datasets to {prefix}.records.txt and {prefix}.manifest.txt. The
+    records are formatted and written a line at a time, so only one task's
+    numbers are held as Python values at once."""
     records_path = prefix + RECORDS_SUFFIX
     manifest_path = prefix + MANIFEST_SUFFIX
+    datasets = list(datasets)
     manifest = ["# scoopgp manifest v1\n", "# task_id composition material_ids n_records feature_dim\n"]
-    records = ["# scoopgp records v1\n",
-               "# task_id material_ids composition x y yaw_index depth stiffness reward features...\n"]
     for ds in datasets:
         mats = ",".join(ds.material_ids)
         manifest.append(f"{ds.task_id} {ds.composition} {mats} {len(ds)} {ds.feature_dim}\n")
-        # one format per stiffness level: x y yaw_index depth, the level, then reward and features
-        head = f"{ds.task_id} {mats} {ds.composition} ".replace("%", "%%") + "%.9g %.9g %d %.9g "
-        tail = " %.9g" * (1 + ds.feature_dim) + "\n"
-        formats = [head + level + tail for level in STIFFNESS_LEVELS]
-        rows = np.column_stack([ds.actions[:, :4], ds.rewards(), ds.features]).tolist()
-        hard = ds.actions[:, 4].astype(np.int64).tolist()
-        records.extend(formats[h] % tuple(row) for h, row in zip(hard, rows))
-    write_atomic({manifest_path: "".join(manifest), records_path: "".join(records)})
+
+    def records():
+        yield ("# scoopgp records v1\n"
+               "# task_id material_ids composition x y yaw_index depth stiffness reward features...\n")
+        for ds in datasets:
+            yield from _record_lines(ds)
+
+    write_atomic({manifest_path: "".join(manifest), records_path: records()})
     return records_path, manifest_path
 
 
@@ -750,13 +762,12 @@ def _raise_unparsed(parts: list, path: str, line: int) -> None:
         _parse_number(float, token, path, line, "features")
 
 
-def _text_fields(path: str):
-    """(line number, whitespace-separated fields) for each line of a UTF-8
-    text file, read one at a time."""
+def _text_fields(fh, path: str):
+    """(line number, whitespace-separated fields) for each line of an open
+    UTF-8 text file, read one at a time."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                yield lineno, raw.split()
+        for lineno, raw in enumerate(fh, start=1):
+            yield lineno, raw.split()
     except UnicodeDecodeError as exc:
         raise IngestError(f"file is not UTF-8 text: {exc}", path) from None
 
@@ -776,55 +787,52 @@ def read_database(path: str) -> list:
         prefix = path
     records_path = prefix + RECORDS_SUFFIX
     manifest_path = prefix + MANIFEST_SUFFIX
-    if not os.path.exists(records_path):
-        raise IngestError("records file not found", records_path)
-    if not os.path.exists(manifest_path):
-        raise IngestError("manifest file not found", manifest_path)
+    with open_file(records_path, "records file", IngestError, "r", encoding="utf-8") as records_fh, \
+            open_file(manifest_path, "manifest file", IngestError, "r", encoding="utf-8") as manifest_fh:
+        # task_id -> (composition, material_ids token, n_records, feature_dim,
+        # the numbers of its records from x on, the line of each record)
+        manifest = {}
+        for lineno, parts in _text_fields(manifest_fh, manifest_path):
+            if not parts or parts[0].startswith("#"):
+                continue
+            if len(parts) != 5:
+                raise IngestError(f"manifest line has {len(parts)} fields, expected 5", manifest_path, lineno)
+            task_id, comp, mats, n_records, feature_dim = parts
+            if comp not in COMPOSITIONS:
+                raise IngestError(f"unknown composition {comp!r}", manifest_path, lineno, "composition")
+            if task_id in manifest:
+                raise IngestError(f"duplicate task {task_id!r}", manifest_path, lineno, "task_id")
+            manifest[task_id] = (comp, mats, _parse_number(int, n_records, manifest_path, lineno, "n_records"),
+                                 _parse_number(int, feature_dim, manifest_path, lineno, "feature_dim"),
+                                 array("d"), array("q"))
 
-    # task_id -> (composition, material_ids token, n_records, feature_dim,
-    # the numbers of its records from x on, the line of each record)
-    manifest = {}
-    for lineno, parts in _text_fields(manifest_path):
-        if not parts or parts[0].startswith("#"):
-            continue
-        if len(parts) != 5:
-            raise IngestError(f"manifest line has {len(parts)} fields, expected 5", manifest_path, lineno)
-        task_id, comp, mats, n_records, feature_dim = parts
-        if comp not in COMPOSITIONS:
-            raise IngestError(f"unknown composition {comp!r}", manifest_path, lineno, "composition")
-        if task_id in manifest:
-            raise IngestError(f"duplicate task {task_id!r}", manifest_path, lineno, "task_id")
-        manifest[task_id] = (comp, mats, _parse_number(int, n_records, manifest_path, lineno, "n_records"),
-                             _parse_number(int, feature_dim, manifest_path, lineno, "feature_dim"),
-                             array("d"), array("q"))
-
-    for lineno, parts in _text_fields(records_path):
-        if not parts or parts[0].startswith("#"):
-            continue
-        if len(parts) < 10:
-            raise IngestError(f"record has {len(parts)} fields, expected at least 10", records_path, lineno)
-        entry = manifest.get(parts[0])
-        if entry is None:
-            raise IngestError(f"record for task {parts[0]!r} missing from manifest", records_path, lineno, "task_id")
-        comp, mats, _, feature_dim, numbers, lines = entry
-        if parts[1] != mats:
-            raise IngestError(f"material ids {tuple(parts[1].split(','))} disagree with manifest "
-                              f"{tuple(mats.split(','))}", records_path, lineno, "material_ids")
-        if parts[2] != comp:
-            raise IngestError(f"composition {parts[2]!r} disagrees with manifest", records_path, lineno, "composition")
-        if len(parts) - 9 != feature_dim:
-            raise IngestError(f"feature count {len(parts) - 9} does not match manifest dim {feature_dim}",
-                              records_path, lineno, "features")
-        bit = _STIFFNESS_BITS.get(parts[7])
-        if bit is None:
-            raise IngestError(_ACTION_MESSAGES[3].format(stiffness=parts[7]), records_path, lineno, "action")
-        parts[7] = bit  # float() passes it through
-        try:
-            int(parts[5])
-            numbers.extend(map(float, parts[3:]))
-        except ValueError:
-            _raise_unparsed(parts, records_path, lineno)
-        lines.append(lineno)
+        for lineno, parts in _text_fields(records_fh, records_path):
+            if not parts or parts[0].startswith("#"):
+                continue
+            if len(parts) < 10:
+                raise IngestError(f"record has {len(parts)} fields, expected at least 10", records_path, lineno)
+            entry = manifest.get(parts[0])
+            if entry is None:
+                raise IngestError(f"record for task {parts[0]!r} missing from manifest", records_path, lineno, "task_id")
+            comp, mats, _, feature_dim, numbers, lines = entry
+            if parts[1] != mats:
+                raise IngestError(f"material ids {tuple(parts[1].split(','))} disagree with manifest "
+                                  f"{tuple(mats.split(','))}", records_path, lineno, "material_ids")
+            if parts[2] != comp:
+                raise IngestError(f"composition {parts[2]!r} disagrees with manifest", records_path, lineno, "composition")
+            if len(parts) - 9 != feature_dim:
+                raise IngestError(f"feature count {len(parts) - 9} does not match manifest dim {feature_dim}",
+                                  records_path, lineno, "features")
+            bit = _STIFFNESS_BITS.get(parts[7])
+            if bit is None:
+                raise IngestError(_ACTION_MESSAGES[3].format(stiffness=parts[7]), records_path, lineno, "action")
+            parts[7] = bit  # float() passes it through
+            try:
+                int(parts[5])
+                numbers.extend(map(float, parts[3:]))
+            except ValueError:
+                _raise_unparsed(parts, records_path, lineno)
+            lines.append(lineno)
 
     datasets = []
     for task_id, (comp, mats, n_records, feature_dim, numbers, lines) in manifest.items():
@@ -906,9 +914,9 @@ def save_terrains(path: str, tasks) -> None:
               np.stack([materials[i].appearance for i in mat_ids])]
     for t in tasks:
         blocks.append(t.heightmap)
-        blocks.append(t.region_map.astype(np.int64))
+        blocks.append(t.region_map)
         if t.hidden_map is not None:
-            blocks.append(t.hidden_map.astype(np.int64))
+            blocks.append(t.hidden_map)
     write_container(path, "terrains", meta, blocks)
 
 

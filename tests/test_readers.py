@@ -133,14 +133,22 @@ def test_readers_raise_only_typed_errors_on_mutated_files(samples, case, data):
 
 
 @pytest.mark.parametrize("where", ["missing", "directory"])
-@pytest.mark.parametrize("reader, error", [(load_model, SerializationError), (load_terrains, SerializationError),
-                                           (load_config, ConfigError)])
-def test_file_readers_name_a_missing_or_unreadable_path(tmp_path, reader, error, where):
-    path = tmp_path / "input"
+@pytest.mark.parametrize("reader, error, name", [
+    (load_model, SerializationError, "input"), (load_terrains, SerializationError, "input"),
+    (load_config, ConfigError, "input"),
+    (read_database, IngestError, "input.records.txt"), (read_database, IngestError, "input.manifest.txt"),
+], ids=["load_model-SerializationError", "load_terrains-SerializationError", "load_config-ConfigError",
+        "read_database-records", "read_database-manifest"])
+def test_file_readers_name_a_missing_or_unreadable_path(tmp_path, reader, error, name, where):
+    # a database's other file is valid, so the error can only come from the one made missing or a directory
+    if reader is read_database:
+        write_database(str(tmp_path / "input"), [toy_dataset("a", [[1.0, 2.0]], [5.0])])
+        (tmp_path / name).unlink()
+    path = tmp_path / name
     if where == "directory":
         path.mkdir()
     with pytest.raises(error, match="not found" if where == "missing" else "Is a directory") as info:
-        reader(str(path))
+        reader(str(tmp_path / "input"))
     assert str(path) in str(info.value)
 
 

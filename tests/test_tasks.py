@@ -1,14 +1,18 @@
 """Synthetic world: materials, terrains, rewards, families, dataset files."""
 
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from scoopgp.config import GenConfig
 from scoopgp.errors import IngestError, SerializationError
 import scoopgp.serialize
-from scoopgp.serialize import read_container, write_container
+from scoopgp.serialize import container_bytes, read_container, write_container
 from scoopgp.tasks import (
     APPEARANCE_DIM,
     CELL,
@@ -669,6 +673,40 @@ def test_terrain_bundle_round_trip(tmp_path, world):
     with pytest.raises(SerializationError):
         load_terrains(__file__)
 
+    # the streamed file is container_bytes, also for the blocks the writer converts: a
+    # non-contiguous float block, an int64 one, a bool one and a big-endian float one
+    blocks = [np.arange(12.0).reshape(3, 4)[:, ::2], np.arange(-3, 3), np.array([[True, False, True]]),
+              np.arange(3.0, dtype=">f8")]
+    write_container(path, "probe", {"k": 1}, blocks)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    assert data == container_bytes("probe", {"k": 1}, blocks)
+    assert data.split(b"\n", 1)[1] == b"".join(
+        np.asarray(b, dtype="<f8" if b.dtype.kind == "f" else "<i8").tobytes() for b in blocks)
+    _, back = read_container(path, "probe")
+    assert all(np.array_equal(got, orig) for got, orig in zip(back, blocks))
+
+
+@pytest.mark.parametrize("writer", ["save_terrains", "write_database"])
+def test_writers_stream_their_files_rather_than_build_them(tmp_path, writer):
+    """A writer formats and writes its file part by part: on a 20-task family
+    its traced peak stays under a quarter of the bytes it writes (building
+    the whole file first peaks above three times them)."""
+    g = GenConfig()
+    pool = generate_materials(g.n_train_materials, g.n_ood_materials, g.rho, 3)
+    tasks, datasets = sample_task_family(pool, 20, 100, 3)
+    terrains = str(tmp_path / "t.bin")
+    write = {"save_terrains": lambda: save_terrains(terrains, tasks) or (terrains,),
+             "write_database": lambda: write_database(str(tmp_path / "db"), datasets)}[writer]
+    tracemalloc.start()
+    try:
+        paths = write()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    written = sum(os.path.getsize(p) for p in paths)
+    assert peak < written / 4, f"{writer} peaked at {peak} bytes writing {written}"
+
 
 def test_terrain_bundle_without_material_ids_is_a_serialization_error(tmp_path, world):
     path = str(tmp_path / "terrains.bin")
@@ -740,6 +778,9 @@ def _writers():
     def database(path, v):
         write_database(path, [toy_dataset(f"t{v}", np.full((v + 2, 3), float(v)), np.arange(v + 2.0))])
 
+    def terrains(path, v):
+        save_terrains(path, [generate_task(f"t{v}", generate_materials(2, 0, 0.7, v).training, "mixture", v)])
+
     return {
         "container": lambda path, v: write_container(path, "x", {"v": v}, [np.arange(10.0 * v)]),
         "model": lambda path, v: save_model(path, random_model(3, seed=v)),
@@ -747,6 +788,7 @@ def _writers():
         "deploy-report": lambda path, v: write_deploy_report(
             path, DeployReport("ucb", v, "c0", 5, 1, (DeployRow("t0", 0, v, True),))),
         "database": database,
+        "terrains": terrains,
     }
 
 
