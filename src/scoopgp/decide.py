@@ -213,7 +213,10 @@ def run_deployment(model, scorer: ScorerConfig, target, threshold: float, budget
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, 0xDE9107]))
+    # only the random scorer and live reward noise draw, so only they build a generator
+    rng = None
+    if not scorer.deterministic or isinstance(target, LiveTarget):
+        rng = np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, 0xDE9107]))
 
     if isinstance(target, DatasetTarget):
         ds = target.dataset

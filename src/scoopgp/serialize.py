@@ -8,10 +8,15 @@ Writers stream: `write_atomic` takes a file as an iterable of parts and
 writes them into the file's temporary one at a time. A container's parts
 are its header line and then a byte view of each block, so a writer never
 holds the whole file in memory.
+
+Readers stream too: `read_container` reads the header line, checks it
+against the file's size, and reads each block straight into its array, so
+a reader holds the blocks once, never the file's bytes beside them.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -83,12 +88,17 @@ def write_container(path: str, kind: str, meta: dict, blocks: list[np.ndarray]) 
     write_atomic({path: _container_parts(kind, meta, blocks)})
 
 
-def parse_container(data: bytes, kind: str | None = None) -> tuple[dict, list[np.ndarray]]:
-    newline = data.find(b"\n")
-    if newline < 0:
+def parse_container(source, kind: str | None = None) -> tuple[dict, list[np.ndarray]]:
+    """The meta and blocks of a container, read from its bytes or from an
+    open binary file positioned at its start. Every block entry is checked,
+    and the bytes they declare against the bytes left, before any block is
+    allocated; each block is then read straight into its array."""
+    fh = io.BytesIO(source) if isinstance(source, (bytes, bytearray, memoryview)) else source
+    line = fh.readline()
+    if not line.endswith(b"\n"):
         raise SerializationError("container has no header line")
     try:
-        header = json.loads(data[:newline].decode("utf-8"))
+        header = json.loads(line[:-1].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SerializationError(f"container header is not valid JSON: {exc}") from exc
     if not isinstance(header, dict) or header.get("magic") != MAGIC:
@@ -97,21 +107,29 @@ def parse_container(data: bytes, kind: str | None = None) -> tuple[dict, list[np
         raise SerializationError(f"expected container kind {kind!r}, found {header.get('kind')!r}")
     if not isinstance(header.get("meta"), dict) or not isinstance(header.get("blocks"), list):
         raise SerializationError("container header needs a 'meta' object and a 'blocks' list")
-    blocks = []
-    view = memoryview(data)  # a block is copied once, out of its slice of the view
-    offset = newline + 1
+    layout = []
     for entry in header["blocks"]:
         tag, shape = (entry.get("dtype"), entry.get("shape")) if isinstance(entry, dict) else (None, None)
         if tag not in list(_DTYPES) or not (isinstance(shape, list) and all(type(s) is int and s >= 0 for s in shape)):
             raise SerializationError(f"bad block entry {entry!r}: needs a dtype in {list(_DTYPES)} and a list of sizes")
-        nbytes = math.prod(shape) * 8
-        chunk = view[offset:offset + nbytes]
-        if len(chunk) != nbytes:
-            raise SerializationError("container truncated: block shorter than header declares")
-        blocks.append(np.frombuffer(chunk, dtype=_DTYPES[tag]).reshape(shape).copy())
-        offset += nbytes
-    if offset != len(data):
+        layout.append((_DTYPES[tag], shape))
+    declared = sum(math.prod(shape) * 8 for _, shape in layout)
+    start = fh.tell()
+    left = fh.seek(0, io.SEEK_END) - start
+    fh.seek(start)
+    if left < declared:
+        raise SerializationError("container truncated: block shorter than header declares")
+    if left > declared:
         raise SerializationError("container has trailing bytes past declared blocks")
+    blocks = []
+    for dtype, shape in layout:
+        try:
+            arr = np.empty(shape, dtype=dtype)
+        except ValueError as exc:  # more axes, or a longer one, than numpy allows
+            raise SerializationError(f"bad block shape {shape!r}: {exc}") from exc
+        if fh.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
+            raise SerializationError("container truncated: block shorter than header declares")
+        blocks.append(arr)
     return header["meta"], blocks
 
 
@@ -135,4 +153,5 @@ def read_file(path: str, what: str, error: type = SerializationError) -> bytes:
 
 
 def read_container(path: str, kind: str | None = None) -> tuple[dict, list[np.ndarray]]:
-    return parse_container(read_file(path, f"{kind or 'container'} file"), kind)
+    with open_file(path, f"{kind or 'container'} file") as fh:
+        return parse_container(fh, kind)

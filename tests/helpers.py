@@ -334,7 +334,7 @@ def reference_vjp(spec: NetworkSpec, params: ParamVector, X: np.ndarray, upstrea
     for (W, b), layer in zip(layers, spec.layers):
         z = h @ W.T + b
         pre.append(z)
-        h = _act(layer.activation, z)
+        h = _act(layer.activation, z.copy())  # _act works in place; pre keeps z
         post.append(h)
 
     grad = np.empty(spec.param_count())

@@ -1,12 +1,14 @@
 """Exact GP layer: kernel closed forms, posterior oracles, NLML gradients."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
 import scoopgp.gp as gp
+from scoopgp.config import ModelConfig
 from scoopgp.errors import NumericalError, SerializationError, ShapeError
 from scoopgp.gp import (
     JITTER_START,
@@ -30,6 +32,7 @@ from scoopgp.gp import (
     save_model,
 )
 from scoopgp.nnet import NetworkSpec, forward_batch, init_params
+from scoopgp.tasks import GP_INPUT_DIM, ActionGrid
 
 from helpers import dense_posterior_oracle, identity_embedding_model, random_model
 
@@ -61,6 +64,24 @@ def test_embedding_matches_head_composition_oracle():
     U = forward_batch(model.feature_spec, model.feature_params, X)
     expected = forward_batch(model.kernel_spec, model.kernel_params, U)
     assert np.max(np.abs(embed_batch(model, X) - expected)) < 1e-12
+
+
+def test_grid_prior_runs_in_row_blocks(world):
+    """The prior over the 11520-action grid, with the default network shapes,
+    holds one row block of hidden activations at a time: its traced peak
+    stays under 2.5 MiB (all rows at once peaked at 5.7 MiB)."""
+    cfg = ModelConfig()
+    model = random_model(GP_INPUT_DIM, 0, feature=cfg.feature_hidden, feature_dim=cfg.feature_dim,
+                         mean=cfg.mean_hidden, kernel=cfg.kernel_hidden, embed_dim=cfg.embed_dim)
+    X = ActionGrid().gp_inputs(world.test_tasks[0])
+    tracemalloc.start()
+    try:
+        m = mean_eval_batch(model, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.shape == (len(X),)
+    assert peak <= 2.5 * 2 ** 20, f"mean_eval_batch peaked at {peak / 2 ** 20:.2f} MiB on {len(X)} rows"
 
 
 def test_kernel_at_zero_distance_is_outputscale():

@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from scoopgp.config import ModelConfig
 from scoopgp.errors import SerializationError, ShapeError
 from scoopgp.nnet import (
     ADAM_EPS,
+    FORWARD_BLOCK,
     AdamState,
     NetworkSpec,
     ParamVector,
+    _forward,
     check_params,
     forward_batch,
     init_params,
@@ -57,6 +60,24 @@ def test_forward_is_pure_and_consistent_with_batch():
     assert np.array_equal(a, forward_batch(spec, params, X))
     for i in range(len(X)):
         assert np.max(np.abs(forward_batch(spec, params, X[i:i + 1])[0] - a[i])) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2047, 2048, 2049, 2055, 3001, 5100, 11520])
+def test_row_blocks_equal_one_call_bit_for_bit(n):
+    # the last block takes the remainder: a short standalone block can round
+    # differently from the same rows inside a larger matrix product
+    assert FORWARD_BLOCK == 1024
+    cfg = ModelConfig()
+    rng = np.random.default_rng(n)
+    X = rng.normal(size=(n, 20))
+    X0 = X.copy()
+    for spec in (cfg.feature_spec(20), cfg.mean_spec(), cfg.kernel_spec()):
+        params = init_params(spec, rng)
+        Xs = X[:, :spec.input_dim]
+        out = forward_batch(spec, params, Xs)
+        assert out.shape == (n, spec.output_dim)
+        assert np.array_equal(out, _forward(spec, split_params(spec, params), Xs))
+    assert np.array_equal(X, X0)  # activations work in place on their own temporaries only
 
 
 def test_forward_batch_rejects_wrong_input_dim():

@@ -8,7 +8,9 @@ line, where a change reaches the reader's own checks rather than the raw
 blocks.
 """
 
+import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from scoopgp.bench import (DeployReport, DeployRow, MaeReport, MaeRow, read_depl
 from scoopgp.config import load_config
 from scoopgp.errors import ConfigError, IngestError, SerializationError
 from scoopgp.gp import load_model, model_from_bytes, model_to_bytes
-from scoopgp.serialize import container_bytes, parse_container
+from scoopgp.serialize import container_bytes, parse_container, read_container
 from scoopgp.tasks import (generate_materials, generate_task, load_terrains, read_database,
                            save_terrains, write_database)
 
@@ -176,3 +178,36 @@ def test_read_database_accepts_exactly_what_the_reference_reader_accepts(samples
         with pytest.raises(IngestError) as info:
             reader()
         assert info.value.field == "features"
+
+
+@pytest.mark.parametrize("reader", ["parse_container", "read_container"])
+def test_container_readers_check_declared_sizes_before_allocating(tmp_path, reader):
+    """A header that declares 1e11 float64 elements (745 GiB), as a mutated
+    header once did, is a truncated container, found without allocating
+    the block; a short file is truncated, a long one has trailing bytes,
+    and an empty block of more axes, or a longer one, than numpy allows is
+    a bad shape."""
+    valid = container_bytes("probe", {}, [np.arange(4.0)])
+    path = tmp_path / "c.bin"
+
+    def declaring(shape):
+        return json.dumps({"magic": "SGPC1", "kind": "probe", "meta": {},
+                           "blocks": [{"dtype": "<f8", "shape": shape}]}).encode() + b"\n"
+
+    def read(data):
+        path.write_bytes(data)
+        return parse_container(data, "probe") if reader == "parse_container" else read_container(str(path), "probe")
+
+    for data, message in [(declaring([10 ** 5, 10 ** 6]) + valid.split(b"\n", 1)[1], "truncated"),
+                          (valid[:-1], "truncated"), (valid + b"\0", "trailing bytes"),
+                          (declaring([0, 10 ** 30]), "bad block shape"), (declaring([0] * 70), "bad block shape")]:
+        tracemalloc.start()
+        try:
+            with pytest.raises(SerializationError, match=message):
+                read(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+    _, blocks = read(valid)
+    assert np.array_equal(blocks[0], np.arange(4.0))
