@@ -239,18 +239,19 @@ def deployment_threshold(dataset, rank: int = 5) -> float:
     return float(rewards[-rank])
 
 
-def eval_simulated_deployment(methods: dict, datasets, budget: int = 20, trials: int = 10, seed: int = 0,
-                              exclude_below: float = 5.0, threshold_rank: int = 5) -> dict:
-    """Dataset-mode deployment for each named (model, scorer) pair.
+def eval_simulated_deployment(model, scorer: ScorerConfig, datasets, budget: int = 20, trials: int = 10,
+                              seed: int = 0, exclude_below: float = 5.0, threshold_rank: int = 5) -> DeployReport:
+    """Dataset-mode deployment of one model under one scorer, reported under
+    the scorer's kind.
 
     The per-task threshold is the fifth-largest recorded reward. Tasks
     whose threshold falls below exclude_below are dropped (the barely
-    scoopable analog) and named in every report. Attempts count the
-    episodes run; a failed run counts the full budget. Each task's
-    candidate rows are built once per method and shared by its trials. A
-    deterministic scorer's episode does not depend on its seed, so it runs
-    once per task and every trial's row repeats it; random runs each trial
-    with its own seed.
+    scoopable analog) and named in the report. Attempts count the episodes
+    run; a failed run counts the full budget. Each task's candidate rows
+    are built once and shared by its trials, embedded only for a scorer
+    that reads the model. A deterministic scorer's episode does not depend
+    on its seed, so it runs once per task and every trial's row repeats it;
+    random runs each trial with its own seed.
     """
     included = []
     excluded = []
@@ -263,29 +264,27 @@ def eval_simulated_deployment(methods: dict, datasets, budget: int = 20, trials:
     if not included:
         raise ValueError("every task fell below the deployment threshold floor")
 
-    out = {}
-    for mi, (name, (model, scorer)) in enumerate(sorted(methods.items())):
-        rows = []
-        for ds, B in included:
-            target = DatasetTarget(ds, dataset_pool(model, ds))
-            trace = None
-            for trial in range(trials):
-                if trace is None or not scorer.deterministic:
-                    run_seed = np.random.SeedSequence(
-                        [int(seed) & 0xFFFFFFFF, _task_tag(ds.task_id), mi, trial]
-                    ).generate_state(1)[0]
-                    trace = run_deployment(model, scorer, target, B, budget, int(run_seed))
-                rows.append(DeployRow(ds.task_id, trial, trace.attempts, trace.success))
-        out[name] = DeployReport(
-            method=name,
-            seed=int(seed),
-            checkpoint=checkpoint_id(model) if model is not None else "none",
-            budget=int(budget),
-            trials=int(trials),
-            rows=tuple(rows),
-            excluded=tuple(excluded),
-        )
-    return out
+    rows = []
+    for ds, B in included:
+        target = DatasetTarget(ds, dataset_pool(None if scorer.kind == "random" else model, ds))
+        trace = None
+        for trial in range(trials):
+            if trace is None or not scorer.deterministic:
+                # the 0 held a method's index when one call deployed several; it keeps every trial's seed
+                run_seed = np.random.SeedSequence(
+                    [int(seed) & 0xFFFFFFFF, _task_tag(ds.task_id), 0, trial]
+                ).generate_state(1)[0]
+                trace = run_deployment(model, scorer, target, B, budget, int(run_seed))
+            rows.append(DeployRow(ds.task_id, trial, trace.attempts, trace.success))
+    return DeployReport(
+        method=scorer.kind,
+        seed=int(seed),
+        checkpoint=checkpoint_id(model) if model is not None else "none",
+        budget=int(budget),
+        trials=int(trials),
+        rows=tuple(rows),
+        excluded=tuple(excluded),
+    )
 
 
 def paired_sign_test(a, b) -> float:

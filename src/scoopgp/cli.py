@@ -131,10 +131,8 @@ def _cmd_deploy(args) -> int:
         print(f"wrote {out}")
         return 0
     datasets = read_database(args.data)
-    reports = eval_simulated_deployment({args.scorer: (model, scorer)}, datasets,
-                                        budget=b.budget, trials=b.deploy_trials, seed=args.seed,
-                                        exclude_below=b.exclude_below)
-    report = reports[args.scorer]
+    report = eval_simulated_deployment(model, scorer, datasets, budget=b.budget, trials=b.deploy_trials,
+                                       seed=args.seed, exclude_below=b.exclude_below)
     out = _out_path(args.out)
     write_deploy_report(out, report)
     print(f"{args.scorer}: avg attempts {report.avg_attempts:.2f}  "

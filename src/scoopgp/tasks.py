@@ -6,7 +6,8 @@ appearance vector whose correlation with the latent properties is
 controlled by rho. Terrains compose one to three materials over a
 0.9 m x 0.6 m tray under four layouts; rewards come from a noisy oracle
 over scooped volume in cm^3. Datasets round-trip through a canonical
-plain-text format: one record per line plus a separate task manifest.
+plain-text format, one file per dataset: each task's header line, then
+one line per record.
 """
 
 from __future__ import annotations
@@ -706,43 +707,37 @@ def sample_ood_test_family(pool: MaterialPool, n_tasks: int, records_per_task: i
 
 
 # ---------------------------------------------------------------------------
-# Canonical dataset interchange: records file + manifest file
+# Canonical dataset interchange: one records file per dataset
 
 RECORDS_SUFFIX = ".records.txt"
-MANIFEST_SUFFIX = ".manifest.txt"
+RECORDS_HEADER = "# scoopgp records v2"
 
-def _record_lines(ds):
-    """The records file lines of one task's dataset, formatted one at a time."""
+
+def _task_lines(ds):
+    """The lines of one task in a records file, formatted one at a time: its
+    header line, then its records."""
+    yield f"task {ds.task_id} {ds.composition} {','.join(ds.material_ids)} {len(ds)} {ds.feature_dim}\n"
     # one format per stiffness level: x y yaw_index depth, the level, then reward and features
-    mats = ",".join(ds.material_ids)
-    head = f"{ds.task_id} {mats} {ds.composition} ".replace("%", "%%") + "%.9g %.9g %d %.9g "
     tail = " %.9g" * (1 + ds.feature_dim) + "\n"
-    formats = [head + level + tail for level in STIFFNESS_LEVELS]
+    formats = ["%.9g %.9g %d %.9g " + level + tail for level in STIFFNESS_LEVELS]
     rows = np.column_stack([ds.actions[:, :4], ds.rewards(), ds.features]).tolist()
     hard = ds.actions[:, 4].astype(np.int64).tolist()
-    return (formats[h] % tuple(row) for h, row in zip(hard, rows))
+    yield from (formats[h] % tuple(row) for h, row in zip(hard, rows))
 
 
 def write_database(prefix: str, datasets) -> tuple:
-    """Write datasets to {prefix}.records.txt and {prefix}.manifest.txt. The
-    records are formatted and written a line at a time, so only one task's
-    numbers are held as Python values at once."""
+    """Write datasets to {prefix}.records.txt in one atomic write and return
+    (records_path,). Lines are formatted and written one at a time, so only
+    one task's numbers are held as Python values at once."""
     records_path = prefix + RECORDS_SUFFIX
-    manifest_path = prefix + MANIFEST_SUFFIX
-    datasets = list(datasets)
-    manifest = ["# scoopgp manifest v1\n", "# task_id composition material_ids n_records feature_dim\n"]
-    for ds in datasets:
-        mats = ",".join(ds.material_ids)
-        manifest.append(f"{ds.task_id} {ds.composition} {mats} {len(ds)} {ds.feature_dim}\n")
 
-    def records():
-        yield ("# scoopgp records v1\n"
-               "# task_id material_ids composition x y yaw_index depth stiffness reward features...\n")
+    def lines():
+        yield RECORDS_HEADER + "\n"
         for ds in datasets:
-            yield from _record_lines(ds)
+            yield from _task_lines(ds)
 
-    write_atomic({manifest_path: "".join(manifest), records_path: records()})
-    return records_path, manifest_path
+    write_atomic({records_path: lines()})
+    return (records_path,)
 
 
 def _parse_number(kind, token: str, path: str, line: int, fieldname: str):
@@ -755,10 +750,10 @@ def _parse_number(kind, token: str, path: str, line: int, fieldname: str):
 def _raise_unparsed(parts: list, path: str, line: int) -> None:
     """Raise the IngestError naming the first number field of a record line
     that does not parse; called when the line's one conversion failed."""
-    for column, kind, name in ((3, float, "x"), (4, float, "y"), (5, int, "yaw_index"), (6, float, "depth"),
-                               (8, float, "reward")):
+    for column, kind, name in ((0, float, "x"), (1, float, "y"), (2, int, "yaw_index"), (3, float, "depth"),
+                               (5, float, "reward")):
         _parse_number(kind, parts[column], path, line, name)
-    for token in parts[9:]:
+    for token in parts[6:]:
         _parse_number(float, token, path, line, "features")
 
 
@@ -772,82 +767,77 @@ def _text_fields(fh, path: str):
         raise IngestError(f"file is not UTF-8 text: {exc}", path) from None
 
 
+def _task_header(parts: list, path: str, line: int, seen: set) -> tuple:
+    """task_id, composition, material_ids token, n_records and feature_dim of
+    a task header line; seen holds the task ids of the lines before it."""
+    if len(parts) != 6:
+        raise IngestError(f"task header has {len(parts)} fields, expected 6", path, line)
+    _, task_id, comp, mats, n_records, feature_dim = parts
+    if comp not in COMPOSITIONS:
+        raise IngestError(f"unknown composition {comp!r}", path, line, "composition")
+    if task_id in seen:
+        raise IngestError(f"duplicate task {task_id!r}", path, line, "task_id")
+    seen.add(task_id)
+    feature_dim = _parse_number(int, feature_dim, path, line, "feature_dim")
+    if feature_dim < 0:
+        raise IngestError(f"feature_dim {feature_dim} is negative", path, line, "feature_dim")
+    return task_id, comp, mats, _parse_number(int, n_records, path, line, "n_records"), feature_dim
+
+
 def read_database(path: str) -> list:
-    """Read datasets back from a records file (or a prefix).
+    """Read datasets back from a records file (or its prefix).
 
-    Validates every record against the schema and the manifest; any
-    violation raises IngestError naming the file, line and field. Each
-    line's numbers go into its task's buffer in one conversion; the range
-    rules are checked per task on the columns, and a row that breaks one
-    is reported at its line.
+    The first line names the format, RECORDS_HEADER. Each task then has a
+    header line, `task <task_id> <composition> <material_ids> <n_records>
+    <feature_dim>`, followed by exactly n_records record lines, `x y
+    yaw_index depth stiffness reward features...`. Any violation raises
+    IngestError naming the file, line and field. Each record's numbers go
+    into its task's buffer in one conversion; the range rules are checked
+    per task on the columns, and a row that breaks one is reported at its
+    line.
     """
-    if path.endswith(RECORDS_SUFFIX):
-        prefix = path[: -len(RECORDS_SUFFIX)]
-    else:
-        prefix = path
-    records_path = prefix + RECORDS_SUFFIX
-    manifest_path = prefix + MANIFEST_SUFFIX
-    with open_file(records_path, "records file", IngestError, "r", encoding="utf-8") as records_fh, \
-            open_file(manifest_path, "manifest file", IngestError, "r", encoding="utf-8") as manifest_fh:
-        # task_id -> (composition, material_ids token, n_records, feature_dim,
-        # the numbers of its records from x on, the line of each record)
-        manifest = {}
-        for lineno, parts in _text_fields(manifest_fh, manifest_path):
-            if not parts or parts[0].startswith("#"):
-                continue
-            if len(parts) != 5:
-                raise IngestError(f"manifest line has {len(parts)} fields, expected 5", manifest_path, lineno)
-            task_id, comp, mats, n_records, feature_dim = parts
-            if comp not in COMPOSITIONS:
-                raise IngestError(f"unknown composition {comp!r}", manifest_path, lineno, "composition")
-            if task_id in manifest:
-                raise IngestError(f"duplicate task {task_id!r}", manifest_path, lineno, "task_id")
-            manifest[task_id] = (comp, mats, _parse_number(int, n_records, manifest_path, lineno, "n_records"),
-                                 _parse_number(int, feature_dim, manifest_path, lineno, "feature_dim"),
-                                 array("d"), array("q"))
-
-        for lineno, parts in _text_fields(records_fh, records_path):
-            if not parts or parts[0].startswith("#"):
-                continue
-            if len(parts) < 10:
-                raise IngestError(f"record has {len(parts)} fields, expected at least 10", records_path, lineno)
-            entry = manifest.get(parts[0])
-            if entry is None:
-                raise IngestError(f"record for task {parts[0]!r} missing from manifest", records_path, lineno, "task_id")
-            comp, mats, _, feature_dim, numbers, lines = entry
-            if parts[1] != mats:
-                raise IngestError(f"material ids {tuple(parts[1].split(','))} disagree with manifest "
-                                  f"{tuple(mats.split(','))}", records_path, lineno, "material_ids")
-            if parts[2] != comp:
-                raise IngestError(f"composition {parts[2]!r} disagrees with manifest", records_path, lineno, "composition")
-            if len(parts) - 9 != feature_dim:
-                raise IngestError(f"feature count {len(parts) - 9} does not match manifest dim {feature_dim}",
-                                  records_path, lineno, "features")
-            bit = _STIFFNESS_BITS.get(parts[7])
-            if bit is None:
-                raise IngestError(_ACTION_MESSAGES[3].format(stiffness=parts[7]), records_path, lineno, "action")
-            parts[7] = bit  # float() passes it through
+    path = path if path.endswith(RECORDS_SUFFIX) else path + RECORDS_SUFFIX
+    datasets, seen = [], set()
+    with open_file(path, "records file", IngestError, "r", encoding="utf-8") as fh:
+        lines = _text_fields(fh, path)
+        _, first = next(lines, (1, []))
+        if first != RECORDS_HEADER.split():
+            raise IngestError(f"first line {' '.join(first)!r} is not {RECORDS_HEADER!r}: "
+                              "only records format v2 is read", path, 1)
+        for header_line, parts in lines:
+            if parts[:1] != ["task"]:
+                after = f" after the {len(datasets[-1])} records of task {datasets[-1].task_id}" if datasets else ""
+                raise IngestError(f"expected a task header line{after}", path, header_line)
+            task_id, comp, mats, n_records, feature_dim = _task_header(parts, path, header_line, seen)
+            numbers, rows = array("d"), 0
+            # zip takes from the range first, so it stops at the count without reading the next line
+            for _, (lineno, parts) in zip(range(n_records), lines):
+                if parts[:1] == ["task"]:
+                    break
+                if len(parts) - 6 != feature_dim:
+                    raise IngestError(f"feature count {len(parts) - 6} does not match the header's dim {feature_dim}",
+                                      path, lineno, "features")
+                bit = _STIFFNESS_BITS.get(parts[4])
+                if bit is None:
+                    raise IngestError(_ACTION_MESSAGES[3].format(stiffness=parts[4]), path, lineno, "action")
+                parts[4] = bit  # float() passes it through
+                try:
+                    int(parts[2])
+                    numbers.extend(map(float, parts))
+                except ValueError:
+                    _raise_unparsed(parts, path, lineno)
+                rows += 1
+            if rows != n_records:
+                raise IngestError(f"task {task_id} has {rows} records, its header declares {n_records}",
+                                  path, header_line, "n_records")
+            # columns x, y, yaw_index, depth, stiffness bit, reward, features
+            table = np.frombuffer(numbers).reshape(rows, 6 + feature_dim) if rows else np.empty((0, 6))
             try:
-                int(parts[5])
-                numbers.extend(map(float, parts[3:]))
-            except ValueError:
-                _raise_unparsed(parts, records_path, lineno)
-            lines.append(lineno)
-
-    datasets = []
-    for task_id, (comp, mats, n_records, feature_dim, numbers, lines) in manifest.items():
-        # columns x, y, yaw_index, depth, stiffness bit, reward, features
-        table = np.frombuffer(numbers).reshape(len(lines), 6 + feature_dim) if lines else np.empty((0, 6))
-        try:
-            ds = TaskDataset(task_id, comp, mats.split(","), table[:, :5], table[:, 5], table[:, 6:])
-        except _RowError as exc:
-            raise IngestError(str(exc), records_path, lines[exc.row], exc.field) from exc
-        if len(lines) != n_records:
-            raise IngestError(f"task {task_id} has {len(lines)} records, manifest declares {n_records}",
-                              records_path, 0, "n_records")
-        datasets.append(ds)
+                datasets.append(TaskDataset(task_id, comp, mats.split(","), table[:, :5], table[:, 5], table[:, 6:]))
+            except _RowError as exc:
+                raise IngestError(str(exc), path, header_line + 1 + exc.row, exc.field) from exc
     if not any(len(ds) for ds in datasets):
-        raise IngestError("dataset is empty", records_path)
+        raise IngestError("dataset is empty", path)
     return datasets
 
 

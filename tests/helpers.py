@@ -21,7 +21,7 @@ from scoopgp.nnet import NetworkSpec, ParamVector, _act, _check_batch, init_para
 from scoopgp.tasks import (
     CELL,
     COMPOSITIONS,
-    MANIFEST_SUFFIX,
+    RECORDS_HEADER,
     RECORDS_SUFFIX,
     DEPTH_MAX,
     DEPTH_MIN,
@@ -347,11 +347,12 @@ def reference_vjp(spec: NetworkSpec, params: ParamVector, X: np.ndarray, upstrea
     return params.replace_values(grad), D
 
 
-def reference_simulated_deployment(methods: dict, datasets, budget: int = 20, trials: int = 10, seed: int = 0,
-                                   exclude_below: float = 5.0, threshold_rank: int = 5) -> dict:
+def reference_simulated_deployment(model, scorer, datasets, budget: int = 20, trials: int = 10, seed: int = 0,
+                                   exclude_below: float = 5.0, threshold_rank: int = 5) -> DeployReport:
     """bench.eval_simulated_deployment as it was before deterministic scorers
     ran once per task: one seeded run_deployment call for every (task,
-    trial), whatever the scorer. The reference its reports must equal."""
+    trial), whatever the scorer, on candidates embedded whether or not the
+    scorer reads them. The reference its reports must equal."""
     included = []
     excluded = []
     for ds in datasets:
@@ -362,28 +363,25 @@ def reference_simulated_deployment(methods: dict, datasets, budget: int = 20, tr
     if not included:
         raise ValueError("every task fell below the deployment threshold floor")
 
-    out = {}
-    for mi, (name, (model, scorer)) in enumerate(sorted(methods.items())):
-        rows = []
-        for ds in included:
-            B = deployment_threshold(ds, threshold_rank)
-            target = DatasetTarget(ds, dataset_pool(model, ds))
-            for trial in range(trials):
-                run_seed = np.random.SeedSequence(
-                    [int(seed) & 0xFFFFFFFF, _task_tag(ds.task_id), mi, trial]
-                ).generate_state(1)[0]
-                trace = run_deployment(model, scorer, target, B, budget, int(run_seed))
-                rows.append(DeployRow(ds.task_id, trial, trace.attempts, trace.success))
-        out[name] = DeployReport(
-            method=name,
-            seed=int(seed),
-            checkpoint=checkpoint_id(model) if model is not None else "none",
-            budget=int(budget),
-            trials=int(trials),
-            rows=tuple(rows),
-            excluded=tuple(excluded),
-        )
-    return out
+    rows = []
+    for ds in included:
+        B = deployment_threshold(ds, threshold_rank)
+        target = DatasetTarget(ds, dataset_pool(model, ds))
+        for trial in range(trials):
+            run_seed = np.random.SeedSequence(
+                [int(seed) & 0xFFFFFFFF, _task_tag(ds.task_id), 0, trial]
+            ).generate_state(1)[0]
+            trace = run_deployment(model, scorer, target, B, budget, int(run_seed))
+            rows.append(DeployRow(ds.task_id, trial, trace.attempts, trace.success))
+    return DeployReport(
+        method=scorer.kind,
+        seed=int(seed),
+        checkpoint=checkpoint_id(model) if model is not None else "none",
+        budget=int(budget),
+        trials=int(trials),
+        rows=tuple(rows),
+        excluded=tuple(excluded),
+    )
 
 
 def _reference_select_action(scores: np.ndarray, feasible: np.ndarray) -> int:
@@ -611,86 +609,70 @@ def _text_lines(path: str):
 
 
 def reference_read_database(path: str) -> list:
-    """The record-at-a-time reader that read_database replaced, verbatim but
-    for its return types: one ReferenceRecord per line, validated through
-    reference_action, in a ReferenceDataset per task."""
-    if path.endswith(RECORDS_SUFFIX):
-        prefix = path[: -len(RECORDS_SUFFIX)]
-    else:
-        prefix = path
-    records_path = prefix + RECORDS_SUFFIX
-    manifest_path = prefix + MANIFEST_SUFFIX
+    """A record-at-a-time reader of the records format, written apart from
+    read_database: a state machine over the lines that parses each record on
+    its own, validated through reference_action, into a ReferenceRecord, in
+    a ReferenceDataset per task. Non-finite features pass here."""
+    records_path = path if path.endswith(RECORDS_SUFFIX) else path + RECORDS_SUFFIX
     if not os.path.exists(records_path):
         raise IngestError("records file not found", records_path)
-    if not os.path.exists(manifest_path):
-        raise IngestError("manifest file not found", manifest_path)
 
-    manifest = {}
-    order = []
-    for lineno, line in _text_lines(manifest_path):
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 5:
-            raise IngestError(f"manifest line has {len(parts)} fields, expected 5", manifest_path, lineno)
-        task_id, comp, mats, n_records, feature_dim = parts
-        if comp not in COMPOSITIONS:
-            raise IngestError(f"unknown composition {comp!r}", manifest_path, lineno, "composition")
-        if task_id in manifest:
-            raise IngestError(f"duplicate task {task_id!r}", manifest_path, lineno, "task_id")
-        manifest[task_id] = {
-            "composition": comp,
-            "materials": tuple(mats.split(",")),
-            "n_records": _parse_number(int, n_records, manifest_path, lineno, "n_records"),
-            "feature_dim": _parse_number(int, feature_dim, manifest_path, lineno, "feature_dim"),
-            "rows": [],
-        }
-        order.append(task_id)
-
+    datasets = []
+    task = None  # the open task: its header fields, header line and records so far
     for lineno, line in _text_lines(records_path):
-        if not line or line.startswith("#"):
-            continue
         parts = line.split()
-        if len(parts) < 10:
-            raise IngestError(f"record has {len(parts)} fields, expected at least 10", records_path, lineno)
-        task_id = parts[0]
-        if task_id not in manifest:
-            raise IngestError(f"record for task {task_id!r} missing from manifest", records_path, lineno, "task_id")
-        entry = manifest[task_id]
-        mats = tuple(parts[1].split(","))
-        if mats != entry["materials"]:
-            raise IngestError(f"material ids {mats} disagree with manifest {entry['materials']}", records_path, lineno, "material_ids")
-        if parts[2] != entry["composition"]:
-            raise IngestError(f"composition {parts[2]!r} disagrees with manifest", records_path, lineno, "composition")
-        x = _parse_number(float, parts[3], records_path, lineno, "x")
-        y = _parse_number(float, parts[4], records_path, lineno, "y")
-        yaw_index = _parse_number(int, parts[5], records_path, lineno, "yaw_index")
-        depth = _parse_number(float, parts[6], records_path, lineno, "depth")
-        stiffness = parts[7]
-        reward = _parse_number(float, parts[8], records_path, lineno, "reward")
-        feats = np.array([_parse_number(float, t, records_path, lineno, "features") for t in parts[9:]])
-        if feats.shape[0] != entry["feature_dim"]:
-            raise IngestError(
-                f"feature count {feats.shape[0]} does not match manifest dim {entry['feature_dim']}",
-                records_path, lineno, "features",
-            )
+        if lineno == 1:
+            if parts != RECORDS_HEADER.split():
+                raise IngestError(f"first line {line!r} is not the v2 records header", records_path, lineno)
+            continue
+        if task is None or len(task["rows"]) == task["n_records"]:
+            if task is not None:
+                datasets.append(ReferenceDataset(task["task_id"], task["composition"], task["materials"],
+                                                 tuple(task["rows"])))
+            if len(parts) != 6 or parts[0] != "task":
+                raise IngestError("expected a task header line", records_path, lineno)
+            _, task_id, comp, mats, n_records, feature_dim = parts
+            if comp not in COMPOSITIONS:
+                raise IngestError(f"unknown composition {comp!r}", records_path, lineno, "composition")
+            if task_id in [ds.task_id for ds in datasets]:
+                raise IngestError(f"duplicate task {task_id!r}", records_path, lineno, "task_id")
+            task = {
+                "task_id": task_id,
+                "composition": comp,
+                "materials": tuple(mats.split(",")),
+                "n_records": _parse_number(int, n_records, records_path, lineno, "n_records"),
+                "feature_dim": _parse_number(int, feature_dim, records_path, lineno, "feature_dim"),
+                "line": lineno,
+                "rows": [],
+            }
+            if task["n_records"] < 0 or task["feature_dim"] < 0:
+                raise IngestError("negative count in a task header", records_path, lineno)
+            continue
+        if parts[:1] == ["task"]:
+            raise IngestError(f"task {task['task_id']} ends early", records_path, task["line"], "n_records")
+        if len(parts) != 6 + task["feature_dim"]:
+            raise IngestError(f"record has {len(parts)} fields, expected {6 + task['feature_dim']}",
+                              records_path, lineno, "features")
+        x = _parse_number(float, parts[0], records_path, lineno, "x")
+        y = _parse_number(float, parts[1], records_path, lineno, "y")
+        yaw_index = _parse_number(int, parts[2], records_path, lineno, "yaw_index")
+        depth = _parse_number(float, parts[3], records_path, lineno, "depth")
+        stiffness = parts[4]
+        reward = _parse_number(float, parts[5], records_path, lineno, "reward")
+        feats = np.array([_parse_number(float, t, records_path, lineno, "features") for t in parts[6:]])
         if reward < 0.0 or not np.isfinite(reward):
             raise IngestError(f"reward {reward} must be finite and non-negative", records_path, lineno, "reward")
         try:
             action = reference_action(x, y, yaw_index, depth, stiffness)
         except ValueError as exc:
             raise IngestError(str(exc), records_path, lineno, "action") from exc
-        entry["rows"].append(ReferenceRecord(action, reward, feats))
+        task["rows"].append(ReferenceRecord(action, reward, feats))
 
-    datasets = []
-    for task_id in order:
-        entry = manifest[task_id]
-        if len(entry["rows"]) != entry["n_records"]:
-            raise IngestError(
-                f"task {task_id} has {len(entry['rows'])} records, manifest declares {entry['n_records']}",
-                records_path, 0, "n_records",
-            )
-        datasets.append(ReferenceDataset(task_id, entry["composition"], entry["materials"], tuple(entry["rows"])))
+    if task is not None:
+        if len(task["rows"]) != task["n_records"]:
+            raise IngestError(f"task {task['task_id']} ends early", records_path, task["line"], "n_records")
+        datasets.append(ReferenceDataset(task["task_id"], task["composition"], task["materials"],
+                                         tuple(task["rows"])))
     if not any(len(ds) for ds in datasets):
         raise IngestError("dataset is empty", records_path)
     return datasets

@@ -27,9 +27,9 @@ from scoopgp.bench import (
     write_mae_report,
 )
 from scoopgp.config import RunConfig, apply_overrides
-from scoopgp.decide import ScorerConfig, run_deployment
+from scoopgp.decide import ScorerConfig, dataset_pool, run_deployment
 from scoopgp.errors import ConfigError, IngestError
-from scoopgp.gp import DeepGpModel, condition, embed, posterior_batch
+from scoopgp.gp import DeepGpModel, checkpoint_id, condition, embed, posterior_batch
 from scoopgp.nnet import NetworkSpec
 from scoopgp.tasks import sample_ood_test_family
 
@@ -406,14 +406,12 @@ def test_simulated_deployment_runs_and_excludes(world):
     good = _reward_dataset(rng.uniform(6.0, 40.0, size=20), "good0")
     weak = _reward_dataset(rng.uniform(0.0, 2.0, size=20), "weak0")
     model = _linear_mean_model(3, (10.0, 0.0, 0.0))
-    methods = {
-        "mean-model": (model, ScorerConfig(kind="mean")),
-        "random": (None, ScorerConfig(kind="random")),
-    }
-    out = eval_simulated_deployment(methods, [good, weak], budget=10, trials=4, seed=2)
-    assert sorted(out) == ["mean-model", "random"]
-    for name, rep in out.items():
-        assert rep.method == name
+    methods = [(model, ScorerConfig(kind="mean")), (None, ScorerConfig(kind="random"))]
+    out = {scorer.kind: eval_simulated_deployment(m, scorer, [good, weak], budget=10, trials=4, seed=2)
+           for m, scorer in methods}
+    assert sorted(out) == ["mean", "random"]
+    for kind, rep in out.items():
+        assert rep.method == kind
         assert rep.excluded == ("weak0",)
         assert len(rep.rows) == 4
         assert {r.task_id for r in rep.rows} == {"good0"}
@@ -421,14 +419,18 @@ def test_simulated_deployment_runs_and_excludes(world):
         assert len(rep.attempts_by_cell()) == 4
     assert out["random"].checkpoint == "none"
     # the perfect mean model finds the best record on the first attempt
-    assert out["mean-model"].avg_attempts == 1.0
-    assert out["mean-model"].success_rate == 1.0
+    assert out["mean"].avg_attempts == 1.0
+    assert out["mean"].success_rate == 1.0
 
-    again = eval_simulated_deployment(methods, [good, weak], budget=10, trials=4, seed=2)
-    assert again["random"] == out["random"]
+    again = eval_simulated_deployment(None, ScorerConfig(kind="random"), [good, weak], budget=10, trials=4, seed=2)
+    assert again == out["random"]
+    # random never reads the model, so deploying it with one changes only the checkpoint named
+    with_model = eval_simulated_deployment(model, ScorerConfig(kind="random"), [good, weak], budget=10, trials=4,
+                                           seed=2)
+    assert with_model.rows == out["random"].rows and with_model.checkpoint == checkpoint_id(model)
 
     with pytest.raises(ValueError, match="below the deployment threshold"):
-        eval_simulated_deployment(methods, [weak], budget=10, trials=2, seed=2)
+        eval_simulated_deployment(model, ScorerConfig(kind="mean"), [weak], budget=10, trials=2, seed=2)
 
 
 def test_deterministic_scorers_replay_one_episode_per_task(world, codega_result, monkeypatch):
@@ -440,28 +442,35 @@ def test_deterministic_scorers_replay_one_episode_per_task(world, codega_result,
         calls.append((scorer.kind, target.dataset.task_id))
         return run_deployment(model, scorer, target, *args)
 
-    monkeypatch.setattr(bench, "run_deployment", counting_run_deployment)
-    model = codega_result.model
-    methods = {kind: (None if kind == "random" else model, ScorerConfig(kind=kind))
-               for kind in ("ucb", "mean", "random")}
-    trials = 5
-    out = eval_simulated_deployment(methods, world.test_sets, budget=8, trials=trials, seed=3)
-    assert out == reference_simulated_deployment(methods, world.test_sets, budget=8, trials=trials, seed=3)
+    embedded = []
 
-    included = sorted({r.task_id for r in out["ucb"].rows})
-    assert included
-    for kind in methods:
-        assert ScorerConfig(kind=kind).deterministic == (kind != "random")
+    def recording_dataset_pool(model, ds):
+        embedded.append(model is not None)
+        return dataset_pool(model, ds)
+
+    monkeypatch.setattr(bench, "run_deployment", counting_run_deployment)
+    monkeypatch.setattr(bench, "dataset_pool", recording_dataset_pool)
+    model = codega_result.model
+    trials = 5
+    for kind in ("ucb", "mean", "random"):
+        scorer = ScorerConfig(kind=kind)
+        embedded.clear()
+        out = eval_simulated_deployment(model, scorer, world.test_sets, budget=8, trials=trials, seed=3)
+        included = sorted({r.task_id for r in out.rows})
+        assert included
+        # each task's candidates are built once, and embedded only for the scorers that read the model
+        assert embedded == [kind != "random"] * len(included)
+        assert out == reference_simulated_deployment(model, scorer, world.test_sets, budget=8, trials=trials, seed=3)
+        assert scorer.deterministic == (kind != "random")
         per_task = [task for k, task in calls if k == kind]
         assert sorted(per_task) == sorted(included * (1 if kind != "random" else trials))
 
 
 def test_equal_rewards_need_exactly_one_attempt():
     ds = _reward_dataset(np.full(8, 9.0), "flat0")
-    methods = {"random": (None, ScorerConfig(kind="random"))}
-    out = eval_simulated_deployment(methods, [ds], budget=5, trials=6, seed=0)
-    assert out["random"].avg_attempts == 1.0
-    assert out["random"].success_rate == 1.0
+    out = eval_simulated_deployment(None, ScorerConfig(kind="random"), [ds], budget=5, trials=6, seed=0)
+    assert out.avg_attempts == 1.0
+    assert out.success_rate == 1.0
 
 
 # ---------------------------------------------------------------------------

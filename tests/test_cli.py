@@ -96,10 +96,8 @@ def deploy_report_path(cli_dir, codega_ckpt):
 # gen
 
 def test_gen_writes_database_and_terrains(cli_dir):
-    for name in ("fam.train.records.txt", "fam.train.manifest.txt",
-                 "fam.test.records.txt", "fam.test.manifest.txt",
-                 "fam.terrains.bin"):
-        assert (cli_dir / name).exists(), name
+    assert sorted(p.name for p in cli_dir.glob("fam.*")) == ["fam.terrains.bin", "fam.test.records.txt",
+                                                             "fam.train.records.txt"]
     train = read_database(str(cli_dir / "fam.train.records.txt"))
     test = read_database(str(cli_dir / "fam.test.records.txt"))
     assert len(train) == 6 and all(len(ds) == 12 for ds in train)
@@ -118,8 +116,7 @@ def test_gen_prints_summary_and_is_deterministic(tmp_path, capsys):
     assert "a.terrains.bin" in out
 
     assert main(args + ["--prefix", str(tmp_path / "b")]) == 0
-    for suffix in ("train.records.txt", "train.manifest.txt",
-                   "test.records.txt", "test.manifest.txt", "terrains.bin"):
+    for suffix in ("train.records.txt", "test.records.txt", "terrains.bin"):
         a = (tmp_path / f"a.{suffix}").read_bytes()
         b = (tmp_path / f"b.{suffix}").read_bytes()
         assert a == b, suffix

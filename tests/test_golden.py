@@ -17,10 +17,8 @@ GEN = ("--set", "gen.n_train_materials=4", "--set", "gen.n_ood_materials=2", "--
 
 GEN_DIGESTS = {
     "g.terrains.bin": "32495f5a7dd740612e5de10c0340e6750ab3f922d5e1ac176b233ea38b1336b6",
-    "g.test.manifest.txt": "ce2492476fa051989416315fc3268d5ce7046071de112ae66c242b6dcb51c589",
-    "g.test.records.txt": "2aa1a3b315f104658389865321ed041b66c237a08e61f679626d534f35707b6c",
-    "g.train.manifest.txt": "fe90ea5e86589ecf6a0f9571d2d5694eeb97738d3794a7f49fdac9bc6f2f2dca",
-    "g.train.records.txt": "d99ac33b5ae381bda3a08be80e97c4fd2ba53ec9178900977576ea0c29bd9afe",
+    "g.test.records.txt": "07d4c3c2ca6171e169fd02ba9f631908862c27faaaa85fce69ae6a62ff444196",
+    "g.train.records.txt": "04f9c9d83ad9b09eebdef0867932e5694e0f1ee9695a0573300b64140c42dd6b",
 }
 LIVE_DIGEST = "c0e90ee5b87b281fc7bfe0f58ad66e5a1cf715e39d8b5e371f3d2911a7891e79"
 

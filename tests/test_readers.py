@@ -66,7 +66,7 @@ def _write_samples(root) -> dict:
         return out
 
     return {
-        "read_database": (files("db.records.txt", "db.manifest.txt"), lambda: read_database(f"{p}/db")),
+        "read_database": (files("db.records.txt"), lambda: read_database(f"{p}/db")),
         "read_mae_report": (files("r.mae.txt"), lambda: read_mae_report(f"{p}/r.mae.txt")),
         "read_deploy_report": (files("r.deploy.txt"), lambda: read_deploy_report(f"{p}/r.deploy.txt")),
         "load_terrains": (files("t.bin"), lambda: load_terrains(f"{p}/t.bin")),
@@ -138,14 +138,10 @@ def test_readers_raise_only_typed_errors_on_mutated_files(samples, case, data):
 @pytest.mark.parametrize("reader, error, name", [
     (load_model, SerializationError, "input"), (load_terrains, SerializationError, "input"),
     (load_config, ConfigError, "input"),
-    (read_database, IngestError, "input.records.txt"), (read_database, IngestError, "input.manifest.txt"),
+    (read_database, IngestError, "input.records.txt"),
 ], ids=["load_model-SerializationError", "load_terrains-SerializationError", "load_config-ConfigError",
-        "read_database-records", "read_database-manifest"])
+        "read_database-records"])
 def test_file_readers_name_a_missing_or_unreadable_path(tmp_path, reader, error, name, where):
-    # a database's other file is valid, so the error can only come from the one made missing or a directory
-    if reader is read_database:
-        write_database(str(tmp_path / "input"), [toy_dataset("a", [[1.0, 2.0]], [5.0])])
-        (tmp_path / name).unlink()
     path = tmp_path / name
     if where == "directory":
         path.mkdir()
@@ -165,9 +161,8 @@ def test_read_database_accepts_exactly_what_the_reference_reader_accepts(samples
     for path, valid in files.items():
         with open(path, "wb") as fh:
             fh.write(data.draw(_mutated(valid)) if path == target else valid)
-    prefix = next(iter(files))[: -len(".records.txt")]
     try:
-        reference = reference_read_database(prefix)
+        reference = reference_read_database(target)
     except IngestError:
         with pytest.raises(IngestError):
             reader()

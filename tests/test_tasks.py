@@ -526,103 +526,101 @@ def test_read_database_validates_schema(tmp_path, world):
     prefix = str(tmp_path / "fam")
     write_database(prefix, world.train_sets[:2])
     records_path = prefix + ".records.txt"
-    manifest_path = prefix + ".manifest.txt"
 
-    def expect(match, path, line, field):
+    def expect(match, line, field):
         with pytest.raises(IngestError, match=match) as info:
             read_database(prefix)
-        assert (info.value.path, info.value.line, info.value.field) == (path, line, field)
+        assert (info.value.path, info.value.line, info.value.field) == (records_path, line, field)
 
     with pytest.raises(IngestError, match="not found") as info:
         read_database(str(tmp_path / "missing"))
     assert (info.value.line, info.value.field) == (0, "")
 
     with open(records_path) as fh:
-        record_lines = fh.readlines()
-    with open(manifest_path) as fh:
-        manifest_lines = fh.readlines()
+        lines = fh.readlines()
+    n_first = len(world.train_sets[0])
+    second = n_first + 2  # the index of the second task's header line
+    assert lines[1].split()[:2] == ["task", "task000"] and lines[second].split()[:2] == ["task", "task001"]
 
-    def rewrite(lines_r=None, lines_m=None):
+    def rewrite(broken):
         with open(records_path, "w") as fh:
-            fh.writelines(lines_r if lines_r is not None else record_lines)
-        with open(manifest_path, "w") as fh:
-            fh.writelines(lines_m if lines_m is not None else manifest_lines)
+            fh.writelines(broken)
 
     # a fault in the last record of the file, whose task is not the first
-    body = len(record_lines) - 1
-    assert record_lines[body].split()[0] != record_lines[2].split()[0]
+    body = len(lines) - 1
 
-    def broken_field(column, token):
-        broken = record_lines.copy()
-        parts = broken[body].split()
+    def broken_field(index, column, token):
+        broken = lines.copy()
+        parts = broken[index].split()
         parts[column] = token
-        broken[body] = " ".join(parts) + "\n"
+        broken[index] = " ".join(parts) + "\n"
         return broken
 
-    rewrite(lines_r=broken_field(7, "squishy"))
-    expect("stiffness must be one of .*'squishy'", records_path, body + 1, "action")
+    rewrite(broken_field(body, 4, "squishy"))
+    expect("stiffness must be one of .*'squishy'", body + 1, "action")
 
-    rewrite(lines_r=broken_field(8, "-5.0"))
-    expect("reward", records_path, body + 1, "reward")
+    rewrite(broken_field(body, 5, "-5.0"))
+    expect("reward", body + 1, "reward")
 
-    for column, token, field in ((3, "abc", "x"), (4, "1.2.3", "y"), (5, "2.0", "yaw_index"),
-                                 (6, "deep", "depth"), (8, "lots", "reward"), (12, "?", "features")):
-        rewrite(lines_r=broken_field(column, token))
-        expect("cannot parse", records_path, body + 1, field)
+    for column, token, field in ((0, "abc", "x"), (1, "1.2.3", "y"), (2, "2.0", "yaw_index"),
+                                 (3, "deep", "depth"), (5, "lots", "reward"), (9, "?", "features")):
+        rewrite(broken_field(body, column, token))
+        expect("cannot parse", body + 1, field)
 
-    for column, token, match in ((3, "1.5", "outside the tray"), (4, "nan", "outside the tray"),
-                                 (5, "8", r"yaw_index must be in \[0, 8\), got 8"), (6, "0.2", "depth 0.2 outside")):
-        rewrite(lines_r=broken_field(column, token))
-        expect(match, records_path, body + 1, "action")
+    for column, token, match in ((0, "1.5", "outside the tray"), (1, "nan", "outside the tray"),
+                                 (2, "8", r"yaw_index must be in \[0, 8\), got 8"), (3, "0.2", "depth 0.2 outside")):
+        rewrite(broken_field(body, column, token))
+        expect(match, body + 1, "action")
 
     for token in ("nan", "inf", "-Infinity", "1e999"):
-        rewrite(lines_r=broken_field(12, token))
-        expect("feature 3 is .*, must be finite", records_path, body + 1, "features")
+        rewrite(broken_field(body, 9, token))
+        expect("feature 3 is .*, must be finite", body + 1, "features")
 
-    broken = record_lines.copy()
-    parts = broken[body].split()
-    broken[body] = " ".join(parts[:-1]) + "\n"
-    rewrite(lines_r=broken)
-    expect("feature count", records_path, body + 1, "features")
+    broken = lines.copy()
+    broken[body] = " ".join(broken[body].split()[:-1]) + "\n"
+    rewrite(broken)
+    expect("feature count", body + 1, "features")
 
-    broken = record_lines.copy()
-    del broken[body]
-    rewrite(lines_r=broken)
-    expect("records, manifest declares", records_path, 0, "n_records")
+    # a truncated file: its last task has fewer records than its header declares
+    rewrite(lines[:-1])
+    expect(f"task001 has {len(lines) - second - 2} records, its header declares", second + 1, "n_records")
 
-    rewrite(lines_r=broken_field(0, "task999"))
-    expect("missing from manifest", records_path, body + 1, "task_id")
+    # a task that ends early, at the next header
+    rewrite(broken_field(1, 4, str(n_first + 1)))
+    expect(f"task000 has {n_first} records, its header declares {n_first + 1}", 2, "n_records")
 
-    rewrite(lines_r=broken_field(1, "mat99"))
-    expect("material ids", records_path, body + 1, "material_ids")
+    rewrite(lines + lines[-1:])
+    expect("expected a task header line after the .* records of task task001", len(lines) + 1, "")
 
-    rewrite(lines_r=broken_field(2, "layers"))
-    expect("composition 'layers' disagrees", records_path, body + 1, "composition")
+    rewrite(lines[:1] + lines[2:])
+    expect(r"expected a task header line \| file", 2, "")
 
-    mbody = next(i for i, ln in enumerate(manifest_lines) if not ln.startswith("#"))
-    broken_m = manifest_lines.copy()
-    broken_m[mbody] = broken_m[mbody].replace(" partition ", " marble ").replace(
-        " single ", " marble ").replace(" mixture ", " marble ")
-    rewrite(lines_m=broken_m)
-    expect("composition", manifest_path, mbody + 1, "composition")
+    rewrite(broken_field(second, 2, "marble"))
+    expect("unknown composition 'marble'", second + 1, "composition")
 
-    broken_m = manifest_lines.copy()
-    broken_m.append(broken_m[mbody])
-    rewrite(lines_m=broken_m)
-    expect("duplicate", manifest_path, len(broken_m), "task_id")
+    rewrite(broken_field(second, 1, "task000"))
+    expect("duplicate task 'task000'", second + 1, "task_id")
 
-    for column, field in ((3, "n_records"), (4, "feature_dim")):
-        broken_m = manifest_lines.copy()
-        parts = broken_m[mbody].split()
-        parts[column] = "2.5"
-        broken_m[mbody] = " ".join(parts) + "\n"
-        rewrite(lines_m=broken_m)
-        expect(field, manifest_path, mbody + 1, field)
+    for column, field in ((4, "n_records"), (5, "feature_dim")):
+        rewrite(broken_field(second, column, "2.5"))
+        expect("cannot parse int", second + 1, field)
 
-    rewrite()
+    rewrite(broken_field(second, 5, "-1"))
+    expect("feature_dim -1 is negative", second + 1, "feature_dim")
+
+    broken = lines.copy()
+    broken[second] = " ".join(broken[second].split()[:-1]) + "\n"
+    rewrite(broken)
+    expect("task header has 5 fields, expected 6", second + 1, "")
+
+    # the previous format, a records file with a separate manifest, is rejected by its version line
+    rewrite(["# scoopgp records v1\n"] + lines[1:])
+    expect("first line '# scoopgp records v1' is not '# scoopgp records v2'", 1, "")
+
+    rewrite(lines)
     with open(records_path, "ab") as fh:
         fh.write(b"\xff\xfe not UTF-8\n")
-    expect("not UTF-8", records_path, 0, "")
+    expect("not UTF-8", 0, "")
 
 
 def test_read_database_columns_equal_the_reference_reader(tmp_path, world):
@@ -647,8 +645,10 @@ def test_ingest_reports_global_statistics(tmp_path, world):
 
     empty = str(tmp_path / "empty")
     open(empty + ".records.txt", "w").close()
-    open(empty + ".manifest.txt", "w").close()
     with pytest.raises(IngestError):
+        ingest_released_dataset(empty)
+    write_database(empty, [toy_dataset("t0", np.empty((0, 3)), [])])
+    with pytest.raises(IngestError, match="dataset is empty"):
         ingest_released_dataset(empty)
 
 
@@ -827,25 +827,41 @@ def test_a_write_failing_midway_leaves_the_old_file_intact(tmp_path, monkeypatch
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} != before
 
 
-def test_a_database_whose_second_file_fails_to_write_keeps_the_old_pair(tmp_path, monkeypatch):
+def test_write_atomic_whose_parts_fail_midway_leaves_every_target_as_it_was(tmp_path):
+    paths = [str(tmp_path / name) for name in ("a.txt", "b.txt")]
+    for path in paths:
+        with open(path, "w") as fh:
+            fh.write(f"old {path}")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def parts():
+        yield "first part\n"
+        raise RuntimeError("part two failed")
+
+    with pytest.raises(RuntimeError, match="part two failed"):
+        scoopgp.serialize.write_atomic({paths[0]: "new a", paths[1]: parts()})
+    # the complete temporary of a.txt is not moved over it either, and neither temporary is left behind
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_a_database_write_failing_midstream_keeps_the_old_records_file(tmp_path):
     prefix = str(tmp_path / "db")
     write_database(prefix, [toy_dataset("t1", np.ones((3, 3)), np.arange(3.0))])
-    opened = []
+    with open(prefix + ".records.txt", "rb") as fh:
+        old = fh.read()
 
-    def second_fails(path, mode):
-        opened.append(path)
-        fh = open(path, mode)
-        return _HalfWriter(fh) if len(opened) == 2 else fh
+    def datasets():
+        yield toy_dataset("t2", np.zeros((4, 3)), np.arange(4.0))
+        raise OSError("the source of the next task failed")
 
-    monkeypatch.setattr(scoopgp.serialize, "open", second_fails, raising=False)
-    with pytest.raises(OSError, match="no space"):
-        write_database(prefix, [toy_dataset("t2", np.zeros((4, 3)), np.arange(4.0))])
-    monkeypatch.undo()
-    assert len(opened) == 2
+    with pytest.raises(OSError, match="next task failed"):
+        write_database(prefix, datasets())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["db.records.txt"]
+    with open(prefix + ".records.txt", "rb") as fh:
+        assert fh.read() == old
     back = read_database(prefix)
     assert [ds.task_id for ds in back] == ["t1"]
     assert np.array_equal(back[0].rewards(), np.arange(3.0))
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["db.manifest.txt", "db.records.txt"]
 
 
 def test_task_dataset_validation():
