@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import check_shots
+from .config import check_shots, seed_sequence
 from .decide import DatasetTarget, ScorerConfig, dataset_pool, run_deployment
 from .errors import IngestError
 from .gp import (DeepGpModel, checkpoint_id, condition_gram, embed, kernel_matrix, mean_eval_batch,
@@ -35,7 +35,7 @@ def _task_tag(task_id: str) -> int:
 
 
 def _trial_rng(seed: int, tag: int, trial: int, stream: int):
-    return np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, tag, int(trial), stream]))
+    return np.random.default_rng(seed_sequence(seed, tag, trial, stream))
 
 
 def _query_split(seed: int, tag: int, trial: int, n_records: int):
@@ -271,9 +271,7 @@ def eval_simulated_deployment(model, scorer: ScorerConfig, datasets, budget: int
         for trial in range(trials):
             if trace is None or not scorer.deterministic:
                 # the 0 held a method's index when one call deployed several; it keeps every trial's seed
-                run_seed = np.random.SeedSequence(
-                    [int(seed) & 0xFFFFFFFF, _task_tag(ds.task_id), 0, trial]
-                ).generate_state(1)[0]
+                run_seed = seed_sequence(seed, _task_tag(ds.task_id), 0, trial).generate_state(1)[0]
                 trace = run_deployment(model, scorer, target, B, budget, int(run_seed))
             rows.append(DeployRow(ds.task_id, trial, trace.attempts, trace.success))
     return DeployReport(

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 
+import numpy as np
+
 from .errors import ConfigError
 from .nnet import NetworkSpec
 from .serialize import read_file
@@ -80,6 +82,17 @@ class BenchConfig:
             check_shots(self.shots)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bench.shots: {exc}") from None
+
+
+def seed_sequence(seed, *words) -> np.random.SeedSequence:
+    """The SeedSequence of a run seed, taken modulo 2**32, and a stream's
+    tag words, each in [0, 2**32). Its entropy pool is the one of the list
+    [seed & 0xFFFFFFFF, *words], so every draw is the same, but the words go
+    in as one uint32 array rather than one Python int at a time."""
+    for word in words:
+        if not 0 <= word <= 0xFFFFFFFF:
+            raise ValueError(f"seed word {word} is outside [0, 2**32)")
+    return np.random.SeedSequence(np.array([int(seed) & 0xFFFFFFFF, *words], dtype=np.uint32))
 
 
 def check_shots(shots) -> tuple:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import seed_sequence
 from .errors import SelectionError
 from .gp import DeepGpModel, Embedded, embed, mean_eval_batch, posterior_batch
 from .tasks import (
@@ -199,6 +200,30 @@ def _scoop_terrain(task: TerrainTask, action: np.ndarray, volume_cm3: float) -> 
     task.heightmap[footprint] = np.maximum(task.heightmap[footprint] - drop, 0.0)
 
 
+def _random_dataset_episode(ds: TaskDataset, rng: np.random.Generator, threshold: float,
+                            budget: int) -> DeploymentTrace:
+    """A dataset episode under the random scorer. Its scores are drawn as one
+    rng.random((steps, n)) block, whose rows are the n scores that per-step
+    rng.random(n) calls would give. After each step the executed record is
+    set below every later draw, so one argmax picks what select_action
+    would: the first best record still allowed. Each step executes a new
+    record, so at most n steps run, and the episode ends there as on an
+    exhausted pool."""
+    rewards, n = ds.rewards(), len(ds)
+    draws = rng.random((min(budget, n), n))
+    failures, episodes, success = 0, [], False
+    for scores in draws:
+        idx = int(scores.argmax())
+        reward = float(rewards[idx])
+        success = bool(reward >= threshold)
+        failures += not success
+        episodes.append(EpisodeStep(idx, float(scores[idx]), reward, failures, ds.actions))
+        if success:
+            break
+        draws[:, idx] = -1.0
+    return DeploymentTrace(ds.task_id, float(threshold), int(budget), tuple(episodes), success)
+
+
 def run_deployment(model, scorer: ScorerConfig, target, threshold: float, budget: int, seed=0) -> DeploymentTrace:
     """Run one deployment until an at-threshold reward or budget exhaustion.
 
@@ -210,25 +235,32 @@ def run_deployment(model, scorer: ScorerConfig, target, threshold: float, budget
     execute step that returns the observed reward, and a keep step that
     adds a failed candidate to the support. A step is recorded by its
     candidate index into the action rows.
+
+    A dataset episode under the random scorer draws nothing from its
+    generator but scores, so it runs as _random_dataset_episode: all its
+    steps' scores in one draw. Live mode draws reward noise between steps,
+    so its random scores stay one draw per step.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
     # only the random scorer and live reward noise draw, so only they build a generator
     rng = None
     if not scorer.deterministic or isinstance(target, LiveTarget):
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, 0xDE9107]))
+        rng = np.random.default_rng(seed_sequence(seed, 0xDE9107))
 
     if isinstance(target, DatasetTarget):
         ds = target.dataset
         if not len(ds):
             raise ValueError(f"task {ds.task_id} has no records to deploy against")
-        pool = target.pool if target.pool is not None else dataset_pool(model, ds)
         rewards = ds.rewards()
         if rewards.max() < threshold:
             raise ValueError(
                 f"task {ds.task_id}: no recorded reward reaches the threshold {threshold:.3g} "
                 f"(max is {rewards.max():.3g})"
             )
+        if scorer.kind == "random":
+            return _random_dataset_episode(ds, rng, threshold, budget)
+        pool = target.pool if target.pool is not None else dataset_pool(model, ds)
         task_id, actions = ds.task_id, ds.actions
         allowed = np.ones(len(ds), dtype=bool)
         failed = []

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ModelConfig, TrainConfig
+from .config import ModelConfig, TrainConfig, seed_sequence
 from .errors import ConfigError
 from .gp import DeepGpModel, _sqdist, nlml_grad
 from .nnet import (
@@ -214,7 +214,7 @@ def train_mean(datasets, seed, model_cfg: ModelConfig = ModelConfig(), train_cfg
     n = X.shape[0]
     if n < 2:
         raise ValueError("mean training needs at least two records")
-    ss = np.random.SeedSequence([int(seed) & 0xFFFFFFFF, 0x3EA0])
+    ss = seed_sequence(seed, 0x3EA0)
     init_ss, split_ss, batch_ss = ss.spawn(3)
     rng_split = np.random.default_rng(split_ss)
     rng_batch = np.random.default_rng(batch_ss)
@@ -269,7 +269,7 @@ def train_mean_only(datasets, seed=0, model_cfg: ModelConfig = ModelConfig(), tr
     X, y = _pool_training_data(datasets)
     specs = _specs(model_cfg, X.shape[1])
     feature_spec, _, kernel_spec = specs
-    kernel = init_params(kernel_spec, np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, 0x6E51])))
+    kernel = init_params(kernel_spec, np.random.default_rng(seed_sequence(seed, 0x6E51)))
     emb = forward_batch(kernel_spec, kernel, forward_batch(feature_spec, res.feature_params, X[:256]))
     model = _model(
         specs, res.feature_params, res.mean_params, kernel,
@@ -292,7 +292,7 @@ def make_fold_splits(datasets, folds: int, seed) -> list:
         raise ValueError("need at least two folds")
     if folds > len(materials):
         raise ValueError(f"cannot split {len(materials)} materials into {folds} folds")
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, 0xF01D]))
+    rng = np.random.default_rng(seed_sequence(seed, 0xF01D))
     order = list(rng.permutation(materials))
     buckets = [set() for _ in range(folds)]
     for i, mat in enumerate(order):
@@ -314,7 +314,7 @@ def build_residual_dataset(splits, datasets, seed, model_cfg: ModelConfig = Mode
     and each fold's MeanResult by fold index.
     """
     by_id = {ds.task_id: ds for ds in datasets}
-    ss = np.random.SeedSequence([int(seed) & 0xFFFFFFFF, 0x2E51D])
+    ss = seed_sequence(seed, 0x2E51D)
     # one seed for every fold: shared initialization keeps the fold feature
     # spaces aligned, so the kernel head trained against them transfers
     fold_seed = int(ss.generate_state(1)[0])
@@ -453,7 +453,7 @@ def train_kernel_codega(residuals: tuple, fold_checkpoints: dict, seed, model_cf
 
     pooled = np.concatenate([g.residuals for g in groups])
     _, sigma = _standardizer(pooled)
-    ss = np.random.SeedSequence([int(seed) & 0xFFFFFFFF, 0x6E51])
+    ss = seed_sequence(seed, 0x6E51)
     init_ss, batch_ss = ss.spawn(2)
     kernel = init_params(kernel_spec, np.random.default_rng(init_ss))
 
@@ -480,14 +480,14 @@ def train_codega(datasets, seed=0, model_cfg: ModelConfig = ModelConfig(), train
     model pairs the final mean and extractor with the residual-trained
     kernel head.
     """
-    ss = np.random.SeedSequence([int(seed) & 0xFFFFFFFF, 0xC0DE6A])
+    ss = seed_sequence(seed, 0xC0DE6A)
     seeds = [int(c.generate_state(1)[0]) for c in ss.spawn(4)]
     splits = make_fold_splits(datasets, train_cfg.folds, seeds[0])
     residuals, checkpoints = build_residual_dataset(splits, datasets, seeds[1], model_cfg, train_cfg)
     kernel = train_kernel_codega(residuals, checkpoints, seeds[2], model_cfg, train_cfg)
     # the final mean re-uses the fold-mean seed so its extractor starts from
     # the same initialization the kernel head was trained against
-    mean_seed = int(np.random.SeedSequence([seeds[1] & 0xFFFFFFFF, 0x2E51D]).generate_state(1)[0])
+    mean_seed = int(seed_sequence(seeds[1], 0x2E51D).generate_state(1)[0])
     final = train_mean(datasets, mean_seed, model_cfg, train_cfg, label="final-mean")
     model = _model(_specs(model_cfg, datasets[0].feature_dim + 2), final.feature_params, final.mean_params,
                    kernel.kernel_params, **{h: getattr(kernel, h) for h in _HYPER_NAMES})
@@ -514,7 +514,7 @@ def train_dkmt(datasets, seed=0, model_cfg: ModelConfig = ModelConfig(), train_c
     specs = _specs(model_cfg, X_all.shape[1])
     feature_spec, mean_spec, kernel_spec = specs
 
-    ss = np.random.SeedSequence([int(seed) & 0xFFFFFFFF, 0xD6A7])
+    ss = seed_sequence(seed, 0xD6A7)
     init_ss, batch_ss = ss.spawn(2)
     rng_init = np.random.default_rng(init_ss)
     init = {name: init_params(spec, rng_init) for name, spec in zip(("feat", "mean", "kernel"), specs)}

@@ -7,18 +7,23 @@ controlled by rho. Terrains compose one to three materials over a
 0.9 m x 0.6 m tray under four layouts; rewards come from a noisy oracle
 over scooped volume in cm^3. Datasets round-trip through a canonical
 plain-text format, one file per dataset: each task's header line, then
-one line per record.
+one line per record. The reader parses each task's record lines as one
+block in one C call, and grids sampled at the same points share one set
+of bilinear interpolation weights.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
 from scipy.special import expit
 
+from .config import seed_sequence
 from .errors import IngestError, SerializationError
 from .serialize import open_file, read_container, write_atomic, write_container
 
@@ -382,17 +387,27 @@ def generate_task(task_id: str, materials, composition: str, seed) -> TerrainTas
     )
 
 
-def _bilinear(grid: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Sample a cell-centered grid at metric points, clamped at the borders."""
-    H, W = grid.shape
+def _bilinear_weights(shape, xs: np.ndarray, ys: np.ndarray) -> tuple:
+    """The interpolation weights of metric points on a cell-centered grid of
+    shape (H, W), clamped at the borders: each point's top-left neighbour
+    as a flat index j0 * W + i0, and its fractional offsets fu and fv. They
+    depend only on the points, so grids of one shape share them."""
+    H, W = shape
     u = np.clip(xs / CELL - 0.5, 0.0, W - 1.0)
     v = np.clip(ys / CELL - 0.5, 0.0, H - 1.0)
     i0 = np.clip(np.floor(u).astype(int), 0, W - 2)
     j0 = np.clip(np.floor(v).astype(int), 0, H - 2)
-    fu = u - i0
-    fv = v - j0
-    top = grid[j0, i0] * (1 - fu) + grid[j0, i0 + 1] * fu
-    bot = grid[j0 + 1, i0] * (1 - fu) + grid[j0 + 1, i0 + 1] * fu
+    return j0 * W + i0, u - i0, v - j0
+
+
+def _bilinear(grid: np.ndarray, weights: tuple) -> np.ndarray:
+    """Sample a cell-centered grid at the points of _bilinear_weights, read
+    by flat index from the raveled grid."""
+    flat, fu, fv = weights
+    W = grid.shape[1]
+    g = grid.ravel()
+    top = g[flat] * (1 - fu) + g[flat + 1] * fu
+    bot = g[flat + W] * (1 - fu) + g[flat + W + 1] * fu
     return top * (1 - fv) + bot * fv
 
 
@@ -434,6 +449,7 @@ def compute_features_batch(task: TerrainTask, actions, *, gradient=None) -> np.n
     """
     P = PATCH_CELLS
     gy, gx = np.gradient(task.heightmap, CELL) if gradient is None else gradient
+    shape = task.heightmap.shape
     app = np.stack([m.appearance for m in task.materials])
 
     us = np.linspace(0.0, PATCH_EXTENT, P)
@@ -448,17 +464,18 @@ def compute_features_batch(task: TerrainTask, actions, *, gradient=None) -> np.n
         rows = slice(start, start + FEATURE_BLOCK)
         x, y = xs[rows, None], ys[rows, None]
         c, s = _YAW_COS[yaws[rows], None], _YAW_SIN[yaws[rows], None]
-        px = x + UU * c - VV * s
-        py = y + UU * s + VV * c
-        h_patch = _bilinear(task.heightmap, px, py)
-        gx_p = _bilinear(gx, px, py)
-        gy_p = _bilinear(gy, px, py)
+        patch = _bilinear_weights(shape, x + UU * c - VV * s, y + UU * s + VV * c)
+        h_patch = _bilinear(task.heightmap, patch)
+        gx_p = _bilinear(gx, patch)
+        gy_p = _bilinear(gy, patch)
 
         line_x = x + us * c
         line_y = y + us * s
-        h0 = _bilinear(task.heightmap, x, y)
-        relief = _bilinear(task.heightmap, line_x, line_y) - h0
-        g_along = _bilinear(gx, line_x, line_y) * c + _bilinear(gy, line_x, line_y) * s
+        line = _bilinear_weights(shape, line_x, line_y)
+        h_line = _bilinear(task.heightmap, line)
+        # the line starts at the scoop start (us[0] is 0), so its first height is h0
+        relief = h_line - h_line[:, :1]
+        g_along = _bilinear(gx, line) * c + _bilinear(gy, line) * s
 
         drag = _cells(task.region_map.shape, line_x[:, :drag_cells], line_y[:, :drag_cells])
         surf = app[task.region_map[drag]]
@@ -512,7 +529,8 @@ def reward_oracle(task: TerrainTask, actions, rng=None, *, gradient=None) -> np.
         index = np.where(depth > HIDDEN_DEPTH, task.hidden_map[rows, cols], index)
     gain, jam, depth_sens, slope_pref = np.stack([m.latent for m in task.materials])[index].T
     gy, gx = np.gradient(task.heightmap, CELL) if gradient is None else gradient
-    g_along = _bilinear(gx, mx, my) * c + _bilinear(gy, mx, my) * s
+    mid = _bilinear_weights(task.heightmap.shape, mx, my)
+    g_along = _bilinear(gx, mid) * c + _bilinear(gy, mid) * s
 
     dn = _depth_norm(depth)
     volume_full = depth * DRAG_LEN * SCOOP_W * 1e6
@@ -648,7 +666,7 @@ def sample_task_family(pool: MaterialPool, n_tasks: int, records_per_task: int, 
     """
     if len(pool.training) < 2:
         raise ValueError("training pool needs at least two materials")
-    ss = np.random.SeedSequence([int(seed) & 0xFFFFFFFF, 0x7A5C5])
+    ss = seed_sequence(seed, 0x7A5C5)
     rng = np.random.default_rng(ss)
     counts = _allocate(n_tasks, OFFLINE_MIX)
     comps = ["single"] * counts[0] + ["partition"] * counts[1] + ["mixture"] * counts[2]
@@ -673,7 +691,7 @@ def sample_ood_test_family(pool: MaterialPool, n_tasks: int, records_per_task: i
     """
     if not pool.ood:
         raise ValueError("material pool has no OOD materials")
-    ss = np.random.SeedSequence([int(seed) & 0xFFFFFFFF, 0x7E575])
+    ss = seed_sequence(seed, 0x7E575)
     rng = np.random.default_rng(ss)
     tasks = []
     datasets = []
@@ -725,15 +743,42 @@ def _task_lines(ds):
     yield from (formats[h] % tuple(row) for h, row in zip(hard, rows))
 
 
+def _check_header_fields(ds, seen: set) -> None:
+    """Raise ValueError naming the task unless read_database reads its header
+    line back: a known composition, a task id not in seen (the ids before
+    it) and material ids without commas, the id and the comma-joined
+    material ids each one non-empty token without whitespace."""
+    mats = ",".join(ds.material_ids)
+    if ds.composition not in COMPOSITIONS:
+        fault = f"composition {ds.composition!r} is not one of {COMPOSITIONS}"
+    elif ds.task_id.split() != [ds.task_id]:
+        fault = "the task id is not one non-empty token without whitespace"
+    elif ds.task_id in seen:
+        fault = "the task id is a duplicate"
+    elif any("," in m for m in ds.material_ids):
+        fault = f"a material id of {ds.material_ids!r} contains ','"
+    elif mats.split() != [mats]:
+        fault = f"material ids {mats!r} are not one non-empty token without whitespace"
+    else:
+        seen.add(ds.task_id)
+        return
+    raise ValueError(f"task {ds.task_id!r}: {fault}, so its records file could not be read back")
+
+
 def write_database(prefix: str, datasets) -> tuple:
     """Write datasets to {prefix}.records.txt in one atomic write and return
     (records_path,). Lines are formatted and written one at a time, so only
-    one task's numbers are held as Python values at once."""
+    one task's numbers are held as Python values at once. Each task's header
+    fields are checked before its lines are formatted; a task that the
+    reader would reject raises ValueError, and the atomic write leaves no
+    file."""
     records_path = prefix + RECORDS_SUFFIX
+    seen = set()
 
     def lines():
         yield RECORDS_HEADER + "\n"
         for ds in datasets:
+            _check_header_fields(ds, seen)
             yield from _task_lines(ds)
 
     write_atomic({records_path: lines()})
@@ -757,16 +802,6 @@ def _raise_unparsed(parts: list, path: str, line: int) -> None:
         _parse_number(float, token, path, line, "features")
 
 
-def _text_fields(fh, path: str):
-    """(line number, whitespace-separated fields) for each line of an open
-    UTF-8 text file, read one at a time."""
-    try:
-        for lineno, raw in enumerate(fh, start=1):
-            yield lineno, raw.split()
-    except UnicodeDecodeError as exc:
-        raise IngestError(f"file is not UTF-8 text: {exc}", path) from None
-
-
 def _task_header(parts: list, path: str, line: int, seen: set) -> tuple:
     """task_id, composition, material_ids token, n_records and feature_dim of
     a task header line; seen holds the task ids of the lines before it."""
@@ -784,6 +819,59 @@ def _task_header(parts: list, path: str, line: int, seen: set) -> tuple:
     return task_id, comp, mats, _parse_number(int, n_records, path, line, "n_records"), feature_dim
 
 
+def _yaw_value(token: str) -> float:
+    int(token)  # a yaw index is an integer token; "5.0" is not one
+    return float(token)
+
+
+# the C parse of a record block: float columns, with the yaw index checked as
+# an integer and the stiffness level turned into its bit (a KeyError there
+# reaches the caller as loadtxt's ValueError)
+_RECORD_CONVERTERS = {2: _yaw_value, 4: _STIFFNESS_BITS.__getitem__}
+
+
+def _block_table(block: list, n_records: int, feature_dim: int):
+    """A task's record lines parsed in one np.loadtxt call, as its (n_records,
+    6 + feature_dim) table, or None when the C parse refuses them or gives
+    another shape (a blank line, which loadtxt skips, or a short block)."""
+    if len(block) != n_records or not n_records:  # loadtxt warns on no lines
+        return None
+    try:
+        table = np.loadtxt(block, dtype=np.float64, comments=None, ndmin=2, converters=_RECORD_CONVERTERS)
+    except ValueError:
+        return None
+    return table if table.shape == (n_records, 6 + feature_dim) else None
+
+
+def _parse_records(block: list, task_id: str, n_records: int, feature_dim: int, path: str,
+                   header_line: int) -> np.ndarray:
+    """A task's record lines, which follow its header line, parsed one at a
+    time, for a block the C parse refuses: the table, or the IngestError
+    naming the line and field at fault."""
+    numbers, rows = array("d"), 0
+    for lineno, line in enumerate(block, start=header_line + 1):
+        parts = line.split()
+        if parts[:1] == ["task"]:
+            break
+        if len(parts) - 6 != feature_dim:
+            raise IngestError(f"feature count {len(parts) - 6} does not match the header's dim {feature_dim}",
+                              path, lineno, "features")
+        bit = _STIFFNESS_BITS.get(parts[4])
+        if bit is None:
+            raise IngestError(_ACTION_MESSAGES[3].format(stiffness=parts[4]), path, lineno, "action")
+        parts[4] = bit  # float() passes it through
+        try:
+            int(parts[2])
+            numbers.extend(map(float, parts))
+        except ValueError:
+            _raise_unparsed(parts, path, lineno)
+        rows += 1
+    if rows != n_records:
+        raise IngestError(f"task {task_id} has {rows} records, its header declares {n_records}",
+                          path, header_line, "n_records")
+    return np.frombuffer(numbers).reshape(rows, 6 + feature_dim) if rows else np.empty((0, 6))
+
+
 def read_database(path: str) -> list:
     """Read datasets back from a records file (or its prefix).
 
@@ -791,51 +879,45 @@ def read_database(path: str) -> list:
     header line, `task <task_id> <composition> <material_ids> <n_records>
     <feature_dim>`, followed by exactly n_records record lines, `x y
     yaw_index depth stiffness reward features...`. Any violation raises
-    IngestError naming the file, line and field. Each record's numbers go
-    into its task's buffer in one conversion; the range rules are checked
-    per task on the columns, and a row that breaks one is reported at its
-    line.
+    IngestError naming the file, line and field.
+
+    A task's record lines are read as one block, the unit of memory, and
+    parsed in one np.loadtxt call. A block the C parse refuses (a short
+    block, a blank or header line inside it, a bad token, or a number
+    only Python's float() reads, such as "1_0") is parsed again line by
+    line, which gives the same values or the IngestError at fault. The
+    range rules are checked per task on the columns, and a row that breaks
+    one is reported at its line.
     """
     path = path if path.endswith(RECORDS_SUFFIX) else path + RECORDS_SUFFIX
     datasets, seen = [], set()
     with open_file(path, "records file", IngestError, "r", encoding="utf-8") as fh:
-        lines = _text_fields(fh, path)
-        _, first = next(lines, (1, []))
-        if first != RECORDS_HEADER.split():
-            raise IngestError(f"first line {' '.join(first)!r} is not {RECORDS_HEADER!r}: "
-                              "only records format v2 is read", path, 1)
-        for header_line, parts in lines:
-            if parts[:1] != ["task"]:
-                after = f" after the {len(datasets[-1])} records of task {datasets[-1].task_id}" if datasets else ""
-                raise IngestError(f"expected a task header line{after}", path, header_line)
-            task_id, comp, mats, n_records, feature_dim = _task_header(parts, path, header_line, seen)
-            numbers, rows = array("d"), 0
-            # zip takes from the range first, so it stops at the count without reading the next line
-            for _, (lineno, parts) in zip(range(n_records), lines):
-                if parts[:1] == ["task"]:
-                    break
-                if len(parts) - 6 != feature_dim:
-                    raise IngestError(f"feature count {len(parts) - 6} does not match the header's dim {feature_dim}",
-                                      path, lineno, "features")
-                bit = _STIFFNESS_BITS.get(parts[4])
-                if bit is None:
-                    raise IngestError(_ACTION_MESSAGES[3].format(stiffness=parts[4]), path, lineno, "action")
-                parts[4] = bit  # float() passes it through
+        try:
+            first = fh.readline().split()
+            if first != RECORDS_HEADER.split():
+                raise IngestError(f"first line {' '.join(first)!r} is not {RECORDS_HEADER!r}: "
+                                  "only records format v2 is read", path, 1)
+            header_line = 1
+            for line in fh:
+                header_line += 1
+                parts = line.split()
+                if parts[:1] != ["task"]:
+                    after = f" after the {len(datasets[-1])} records of task {datasets[-1].task_id}" if datasets else ""
+                    raise IngestError(f"expected a task header line{after}", path, header_line)
+                task_id, comp, mats, n_records, feature_dim = _task_header(parts, path, header_line, seen)
+                block = list(islice(fh, min(max(n_records, 0), sys.maxsize)))
+                table = _block_table(block, n_records, feature_dim)
+                if table is None:
+                    table = _parse_records(block, task_id, n_records, feature_dim, path, header_line)
+                # columns x, y, yaw_index, depth, stiffness bit, reward, features
                 try:
-                    int(parts[2])
-                    numbers.extend(map(float, parts))
-                except ValueError:
-                    _raise_unparsed(parts, path, lineno)
-                rows += 1
-            if rows != n_records:
-                raise IngestError(f"task {task_id} has {rows} records, its header declares {n_records}",
-                                  path, header_line, "n_records")
-            # columns x, y, yaw_index, depth, stiffness bit, reward, features
-            table = np.frombuffer(numbers).reshape(rows, 6 + feature_dim) if rows else np.empty((0, 6))
-            try:
-                datasets.append(TaskDataset(task_id, comp, mats.split(","), table[:, :5], table[:, 5], table[:, 6:]))
-            except _RowError as exc:
-                raise IngestError(str(exc), path, header_line + 1 + exc.row, exc.field) from exc
+                    datasets.append(TaskDataset(task_id, comp, mats.split(","), table[:, :5], table[:, 5],
+                                                table[:, 6:]))
+                except _RowError as exc:
+                    raise IngestError(str(exc), path, header_line + 1 + exc.row, exc.field) from exc
+                header_line += len(block)
+        except UnicodeDecodeError as exc:
+            raise IngestError(f"file is not UTF-8 text: {exc}", path) from None
     if not any(len(ds) for ds in datasets):
         raise IngestError("dataset is empty", path)
     return datasets

@@ -55,7 +55,6 @@ from scoopgp.tasks import (
     Material,
     TaskDataset,
     TerrainTask,
-    _bilinear,
     _parse_number,
 )
 
@@ -205,6 +204,22 @@ def reference_feasible(action) -> bool:
     return bool(0.0 <= ex <= TRAY_W and 0.0 <= ey <= TRAY_H)
 
 
+def reference_bilinear(grid: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Sample a cell-centered grid at metric points, clamped at the borders:
+    tasks._bilinear as it was when each grid computed its own indices, the
+    reference the shared interpolation weights must reproduce bit for bit."""
+    H, W = grid.shape
+    u = np.clip(xs / CELL - 0.5, 0.0, W - 1.0)
+    v = np.clip(ys / CELL - 0.5, 0.0, H - 1.0)
+    i0 = np.clip(np.floor(u).astype(int), 0, W - 2)
+    j0 = np.clip(np.floor(v).astype(int), 0, H - 2)
+    fu = u - i0
+    fv = v - j0
+    top = grid[j0, i0] * (1 - fu) + grid[j0, i0 + 1] * fu
+    bot = grid[j0 + 1, i0] * (1 - fu) + grid[j0 + 1, i0 + 1] * fu
+    return top * (1 - fv) + bot * fv
+
+
 def reference_features(task: TerrainTask, actions) -> np.ndarray:
     """compute_features_batch as a per-action loop over action rows (x, y,
     yaw_index, depth, stiffness bit): the reference the blocked version
@@ -223,16 +238,16 @@ def reference_features(task: TerrainTask, actions) -> np.ndarray:
         c, s = np.cos(_yaw(action[2])), np.sin(_yaw(action[2]))
         px = x + UU * c - VV * s
         py = y + UU * s + VV * c
-        h_patch = _bilinear(task.heightmap, px.ravel(), py.ravel()).reshape(P, P)
-        gx_p = _bilinear(gx, px.ravel(), py.ravel())
-        gy_p = _bilinear(gy, px.ravel(), py.ravel())
+        h_patch = reference_bilinear(task.heightmap, px.ravel(), py.ravel()).reshape(P, P)
+        gx_p = reference_bilinear(gx, px.ravel(), py.ravel())
+        gy_p = reference_bilinear(gy, px.ravel(), py.ravel())
 
         line_x = x + us * c
         line_y = y + us * s
-        h0 = _bilinear(task.heightmap, np.array([x]), np.array([y]))[0]
-        relief = _bilinear(task.heightmap, line_x, line_y) - h0
-        g_along = (_bilinear(gx, line_x, line_y) * c
-                   + _bilinear(gy, line_x, line_y) * s)
+        h0 = reference_bilinear(task.heightmap, np.array([x]), np.array([y]))[0]
+        relief = reference_bilinear(task.heightmap, line_x, line_y) - h0
+        g_along = (reference_bilinear(gx, line_x, line_y) * c
+                   + reference_bilinear(gy, line_x, line_y) * s)
 
         drag_cells = int(np.ceil(DRAG_LEN / PATCH_EXTENT * (P - 1))) + 1
         rows_cols = [_cell_of(line_x[j], line_y[j], task.heightmap.shape) for j in range(drag_cells)]
@@ -284,8 +299,8 @@ def reference_reward(task: TerrainTask, action, rng=None, *, gradient=None) -> f
     mx, my = _drag_midpoint(action)
     yaw, depth = _yaw(action[2]), float(action[3])
     gy, gx = np.gradient(task.heightmap, CELL) if gradient is None else gradient
-    g_along = (_bilinear(gx, np.array([mx]), np.array([my]))[0] * np.cos(yaw)
-               + _bilinear(gy, np.array([mx]), np.array([my]))[0] * np.sin(yaw))
+    g_along = (reference_bilinear(gx, np.array([mx]), np.array([my]))[0] * np.cos(yaw)
+               + reference_bilinear(gy, np.array([mx]), np.array([my]))[0] * np.sin(yaw))
 
     dn = (depth - DEPTH_MIN) / (DEPTH_MAX - DEPTH_MIN)
     volume_full = depth * DRAG_LEN * SCOOP_W * 1e6

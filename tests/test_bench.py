@@ -26,7 +26,7 @@ from scoopgp.bench import (
     write_deploy_report,
     write_mae_report,
 )
-from scoopgp.config import RunConfig, apply_overrides
+from scoopgp.config import RunConfig, apply_overrides, seed_sequence
 from scoopgp.decide import ScorerConfig, dataset_pool, run_deployment
 from scoopgp.errors import ConfigError, IngestError
 from scoopgp.gp import DeepGpModel, checkpoint_id, condition, embed, posterior_batch
@@ -72,6 +72,23 @@ def test_query_split_is_deterministic_and_partitions():
 
     q, p = query_split(seed=0, task_id="t", trial=0, n_records=2)
     assert len(q) == 1 and len(p) == 1
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, -1, 2 ** 40 + 5])
+def test_seed_words_give_the_list_forms_entropy_and_draws(seed):
+    # every seeding site builds its SeedSequence from one uint32 array; the
+    # list form it replaced must give the same pool, state, draws and children
+    for words in [(), (0x9E41,), (0xDE9107,), (2 ** 32 - 1, 0, 7), (0x51A9, 2 ** 32 - 1, 59, 0x9E41)]:
+        fast, listed = seed_sequence(seed, *words), np.random.SeedSequence([int(seed) & 0xFFFFFFFF, *words])
+        assert np.array_equal(fast.pool, listed.pool)
+        assert np.array_equal(fast.generate_state(4), listed.generate_state(4))
+        assert np.array_equal(np.random.default_rng(fast).permutation(100),
+                              np.random.default_rng(listed).permutation(100))
+        for a, b in zip(fast.spawn(3), listed.spawn(3)):
+            assert np.array_equal(a.generate_state(2), b.generate_state(2))
+    for word in (-1, 2 ** 32, 2 ** 64, np.int64(-1)):
+        with pytest.raises(ValueError, match="outside"):
+            seed_sequence(seed, 1, word)
 
 
 def test_support_order_shuffles_the_pool():

@@ -254,6 +254,29 @@ def test_dataset_episodes_equal_the_reference_loop(world, codega_result, kind):
             assert trace.to_text() == ref.to_text()
 
 
+@pytest.mark.parametrize("budget", [1, 3, 40])
+def test_random_dataset_episodes_draw_once_and_equal_the_per_step_reference(budget):
+    # one draw of every step's scores against the reference's rng.random(n)
+    # per step and its select_action: at budget 1, below the record count,
+    # and at a budget past it, where the pool runs out before the budget
+    rewards = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0]
+    ds = _deploy_dataset(rewards)
+    target, scorer = DatasetTarget(ds), ScorerConfig(kind="random")
+    attempts = set()
+    for seed in range(40):
+        trace = run_deployment(None, scorer, target, 9.0, budget, seed)
+        ref = reference_dataset_deployment(None, scorer, target, 9.0, budget, seed)
+        assert trace.to_text() == ref.to_text()
+        assert [(e.score, e.reward, e.support_size) for e in trace.episodes] == \
+            [(e.score, e.reward, e.support_size) for e in ref.episodes]
+        assert len({e.index for e in trace.episodes}) == trace.attempts
+        attempts.add(trace.attempts)
+    assert max(attempts) == min(budget, len(ds))
+    if budget > len(ds):
+        # an episode that tried every record succeeded on the last one
+        assert len(ds) in attempts
+
+
 def test_budget_caps_the_episode_count():
     rewards = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 100.0]
     ds = _deploy_dataset(rewards)

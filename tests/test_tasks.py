@@ -1,6 +1,7 @@
 """Synthetic world: materials, terrains, rewards, families, dataset files."""
 
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from scipy.optimize import linprog
 from scoopgp.config import GenConfig
 from scoopgp.errors import IngestError, SerializationError
 import scoopgp.serialize
+import scoopgp.tasks
 from scoopgp.serialize import container_bytes, read_container, write_container
 from scoopgp.tasks import (
     APPEARANCE_DIM,
@@ -629,6 +631,145 @@ def test_read_database_columns_equal_the_reference_reader(tmp_path, world):
         write_database(prefix, sets)
         datasets = read_database(prefix)
         assert_columns_equal_reference(datasets, reference_read_database(prefix))
+
+
+# a records file to mutate: two tasks of two features, the first line of each task at lines 2 and 6
+_RECORD_LINES = [
+    "# scoopgp records v2\n",
+    "task a single m1 3 2\n",
+    "0.1 0.2 3 0.05 soft 12.5 1.0 2.0\n",
+    "0.3 0.25 0 0.04 hard 7 -0.5 3e-2\n",
+    "0.5 0.3 7 0.06 soft 0 0 0\n",
+    "task b mixture m1,m2 2 2\n",
+    "0.2 0.2 1 0.05 hard 4.5 1 1\n",
+    "0.4 0.1 2 0.03 soft 6 2 2\n",
+]
+
+
+def _token(line: int, column: int, token: str):
+    def edit(lines):
+        parts = lines[line].split()
+        parts[column] = token
+        lines[line] = " ".join(parts) + "\n"
+    return edit
+
+
+def _insert(line: int, text: str):
+    return lambda lines: lines.insert(line, text)
+
+
+def _separators(line: int, sep: str):
+    def edit(lines):
+        lines[line] = sep.join(lines[line].split()) + "\n"
+    return edit
+
+
+# (case, edit, the (line, field) of the IngestError or None when the file reads)
+_READER_CASES = [
+    ("valid", lambda lines: None, None),
+    ("underscore digits", _token(2, 5, "1_0"), None),
+    ("arabic-indic digits", _token(3, 7, "٣.٥"), None),
+    ("arabic-indic yaw", _token(3, 2, "٣"), None),
+    ("fullwidth digit", _token(6, 6, "０"), None),
+    ("yaw 5.0", _token(2, 2, "5.0"), (3, "yaw_index")),
+    ("yaw -0", _token(4, 2, "-0"), None),
+    ("hash token", _token(3, 6, "#"), (4, "features")),
+    ("hash comment", lambda lines: lines.__setitem__(3, lines[3].rstrip("\n") + " # note\n"), (4, "features")),
+    ("bad stiffness", _token(7, 4, "squishy"), (8, "action")),
+    ("blank line in a block", _insert(3, "\n"), (4, "features")),
+    ("blank line of spaces in a block", _insert(6, "   \n"), (7, "features")),
+    ("task line in a block", _insert(3, "task c single m1 0 2\n"), (2, "n_records")),
+    ("block cut short by EOF", lambda lines: lines.pop(), (6, "n_records")),
+    ("zero-record task", _insert(5, "task z layers m3 0 2\n"), None),
+    ("zero-record task at the end", _insert(8, "task z single m3 0 0\n"), None),
+    ("tab separators", _separators(2, "\t"), None),
+    ("form-feed separators", _separators(6, "\x0c"), None),
+    ("mixed separators", _separators(4, " \t\x0b\x1f\xa0"), None),
+    ("one record of another width", _token(4, 7, "1 2"), (5, "features")),
+    ("every record of another width", lambda lines: lines.__setitem__(
+        slice(6, 8), [line.rstrip("\n") + " 9\n" for line in lines[6:8]]), (7, "features")),
+]
+
+
+# the readable cases whose numbers only Python's float() reads, so a block goes line by line
+_PYTHON_ONLY_NUMBERS = {"underscore digits", "arabic-indic digits", "fullwidth digit"}
+
+
+@pytest.mark.parametrize("case, edit, fault", _READER_CASES, ids=[c[0] for c in _READER_CASES])
+def test_read_database_blocks_equal_the_reference_reader(tmp_path, monkeypatch, case, edit, fault):
+    """Each task's block is parsed in one C call, or line by line when the C
+    parse refuses it; either way the values, or the IngestError's line and
+    field, are the record-at-a-time reference reader's."""
+    lines = list(_RECORD_LINES)
+    edit(lines)
+    path = tmp_path / "db.records.txt"
+    path.write_text("".join(lines), encoding="utf-8")
+    line_by_line = []
+    parse_records = scoopgp.tasks._parse_records
+    monkeypatch.setattr(scoopgp.tasks, "_parse_records",
+                        lambda block, *args: line_by_line.append(len(block)) or parse_records(block, *args))
+    if fault is not None:
+        for reader in (read_database, reference_read_database):
+            with pytest.raises(IngestError) as info:
+                reader(str(path))
+            assert (info.value.line, info.value.field) == fault, reader.__name__
+        return
+    datasets = read_database(str(path))
+    assert_columns_equal_reference(datasets, reference_read_database(str(path)))
+    # a block of records goes line by line only for a number that float() alone reads
+    # (a zero-record block does too, since loadtxt is not given an empty block)
+    assert any(line_by_line) == (case in _PYTHON_ONLY_NUMBERS)
+    if case == "yaw -0":
+        # as float("-0") reads it; array_equal does not tell the zeros apart
+        assert np.signbit(datasets[0].actions[2, 2])
+
+
+def test_shared_interpolation_weights_equal_per_grid_interpolation(world):
+    # random placements over and past the tray, and points on its clamped
+    # border, against the per-action references built on the per-grid _bilinear
+    rng = np.random.default_rng(17)
+    n = 300
+    scattered = np.column_stack([rng.uniform(-0.1, TRAY_W + 0.1, n), rng.uniform(-0.1, TRAY_H + 0.1, n),
+                                 rng.integers(0, N_YAWS, n), rng.uniform(DEPTH_MIN, DEPTH_MAX, n),
+                                 rng.integers(0, 2, n)])
+    edges_x = (-0.1, 0.0, 0.5 * CELL, TRAY_W - 0.5 * CELL, TRAY_W, TRAY_W + 0.1)
+    edges_y = (-0.1, 0.0, 0.5 * CELL, TRAY_H - 0.5 * CELL, TRAY_H, TRAY_H + 0.1)
+    border = np.array([(x, y, k, DEPTH_MAX, k % 2) for x in edges_x for y in edges_y for k in range(N_YAWS)])
+    actions = np.concatenate([scattered, border])
+    for task in {t.composition: t for t in world.train_tasks + world.test_tasks}.values():
+        assert np.array_equal(compute_features_batch(task, actions), reference_features(task, actions))
+        assert np.array_equal(reward_oracle(task, actions), [reference_reward(task, a) for a in actions])
+
+
+@pytest.mark.parametrize("task_id, composition, materials, match", [
+    ("a b", "single", ("m1",), "task id"),
+    ("", "single", ("m1",), "task id"),
+    ("a\xa0b", "single", ("m1",), "task id"),
+    ("t", "marble", ("m1",), "composition 'marble'"),
+    ("t", "single", ("m 1",), "material ids"),
+    ("t", "single", ("",), "material ids"),
+    ("t", "mixture", ("m1", "m\t2"), "material ids"),
+    ("t", "mixture", ("m1", "m,2"), "contains ','"),
+    ("good", "single", ("m1",), "duplicate"),
+])
+def test_write_database_refuses_header_fields_the_reader_would_reject(tmp_path, task_id, composition,
+                                                                     materials, match):
+    good = toy_dataset("good", [[1.0], [2.0]], [3.0, 4.0])
+    bad = toy_dataset(task_id, [[1.0]], [2.0], composition, materials)
+    with pytest.raises(ValueError, match=f"task {re.escape(repr(task_id))}: .*{match}"):
+        write_database(str(tmp_path / "db"), [good, bad])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_ids_with_other_punctuation_round_trip(tmp_path):
+    ids = [("t-1.a_b:c/d'e\"f(g)[h]{i}", ("m.1", "m-2;x")), ("ü#7=+", ("mat|ü", "m@3", "#")),
+           ("task", ("task",))]
+    written = [toy_dataset(task_id, [[0.5, 1.5]], [2.0], "partition" if len(mats) == 2 else "single", mats)
+               for task_id, mats in ids]
+    write_database(str(tmp_path / "db"), written)
+    back = read_database(str(tmp_path / "db"))
+    assert [(ds.task_id, ds.material_ids) for ds in back] == ids
+    assert_columns_equal_reference(back, reference_read_database(str(tmp_path / "db")))
 
 
 def test_ingest_reports_global_statistics(tmp_path, world):
