@@ -21,7 +21,7 @@ if os.environ.get("SCOOPGP_THREADS"):
 from .bench import (DeployReport, MaeReport, eval_kshot_mae, eval_simulated_deployment,
                     mean_model_mae, paired_sign_test)
 from .config import BenchConfig, GenConfig, ModelConfig, RunConfig, TrainConfig, load_config
-from .decide import DatasetTarget, LiveTarget, ScorerConfig, run_deployment
+from .decide import SCORER_KINDS, UCB_GAMMA, run_deployment
 from .errors import (ConfigError, IngestError, NumericalError, ScoopGpError, SelectionError,
                      SerializationError, ShapeError)
 from .gp import DeepGpModel, checkpoint_id, load_model, nlml, nlml_grad, posterior_batch, save_model
@@ -35,12 +35,12 @@ from .tasks import (Material, MaterialPool, TaskDataset, TerrainTask,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchConfig", "CodegaResult", "ConfigError", "DatasetTarget", "DeepGpModel",
-    "DeployReport", "GenConfig", "IngestError", "LiveTarget", "MaeReport",
+    "BenchConfig", "CodegaResult", "ConfigError", "DeepGpModel",
+    "DeployReport", "GenConfig", "IngestError", "MaeReport",
     "Material", "MaterialPool", "ModelConfig", "ModelResult", "NetworkSpec", "NumericalError",
     "ParamVector", "RunConfig", "ScoopGpError",
-    "ScorerConfig", "SelectionError", "SerializationError", "ShapeError",
-    "TaskDataset", "TerrainTask", "TrainConfig", "checkpoint_id",
+    "SCORER_KINDS", "SelectionError", "SerializationError", "ShapeError",
+    "TaskDataset", "TerrainTask", "TrainConfig", "UCB_GAMMA", "checkpoint_id",
     "enumerate_action_grid", "eval_kshot_mae", "eval_simulated_deployment",
     "generate_materials", "generate_task", "ingest_released_dataset", "load_config",
     "load_model", "mean_model_mae", "nlml", "nlml_grad",

@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import check_shots, seed_sequence
-from .decide import DatasetTarget, ScorerConfig, dataset_pool, run_deployment
+from .config import BenchConfig, check_shots, seed_sequence
+from .decide import run_deployment
 from .errors import IngestError
 from .gp import (DeepGpModel, checkpoint_id, condition_gram, embed, kernel_matrix, mean_eval_batch,
                  posterior_batch)
@@ -26,8 +26,12 @@ from .serialize import write_atomic
 
 # share of each task's records held out as queries in every evaluation trial
 QUERY_FRACTION = 0.8
+TOP_K = 5               # the top MAE averages over each trial's TOP_K largest-reward queries
+THRESHOLD_RANK = 5      # a task's deployment threshold is its THRESHOLD_RANK-th largest reward
 _QUERY_TAG = 0x9E41
 _SUPPORT_TAG = 0x51A9
+# the protocols' defaults are the config's, so each default has one source
+_DEFAULTS = BenchConfig()
 
 
 def _task_tag(task_id: str) -> int:
@@ -101,30 +105,30 @@ def _check_trials(trials: int) -> None:
         raise ValueError(f"trials must be at least 1, got {trials}")
 
 
-def _mae_rows(task_id: str, shots, mu: np.ndarray, yq: np.ndarray, top_k: int) -> list:
+def _mae_rows(task_id: str, shots, mu: np.ndarray, yq: np.ndarray) -> list:
     """One MaeRow per shot from every trial's query means in one pass.
 
     mu holds the query means, shaped (trials, shots, queries); yq the query
-    rewards, shaped (trials, queries). The top-k MAE averages over each
-    trial's top_k largest-reward queries. Each trial's errors are averaged
+    rewards, shaped (trials, queries). The top MAE averages over each
+    trial's TOP_K largest-reward queries. Each trial's errors are averaged
     over its queries, then the trials are summed in order and divided by
     their count.
     """
     err = np.abs(mu - yq[:, None, :])
-    top = np.take_along_axis(err, np.argsort(-yq, axis=1)[:, None, :top_k], axis=-1)
+    top = np.take_along_axis(err, np.argsort(-yq, axis=1)[:, None, :TOP_K], axis=-1)
     maes = np.cumsum(err.mean(axis=-1), axis=0)[-1] / len(mu)
     tops = np.cumsum(top.mean(axis=-1), axis=0)[-1] / len(mu)
     return [MaeRow(task_id, s, float(maes[i]), float(tops[i])) for i, s in enumerate(shots)]
 
 
-def eval_kshot_mae(model: DeepGpModel, datasets, shots=(0, 5, 10), trials: int = 30, seed: int = 0,
-                   top_k: int = 5) -> MaeReport:
+def eval_kshot_mae(model: DeepGpModel, datasets, shots=_DEFAULTS.shots, trials: int = _DEFAULTS.mae_trials,
+                   seed: int = 0) -> MaeReport:
     """k-shot reward prediction error per task.
 
     Each trial holds out a query fraction of the records; the support set
     is drawn from the remainder (prefixes of one shuffled order, so the
     supports nest across shots). MAE is averaged over the query set and,
-    separately, over its top_k largest-reward samples, then averaged over
+    separately, over its TOP_K largest-reward samples, then averaged over
     trials. Zero shots means the prior mean and is support-independent;
     when the largest shot is 0 only the mean path runs, with no kernel
     embedding and no Gram matrix.
@@ -178,7 +182,7 @@ def eval_kshot_mae(model: DeepGpModel, datasets, shots=(0, 5, 10), trials: int =
                 order, q = orders[trial], q_idx[trial]
                 for i, s in enumerate(shots):
                     mu[trial, i] = posterior_batch(model, E[order[:s]], y[order[:s]], E[q])[0]
-        rows += _mae_rows(ds.task_id, shots, mu, y[q_idx], top_k)
+        rows += _mae_rows(ds.task_id, shots, mu, y[q_idx])
     return MaeReport(
         label="kshot-mae",
         seed=int(seed),
@@ -189,11 +193,10 @@ def eval_kshot_mae(model: DeepGpModel, datasets, shots=(0, 5, 10), trials: int =
     )
 
 
-def mean_model_mae(model: DeepGpModel, datasets, trials: int = 30, seed: int = 0,
-                   top_k: int = 5) -> MaeReport:
+def mean_model_mae(model: DeepGpModel, datasets, trials: int = _DEFAULTS.mae_trials, seed: int = 0) -> MaeReport:
     """Prediction error of the prior mean alone: the 0-shot k-shot protocol,
     labelled "mean-only-mae". The non-adaptive reference: no support, no kernel."""
-    report = eval_kshot_mae(model, datasets, shots=(0,), trials=trials, seed=seed, top_k=top_k)
+    report = eval_kshot_mae(model, datasets, shots=(0,), trials=trials, seed=seed)
     return replace(report, label="mean-only-mae")
 
 
@@ -231,32 +234,31 @@ class DeployReport:
         return {(r.task_id, r.trial): r.attempts for r in self.rows}
 
 
-def deployment_threshold(dataset, rank: int = 5) -> float:
-    """The rank-th largest recorded reward (default: fifth)."""
+def deployment_threshold(dataset) -> float:
+    """The THRESHOLD_RANK-th largest recorded reward."""
     rewards = np.sort(dataset.rewards())
-    if len(rewards) < rank:
-        raise ValueError(f"task {dataset.task_id} has {len(rewards)} records, needs at least {rank}")
-    return float(rewards[-rank])
+    if len(rewards) < THRESHOLD_RANK:
+        raise ValueError(f"task {dataset.task_id} has {len(rewards)} records, needs at least {THRESHOLD_RANK}")
+    return float(rewards[-THRESHOLD_RANK])
 
 
-def eval_simulated_deployment(model, scorer: ScorerConfig, datasets, budget: int = 20, trials: int = 10,
-                              seed: int = 0, exclude_below: float = 5.0, threshold_rank: int = 5) -> DeployReport:
-    """Dataset-mode deployment of one model under one scorer, reported under
-    the scorer's kind.
+def eval_simulated_deployment(model, kind: str, datasets, budget: int = _DEFAULTS.budget,
+                              trials: int = _DEFAULTS.deploy_trials, seed: int = 0,
+                              exclude_below: float = _DEFAULTS.exclude_below) -> DeployReport:
+    """Dataset-mode deployment of one model under one scorer kind, reported
+    under that kind.
 
-    The per-task threshold is the fifth-largest recorded reward. Tasks
-    whose threshold falls below exclude_below are dropped (the barely
-    scoopable analog) and named in the report. Attempts count the episodes
-    run; a failed run counts the full budget. Each task's candidate rows
-    are built once and shared by its trials, embedded only for a scorer
-    that reads the model. A deterministic scorer's episode does not depend
-    on its seed, so it runs once per task and every trial's row repeats it;
-    random runs each trial with its own seed.
+    The per-task threshold is deployment_threshold's. Tasks whose
+    threshold falls below exclude_below are dropped (the barely scoopable
+    analog) and named in the report. Attempts count the episodes run; a
+    failed run counts the full budget. Only random draws from the seed in
+    a replayed episode, so a ucb or mean episode runs once per task and
+    every trial's row repeats it; random runs each trial with its own seed.
     """
     included = []
     excluded = []
     for ds in datasets:
-        B = deployment_threshold(ds, threshold_rank)
+        B = deployment_threshold(ds)
         if B < exclude_below:
             excluded.append(ds.task_id)
         else:
@@ -266,16 +268,15 @@ def eval_simulated_deployment(model, scorer: ScorerConfig, datasets, budget: int
 
     rows = []
     for ds, B in included:
-        target = DatasetTarget(ds, dataset_pool(None if scorer.kind == "random" else model, ds))
         trace = None
         for trial in range(trials):
-            if trace is None or not scorer.deterministic:
+            if trace is None or kind == "random":
                 # the 0 held a method's index when one call deployed several; it keeps every trial's seed
                 run_seed = seed_sequence(seed, _task_tag(ds.task_id), 0, trial).generate_state(1)[0]
-                trace = run_deployment(model, scorer, target, B, budget, int(run_seed))
+                trace = run_deployment(model, kind, ds, B, budget, int(run_seed))
             rows.append(DeployRow(ds.task_id, trial, trace.attempts, trace.success))
     return DeployReport(
-        method=scorer.kind,
+        method=kind,
         seed=int(seed),
         checkpoint=checkpoint_id(model) if model is not None else "none",
         budget=int(budget),

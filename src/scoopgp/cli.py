@@ -105,7 +105,7 @@ def _cmd_eval_mae(args) -> int:
 
 def _cmd_deploy(args) -> int:
     from .bench import deployment_threshold, eval_simulated_deployment, write_deploy_report
-    from .decide import LiveTarget, ScorerConfig, run_deployment
+    from .decide import run_deployment
     from .gp import load_model
     from .serialize import write_atomic
     from .tasks import load_terrains, read_database
@@ -113,7 +113,6 @@ def _cmd_deploy(args) -> int:
     cfg = _load_run_config(args)
     b = cfg.bench
     model = load_model(args.model) if args.model else None
-    scorer = ScorerConfig(kind=args.scorer)
     if args.mode == "live":
         tasks = load_terrains(args.terrains)
         by_id = {t.id: t for t in tasks}
@@ -123,15 +122,14 @@ def _cmd_deploy(args) -> int:
             if ds.task_id not in by_id:
                 raise ValueError(f"task {ds.task_id} missing from {args.terrains}")
             B = args.threshold if args.threshold is not None else deployment_threshold(ds)
-            trace = run_deployment(model, scorer, LiveTarget(by_id[ds.task_id]), B,
-                                   b.budget, args.seed)
+            trace = run_deployment(model, args.scorer, by_id[ds.task_id], B, b.budget, args.seed)
             lines.append(trace.to_text())
         out = _out_path(args.out)
         write_atomic({out: "\n".join(lines) + "\n"})
         print(f"wrote {out}")
         return 0
     datasets = read_database(args.data)
-    report = eval_simulated_deployment(model, scorer, datasets, budget=b.budget, trials=b.deploy_trials,
+    report = eval_simulated_deployment(model, args.scorer, datasets, budget=b.budget, trials=b.deploy_trials,
                                        seed=args.seed, exclude_below=b.exclude_below)
     out = _out_path(args.out)
     write_deploy_report(out, report)

@@ -33,56 +33,35 @@ from .tasks import (
 )
 
 SCORER_KINDS = ("ucb", "mean", "random")
+UCB_GAMMA = 2.0     # ucb's exploration weight, fixed before any run looks at outcomes
 
 
-@dataclass(frozen=True)
-class ScorerConfig:
-    """How candidate actions are ranked.
+def _check_scorer(model: DeepGpModel | None, kind: str) -> None:
+    if kind not in SCORER_KINDS:
+        raise ValueError(f"scorer kind must be one of {SCORER_KINDS}, got {kind!r}")
+    if model is None and kind != "random":
+        raise ValueError(f"scorer {kind!r} needs a model")
 
-    ucb:    posterior mean + gamma * posterior std (adaptive; gamma = 0
-            ranks by the posterior mean alone)
+
+def score(model: DeepGpModel | None, kind: str, support_x, support_y, candidates, rng=None) -> np.ndarray:
+    """Score every candidate row under one of SCORER_KINDS; the best
+    feasible one is executed.
+
+    ucb:    posterior mean + UCB_GAMMA * posterior std, conditioned on
+            support_x (input rows) and support_y (rewards), the failures
+            observed so far
     mean:   prior mean only, support ignored (the non-adaptive baseline)
-    random: uniform random scores, no model involved
+    random: uniform random scores drawn from rng, no model involved
+
+    Candidates and support are input rows or Embedded sets.
     """
-
-    kind: str = "ucb"
-    gamma: float = 2.0
-
-    def __post_init__(self):
-        if self.kind not in SCORER_KINDS:
-            raise ValueError(f"scorer kind must be one of {SCORER_KINDS}, got {self.kind!r}")
-
-    @property
-    def deterministic(self) -> bool:
-        """Whether a dataset-mode episode is the same whatever its seed:
-        only random draws from the seed there (live mode's reward noise
-        draws from it for every kind)."""
-        return self.kind != "random"
-
-    @property
-    def adaptive(self) -> bool:
-        """Whether scores condition on the support set: only ucb reads it,
-        so only ucb needs its rows gathered."""
-        return self.kind == "ucb"
-
-
-def score(model: DeepGpModel | None, scorer: ScorerConfig, support_x, support_y, candidates,
-          rng=None) -> np.ndarray:
-    """Score every candidate row; the best feasible one is executed.
-
-    support_x (input rows) and support_y (rewards) are the failures observed
-    so far; only ucb (ScorerConfig.adaptive) conditions on them, and the
-    other kinds never look at them. Candidates and support are input rows
-    or Embedded sets. random draws from rng and needs no model.
-    """
-    if scorer.kind == "random":
+    _check_scorer(model, kind)
+    if kind == "random":
         return rng.random(len(candidates))
-    if model is None:
-        raise ValueError(f"scorer {scorer.kind!r} needs a model")
-    if scorer.kind == "mean":
+    if kind == "mean":
         return candidates.m if isinstance(candidates, Embedded) else mean_eval_batch(model, candidates)
     mu, var = posterior_batch(model, support_x, support_y, candidates)
-    return mu + scorer.gamma * np.sqrt(var)
+    return mu + UCB_GAMMA * np.sqrt(var)
 
 
 def select_action(scores: np.ndarray, feasible: np.ndarray) -> int:
@@ -149,34 +128,6 @@ class DeploymentTrace:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class DatasetTarget:
-    """Replay logged scoops: executing a candidate returns its stored reward.
-
-    pool, when given, is the records' candidate rows as dataset_pool builds
-    them, shared by every deployment on the task; otherwise each deployment
-    builds its own.
-    """
-
-    dataset: TaskDataset
-    pool: Embedded | np.ndarray | None = None
-
-
-def dataset_pool(model: DeepGpModel | None, dataset: TaskDataset):
-    """The candidate rows of a dataset deployment: the records' GP inputs,
-    embedded once when there is a model to embed them with."""
-    X = dataset.gp_inputs()
-    return X if model is None else embed(model, X)
-
-
-@dataclass(frozen=True)
-class LiveTarget:
-    """Score the full action grid (an ActionGrid, built per deployment)
-    against a synthetic terrain."""
-
-    task: TerrainTask
-
-
 def _scoop_terrain(task: TerrainTask, action: np.ndarray, volume_cm3: float) -> None:
     """Lower the heightmap by the removed volume, spread over the drag
     footprint of the action row."""
@@ -224,32 +175,37 @@ def _random_dataset_episode(ds: TaskDataset, rng: np.random.Generator, threshold
     return DeploymentTrace(ds.task_id, float(threshold), int(budget), tuple(episodes), success)
 
 
-def run_deployment(model, scorer: ScorerConfig, target, threshold: float, budget: int, seed=0) -> DeploymentTrace:
+def run_deployment(model, kind: str, target, threshold: float, budget: int, seed=0) -> DeploymentTrace:
     """Run one deployment until an at-threshold reward or budget exhaustion.
 
-    Every executed observation below the threshold is appended to the
-    support set before the next episode, so adaptive scorers condition on
-    all failures so far. A target supplies a mask of the actions still
-    allowed, the candidate inputs of the current step, the support rows
-    (gathered only for a scorer that reads them), its action rows, an
-    execute step that returns the observed reward, and a keep step that
-    adds a failed candidate to the support. A step is recorded by its
-    candidate index into the action rows.
+    kind is one of SCORER_KINDS. target is a TaskDataset, whose logged
+    scoops are replayed, or a TerrainTask, whose full action grid is scored
+    against a copy of the terrain. Every executed observation below the
+    threshold is appended to the support set before the next episode, so
+    ucb conditions on all failures so far. Each target supplies a mask of
+    the actions still allowed, the candidate inputs of the current step,
+    the support rows (gathered only for ucb, the one scorer that reads
+    them), its action rows, an execute step that returns the observed
+    reward, and a keep step that adds a failed candidate to the support. A
+    step is recorded by its candidate index into the action rows.
 
-    A dataset episode under the random scorer draws nothing from its
-    generator but scores, so it runs as _random_dataset_episode: all its
-    steps' scores in one draw. Live mode draws reward noise between steps,
-    so its random scores stay one draw per step.
+    A replayed episode embeds its records once. Under the random scorer it
+    builds no candidates and draws nothing from its generator but scores,
+    so it runs as _random_dataset_episode: all its steps' scores in one
+    draw. Live mode draws reward noise between steps, so its random scores
+    stay one draw per step.
     """
+    _check_scorer(model, kind)
     if budget < 1:
         raise ValueError("budget must be at least 1")
+    live = isinstance(target, TerrainTask)
     # only the random scorer and live reward noise draw, so only they build a generator
     rng = None
-    if not scorer.deterministic or isinstance(target, LiveTarget):
+    if kind == "random" or live:
         rng = np.random.default_rng(seed_sequence(seed, 0xDE9107))
 
-    if isinstance(target, DatasetTarget):
-        ds = target.dataset
+    if isinstance(target, TaskDataset):
+        ds = target
         if not len(ds):
             raise ValueError(f"task {ds.task_id} has no records to deploy against")
         rewards = ds.rewards()
@@ -258,9 +214,9 @@ def run_deployment(model, scorer: ScorerConfig, target, threshold: float, budget
                 f"task {ds.task_id}: no recorded reward reaches the threshold {threshold:.3g} "
                 f"(max is {rewards.max():.3g})"
             )
-        if scorer.kind == "random":
+        if kind == "random":
             return _random_dataset_episode(ds, rng, threshold, budget)
-        pool = target.pool if target.pool is not None else dataset_pool(model, ds)
+        pool = embed(model, ds.gp_inputs())
         task_id, actions = ds.task_id, ds.actions
         allowed = np.ones(len(ds), dtype=bool)
         failed = []
@@ -277,8 +233,8 @@ def run_deployment(model, scorer: ScorerConfig, target, threshold: float, budget
 
         def keep(X, idx):
             failed.append(idx)
-    elif isinstance(target, LiveTarget):
-        task, grid = target.task.copy(), ActionGrid()
+    elif live:
+        task, grid = target.copy(), ActionGrid()
         task_id, actions, allowed = task.id, grid.columns, grid.feasible
         failed = []
 
@@ -297,13 +253,13 @@ def run_deployment(model, scorer: ScorerConfig, target, threshold: float, budget
         def keep(X, idx):
             failed.append(X[idx])
     else:
-        raise TypeError(f"target must be DatasetTarget or LiveTarget, got {type(target).__name__}")
+        raise TypeError(f"target must be a TaskDataset or a TerrainTask, got {type(target).__name__}")
 
     support_y, episodes = [], []
     success = False
     while len(episodes) < budget:
         X = candidates()
-        scores = score(model, scorer, support() if scorer.adaptive else None, support_y, X, rng)
+        scores = score(model, kind, support() if kind == "ucb" else None, support_y, X, rng)
         idx = select_action(scores, allowed)
         reward = execute(idx)
         success = bool(reward >= threshold)

@@ -305,6 +305,14 @@ def make_fold_splits(datasets, folds: int, seed) -> list:
     return splits
 
 
+def _fold_mean_seed(seed) -> int:
+    """The seed every fold mean trains with. One seed for every fold: shared
+    initialization keeps the fold feature spaces aligned, so the kernel head
+    trained against them transfers. train_codega's final mean re-uses it, so
+    its extractor starts from the same initialization."""
+    return int(seed_sequence(seed, 0x2E51D).generate_state(1)[0])
+
+
 def build_residual_dataset(splits, datasets, seed, model_cfg: ModelConfig = ModelConfig(), train_cfg: TrainConfig = TrainConfig()):
     """Train one mean per fold and collect held-out residuals.
 
@@ -314,10 +322,7 @@ def build_residual_dataset(splits, datasets, seed, model_cfg: ModelConfig = Mode
     and each fold's MeanResult by fold index.
     """
     by_id = {ds.task_id: ds for ds in datasets}
-    ss = seed_sequence(seed, 0x2E51D)
-    # one seed for every fold: shared initialization keeps the fold feature
-    # spaces aligned, so the kernel head trained against them transfers
-    fold_seed = int(ss.generate_state(1)[0])
+    fold_seed = _fold_mean_seed(seed)
     groups = []
     checkpoints = {}
     for split in splits:
@@ -481,14 +486,11 @@ def train_codega(datasets, seed=0, model_cfg: ModelConfig = ModelConfig(), train
     kernel head.
     """
     ss = seed_sequence(seed, 0xC0DE6A)
-    seeds = [int(c.generate_state(1)[0]) for c in ss.spawn(4)]
+    seeds = [int(c.generate_state(1)[0]) for c in ss.spawn(3)]
     splits = make_fold_splits(datasets, train_cfg.folds, seeds[0])
     residuals, checkpoints = build_residual_dataset(splits, datasets, seeds[1], model_cfg, train_cfg)
     kernel = train_kernel_codega(residuals, checkpoints, seeds[2], model_cfg, train_cfg)
-    # the final mean re-uses the fold-mean seed so its extractor starts from
-    # the same initialization the kernel head was trained against
-    mean_seed = int(seed_sequence(seeds[1], 0x2E51D).generate_state(1)[0])
-    final = train_mean(datasets, mean_seed, model_cfg, train_cfg, label="final-mean")
+    final = train_mean(datasets, _fold_mean_seed(seeds[1]), model_cfg, train_cfg, label="final-mean")
     model = _model(_specs(model_cfg, datasets[0].feature_dim + 2), final.feature_params, final.mean_params,
                    kernel.kernel_params, **{h: getattr(kernel, h) for h in _HYPER_NAMES})
     return CodegaResult(

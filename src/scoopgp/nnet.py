@@ -262,16 +262,9 @@ def adam_init(n: int) -> AdamState:
     return AdamState(step=0, m=np.zeros(n), v=np.zeros(n))
 
 
-def optimizer_step(
-    params: ParamVector,
-    grads: ParamVector,
-    state: AdamState | None,
-    lr: float,
-    beta1: float = ADAM_BETA1,
-    beta2: float = ADAM_BETA2,
-    eps: float = ADAM_EPS,
-):
-    """One Adam update. Returns (new params, new state)."""
+def optimizer_step(params: ParamVector, grads: ParamVector, state: AdamState | None, lr: float):
+    """One Adam update with ADAM_BETA1, ADAM_BETA2 and ADAM_EPS. Returns
+    (new params, new state)."""
     if grads.layout != params.layout:
         raise ShapeError("gradient layout does not match parameter layout")
     if state is None:
@@ -280,10 +273,10 @@ def optimizer_step(
         raise ShapeError("optimizer state size does not match parameters")
     t = state.step + 1
     g = grads.values
-    m = beta1 * state.m + (1.0 - beta1) * g
-    v = beta2 * state.v + (1.0 - beta2) * g * g
-    m_hat = m / (1.0 - beta1 ** t)
-    v_hat = v / (1.0 - beta2 ** t)
-    new_values = params.values - lr * m_hat / (np.sqrt(v_hat) + eps)
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g * g
+    m_hat = m / (1.0 - ADAM_BETA1 ** t)
+    v_hat = v / (1.0 - ADAM_BETA2 ** t)
+    new_values = params.values - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return params.replace_values(new_values), AdamState(step=t, m=m, v=v)
 

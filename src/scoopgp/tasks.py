@@ -769,17 +769,22 @@ def write_database(prefix: str, datasets) -> tuple:
     """Write datasets to {prefix}.records.txt in one atomic write and return
     (records_path,). Lines are formatted and written one at a time, so only
     one task's numbers are held as Python values at once. Each task's header
-    fields are checked before its lines are formatted; a task that the
-    reader would reject raises ValueError, and the atomic write leaves no
-    file."""
+    fields are checked before its lines are formatted. A task that the
+    reader would reject, or a list without a single record, which the
+    reader rejects as empty, raises ValueError, and the atomic write leaves
+    no file."""
     records_path = prefix + RECORDS_SUFFIX
     seen = set()
 
     def lines():
         yield RECORDS_HEADER + "\n"
+        n_records = 0
         for ds in datasets:
             _check_header_fields(ds, seen)
+            n_records += len(ds)
             yield from _task_lines(ds)
+        if not n_records:
+            raise ValueError(f"{records_path}: no records to write; read_database rejects an empty dataset")
 
     write_atomic({records_path: lines()})
     return (records_path,)

@@ -10,10 +10,10 @@ import numpy as np
 
 from scipy.special import expit
 
-from scoopgp.bench import (DeployReport, DeployRow, MaeReport, MaeRow, _support_order, _task_tag,
+from scoopgp.bench import (TOP_K, DeployReport, DeployRow, MaeReport, MaeRow, _support_order, _task_tag,
                            deployment_threshold, query_split)
 from scoopgp.config import check_shots
-from scoopgp.decide import DatasetTarget, dataset_pool, run_deployment, score
+from scoopgp.decide import run_deployment, score
 from scoopgp.errors import IngestError, SelectionError, ShapeError
 from scoopgp.gp import (DeepGpModel, checkpoint_id, condition, embed, embed_batch, kernel_matrix, mean_eval_batch,
                         posterior_batch)
@@ -362,16 +362,15 @@ def reference_vjp(spec: NetworkSpec, params: ParamVector, X: np.ndarray, upstrea
     return params.replace_values(grad), D
 
 
-def reference_simulated_deployment(model, scorer, datasets, budget: int = 20, trials: int = 10, seed: int = 0,
-                                   exclude_below: float = 5.0, threshold_rank: int = 5) -> DeployReport:
+def reference_simulated_deployment(model, kind: str, datasets, budget: int, trials: int, seed: int = 0,
+                                   exclude_below: float = 5.0) -> DeployReport:
     """bench.eval_simulated_deployment as it was before deterministic scorers
     ran once per task: one seeded run_deployment call for every (task,
-    trial), whatever the scorer, on candidates embedded whether or not the
-    scorer reads them. The reference its reports must equal."""
+    trial), whatever the scorer kind. The reference its reports must equal."""
     included = []
     excluded = []
     for ds in datasets:
-        if deployment_threshold(ds, threshold_rank) < exclude_below:
+        if deployment_threshold(ds) < exclude_below:
             excluded.append(ds.task_id)
         else:
             included.append(ds)
@@ -380,16 +379,15 @@ def reference_simulated_deployment(model, scorer, datasets, budget: int = 20, tr
 
     rows = []
     for ds in included:
-        B = deployment_threshold(ds, threshold_rank)
-        target = DatasetTarget(ds, dataset_pool(model, ds))
+        B = deployment_threshold(ds)
         for trial in range(trials):
             run_seed = np.random.SeedSequence(
                 [int(seed) & 0xFFFFFFFF, _task_tag(ds.task_id), 0, trial]
             ).generate_state(1)[0]
-            trace = run_deployment(model, scorer, target, B, budget, int(run_seed))
+            trace = run_deployment(model, kind, ds, B, budget, int(run_seed))
             rows.append(DeployRow(ds.task_id, trial, trace.attempts, trace.success))
     return DeployReport(
-        method=scorer.kind,
+        method=kind,
         seed=int(seed),
         checkpoint=checkpoint_id(model) if model is not None else "none",
         budget=int(budget),
@@ -482,20 +480,20 @@ class ReferenceTrace:
         return "\n".join(lines) + "\n"
 
 
-def reference_dataset_deployment(model, scorer, target: DatasetTarget, threshold: float, budget: int,
+def reference_dataset_deployment(model, kind: str, ds: TaskDataset, threshold: float, budget: int,
                                  seed=0) -> ReferenceTrace:
     """decide.run_deployment's dataset mode as it was before episodes worked
-    on record indices: every step gathers the support rows, whatever the
-    scorer, and builds the executed action. The reference its traces must
-    equal."""
+    on record indices: the candidates are the records' input rows, embedded
+    when there is a model, every step gathers the support rows, whatever
+    the scorer, and builds the executed action. The reference its traces
+    must equal."""
     if budget < 1:
         raise ValueError("budget must be at least 1")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, 0xDE9107]))
 
-    ds = target.dataset
     if not len(ds):
         raise ValueError(f"task {ds.task_id} has no records to deploy against")
-    pool = target.pool if target.pool is not None else dataset_pool(model, ds)
+    pool = ds.gp_inputs() if model is None else embed(model, ds.gp_inputs())
     rewards = ds.rewards()
     if rewards.max() < threshold:
         raise ValueError(
@@ -520,7 +518,7 @@ def reference_dataset_deployment(model, scorer, target: DatasetTarget, threshold
     success = False
     while len(episodes) < budget:
         X, support_x = candidates()
-        scores = score(model, scorer, support_x, support_y, X, rng)
+        scores = score(model, kind, support_x, support_y, X, rng)
         idx = _reference_select_action(scores, allowed)
         action = action_of_row(ds.actions[idx])
         reward = execute(idx, action)
@@ -555,8 +553,7 @@ def _reference_shot_means(model: DeepGpModel, rows, y: np.ndarray, order: np.nda
     return [queries.m + partial[s - 1] if s else queries.m for s in shots]
 
 
-def reference_kshot_mae(model: DeepGpModel, datasets, shots=(0, 5, 10), trials: int = 30, seed: int = 0,
-                        top_k: int = 5) -> MaeReport:
+def reference_kshot_mae(model: DeepGpModel, datasets, shots, trials: int, seed: int = 0) -> MaeReport:
     """bench.eval_kshot_mae as it was before it worked per task: each trial
     forms its own kernel blocks through condition and scores each shot with
     scalar means. The reference the per-task protocol must reproduce."""
@@ -579,7 +576,7 @@ def reference_kshot_mae(model: DeepGpModel, datasets, shots=(0, 5, 10), trials: 
                     f"left outside the query set"
                 )
             yq = y[q_idx]
-            top_idx = np.argsort(-yq)[:top_k]
+            top_idx = np.argsort(-yq)[:TOP_K]
             for s, mu in zip(shots, _reference_shot_means(model, embedded, y, order, q_idx, shots)):
                 err = np.abs(mu - yq)
                 acc[s][0] += float(err.mean())

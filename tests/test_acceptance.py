@@ -19,7 +19,7 @@ from helpers import dense_posterior_oracle, random_model, reward_dataset
 from scoopgp.bench import (deployment_threshold, eval_kshot_mae, eval_simulated_deployment,
                            mean_model_mae, paired_sign_test, pool_mae_reports)
 from scoopgp.cli import main
-from scoopgp.decide import DatasetTarget, ScorerConfig, run_deployment
+from scoopgp.decide import run_deployment
 from scoopgp.gp import embed_batch, mean_eval_batch, nlml, nlml_grad, posterior_batch
 from scoopgp.meta import make_fold_splits, train_codega, train_dkmt
 from scoopgp.tasks import (TaskDataset, generate_materials,
@@ -217,8 +217,8 @@ def test_adaptation_direction(bench_world, trained_models):
 def test_deployment_direction(bench_world, trained_models):
     cg = trained_models.codega[0]
     t0 = time.perf_counter()
-    ucb, greedy = (eval_simulated_deployment(cg, scorer, bench_world.test_sets, budget=20, trials=10, seed=0)
-                   for scorer in (ScorerConfig(kind="ucb", gamma=2.0), ScorerConfig(kind="mean")))
+    ucb, greedy = (eval_simulated_deployment(cg, kind, bench_world.test_sets, budget=20, trials=10, seed=0)
+                   for kind in ("ucb", "mean"))
     elapsed = time.perf_counter() - t0
     cells_u = ucb.attempts_by_cell()
     cells_g = greedy.attempts_by_cell()
@@ -239,11 +239,9 @@ def test_random_policy_calibration():
     threshold = deployment_threshold(ds)
     assert int((rewards >= threshold).sum()) == 5
 
-    scorer = ScorerConfig(kind="random")
-    target = DatasetTarget(ds)
     total = 0
     for trial in range(10_000):
-        trace = run_deployment(None, scorer, target, threshold, budget=100, seed=trial)
+        trace = run_deployment(None, "random", ds, threshold, budget=100, seed=trial)
         assert trace.success
         total += trace.attempts
     mean = total / 10_000

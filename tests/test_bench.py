@@ -7,6 +7,8 @@ from scipy.stats import binomtest
 import scoopgp.bench
 import scoopgp.gp
 from scoopgp.bench import (
+    THRESHOLD_RANK,
+    TOP_K,
     DeployReport,
     DeployRow,
     MaeReport,
@@ -27,11 +29,11 @@ from scoopgp.bench import (
     write_mae_report,
 )
 from scoopgp.config import RunConfig, apply_overrides, seed_sequence
-from scoopgp.decide import ScorerConfig, dataset_pool, run_deployment
+from scoopgp.decide import run_deployment
 from scoopgp.errors import ConfigError, IngestError
 from scoopgp.gp import DeepGpModel, checkpoint_id, condition, embed, posterior_batch
 from scoopgp.nnet import NetworkSpec
-from scoopgp.tasks import sample_ood_test_family
+from scoopgp.tasks import TaskDataset, sample_ood_test_family
 
 from helpers import (identity_params, params_from_layers, random_model, reference_kshot_mae,
                      reference_simulated_deployment, reward_dataset, toy_dataset)
@@ -143,11 +145,12 @@ def test_perfect_model_scores_zero_at_every_shot():
 
 
 def test_kshot_report_matches_a_hand_computed_trial():
-    rewards = np.array([4.0, 11.0, 7.0, 2.0, 9.0, 5.0])
+    # 12 records: 9 queries, so the top MAE averages over a strict subset of them
+    rewards = np.array([4.0, 11.0, 7.0, 2.0, 9.0, 5.0, 14.0, 1.0, 8.0, 3.0, 12.0, 6.0])
     ds = _reward_dataset(rewards, "hand0")
     model = random_model(3, seed=8)
-    shot, top_k, seed = 2, 2, 31
-    report = eval_kshot_mae(model, [ds], shots=(shot,), trials=1, seed=seed, top_k=top_k)
+    shot, seed = 2, 31
+    report = eval_kshot_mae(model, [ds], shots=(shot,), trials=1, seed=seed)
 
     X, y = ds.gp_inputs(), ds.rewards()
     q_idx, pool = query_split(seed, "hand0", 0, len(ds))
@@ -155,7 +158,8 @@ def test_kshot_report_matches_a_hand_computed_trial():
     sup = order[:shot]
     mu, _ = posterior_batch(model, X[sup], y[sup], X[q_idx])
     err = np.abs(mu - y[q_idx])
-    top_idx = np.argsort(-y[q_idx])[:top_k]
+    assert TOP_K == 5 and len(q_idx) == 9
+    top_idx = np.argsort(-y[q_idx])[:TOP_K]
     assert report.rows[0].mae == pytest.approx(err.mean(), abs=1e-12)
     assert report.rows[0].top_mae == pytest.approx(err[top_idx].mean(), abs=1e-12)
 
@@ -193,13 +197,13 @@ def test_kshot_conditions_each_shot_alone_when_the_largest_support_needs_jitter(
     ds = toy_dataset("dup0", feats, rewards)
     model = random_model(4, seed=33, log_noise=np.log(1e-9))
     shots, seed = (0, 1, 2, 6), 5
-    report = eval_kshot_mae(model, [ds], shots=shots, trials=1, seed=seed, top_k=3)
+    report = eval_kshot_mae(model, [ds], shots=shots, trials=1, seed=seed)
 
     rows, y = embed(model, ds.gp_inputs()), ds.rewards()
     q_idx, pool = query_split(seed, "dup0", 0, len(ds))
     order = _support_order(seed, "dup0", 0, pool)
     assert condition(model, rows[order[:6]], y[order[:6]], rows[q_idx])[2] > 0.0
-    top_idx = np.argsort(-y[q_idx])[:3]
+    top_idx = np.argsort(-y[q_idx])[:TOP_K]
     for row, s in zip(report.rows, shots):
         mu, _ = posterior_batch(model, rows[order[:s]], y[order[:s]], rows[q_idx])
         err = np.abs(mu - y[q_idx])
@@ -249,10 +253,10 @@ def test_kshot_per_task_matches_the_reference_with_and_without_jitter(monkeypatc
 
     monkeypatch.setattr(scoopgp.bench, "condition_gram", recording)
     shots = (0, 1, 2, 6)
-    report = eval_kshot_mae(model, [ds], shots=shots, trials=12, seed=2, top_k=3)
+    report = eval_kshot_mae(model, [ds], shots=shots, trials=12, seed=2)
     assert len(jitters) == 12
     assert any(j > 0.0 for j in jitters) and any(j == 0.0 for j in jitters)
-    _assert_matches_reference(report, reference_kshot_mae(model, [ds], shots=shots, trials=12, seed=2, top_k=3))
+    _assert_matches_reference(report, reference_kshot_mae(model, [ds], shots=shots, trials=12, seed=2))
 
 
 def test_aggregates_recompute_from_rows(world):
@@ -410,11 +414,13 @@ def test_report_readers_reject_fields_that_do_not_parse_and_headerless_files(tmp
 # simulated deployment
 
 def test_deployment_threshold_is_the_fifth_largest():
+    assert THRESHOLD_RANK == 5
     ds = _reward_dataset([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
     assert deployment_threshold(ds) == 4.0
-    assert deployment_threshold(ds, rank=2) == 7.0
-    short = _reward_dataset([1.0, 2.0, 3.0])
-    with pytest.raises(ValueError, match="bench0"):
+    # exactly THRESHOLD_RANK records: the smallest is the threshold; one fewer is too few
+    assert deployment_threshold(_reward_dataset([6.0, 2.0, 9.0, 4.0, 7.0])) == 2.0
+    short = _reward_dataset([1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(ValueError, match="bench0.*4 records, needs at least 5"):
         deployment_threshold(short)
 
 
@@ -423,9 +429,9 @@ def test_simulated_deployment_runs_and_excludes(world):
     good = _reward_dataset(rng.uniform(6.0, 40.0, size=20), "good0")
     weak = _reward_dataset(rng.uniform(0.0, 2.0, size=20), "weak0")
     model = _linear_mean_model(3, (10.0, 0.0, 0.0))
-    methods = [(model, ScorerConfig(kind="mean")), (None, ScorerConfig(kind="random"))]
-    out = {scorer.kind: eval_simulated_deployment(m, scorer, [good, weak], budget=10, trials=4, seed=2)
-           for m, scorer in methods}
+    methods = [(model, "mean"), (None, "random")]
+    out = {kind: eval_simulated_deployment(m, kind, [good, weak], budget=10, trials=4, seed=2)
+           for m, kind in methods}
     assert sorted(out) == ["mean", "random"]
     for kind, rep in out.items():
         assert rep.method == kind
@@ -439,53 +445,64 @@ def test_simulated_deployment_runs_and_excludes(world):
     assert out["mean"].avg_attempts == 1.0
     assert out["mean"].success_rate == 1.0
 
-    again = eval_simulated_deployment(None, ScorerConfig(kind="random"), [good, weak], budget=10, trials=4, seed=2)
+    again = eval_simulated_deployment(None, "random", [good, weak], budget=10, trials=4, seed=2)
     assert again == out["random"]
     # random never reads the model, so deploying it with one changes only the checkpoint named
-    with_model = eval_simulated_deployment(model, ScorerConfig(kind="random"), [good, weak], budget=10, trials=4,
-                                           seed=2)
+    with_model = eval_simulated_deployment(model, "random", [good, weak], budget=10, trials=4, seed=2)
     assert with_model.rows == out["random"].rows and with_model.checkpoint == checkpoint_id(model)
 
     with pytest.raises(ValueError, match="below the deployment threshold"):
-        eval_simulated_deployment(model, ScorerConfig(kind="mean"), [weak], budget=10, trials=2, seed=2)
+        eval_simulated_deployment(model, "mean", [weak], budget=10, trials=2, seed=2)
 
 
 def test_deterministic_scorers_replay_one_episode_per_task(world, codega_result, monkeypatch):
     import scoopgp.bench as bench
+    import scoopgp.decide as decide
 
     calls = []
 
-    def counting_run_deployment(model, scorer, target, *args):
-        calls.append((scorer.kind, target.dataset.task_id))
-        return run_deployment(model, scorer, target, *args)
+    def counting_run_deployment(model, kind, ds, *args):
+        calls.append((kind, ds.task_id))
+        return run_deployment(model, kind, ds, *args)
 
-    embedded = []
+    embedded, built = [], []
+    real_gp_inputs = TaskDataset.gp_inputs
 
-    def recording_dataset_pool(model, ds):
-        embedded.append(model is not None)
-        return dataset_pool(model, ds)
+    def counting_embed(model, X):
+        embedded.append(len(X))
+        return scoopgp.gp.embed(model, X)
 
-    monkeypatch.setattr(bench, "run_deployment", counting_run_deployment)
-    monkeypatch.setattr(bench, "dataset_pool", recording_dataset_pool)
+    def counting_gp_inputs(ds):
+        built.append(ds.task_id)
+        return real_gp_inputs(ds)
+
     model = codega_result.model
     trials = 5
+    sizes = {ds.task_id: len(ds) for ds in world.test_sets}
+    expected = {kind: reference_simulated_deployment(model, kind, world.test_sets, budget=8, trials=trials, seed=3)
+                for kind in ("ucb", "mean", "random")}
+    monkeypatch.setattr(bench, "run_deployment", counting_run_deployment)
+    monkeypatch.setattr(decide, "embed", counting_embed)
+    monkeypatch.setattr(TaskDataset, "gp_inputs", counting_gp_inputs)
     for kind in ("ucb", "mean", "random"):
-        scorer = ScorerConfig(kind=kind)
         embedded.clear()
-        out = eval_simulated_deployment(model, scorer, world.test_sets, budget=8, trials=trials, seed=3)
+        built.clear()
+        out = eval_simulated_deployment(model, kind, world.test_sets, budget=8, trials=trials, seed=3)
         included = sorted({r.task_id for r in out.rows})
         assert included
-        # each task's candidates are built once, and embedded only for the scorers that read the model
-        assert embedded == [kind != "random"] * len(included)
-        assert out == reference_simulated_deployment(model, scorer, world.test_sets, budget=8, trials=trials, seed=3)
-        assert scorer.deterministic == (kind != "random")
+        assert out == expected[kind]
+        # ucb and mean embed each task's records once; random builds no candidate rows at all
+        if kind == "random":
+            assert embedded == [] and built == []
+        else:
+            assert sorted(built) == included and embedded == [sizes[t] for t in built]
         per_task = [task for k, task in calls if k == kind]
         assert sorted(per_task) == sorted(included * (1 if kind != "random" else trials))
 
 
 def test_equal_rewards_need_exactly_one_attempt():
     ds = _reward_dataset(np.full(8, 9.0), "flat0")
-    out = eval_simulated_deployment(None, ScorerConfig(kind="random"), [ds], budget=5, trials=6, seed=0)
+    out = eval_simulated_deployment(None, "random", [ds], budget=5, trials=6, seed=0)
     assert out.avg_attempts == 1.0
     assert out.success_rate == 1.0
 

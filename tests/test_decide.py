@@ -6,16 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from scoopgp.bench import deployment_threshold
-from scoopgp.decide import (
-    DatasetTarget,
-    DeploymentTrace,
-    LiveTarget,
-    ScorerConfig,
-    dataset_pool,
-    run_deployment,
-    score,
-    select_action,
-)
+from scoopgp.decide import SCORER_KINDS, UCB_GAMMA, DeploymentTrace, run_deployment, score, select_action
 from scoopgp.errors import SelectionError
 from scoopgp.gp import DeepGpModel, mean_eval_batch, posterior_batch
 from scoopgp.nnet import NetworkSpec
@@ -47,53 +38,42 @@ def _deploy_dataset(rewards, task_id="dep0"):
 # ---------------------------------------------------------------------------
 # scorers
 
-def test_scorer_config_validation():
-    assert ScorerConfig().kind == "ucb"
-    assert ScorerConfig().gamma == 2.0
-    for kind in ("thompson", "greedy"):
-        with pytest.raises(ValueError):
-            ScorerConfig(kind=kind)
-
-
-# ucb at gamma = 0 ranks by the posterior mean alone
-UCB, UCB0, MEAN = ScorerConfig("ucb"), ScorerConfig("ucb", gamma=0.0), ScorerConfig("mean")
+def test_unknown_scorer_kinds_are_rejected():
+    assert SCORER_KINDS == ("ucb", "mean", "random") and UCB_GAMMA == 2.0
+    model = identity_embedding_model(2)
+    ds = _deploy_dataset([1.0, 2.0, 3.0])
+    for kind in ("thompson", "greedy", "UCB"):
+        with pytest.raises(ValueError, match="scorer kind"):
+            score(model, kind, [], [], np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="scorer kind"):
+            run_deployment(model, kind, ds, 3.0, budget=2)
 
 
 def test_ucb_combines_mean_and_uncertainty():
     model = identity_embedding_model(2, log_outputscale=np.log(4.0),
                                      log_noise=np.log(0.5), mean_bias=5.0)
     candidates = np.array([[0.0, 0.0], [1.0, 2.0]])
-    scores = score(model, UCB, [], [], candidates)
-    # empty support: mean bias plus gamma * sqrt(outputscale + noise var)
-    assert np.allclose(scores, 5.0 + 2.0 * np.sqrt(4.0 + 0.25))
+    scores = score(model, "ucb", [], [], candidates)
+    # empty support: mean bias plus UCB_GAMMA * sqrt(outputscale + noise var)
+    assert np.allclose(scores, 5.0 + UCB_GAMMA * np.sqrt(4.0 + 0.25))
 
     xs, ys = np.array([[0.0, 0.0]]), np.array([9.0])
     mu, var = posterior_batch(model, xs, ys, candidates)
-    assert np.allclose(score(model, ScorerConfig("ucb", gamma=1.7), xs, ys, candidates),
-                       mu + 1.7 * np.sqrt(var))
-    assert np.array_equal(score(model, UCB0, xs, ys, candidates), mu)
+    assert np.array_equal(score(model, "ucb", xs, ys, candidates), mu + UCB_GAMMA * np.sqrt(var))
 
 
 def test_mean_scorer_ignores_the_support_set():
     model = identity_embedding_model(2, mean_bias=3.0)
     candidates = np.array([[0.0, 0.0], [0.5, 0.5], [5.0, 5.0]])
-    base = score(model, MEAN, [], [], candidates)
+    base = score(model, "mean", [], [], candidates)
     assert np.allclose(base, mean_eval_batch(model, candidates))
 
     xs, ys = [np.array([0.0, 0.0])], [50.0]
-    assert np.array_equal(score(model, MEAN, xs, ys, candidates), base)
+    assert np.array_equal(score(model, "mean", xs, ys, candidates), base)
     # the adaptive scorer does react to the same evidence
-    adapted = score(model, UCB0, xs, ys, candidates)
+    adapted = score(model, "ucb", xs, ys, candidates)
     assert not np.allclose(adapted, base)
     assert adapted[0] > base[0]
-
-
-def test_ucb_at_zero_gamma_ranks_by_the_posterior_mean():
-    model = _linear_mean_model(3, (10.0, 0.0, 0.0))
-    candidates = np.array([[0.3, 0.0, 0.0], [0.9, 0.0, 0.0], [0.1, 0.0, 0.0]])
-    scores = score(model, UCB0, [], [], candidates)
-    assert np.allclose(scores, candidates[:, 0] * 10.0)
-    assert select_action(scores, np.ones(3, dtype=bool)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -156,17 +136,17 @@ def test_select_action_matches_masked_argmax(case):
 def test_deployment_rejects_hopeless_or_empty_targets():
     ds = _deploy_dataset([1.0, 4.0, 9.0])
     with pytest.raises(ValueError, match="dep0.*threshold"):
-        run_deployment(None, ScorerConfig(kind="random"), DatasetTarget(ds), 10.0, budget=5)
+        run_deployment(None, "random", ds, 10.0, budget=5)
     empty = TaskDataset("dep1", "single", ("matA",))
     with pytest.raises(ValueError, match="no records"):
-        run_deployment(None, ScorerConfig(kind="random"), DatasetTarget(empty), 1.0, budget=5)
+        run_deployment(None, "random", empty, 1.0, budget=5)
     with pytest.raises(ValueError, match="budget"):
-        run_deployment(None, ScorerConfig(kind="random"), DatasetTarget(ds), 1.0, budget=0)
+        run_deployment(None, "random", ds, 1.0, budget=0)
 
 
 def test_deployment_succeeds_immediately_when_everything_clears():
     ds = _deploy_dataset([5.0, 6.0, 7.0])
-    trace = run_deployment(None, ScorerConfig(kind="random"), DatasetTarget(ds), 5.0, budget=3)
+    trace = run_deployment(None, "random", ds, 5.0, budget=3)
     assert trace.success and trace.attempts == 1
     assert trace.episodes[0].support_size == 0
     assert trace.episodes[0].reward >= 5.0
@@ -176,7 +156,7 @@ def test_perfect_mean_model_goes_straight_to_the_best_record():
     rewards = [3.0, 7.0, 11.0, 5.0, 2.0]
     ds = _deploy_dataset(rewards)
     model = _linear_mean_model(3, (10.0, 0.0, 0.0))
-    trace = run_deployment(model, ScorerConfig(kind="mean"), DatasetTarget(ds), 11.0, budget=5)
+    trace = run_deployment(model, "mean", ds, 11.0, budget=5)
     assert trace.success and trace.attempts == 1
     assert trace.episodes[0].reward == 11.0
     assert trace.episodes[0].index == 2 and np.array_equal(trace.episodes[0].action, ds.actions[2])
@@ -185,7 +165,7 @@ def test_perfect_mean_model_goes_straight_to_the_best_record():
 def test_failures_accumulate_without_repeats():
     rewards = [1.0, 2.0, 3.0, 4.0, 50.0, 5.0, 6.0, 7.0]
     ds = _deploy_dataset(rewards)
-    trace = run_deployment(None, ScorerConfig(kind="random"), DatasetTarget(ds), 50.0,
+    trace = run_deployment(None, "random", ds, 50.0,
                            budget=len(rewards), seed=3)
     assert trace.success
     taken = [tuple(e.action) for e in trace.episodes]
@@ -202,7 +182,7 @@ def test_ucb_episodes_condition_on_the_failures_before_them():
     rewards = [3.0, 7.0, 11.0, 5.0, 2.0, 9.0, 1.0, 4.0]
     ds = _deploy_dataset(rewards)
     model = _linear_mean_model(3, (-10.0, 0.0, 0.0))
-    trace = run_deployment(model, UCB, DatasetTarget(ds), 11.0, budget=len(rewards))
+    trace = run_deployment(model, "ucb", ds, 11.0, budget=len(rewards))
     assert trace.success and trace.attempts > 2
     X = ds.gp_inputs()
     index = {tuple(row): i for i, row in enumerate(ds.actions)}
@@ -210,7 +190,7 @@ def test_ucb_episodes_condition_on_the_failures_before_them():
     assert taken == [e.index for e in trace.episodes]
     for n, (i, e) in enumerate(zip(taken, trace.episodes)):
         before = taken[:n]
-        expected = score(model, UCB, X[before], ds.rewards()[before], X)[i]
+        expected = score(model, "ucb", X[before], ds.rewards()[before], X)[i]
         assert e.score == expected
         assert e.support_size == n + (e.reward < 11.0)
 
@@ -221,7 +201,7 @@ def test_ucb_deployment_over_duplicate_rows_runs_to_budget():
     rewards = np.append(np.linspace(1.0, 5.0, 11), 50.0)
     ds = toy_dataset("dup0", np.tile([0.3, -0.2], (12, 1)), rewards)
     model = random_model(4, seed=41, log_noise=np.log(1e-9))
-    trace = run_deployment(model, UCB, DatasetTarget(ds), 50.0, budget=8, seed=1)
+    trace = run_deployment(model, "ucb", ds, 50.0, budget=8, seed=1)
     assert not trace.success and trace.attempts == 8
     # equal scores go to the lowest index, so the records are taken in order
     assert [e.reward for e in trace.episodes] == list(rewards[:8])
@@ -235,16 +215,14 @@ def test_dataset_episodes_equal_the_reference_loop(world, codega_result, kind):
     # for every scorer and built each step's action: the world's test
     # tasks under a trained model, and a task of one repeated input row on
     # which every support of two or more rows needs jitter
-    scorer = ScorerConfig(kind=kind)
     dup = toy_dataset("dup0", np.tile([0.3, -0.2], (12, 1)), np.append(np.linspace(1.0, 5.0, 11), 50.0))
     cases = [(codega_result.model, ds, deployment_threshold(ds), 20) for ds in world.test_sets]
     cases.append((random_model(4, seed=41, log_noise=np.log(1e-9)), dup, 50.0, 8))
     for model, ds, threshold, budget in cases:
         model = None if kind == "random" else model
-        target = DatasetTarget(ds, dataset_pool(model, ds))
         for seed in (0, 1, 7):
-            trace = run_deployment(model, scorer, target, threshold, budget, seed)
-            ref = reference_dataset_deployment(model, scorer, target, threshold, budget, seed)
+            trace = run_deployment(model, kind, ds, threshold, budget, seed)
+            ref = reference_dataset_deployment(model, kind, ds, threshold, budget, seed)
             assert (trace.attempts, trace.success) == (ref.attempts, ref.success)
             for step, ref_step in zip(trace.episodes, ref.episodes):
                 assert np.array_equal(step.action, ds.actions[step.index])
@@ -261,11 +239,10 @@ def test_random_dataset_episodes_draw_once_and_equal_the_per_step_reference(budg
     # and at a budget past it, where the pool runs out before the budget
     rewards = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0]
     ds = _deploy_dataset(rewards)
-    target, scorer = DatasetTarget(ds), ScorerConfig(kind="random")
     attempts = set()
     for seed in range(40):
-        trace = run_deployment(None, scorer, target, 9.0, budget, seed)
-        ref = reference_dataset_deployment(None, scorer, target, 9.0, budget, seed)
+        trace = run_deployment(None, "random", ds, 9.0, budget, seed)
+        ref = reference_dataset_deployment(None, "random", ds, 9.0, budget, seed)
         assert trace.to_text() == ref.to_text()
         assert [(e.score, e.reward, e.support_size) for e in trace.episodes] == \
             [(e.score, e.reward, e.support_size) for e in ref.episodes]
@@ -282,7 +259,7 @@ def test_budget_caps_the_episode_count():
     ds = _deploy_dataset(rewards)
     found_failure = False
     for seed in range(6):
-        trace = run_deployment(None, ScorerConfig(kind="random"), DatasetTarget(ds), 100.0,
+        trace = run_deployment(None, "random", ds, 100.0,
                                budget=2, seed=seed)
         assert trace.attempts <= 2
         if not trace.success:
@@ -293,9 +270,8 @@ def test_budget_caps_the_episode_count():
 
 def test_deployment_is_deterministic_and_renders():
     ds = _deploy_dataset([1.0, 9.0, 2.0, 8.0, 3.0])
-    sc = ScorerConfig(kind="random")
-    a = run_deployment(None, sc, DatasetTarget(ds), 9.0, budget=5, seed=11)
-    b = run_deployment(None, sc, DatasetTarget(ds), 9.0, budget=5, seed=11)
+    a = run_deployment(None, "random", ds, 9.0, budget=5, seed=11)
+    b = run_deployment(None, "random", ds, 9.0, budget=5, seed=11)
     assert a == b
     text = a.to_text()
     assert text.splitlines()[0].startswith("# deployment trace task=dep0")
@@ -307,12 +283,12 @@ def test_adaptive_scorers_require_a_model():
     ds = _deploy_dataset([1.0, 2.0, 3.0])
     for kind in ("ucb", "mean"):
         with pytest.raises(ValueError, match="needs a model"):
-            run_deployment(None, ScorerConfig(kind=kind), DatasetTarget(ds), 3.0, budget=2)
+            run_deployment(None, kind, ds, 3.0, budget=2)
 
 
 def test_unknown_target_type_is_rejected():
     with pytest.raises(TypeError):
-        run_deployment(None, ScorerConfig(kind="random"), "not-a-target", 1.0, budget=2)
+        run_deployment(None, "random", "not-a-target", 1.0, budget=2)
 
 
 def test_random_policy_matches_the_sampling_odds():
@@ -321,9 +297,8 @@ def test_random_policy_matches_the_sampling_odds():
     rewards = np.zeros(100)
     rewards[[7, 23, 41, 66, 90]] = 2.0
     ds = _deploy_dataset(rewards)
-    sc = ScorerConfig(kind="random")
     attempts = [
-        run_deployment(None, sc, DatasetTarget(ds), 1.0, budget=100, seed=t).attempts
+        run_deployment(None, "random", ds, 1.0, budget=100, seed=t).attempts
         for t in range(2500)
     ]
     assert abs(np.mean(attempts) - 101.0 / 6.0) < 1.0
@@ -340,7 +315,7 @@ def _live_material():
 def test_live_deployment_runs_against_a_mutable_copy():
     task = flat_task(_live_material(), task_id="liveA")
     original = task.heightmap.copy()
-    trace = run_deployment(None, ScorerConfig(kind="random"), LiveTarget(task),
+    trace = run_deployment(None, "random", task,
                            threshold=1e9, budget=2, seed=4)
     assert not trace.success
     assert trace.attempts == 2
@@ -352,7 +327,7 @@ def test_live_deployment_runs_against_a_mutable_copy():
 
 def test_live_deployment_stops_at_the_threshold():
     task = flat_task(_live_material(), task_id="liveB")
-    trace = run_deployment(None, ScorerConfig(kind="random"), LiveTarget(task),
+    trace = run_deployment(None, "random", task,
                            threshold=0.0, budget=3, seed=5)
     assert trace.success and trace.attempts == 1
     assert isinstance(trace, DeploymentTrace)
@@ -365,13 +340,13 @@ def test_live_candidates_equal_the_stacked_gp_input_rows(world, monkeypatch):
 
     seen = []
 
-    def recording_score(model, scorer, support_x, support_y, candidates, rng=None):
+    def recording_score(model, kind, support_x, support_y, candidates, rng=None):
         seen.append(candidates)
-        return score(model, scorer, support_x, support_y, candidates, rng)
+        return score(model, kind, support_x, support_y, candidates, rng)
 
     monkeypatch.setattr(decide, "score", recording_score)
     task = world.test_tasks[-1]
-    trace = run_deployment(None, ScorerConfig(kind="random"), LiveTarget(task),
+    trace = run_deployment(None, "random", task,
                            threshold=1e9, budget=2, seed=3)
     assert len(seen) == trace.attempts == 2
     actions = enumerate_action_grid()

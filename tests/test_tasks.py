@@ -31,6 +31,7 @@ from scoopgp.tasks import (
     N_YAWS,
     OBS_DIM,
     PATCH_CELLS,
+    RECORDS_HEADER,
     TRAY_H,
     TRAY_W,
     _YAW_COS,
@@ -788,9 +789,23 @@ def test_ingest_reports_global_statistics(tmp_path, world):
     open(empty + ".records.txt", "w").close()
     with pytest.raises(IngestError):
         ingest_released_dataset(empty)
-    write_database(empty, [toy_dataset("t0", np.empty((0, 3)), [])])
+    # write_database refuses a file without records, so this one is written by hand
+    with open(empty + ".records.txt", "w") as fh:
+        fh.write(f"{RECORDS_HEADER}\ntask t0 single matA 0 3\n")
     with pytest.raises(IngestError, match="dataset is empty"):
         ingest_released_dataset(empty)
+
+
+@pytest.mark.parametrize("n_tasks", [0, 1, 3])
+def test_write_database_refuses_a_dataset_without_records(tmp_path, n_tasks):
+    # no task at all, or only zero-record tasks: read_database would reject the file as empty
+    datasets = [toy_dataset(f"t{i}", np.empty((0, 3)), []) for i in range(n_tasks)]
+    with pytest.raises(ValueError, match="no records"):
+        write_database(str(tmp_path / "db"), datasets)
+    assert list(tmp_path.iterdir()) == []
+    # one record among zero-record tasks is a dataset the reader accepts
+    write_database(str(tmp_path / "db"), datasets + [toy_dataset("last", [[1.0, 2.0, 3.0]], [4.0])])
+    assert [len(ds) for ds in read_database(str(tmp_path / "db"))] == [0] * n_tasks + [1]
 
 
 def test_terrain_bundle_round_trip(tmp_path, world):
