@@ -8,23 +8,14 @@ Exit codes: 0 on success, 2 for usage errors (argparse handles these),
 1 for runtime failures, which print a diagnostic to stderr.
 
 SCOOPGP_THREADS caps the BLAS thread pools (applied on package import,
-before numpy loads); SCOOPGP_OUT_DIR prefixes every relative output path.
+before numpy loads).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
-
-
-def _out_path(path: str) -> str:
-    base = os.environ.get("SCOOPGP_OUT_DIR")
-    if base and not os.path.isabs(path):
-        os.makedirs(base, exist_ok=True)
-        return os.path.join(base, path)
-    return path
 
 
 def _load_run_config(args):
@@ -49,15 +40,14 @@ def _cmd_gen(args) -> int:
     pool = generate_materials(g.n_train_materials, g.n_ood_materials, g.rho, args.seed)
     train_tasks, train_sets = sample_task_family(pool, g.n_train_tasks, g.train_records, args.seed)
     test_tasks, test_sets = sample_ood_test_family(pool, g.n_test_tasks, g.test_records, args.seed)
-    prefix = _out_path(args.prefix)
-    write_database(prefix + ".train", train_sets)
-    write_database(prefix + ".test", test_sets)
-    save_terrains(prefix + ".terrains.bin", train_tasks + test_tasks)
-    print(f"wrote {prefix}.train.records.txt ({sum(len(ds) for ds in train_sets)} records, "
+    write_database(args.prefix + ".train", train_sets)
+    write_database(args.prefix + ".test", test_sets)
+    save_terrains(args.prefix + ".terrains.bin", train_tasks + test_tasks)
+    print(f"wrote {args.prefix}.train.records.txt ({sum(len(ds) for ds in train_sets)} records, "
           f"{len(train_sets)} tasks)")
-    print(f"wrote {prefix}.test.records.txt ({sum(len(ds) for ds in test_sets)} records, "
+    print(f"wrote {args.prefix}.test.records.txt ({sum(len(ds) for ds in test_sets)} records, "
           f"{len(test_sets)} tasks)")
-    print(f"wrote {prefix}.terrains.bin")
+    print(f"wrote {args.prefix}.terrains.bin")
     return 0
 
 
@@ -75,9 +65,8 @@ def _cmd_train(args) -> int:
         reports = [folds[k].report for k in sorted(folds)] + [result.kernel_report, result.mean_report]
     else:
         reports = [result.report]
-    out = _out_path(args.out)
-    save_model(out, result.model, {f"{out}.train.txt": "".join(r.to_text() for r in reports)})
-    print(f"wrote {out} (checkpoint {checkpoint_id(result.model)})")
+    save_model(args.out, result.model, {f"{args.out}.train.txt": "".join(r.to_text() for r in reports)})
+    print(f"wrote {args.out} (checkpoint {checkpoint_id(result.model)})")
     return 0
 
 
@@ -94,12 +83,11 @@ def _cmd_eval_mae(args) -> int:
         report = mean_model_mae(model, datasets, trials=b.mae_trials, seed=args.seed)
     else:
         report = eval_kshot_mae(model, datasets, shots=b.shots, trials=b.mae_trials, seed=args.seed)
-    out = _out_path(args.out)
-    write_mae_report(out, report)
+    write_mae_report(args.out, report)
     for shot in report.shots:
         mae, top = report.aggregate(shot)
         print(f"{shot}-shot: mae {mae:.3f}  top mae {top:.3f}")
-    print(f"wrote {out}")
+    print(f"wrote {args.out}")
     return 0
 
 
@@ -124,20 +112,18 @@ def _cmd_deploy(args) -> int:
             B = args.threshold if args.threshold is not None else deployment_threshold(ds)
             trace = run_deployment(model, args.scorer, by_id[ds.task_id], B, b.budget, args.seed)
             lines.append(trace.to_text())
-        out = _out_path(args.out)
-        write_atomic({out: "\n".join(lines) + "\n"})
-        print(f"wrote {out}")
+        write_atomic({args.out: "\n".join(lines) + "\n"})
+        print(f"wrote {args.out}")
         return 0
     datasets = read_database(args.data)
     report = eval_simulated_deployment(model, args.scorer, datasets, budget=b.budget, trials=b.deploy_trials,
                                        seed=args.seed, exclude_below=b.exclude_below)
-    out = _out_path(args.out)
-    write_deploy_report(out, report)
+    write_deploy_report(args.out, report)
     print(f"{args.scorer}: avg attempts {report.avg_attempts:.2f}  "
           f"success rate {report.success_rate:.2f}")
     if report.excluded:
         print(f"excluded below-threshold tasks: {', '.join(report.excluded)}")
-    print(f"wrote {out}")
+    print(f"wrote {args.out}")
     return 0
 
 

@@ -85,20 +85,15 @@ def select_action(scores: np.ndarray, feasible: np.ndarray) -> int:
 @dataclass(frozen=True)
 class EpisodeStep:
     """One executed step: the candidate's index in its target (a record or
-    a grid action), its score, the observed reward and the support size
-    after it. actions is the target's (n, 5) action rows; steps compare
-    without it."""
+    a grid action), its score, the observed reward, the support size after
+    it and the executed action row (x, y, yaw_index, depth, stiffness bit);
+    steps compare without the row."""
 
     index: int
     score: float
     reward: float
     support_size: int
-    actions: np.ndarray = field(compare=False, repr=False)
-
-    @property
-    def action(self) -> np.ndarray:
-        """The executed action row (x, y, yaw_index, depth, stiffness bit)."""
-        return self.actions[self.index]
+    action: np.ndarray = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -168,7 +163,7 @@ def _random_dataset_episode(ds: TaskDataset, rng: np.random.Generator, threshold
         reward = float(rewards[idx])
         success = bool(reward >= threshold)
         failures += not success
-        episodes.append(EpisodeStep(idx, float(scores[idx]), reward, failures, ds.actions))
+        episodes.append(EpisodeStep(idx, float(scores[idx]), reward, failures, ds.actions[idx]))
         if success:
             break
         draws[:, idx] = -1.0
@@ -182,29 +177,31 @@ def run_deployment(model, kind: str, target, threshold: float, budget: int, seed
     scoops are replayed, or a TerrainTask, whose full action grid is scored
     against a copy of the terrain. Every executed observation below the
     threshold is appended to the support set before the next episode, so
-    ucb conditions on all failures so far. Each target supplies a mask of
-    the actions still allowed, the candidate inputs of the current step,
-    the support rows (gathered only for ucb, the one scorer that reads
-    them), its action rows, an execute step that returns the observed
-    reward, and a keep step that adds a failed candidate to the support. A
-    step is recorded by its candidate index into the action rows.
+    ucb conditions on all failures so far. A step is recorded by its
+    candidate index into the target's action rows (records or grid).
 
-    A replayed episode embeds its records once. Under the random scorer it
-    builds no candidates and draws nothing from its generator but scores,
-    so it runs as _random_dataset_episode: all its steps' scores in one
-    draw. Live mode draws reward noise between steps, so its random scores
-    stay one draw per step.
+    A replayed episode builds its records' inputs once: ucb embeds them,
+    and mean scores them once by their prior means, which never change.
+    Under the random scorer it builds nothing and draws nothing from its
+    generator but scores, so it runs as _random_dataset_episode: all its
+    steps' scores in one draw. Live mode draws reward noise between steps,
+    so its random scores stay one draw per step.
     """
+    live = isinstance(target, TerrainTask)
+    if not live and not isinstance(target, TaskDataset):
+        raise TypeError(f"target must be a TaskDataset or a TerrainTask, got {type(target).__name__}")
     _check_scorer(model, kind)
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    live = isinstance(target, TerrainTask)
     # only the random scorer and live reward noise draw, so only they build a generator
     rng = None
     if kind == "random" or live:
         rng = np.random.default_rng(seed_sequence(seed, 0xDE9107))
 
-    if isinstance(target, TaskDataset):
+    if live:
+        task, grid = target.copy(), ActionGrid()
+        task_id, actions, allowed = task.id, grid.columns, grid.feasible
+    else:
         ds = target
         if not len(ds):
             raise ValueError(f"task {ds.task_id} has no records to deploy against")
@@ -216,57 +213,34 @@ def run_deployment(model, kind: str, target, threshold: float, budget: int, seed
             )
         if kind == "random":
             return _random_dataset_episode(ds, rng, threshold, budget)
-        pool = embed(model, ds.gp_inputs())
-        task_id, actions = ds.task_id, ds.actions
-        allowed = np.ones(len(ds), dtype=bool)
-        failed = []
+        task_id, actions, allowed = ds.task_id, ds.actions, np.ones(len(ds), dtype=bool)
+        # ucb conditions on the embedded records; mean's scores are their prior means
+        pool = embed(model, ds.gp_inputs()) if kind == "ucb" else mean_eval_batch(model, ds.gp_inputs())
 
-        def candidates():
-            return pool
-
-        def support():
-            return pool[failed]
-
-        def execute(idx):
-            allowed[idx] = False
-            return float(rewards[idx])
-
-        def keep(X, idx):
-            failed.append(idx)
-    elif live:
-        task, grid = target.copy(), ActionGrid()
-        task_id, actions, allowed = task.id, grid.columns, grid.feasible
-        failed = []
-
-        def candidates():
-            return grid.gp_inputs(task)
-
-        def support():
-            return failed
-
-        def execute(idx):
+    # the support: raw grid rows (live) or record indices into the pool (replayed)
+    failed, support_y, episodes = [], [], []
+    success = False
+    while len(episodes) < budget:
+        if live:
+            X = grid.gp_inputs(task)
+            scores = score(model, kind, failed if kind == "ucb" else None, support_y, X, rng)
+        elif kind == "ucb":
+            scores = score(model, kind, pool[failed], support_y, pool)
+        else:
+            scores = pool
+        idx = select_action(scores, allowed)
+        if live:
             noise_seed = int(rng.integers(0, 2 ** 31 - 1))
             reward = float(reward_oracle(task, actions[idx:idx + 1], noise_seed)[0])
             _scoop_terrain(task, actions[idx], reward)
-            return reward
-
-        def keep(X, idx):
-            failed.append(X[idx])
-    else:
-        raise TypeError(f"target must be a TaskDataset or a TerrainTask, got {type(target).__name__}")
-
-    support_y, episodes = [], []
-    success = False
-    while len(episodes) < budget:
-        X = candidates()
-        scores = score(model, kind, support() if kind == "ucb" else None, support_y, X, rng)
-        idx = select_action(scores, allowed)
-        reward = execute(idx)
+        else:
+            allowed[idx] = False
+            reward = float(rewards[idx])
         success = bool(reward >= threshold)
         if not success:
-            keep(X, idx)
+            failed.append(X[idx] if live else idx)
             support_y.append(reward)
-        episodes.append(EpisodeStep(idx, float(scores[idx]), reward, len(support_y), actions))
+        episodes.append(EpisodeStep(idx, float(scores[idx]), reward, len(support_y), actions[idx]))
         if success or not np.count_nonzero(allowed):
             break
     return DeploymentTrace(task_id, float(threshold), int(budget), tuple(episodes), success)

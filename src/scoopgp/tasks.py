@@ -76,7 +76,6 @@ JAM_LOCK_DEPTH = 0.85
 GATE_MIN = 0.05
 
 LATENT_DIM = 4
-LATENT_NAMES = ("scoop_gain", "jam", "depth_sens", "slope_pref")
 # reference boxes used both for sampling training materials and for
 # standardizing latents before mixing them into appearances
 TRAIN_LATENT_LO = np.array([0.25, 0.05, 0.10, -0.80])

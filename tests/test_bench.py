@@ -465,12 +465,16 @@ def test_deterministic_scorers_replay_one_episode_per_task(world, codega_result,
         calls.append((kind, ds.task_id))
         return run_deployment(model, kind, ds, *args)
 
-    embedded, built = [], []
+    embedded, mean_evaluated, built = [], [], []
     real_gp_inputs = TaskDataset.gp_inputs
 
     def counting_embed(model, X):
         embedded.append(len(X))
         return scoopgp.gp.embed(model, X)
+
+    def counting_mean_eval_batch(model, X):
+        mean_evaluated.append(len(X))
+        return scoopgp.gp.mean_eval_batch(model, X)
 
     def counting_gp_inputs(ds):
         built.append(ds.task_id)
@@ -483,19 +487,24 @@ def test_deterministic_scorers_replay_one_episode_per_task(world, codega_result,
                 for kind in ("ucb", "mean", "random")}
     monkeypatch.setattr(bench, "run_deployment", counting_run_deployment)
     monkeypatch.setattr(decide, "embed", counting_embed)
+    monkeypatch.setattr(decide, "mean_eval_batch", counting_mean_eval_batch)
     monkeypatch.setattr(TaskDataset, "gp_inputs", counting_gp_inputs)
     for kind in ("ucb", "mean", "random"):
         embedded.clear()
+        mean_evaluated.clear()
         built.clear()
         out = eval_simulated_deployment(model, kind, world.test_sets, budget=8, trials=trials, seed=3)
         included = sorted({r.task_id for r in out.rows})
         assert included
         assert out == expected[kind]
-        # ucb and mean embed each task's records once; random builds no candidate rows at all
+        # each task's records are built once: ucb embeds them through both networks,
+        # mean evaluates their prior means once; random builds no candidate rows at all
         if kind == "random":
-            assert embedded == [] and built == []
+            assert built == [] and embedded == [] and mean_evaluated == []
         else:
-            assert sorted(built) == included and embedded == [sizes[t] for t in built]
+            assert sorted(built) == included
+            once = [sizes[t] for t in built]
+            assert (embedded, mean_evaluated) == ((once, []) if kind == "ucb" else ([], once))
         per_task = [task for k, task in calls if k == kind]
         assert sorted(per_task) == sorted(included * (1 if kind != "random" else trials))
 

@@ -519,30 +519,6 @@ def test_deploy_adaptive_scorer_requires_model(cli_dir, tmp_path, capsys):
     assert "--scorer ucb requires --model" in capsys.readouterr().err
 
 
-def test_out_dir_env_routes_relative_paths(cli_dir, codega_ckpt, tmp_path,
-                                           monkeypatch, capsys):
-    routed = tmp_path / "routed"
-    monkeypatch.setenv("SCOOPGP_OUT_DIR", str(routed))
-    rc = main([
-        "eval-mae", "--data", str(cli_dir / "fam.test.records.txt"),
-        "--model", str(codega_ckpt), "--out", "rel.mae.txt", *SMALL_EVAL,
-    ])
-    assert rc == 0
-    capsys.readouterr()
-    assert (routed / "rel.mae.txt").exists()
-
-    # absolute outputs are left alone
-    absolute = tmp_path / "abs.mae.txt"
-    rc = main([
-        "eval-mae", "--data", str(cli_dir / "fam.test.records.txt"),
-        "--model", str(codega_ckpt), "--out", str(absolute), *SMALL_EVAL,
-    ])
-    assert rc == 0
-    capsys.readouterr()
-    assert absolute.exists()
-    assert not (routed / "abs.mae.txt").exists()
-
-
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads via /proc")
 def test_threads_env_caps_blas_before_numpy_loads():
     src = str(Path(__file__).resolve().parents[1] / "src")
