@@ -3,11 +3,11 @@
 
     python3 scripts/run_benchmark.py --out DIR [--seed S] [--model-seeds N] [--config FILE] [--set KEY=VALUE ...]
 
-Runs the scoopgp stages through `scoopgp.cli.main`, each with --config and --set: gen; per model seed,
-train, eval-mae at every shot and deploy ucb for codega, dkmt and mean-only (the supervised mean with an
-untrained kernel head, labelled "untrained kernel"); deploy mean (the seed-0 codega model's prior mean)
-and random; report. scripts/full.conf is the benchmark scale. DIR/HEADLINE.txt holds the report tables,
-a checkpoint legend and paired sign tests; reruns reproduce it.
+Runs the scoopgp stages through `scoopgp.cli.main`, each but report with --config and --set: gen; per
+model seed, train, eval-mae at every shot and deploy ucb for codega, dkmt and mean-only (the supervised
+mean with an untrained kernel head, labelled "untrained kernel"); deploy mean (the seed-0 codega model's
+prior mean) and random; report, on the report files alone. scripts/full.conf is the benchmark scale.
+DIR/HEADLINE.txt holds the report tables, a checkpoint legend and paired sign tests; reruns reproduce it.
 """
 
 import argparse
@@ -46,8 +46,8 @@ def main(argv=None) -> int:
     ap.add_argument("--out", required=True, help="directory for every artifact and HEADLINE.txt")
     ap.add_argument("--seed", type=int, default=1, help="family seed")
     ap.add_argument("--model-seeds", type=int, default=1, help="train seeds 0..N-1")
-    ap.add_argument("--config", help="config file passed to every stage")
-    ap.add_argument("--set", action="append", default=[], metavar="KEY=VALUE", help="override passed to every stage")
+    ap.add_argument("--config", help="config file passed to every stage but report")
+    ap.add_argument("--set", action="append", default=[], metavar="KEY=VALUE", help="override passed to every stage but report")
     args = ap.parse_args(argv)
     out = Path(args.out).resolve()
     cfg = (["--config", args.config] if args.config else []) + [a for kv in args.set for a in ("--set", kv)]
@@ -57,8 +57,8 @@ def main(argv=None) -> int:
     deploy_files = {(m, s): str(out / f"{m}-s{s}.ucb.deploy.txt") for s in seeds for m in METHODS}
     deploy_files["mean", 0], deploy_files["random", 0] = (str(out / f"{m}.deploy.txt") for m in ("mean", "random"))
 
-    def stage(*argv):
-        if scoopgp([*argv, *cfg]) != 0:
+    def stage(*argv, configured=True):
+        if scoopgp([*argv, *(cfg if configured else [])]) != 0:
             sys.exit(f"scoopgp {argv[0]} failed")
 
     out.mkdir(parents=True, exist_ok=True)
@@ -72,7 +72,7 @@ def main(argv=None) -> int:
     stage("deploy", "--data", test, "--model", str(out / "codega-s0.bin"), "--scorer", "mean", "--out", deploy_files["mean", 0])
     stage("deploy", "--data", test, "--scorer", "random", "--out", deploy_files["random", 0])
     with contextlib.redirect_stdout(io.StringIO()) as tables:
-        stage("report", *mae_files.values(), *deploy_files.values())
+        stage("report", *mae_files.values(), *deploy_files.values(), configured=False)
 
     mae = {key: read_mae_report(path) for key, path in mae_files.items()}
     deploys = {key: read_deploy_report(path) for key, path in deploy_files.items()}

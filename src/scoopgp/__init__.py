@@ -3,10 +3,11 @@
 A reward model is a neural feature extractor feeding two heads: a mean
 network covering behavior shared across materials, and a kernel embedding
 whose RBF distances drive exact GP posterior updates from a handful of
-on-terrain scoops. Training alternates the two heads over material folds
-so the kernel learns residual structure the mean cannot explain; the
-decision loop scores a fixed action grid by UCB and scoops until one
-reward clears the terrain's threshold.
+on-terrain scoops. CoDeGa training fits one mean per material fold with
+that fold held out, fits the kernel to those means' residuals on their
+held-out folds, and pairs it with a mean fit on all folds; the decision
+loop scores a fixed action grid by UCB and scoops until one reward clears
+the terrain's threshold.
 """
 
 import os
@@ -27,10 +28,9 @@ from .errors import (ConfigError, IngestError, NumericalError, ScoopGpError, Sel
 from .gp import DeepGpModel, checkpoint_id, load_model, nlml, nlml_grad, posterior_batch, save_model
 from .meta import CodegaResult, ModelResult, train_codega, train_dkmt, train_mean, train_mean_only
 from .nnet import NetworkSpec, ParamVector, init_params
-from .tasks import (Material, MaterialPool, TaskDataset, TerrainTask,
-                    enumerate_action_grid, generate_materials, generate_task,
-                    ingest_released_dataset, read_database, reward_oracle, sample_ood_test_family,
-                    sample_task_family, write_database)
+from .tasks import (Material, MaterialPool, TaskDataset, TerrainTask, enumerate_action_grid,
+                    generate_materials, generate_task, read_database, reward_oracle,
+                    sample_ood_test_family, sample_task_family, write_database)
 
 __version__ = "0.1.0"
 
@@ -42,7 +42,7 @@ __all__ = [
     "SCORER_KINDS", "SelectionError", "SerializationError", "ShapeError",
     "TaskDataset", "TerrainTask", "TrainConfig", "UCB_GAMMA", "checkpoint_id",
     "enumerate_action_grid", "eval_kshot_mae", "eval_simulated_deployment",
-    "generate_materials", "generate_task", "ingest_released_dataset", "load_config",
+    "generate_materials", "generate_task", "load_config",
     "load_model", "mean_model_mae", "nlml", "nlml_grad",
     "paired_sign_test", "posterior_batch", "read_database",
     "reward_oracle", "run_deployment", "sample_ood_test_family", "sample_task_family",

@@ -2,7 +2,7 @@
 
 Subcommands cover the full workflow: generate a synthetic task family,
 train a model, evaluate k-shot prediction error, run simulated
-deployment, validate a dataset file, and render report tables.
+deployment, and render report tables.
 
 Exit codes: 0 on success, 2 for usage errors (argparse handles these),
 1 for runtime failures, which print a diagnostic to stderr.
@@ -127,14 +127,6 @@ def _cmd_deploy(args) -> int:
     return 0
 
 
-def _cmd_ingest(args) -> int:
-    from .tasks import ingest_released_dataset
-
-    _, report = ingest_released_dataset(args.data)
-    print(report.render(), end="")
-    return 0
-
-
 def _cmd_report(args) -> int:
     from .bench import MaeReport, read_report, render_deploy_table, render_mae_table
 
@@ -164,6 +156,8 @@ def _cmd_report(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parse_args fills a new
     namespace on every call, so calls do not share parsed values."""
+    from .decide import SCORER_KINDS
+
     parser = argparse.ArgumentParser(prog="scoopgp",
                                      description="few-shot scooping reward models")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -199,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--data", required=True)
     p.add_argument("--model", help="model checkpoint (optional for --scorer random)")
-    p.add_argument("--scorer", choices=("ucb", "mean", "random"), default="ucb")
+    p.add_argument("--scorer", choices=SCORER_KINDS, default="ucb")
     p.add_argument("--mode", choices=("dataset", "live"), default="dataset")
     p.add_argument("--terrains", help="terrain container (required for --mode live)")
     p.add_argument("--threshold", type=float, default=None,
@@ -207,13 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_deploy)
 
-    p = sub.add_parser("ingest", help="validate and summarize a records file")
-    common(p)
-    p.add_argument("--data", required=True)
-    p.set_defaults(func=_cmd_ingest)
-
     p = sub.add_parser("report", help="render report files as tables")
-    common(p)
     p.add_argument("files", nargs="+")
     p.set_defaults(func=_cmd_report)
 

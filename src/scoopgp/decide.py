@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import seed_sequence
 from .errors import SelectionError
-from .gp import DeepGpModel, Embedded, embed, mean_eval_batch, posterior_batch
+from .gp import DeepGpModel, embed, mean_eval_batch, posterior_batch
 from .tasks import (
     CELL,
     DRAG_LEN,
@@ -53,13 +53,14 @@ def score(model: DeepGpModel | None, kind: str, support_x, support_y, candidates
     mean:   prior mean only, support ignored (the non-adaptive baseline)
     random: uniform random scores drawn from rng, no model involved
 
-    Candidates and support are input rows or Embedded sets.
+    ucb's candidates and support are input rows or Embedded sets; mean's
+    candidates are input rows.
     """
     _check_scorer(model, kind)
     if kind == "random":
         return rng.random(len(candidates))
     if kind == "mean":
-        return candidates.m if isinstance(candidates, Embedded) else mean_eval_batch(model, candidates)
+        return mean_eval_batch(model, candidates)
     mu, var = posterior_batch(model, support_x, support_y, candidates)
     return mu + UCB_GAMMA * np.sqrt(var)
 

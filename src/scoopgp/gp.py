@@ -105,10 +105,6 @@ class DeepGpModel:
         return self.feature_spec.input_dim
 
     @property
-    def embed_dim(self) -> int:
-        return self.kernel_spec.output_dim
-
-    @property
     def lengthscale(self) -> float:
         return float(np.exp(self.log_lengthscale))
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
@@ -126,10 +126,6 @@ class MaterialPool:
 
     training: tuple
     ood: tuple
-
-    @property
-    def all(self) -> tuple:
-        return self.training + self.ood
 
 
 def generate_materials(n_train: int, n_ood: int, rho: float, seed) -> MaterialPool:
@@ -925,41 +921,6 @@ def read_database(path: str) -> list:
     if not any(len(ds) for ds in datasets):
         raise IngestError("dataset is empty", path)
     return datasets
-
-
-@dataclass(frozen=True)
-class IngestReport:
-    n_tasks: int
-    n_records: int
-    mean_reward: float
-    max_reward: float
-    composition_counts: dict = field(default_factory=dict)
-
-    def render(self) -> str:
-        comps = " ".join(f"{k}={v}" for k, v in sorted(self.composition_counts.items()))
-        return (f"tasks={self.n_tasks} records={self.n_records} "
-                f"mean_reward={self.mean_reward:.1f} max_reward={self.max_reward:.1f} {comps}")
-
-
-def ingest_released_dataset(path: str):
-    """Validate a canonical-format dataset and report global statistics.
-
-    Returns (datasets, IngestReport). Raises IngestError on any schema
-    violation; nothing is returned partially.
-    """
-    datasets = read_database(path)
-    rewards = np.concatenate([ds.rewards() for ds in datasets if len(ds)])
-    counts = {}
-    for ds in datasets:
-        counts[ds.composition] = counts.get(ds.composition, 0) + 1
-    report = IngestReport(
-        n_tasks=len(datasets),
-        n_records=int(sum(len(ds) for ds in datasets)),
-        mean_reward=float(rewards.mean()),
-        max_reward=float(rewards.max()),
-        composition_counts=counts,
-    )
-    return datasets, report
 
 
 # ---------------------------------------------------------------------------

@@ -484,16 +484,15 @@ def reference_dataset_deployment(model, kind: str, ds: TaskDataset, threshold: f
                                  seed=0) -> ReferenceTrace:
     """decide.run_deployment's dataset mode as it was before episodes worked
     on record indices: the candidates are the records' input rows, embedded
-    when there is a model, every step gathers the support rows, whatever
-    the scorer, and builds the executed action. The reference its traces
-    must equal."""
+    for ucb, every step gathers the support rows, whatever the scorer, and
+    builds the executed action. The reference its traces must equal."""
     if budget < 1:
         raise ValueError("budget must be at least 1")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, 0xDE9107]))
 
     if not len(ds):
         raise ValueError(f"task {ds.task_id} has no records to deploy against")
-    pool = ds.gp_inputs() if model is None else embed(model, ds.gp_inputs())
+    pool = embed(model, ds.gp_inputs()) if kind == "ucb" else ds.gp_inputs()
     rewards = ds.rewards()
     if rewards.max() < threshold:
         raise ValueError(

@@ -283,15 +283,7 @@ def test_deploy_live_mode_runs_episodes(cli_dir, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# ingest and report
-
-def test_ingest_prints_statistics(cli_dir, capsys):
-    rc = main(["ingest", "--data", str(cli_dir / "fam.train.records.txt")])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "tasks=6" in out and "records=72" in out
-    assert "mean_reward=" in out and "max_reward=" in out
-
+# report
 
 def test_report_renders_tables(mae_report_path, deploy_report_path, capsys):
     rc = main(["report", str(mae_report_path), str(deploy_report_path)])
@@ -490,6 +482,16 @@ def test_usage_errors_exit_2(capsys):
         main(["train", "--data", "x.records.txt", "--out", "x.bin", "--folds", "2"])
     assert ei.value.code == 2
     assert "--folds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["ingest", "--data", "x"], ["report", "--seed", "1", "f"],
+                                  ["report", "--config", "c", "f"], ["report", "--set", "bench.budget=3", "f"]])
+def test_no_ingest_and_report_takes_only_files(argv, capsys):
+    # report reads no seed or config, so it accepts none rather than ignore them
+    with pytest.raises(SystemExit) as ei:
+        main(argv)
+    assert ei.value.code == 2
+    capsys.readouterr()
 
 
 def test_deploy_live_requires_terrains(cli_dir, tmp_path, capsys):

@@ -8,15 +8,21 @@ seed-0 checkpoint ids must equal the headline's legend, and each table row
 of the rerun must equal the headline's row of the same name, field by
 field. A change that moves a checkpoint id or a reported number therefore
 regenerates results/ with scripts/run_benchmark.py in the same change.
+
+README's Results table quotes sign-test lines of the committed headlines;
+the second test checks each quote against the line it cites, so a change
+that regenerates results/ updates README too.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 HEADLINE = ROOT / "results" / "rho-0.7" / "HEADLINE.txt"
+LEVELS = ("rho-1.0", "rho-0.7", "rho-0.3")
 
 
 def _command(first_line: str) -> list:
@@ -56,3 +62,28 @@ def test_committed_headline_reproduces_at_model_seed_0(tmp_path):
     for ckpt in legend.values():
         assert f"kshot-mae@{ckpt}" in rows and f"ucb@{ckpt}" in rows
     assert {name: expected.get(name) for name in rows} == rows
+
+
+def _results_table() -> dict:
+    """{claim: {column: cell}} of README's Results table, a claim being the
+    C1 of a first cell such as "C1: CoDeGa predicts ..."."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Results\n", 1)[1].split("\n## ", 1)[0]
+    header, _, *rows = ([c.strip() for c in line.strip("|").split("|")]
+                        for line in section.splitlines() if line.startswith("|"))
+    return {row[0].split(":")[0]: dict(zip(header, row)) for row in rows}
+
+
+def test_readme_results_quote_the_committed_headline_lines():
+    table = _results_table()
+    assert sorted(table) == ["C1", "C2", "C3", "C4"]
+    for claim, row in table.items():
+        assert row["verdict"].split(":")[0] in ("supported", "not supported", "not testable here"), row
+        for level in LEVELS:
+            lines = (ROOT / "results" / level / "HEADLINE.txt").read_text(encoding="utf-8").splitlines()
+            quotes = re.findall(r"`(\d+): ([^`]*)`", row[level])
+            # every testable claim quotes at least one line at each level
+            assert quotes or row["verdict"].startswith("not testable"), (claim, level)
+            for number, quoted in quotes:
+                assert re.fullmatch(r"\d+ lower, \d+ higher, \d+ tied, p = \S+", quoted), (claim, quoted)
+                assert lines[int(number) - 1].endswith(": " + quoted), (claim, level, number)

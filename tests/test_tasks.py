@@ -47,7 +47,6 @@ from scoopgp.tasks import (
     generate_heightmap,
     generate_materials,
     generate_task,
-    ingest_released_dataset,
     load_terrains,
     read_database,
     required_materials,
@@ -121,7 +120,7 @@ def test_jamming_novelty_material_stays_shallow_scoopable():
 
 def test_material_pool_lookup_and_validation():
     pool = generate_materials(4, 2, rho=0.5, seed=3)
-    assert [m.id for m in pool.all] == ["mat00", "mat01", "mat02", "mat03", "ood00", "ood01"]
+    assert [m.id for m in pool.training + pool.ood] == ["mat00", "mat01", "mat02", "mat03", "ood00", "ood01"]
     with pytest.raises(ValueError):
         generate_materials(0, 2, rho=0.5, seed=0)
     with pytest.raises(ValueError):
@@ -773,27 +772,16 @@ def test_ids_with_other_punctuation_round_trip(tmp_path):
     assert_columns_equal_reference(back, reference_read_database(str(tmp_path / "db")))
 
 
-def test_ingest_reports_global_statistics(tmp_path, world):
-    prefix = str(tmp_path / "fam")
-    write_database(prefix, world.train_sets)
-    datasets, report = ingest_released_dataset(prefix)
-    assert report.n_tasks == len(world.train_sets)
-    assert report.n_records == sum(len(ds) for ds in world.train_sets)
-    rewards = np.concatenate([ds.rewards() for ds in datasets])
-    assert report.mean_reward == pytest.approx(float(rewards.mean()))
-    assert report.max_reward == pytest.approx(float(rewards.max()))
-    text = report.render()
-    assert "records=" in text and "mean_reward=" in text
-
+def test_read_database_refuses_an_empty_dataset(tmp_path):
     empty = str(tmp_path / "empty")
     open(empty + ".records.txt", "w").close()
     with pytest.raises(IngestError):
-        ingest_released_dataset(empty)
+        read_database(empty)
     # write_database refuses a file without records, so this one is written by hand
     with open(empty + ".records.txt", "w") as fh:
         fh.write(f"{RECORDS_HEADER}\ntask t0 single matA 0 3\n")
     with pytest.raises(IngestError, match="dataset is empty"):
-        ingest_released_dataset(empty)
+        read_database(empty)
 
 
 @pytest.mark.parametrize("n_tasks", [0, 1, 3])
