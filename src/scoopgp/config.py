@@ -10,6 +10,7 @@ tasks.py, and the network shapes are ModelConfig's defaults.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -52,6 +53,15 @@ class TrainConfig:
     max_epochs_kernel: int = 150
     folds: int = 4                  # material folds of train_codega
     log_every: int = 0              # print a progress line every n epochs (0 = quiet)
+
+    def __post_init__(self):
+        if not (math.isfinite(self.lr_kernel) and self.lr_kernel > 0):
+            raise ConfigError(f"train.lr_kernel must be finite and above 0, got {self.lr_kernel}")
+        for key in ("patience", "max_epochs_mean", "max_epochs_kernel", "log_every"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"train.{key} must not be negative, got {getattr(self, key)}")
+        if self.folds < 2:
+            raise ConfigError(f"train.folds must be at least 2, got {self.folds}")
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,11 @@ train_dkmt
     transfer, Patacchiola et al. 2020).
 
 train_mean_only builds the non-adaptive reference: the supervised mean
-with an untrained kernel head. Every trainer runs the same early-stopping
-epoch loop, _fit; the two marginal-likelihood trainers run it through
-one NLML loop, _train_nlml, and every model is assembled by _model.
+with an untrained kernel head. Every trainer steps one parameter vector θ
+(the networks it trains end to end, then the three log hyperparameters
+under NLML training) with one Adam state, in the same early-stopping epoch
+loop, _fit; the two marginal-likelihood trainers run it through one NLML
+loop, _train_nlml, and every model is assembled by _model.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .gp import DeepGpModel, _sqdist, nlml_grad
 from .nnet import (
     NetworkSpec,
     ParamVector,
+    adam_init,
     forward_batch,
     init_params,
     optimizer_step,
@@ -127,11 +130,11 @@ def _specs(model_cfg: ModelConfig, input_dim: int) -> tuple:
     return model_cfg.feature_spec(input_dim), model_cfg.mean_spec(), model_cfg.kernel_spec()
 
 
-def _model(specs: tuple, feat: ParamVector, mean: ParamVector, kernel: ParamVector, **hypers) -> DeepGpModel:
+def _model(specs: tuple, feature: ParamVector, mean: ParamVector, kernel: ParamVector, **hypers) -> DeepGpModel:
     """The DeepGpModel with _specs' networks, these parameters and the three
     log hyperparameters given by keyword."""
     feature_spec, mean_spec, kernel_spec = specs
-    return DeepGpModel(feature_spec=feature_spec, feature_params=feat, mean_spec=mean_spec, mean_params=mean,
+    return DeepGpModel(feature_spec=feature_spec, feature_params=feature, mean_spec=mean_spec, mean_params=mean,
                        kernel_spec=kernel_spec, kernel_params=kernel, **hypers)
 
 
@@ -166,14 +169,14 @@ def _standardizer(y: np.ndarray) -> tuple:
     return mu, sigma
 
 
-def _fit(label: str, state: dict, epoch_step, max_epochs: int, train_cfg: TrainConfig) -> tuple:
+def _fit(label: str, state: ParamVector, epoch_step, max_epochs: int, train_cfg: TrainConfig) -> tuple:
     """The early-stopping epoch loop every trainer runs.
 
-    state maps names to ParamVectors. epoch_step(state) runs one epoch and
-    returns (state, score, train_loss, val_loss); score is minimised and
-    val_loss is None without a validation set. Stops once score has not
-    improved for more than train_cfg.patience epochs and returns the best
-    epoch's state with the TrainingReport.
+    state is the trainer's parameter vector θ. epoch_step(state) runs one
+    epoch and returns (state, score, train_loss, val_loss); score is
+    minimised and val_loss is None without a validation set. Stops once
+    score has not improved for more than train_cfg.patience epochs and
+    returns the best epoch's state with the TrainingReport.
     """
     best_score, best_state, best_epoch = math.inf, state, 0
     bad = 0
@@ -194,13 +197,24 @@ def _fit(label: str, state: dict, epoch_step, max_epochs: int, train_cfg: TrainC
     return best_state, TrainingReport(label=label, entries=tuple(entries), best_epoch=best_epoch)
 
 
-def _adam(state: dict, grads: dict, opt: dict, lr: float) -> dict:
-    """A copy of state after one Adam step on each named vector in grads.
-    opt holds the Adam state per name and is updated in place."""
-    state = dict(state)
-    for name, g in grads.items():
-        state[name], opt[name] = optimizer_step(state[name], g, opt.get(name), lr)
-    return state
+_HYPER_NAMES = ("log_lengthscale", "log_outputscale", "log_noise")
+
+
+def _join(parts: dict, *hypers: float) -> ParamVector:
+    """θ: the ParamVectors in parts end to end, then any log hyperparameters."""
+    values = np.concatenate([*(p.values for p in parts.values()), hypers])
+    return ParamVector(values, (("theta", values.shape),))
+
+
+def _unjoin(theta: ParamVector, parts: dict) -> dict:
+    """θ's parts by name, each over the layout of its namesake in parts, and
+    the log hyperparameters at θ's tail: _model's keyword arguments."""
+    kw, start = {}, 0
+    for name, p in parts.items():
+        kw[name] = p.replace_values(theta.values[start:start + len(p)])
+        start += len(p)
+    kw.update(zip(_HYPER_NAMES, map(float, theta.values[start:])))
+    return kw
 
 
 def train_mean(datasets, seed, model_cfg: ModelConfig = ModelConfig(), train_cfg: TrainConfig = TrainConfig(), label: str = "mean") -> MeanResult:
@@ -231,31 +245,36 @@ def train_mean(datasets, seed, model_cfg: ModelConfig = ModelConfig(), train_cfg
 
     feature_spec, mean_spec, _ = _specs(model_cfg, X.shape[1])
     rng_init = np.random.default_rng(init_ss)
-    init = {"feat": init_params(feature_spec, rng_init), "mean": init_params(mean_spec, rng_init)}
-    opt = {}
+    parts = {"feature": init_params(feature_spec, rng_init), "mean": init_params(mean_spec, rng_init)}
+    theta = _join(parts)
+    opt = adam_init(len(theta))
     raw = sigma * sigma
 
-    def mse(s, Xs, ys) -> float:
-        pred = _mean_predict(feature_spec, s["feat"], mean_spec, s["mean"], Xs)
+    def mse(theta, Xs, ys) -> float:
+        p = _unjoin(theta, parts)
+        pred = _mean_predict(feature_spec, p["feature"], mean_spec, p["mean"], Xs)
         return float(np.mean((pred - ys) ** 2))
 
-    def epoch_step(s):
+    def epoch_step(theta):
+        nonlocal opt
         order = rng_batch.permutation(Xt.shape[0])
         for start in range(0, len(order), BATCH_SIZE):
             idx = order[start:start + BATCH_SIZE]
             Xb, yb = Xt[idx], yt[idx]
-            U, feat_pullback = vjp(feature_spec, s["feat"], Xb)
-            pred, mean_pullback = vjp(mean_spec, s["mean"], U)
+            p = _unjoin(theta, parts)
+            U, feat_pullback = vjp(feature_spec, p["feature"], Xb)
+            pred, mean_pullback = vjp(mean_spec, p["mean"], U)
             g_mean, dU = mean_pullback((2.0 / len(idx)) * (pred[:, 0] - yb)[:, None])
             g_feat, _ = feat_pullback(dU)
-            s = _adam(s, {"mean": g_mean, "feat": g_feat}, opt, LR_MEAN)
-        train_loss = mse(s, Xt, yt)
-        val_loss = mse(s, Xv, yv)
-        return s, val_loss, raw * train_loss, raw * val_loss
+            theta, opt = optimizer_step(theta, _join({"feature": g_feat, "mean": g_mean}), opt, LR_MEAN)
+        train_loss = mse(theta, Xt, yt)
+        val_loss = mse(theta, Xv, yv)
+        return theta, val_loss, raw * train_loss, raw * val_loss
 
-    best, report = _fit(label, init, epoch_step, train_cfg.max_epochs_mean, train_cfg)
+    best, report = _fit(label, theta, epoch_step, train_cfg.max_epochs_mean, train_cfg)
+    best = _unjoin(best, parts)
     mean = _scale_output_layer(mean_spec, best["mean"], mu, sigma)
-    return MeanResult(feature_params=best["feat"], mean_params=mean, report=report)
+    return MeanResult(feature_params=best["feature"], mean_params=mean, report=report)
 
 
 def train_mean_only(datasets, seed=0, model_cfg: ModelConfig = ModelConfig(), train_cfg: TrainConfig = TrainConfig()) -> ModelResult:
@@ -358,36 +377,11 @@ def _median_embed_heuristic(embeddings: np.ndarray) -> float:
     return med if med > 1e-6 else 1.0
 
 
-def _clamp_hypers(h: ParamVector, log_noise_min: float) -> ParamVector:
-    vals = h.values.copy()
-    vals[0] = np.clip(vals[0], LOG_LS_MIN, LOG_LS_MAX)
-    vals[1] = np.clip(vals[1], LOG_OS_MIN, LOG_OS_MAX)
-    vals[2] = max(vals[2], log_noise_min)
-    return h.replace_values(vals)
-
-
-_HYPER_LAYOUT = (("hyper", (3,)),)
-
-
-def _hyper_grad(grads) -> ParamVector:
-    return ParamVector(np.array([grads.log_lengthscale, grads.log_outputscale, grads.log_noise]), _HYPER_LAYOUT)
-
-
-_HYPER_NAMES = ("log_lengthscale", "log_outputscale", "log_noise")
-
-
-def _hyper_kwargs(h: ParamVector) -> dict:
-    """DeepGpModel keyword arguments for the three log hyperparameters."""
-    return dict(zip(_HYPER_NAMES, (float(v) for v in h.values)))
-
-
-def _raw_hypers(h: ParamVector, sigma: float) -> dict:
-    """_hyper_kwargs of hyperparameters fit to targets divided by sigma,
-    rescaled to raw units with the noise held at the floor."""
-    hypers = _hyper_kwargs(h)
-    hypers["log_outputscale"] += 2.0 * math.log(sigma)
-    hypers["log_noise"] = max(hypers["log_noise"] + math.log(sigma), math.log(NOISE_FLOOR))
-    return hypers
+def _clamp_hypers(theta: ParamVector, log_noise_min: float) -> ParamVector:
+    """θ with the log hyperparameters at its tail clamped to their ranges."""
+    vals = theta.values.copy()
+    vals[-3:] = np.clip(vals[-3:], (LOG_LS_MIN, LOG_OS_MIN, log_noise_min), (LOG_LS_MAX, LOG_OS_MAX, np.inf))
+    return theta.replace_values(vals)
 
 
 def _at_least_min_size(items, sizes, names, label: str, unit: str) -> list:
@@ -405,37 +399,41 @@ def _at_least_min_size(items, sizes, names, label: str, unit: str) -> list:
     return kept
 
 
-def _train_nlml(label: str, tasks: list, model_of, trained: dict, init: dict, sigma: float, rng,
+def _train_nlml(label: str, tasks: list, model_of, init: dict, hypers: tuple, sigma: float, rng,
                 train_cfg: TrainConfig, **nlml_kw) -> tuple:
     """Marginal-likelihood training, one Adam step per task on its NLML.
 
-    tasks holds (X, y) pairs, y in units of sigma; model_of(i, state) builds
-    task i's DeepGpModel. state maps "hyper" (the log hyperparameters, held
-    above the noise floor) and each key of trained, which names the GpGrads
-    field that trains it, to a ParamVector; nlml_kw go to nlml_grad. Each
-    epoch visits the tasks in an order rng draws; _fit stops early on their
-    summed NLML, reported in raw units. Returns the best state, its
-    hyperparameters in raw units and the TrainingReport.
+    tasks holds (X, y) pairs, y in units of sigma. init maps the GpGrads
+    field of each trained network to its ParamVector; θ is _join(init,
+    *hypers), its log hyperparameters held above the noise floor.
+    model_of(i, kw) builds task i's DeepGpModel from kw = _unjoin(θ, init);
+    nlml_kw go to nlml_grad. Each epoch visits the tasks in an order rng
+    draws; _fit stops early on their summed NLML, reported in raw units.
+    Returns the best epoch's _unjoin, its hyperparameters rescaled to raw
+    units with the noise at least NOISE_FLOOR, and the TrainingReport.
     """
     log_noise_min = math.log(NOISE_FLOOR) - math.log(sigma)
-    init = dict(init, hyper=_clamp_hypers(init["hyper"], log_noise_min))
+    theta = _clamp_hypers(_join(init, *hypers), log_noise_min)
     raw_shift = sum(len(y) for _, y in tasks) * math.log(sigma)
-    opt = {}
+    opt = adam_init(len(theta))
 
-    def epoch_step(s):
+    def epoch_step(theta):
+        nonlocal opt
         total = 0.0
         for i in rng.permutation(len(tasks)):
             X, y = tasks[i]
-            value, grads = nlml_grad(model_of(i, s), X, y, **nlml_kw)
+            value, grads = nlml_grad(model_of(i, _unjoin(theta, init)), X, y, **nlml_kw)
             total += value
-            step = {name: getattr(grads, field) for name, field in trained.items()}
-            step["hyper"] = _hyper_grad(grads)
-            s = _adam(s, step, opt, train_cfg.lr_kernel)
-            s["hyper"] = _clamp_hypers(s["hyper"], log_noise_min)
-        return s, total, total + raw_shift, None
+            step = _join({name: getattr(grads, name) for name in init}, *(getattr(grads, h) for h in _HYPER_NAMES))
+            theta, opt = optimizer_step(theta, step, opt, train_cfg.lr_kernel)
+            theta = _clamp_hypers(theta, log_noise_min)
+        return theta, total, total + raw_shift, None
 
-    best, report = _fit(label, init, epoch_step, train_cfg.max_epochs_kernel, train_cfg)
-    return best, _raw_hypers(best["hyper"], sigma), report
+    best, report = _fit(label, theta, epoch_step, train_cfg.max_epochs_kernel, train_cfg)
+    best = _unjoin(best, init)
+    best["log_outputscale"] += 2.0 * math.log(sigma)
+    best["log_noise"] = max(best["log_noise"] + math.log(sigma), math.log(NOISE_FLOOR))
+    return best, report
 
 
 def train_kernel_codega(residuals: tuple, fold_checkpoints: dict, seed, model_cfg: ModelConfig = ModelConfig(), train_cfg: TrainConfig = TrainConfig()) -> KernelResult:
@@ -467,14 +465,12 @@ def train_kernel_codega(residuals: tuple, fold_checkpoints: dict, seed, model_cf
     med = _median_embed_heuristic(np.concatenate([
         forward_batch(kernel_spec, kernel, forward_batch(feature_spec, f, g.inputs[:64])) for f, g in zip(feats, groups)]))
     var0 = float(np.var(pooled / sigma))
-    hyper = ParamVector(np.array([math.log(med), math.log(max(var0, 1e-4)), math.log(0.5)]), _HYPER_LAYOUT)
 
-    best, hypers, report = _train_nlml(
-        "kernel", [(g.inputs, g.residuals / sigma) for g in groups],
-        lambda i, s: _model(specs, feats[i], mean_zero, s["kernel"], **_hyper_kwargs(s["hyper"])),
-        {"kernel": "kernel"}, {"kernel": kernel, "hyper": hyper}, sigma, np.random.default_rng(batch_ss), train_cfg,
-        mean_mode="zero")
-    return KernelResult(kernel_params=best["kernel"], **hypers, report=report)
+    best, report = _train_nlml(
+        "kernel", [(g.inputs, g.residuals / sigma) for g in groups], lambda i, kw: _model(specs, feats[i], mean_zero, **kw),
+        {"kernel": kernel}, (math.log(med), math.log(max(var0, 1e-4)), math.log(0.5)), sigma,
+        np.random.default_rng(batch_ss), train_cfg, mean_mode="zero")
+    return KernelResult(kernel_params=best.pop("kernel"), **best, report=report)
 
 
 def train_codega(datasets, seed=0, model_cfg: ModelConfig = ModelConfig(), train_cfg: TrainConfig = TrainConfig()) -> CodegaResult:
@@ -519,15 +515,13 @@ def train_dkmt(datasets, seed=0, model_cfg: ModelConfig = ModelConfig(), train_c
     ss = seed_sequence(seed, 0xD6A7)
     init_ss, batch_ss = ss.spawn(2)
     rng_init = np.random.default_rng(init_ss)
-    init = {name: init_params(spec, rng_init) for name, spec in zip(("feat", "mean", "kernel"), specs)}
-    U0 = forward_batch(feature_spec, init["feat"], X_all[:256])
+    init = {name: init_params(spec, rng_init) for name, spec in zip(("feature", "mean", "kernel"), specs)}
+    U0 = forward_batch(feature_spec, init["feature"], X_all[:256])
     med = _median_embed_heuristic(forward_batch(kernel_spec, init["kernel"], U0))
-    init["hyper"] = ParamVector(np.array([math.log(med), 0.0, math.log(0.5)]), _HYPER_LAYOUT)
 
-    best, hypers, report = _train_nlml(
-        "joint", [(ds.gp_inputs(), (ds.rewards() - mu) / sigma) for ds in live],
-        lambda i, s: _model(specs, s["feat"], s["mean"], s["kernel"], **_hyper_kwargs(s["hyper"])),
-        {"feat": "feature", "mean": "mean", "kernel": "kernel"}, init, sigma, np.random.default_rng(batch_ss),
-        train_cfg, mean_mode="model", train_extractor=True, train_mean=True)
-    mean = _scale_output_layer(mean_spec, best["mean"], mu, sigma)
-    return ModelResult(model=_model(specs, best["feat"], mean, best["kernel"], **hypers), report=report)
+    best, report = _train_nlml(
+        "joint", [(ds.gp_inputs(), (ds.rewards() - mu) / sigma) for ds in live], lambda i, kw: _model(specs, **kw),
+        init, (math.log(med), 0.0, math.log(0.5)), sigma, np.random.default_rng(batch_ss), train_cfg,
+        mean_mode="model", train_extractor=True, train_mean=True)
+    best["mean"] = _scale_output_layer(mean_spec, best["mean"], mu, sigma)
+    return ModelResult(model=_model(specs, **best), report=report)

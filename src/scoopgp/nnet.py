@@ -149,7 +149,7 @@ def _checked_values(values, expected: int) -> np.ndarray:
     vals = np.array(values, dtype=np.float64).reshape(-1)
     if vals.size != expected:
         raise ShapeError(f"parameter count {vals.size} does not match layout total {expected}")
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise ShapeError("parameters must be finite")
     vals.flags.writeable = False
     return vals
@@ -262,13 +262,11 @@ def adam_init(n: int) -> AdamState:
     return AdamState(step=0, m=np.zeros(n), v=np.zeros(n))
 
 
-def optimizer_step(params: ParamVector, grads: ParamVector, state: AdamState | None, lr: float):
-    """One Adam update with ADAM_BETA1, ADAM_BETA2 and ADAM_EPS. Returns
-    (new params, new state)."""
+def optimizer_step(params: ParamVector, grads: ParamVector, state: AdamState, lr: float):
+    """One Adam update with ADAM_BETA1, ADAM_BETA2 and ADAM_EPS from state,
+    adam_init(len(params)) on the first step. Returns (new params, new state)."""
     if grads.layout != params.layout:
         raise ShapeError("gradient layout does not match parameter layout")
-    if state is None:
-        state = adam_init(len(params))
     if state.m.shape != params.values.shape:
         raise ShapeError("optimizer state size does not match parameters")
     t = state.step + 1

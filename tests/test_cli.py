@@ -412,6 +412,23 @@ def test_bad_overrides_exit_1(tmp_path, capsys):
     assert "section.field" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting", ["train.lr_kernel=-1", "train.lr_kernel=0", "train.lr_kernel=nan",
+                                     "train.lr_kernel=inf", "train.max_epochs_mean=-1",
+                                     "train.max_epochs_kernel=-1", "train.patience=-1",
+                                     "train.log_every=-1", "train.folds=1", "train.folds=0"])
+def test_out_of_range_train_settings_exit_1_naming_the_key(cli_dir, tmp_path, capsys, setting):
+    # unchecked, a negative lr_kernel climbs the NLML and exits 0, nan or inf
+    # fail mid-training as "parameters must be finite", and a negative
+    # log_every prints every epoch
+    out = tmp_path / "m.bin"
+    rc = main(["train", "--data", str(cli_dir / "fam.train.records.txt"), "--method", "dkmt",
+               "--out", str(out), "--set", setting])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and setting.split("=")[0] in err
+    assert not out.exists()
+
+
 def test_calls_in_one_process_share_the_parser_but_not_its_values(tmp_path, capsys):
     assert build_parser() is build_parser()
     rc = main(["gen", "--seed", "9", "--prefix", str(tmp_path / "x"), "--set", "gen.bogus=3"])

@@ -12,6 +12,7 @@ from scoopgp.nnet import (
     NetworkSpec,
     ParamVector,
     _forward,
+    adam_init,
     check_params,
     forward_batch,
     init_params,
@@ -205,7 +206,7 @@ def test_adam_zero_gradient_leaves_params_unchanged():
     spec = NetworkSpec(2, (), 1)
     params = init_params(spec, 5)
     zero = params.replace_values(np.zeros(len(params)))
-    new, state = optimizer_step(params, zero, None, lr=0.1)
+    new, state = optimizer_step(params, zero, adam_init(len(params)), lr=0.1)
     assert np.array_equal(new.values, params.values)
     assert state.step == 1
 
@@ -214,7 +215,7 @@ def test_adam_first_step_magnitude_is_learning_rate():
     layout = (("w", (1,)),)
     params = ParamVector(np.array([2.0]), layout)
     grads = ParamVector(np.array([0.7]), layout)
-    new, state = optimizer_step(params, grads, None, lr=0.05)
+    new, state = optimizer_step(params, grads, adam_init(len(params)), lr=0.05)
     # bias correction makes m_hat = g and v_hat = g^2, so the step is
     # lr * g / (|g| + eps) which is lr up to eps
     expected = 2.0 - 0.05 * 0.7 / (0.7 + ADAM_EPS)
@@ -227,7 +228,7 @@ def test_adam_second_step_matches_hand_recurrence():
     lr, g = 0.05, 0.7
     params = ParamVector(np.array([2.0]), layout)
     grads = ParamVector(np.array([g]), layout)
-    p1, s1 = optimizer_step(params, grads, None, lr)
+    p1, s1 = optimizer_step(params, grads, adam_init(len(params)), lr)
     p2, _ = optimizer_step(p1, grads, s1, lr)
 
     beta1, beta2 = 0.9, 0.999
@@ -245,10 +246,31 @@ def test_adam_rejects_mismatched_layout_and_state():
     params = init_params(spec, 0)
     other = ParamVector(np.zeros(4), (("w", (4,)),))
     with pytest.raises(ShapeError):
-        optimizer_step(params, other, None, lr=0.1)
+        optimizer_step(params, other, adam_init(len(params)), lr=0.1)
     bad_state = AdamState(step=1, m=np.zeros(1), v=np.zeros(1))
     with pytest.raises(ShapeError):
         optimizer_step(params, params, bad_state, lr=0.1)
+
+
+def test_adam_on_a_concatenation_equals_the_separate_steps():
+    # Adam is elementwise, so one state over two vectors end to end steps
+    # each part exactly as its own state would: the trainers rely on this
+    rng = np.random.default_rng(3)
+    a = init_params(NetworkSpec(3, ((5, "tanh"),), 2), rng)
+    b = ParamVector(rng.normal(size=3), (("h", (3,)),))
+    joined = ParamVector(np.concatenate([a.values, b.values]), (("theta", (len(a) + len(b),)),))
+    state_a, state_b, state = adam_init(len(a)), adam_init(len(b)), adam_init(len(joined))
+    for _ in range(5):
+        ga = a.replace_values(rng.normal(size=len(a)))
+        gb = b.replace_values(rng.normal(scale=100.0, size=len(b)))
+        g = joined.replace_values(np.concatenate([ga.values, gb.values]))
+        a, state_a = optimizer_step(a, ga, state_a, lr=0.05)
+        b, state_b = optimizer_step(b, gb, state_b, lr=0.05)
+        joined, state = optimizer_step(joined, g, state, lr=0.05)
+    assert state.step == state_a.step == state_b.step == 5
+    assert np.array_equal(joined.values, np.concatenate([a.values, b.values]))
+    assert np.array_equal(state.m, np.concatenate([state_a.m, state_b.m]))
+    assert np.array_equal(state.v, np.concatenate([state_a.v, state_b.v]))
 
 
 # ---------------------------------------------------------------------------
