@@ -9,12 +9,17 @@ tree: perfbench writes each run to `<workload>-s<seed>-t<trace>-*/` with a
 seed; run the two sides alternately, at the same seeds, so each pair sees
 the same phase of the host. For every end-to-end metric the file records,
 per side, the median, the minimum and the IQR over the median, and per pair
-the ratio change/parent with its median. Per workload, `quality_identical`
+the ratio change/parent with its median. For every end-to-end metric of
+BENCHMARK.json, `claim` counts the pairs the change won, lost and tied by
+the metric's `better` direction, and says whether the change's median beats
+the parent's by more than the parent's IQR: a gain is claimed only when it
+wins nine pairs in ten and clears that IQR. Per workload, `quality_identical`
 says whether each quality metric (QUALITY) was equal in every pair. It also
 records the check counts, the environment of each run and, when traced runs
 exist, the median of each per-layer metric. It refuses, exiting non-zero
-and naming the run, when a run it would record failed a check, and it
-prints how many runs on each side were taken under contention.
+and naming the run, when a run it would record failed a check. It prints,
+per workload, how many runs on each side were taken under contention and a
+line per end-to-end metric with its medians, pair counts and IQR verdict.
 """
 
 import argparse
@@ -25,6 +30,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 QUALITY = ("mae_0shot", "mae_10shot", "top_mae_10shot", "ucb_avg_attempts")
+# end-to-end metric name -> "lower" or "higher", the direction that is better
+BETTER = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
 
 
 def load_runs(runs_dir: Path) -> dict:
@@ -44,8 +51,20 @@ def load_runs(runs_dir: Path) -> dict:
 def summary(values: list) -> dict:
     median = statistics.median(values)
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else (median,) * 3
-    return {"median": median, "min": min(values), "iqr_over_median": (q3 - q1) / median if median else 0.0,
-            "values": values}
+    return {"median": median, "min": min(values), "iqr": q3 - q1,
+            "iqr_over_median": (q3 - q1) / median if median else 0.0, "values": values}
+
+
+def claim(parent: list, change: list, better: str) -> dict:
+    """Pairs won, lost and tied by the change, and its median gain against
+    the parent's IQR, for one metric's paired values."""
+    sign = 1.0 if better == "lower" else -1.0
+    gains = [sign * (p - c) for p, c in zip(parent, change)]
+    base = summary(parent)
+    median_gain = sign * (base["median"] - statistics.median(change))
+    return {"better": better, "won": sum(g > 0 for g in gains), "lost": sum(g < 0 for g in gains),
+            "tied": sum(g == 0 for g in gains), "median_gain": median_gain, "parent_iqr": base["iqr"],
+            "gain_exceeds_parent_iqr": median_gain > base["iqr"]}
 
 
 def side(runs: list) -> dict:
@@ -75,6 +94,9 @@ def record(parent: dict, change: dict) -> dict:
             ratios = [cr["metrics"][name]["value"] / pr["metrics"][name]["value"]
                       for (pr, _), (cr, _) in zip(p, c)]
             entry["pairs"][name] = {"median_ratio": statistics.median(ratios), "ratios": ratios}
+        entry["claim"] = {name: claim(entry["parent"]["metrics"][name]["values"],
+                                      entry["change"]["metrics"][name]["values"], better)
+                          for name, better in BETTER.items() if name in entry["parent"]["metrics"]}
         entry["quality_identical"] = all(pr["metrics"][name]["value"] == cr["metrics"][name]["value"]
                                          for name in QUALITY if name in entry["parent"]["metrics"]
                                          for (pr, _), (cr, _) in zip(p, c))
@@ -116,12 +138,17 @@ def main(argv=None) -> int:
     out = args.out or ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps({"pr": args.pr, "workloads": workloads}, indent=1) + "\n")
     for workload, entry in workloads.items():
-        ratio = entry["pairs"]["iteration_s"]["median_ratio"]
         contended = {label: sum(bool(env.get("contended")) for env in entry[label]["env"])
                      for label in ("parent", "change")}
-        print(f"{workload}: {len(entry['seeds'])} pairs, iteration_s change/parent median {ratio:.3f}, "
-              f"quality identical {entry['quality_identical']}, "
+        print(f"{workload}: {len(entry['seeds'])} pairs, quality identical {entry['quality_identical']}, "
               f"contended runs parent {contended['parent']} change {contended['change']}")
+        for name, c in entry["claim"].items():
+            medians = [entry[label]["metrics"][name]["median"] for label in ("parent", "change")]
+            print(f"  {name}: median parent {medians[0]:.6g} change {medians[1]:.6g}, "
+                  f"change/parent {entry['pairs'][name]['median_ratio']:.3f}, "
+                  f"won {c['won']} lost {c['lost']} tied {c['tied']}, "
+                  f"median gain {c['median_gain']:.6g} {'>' if c['gain_exceeds_parent_iqr'] else '<='} "
+                  f"parent IQR {c['parent_iqr']:.6g}")
     return 0
 
 

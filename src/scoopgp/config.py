@@ -92,6 +92,11 @@ class BenchConfig:
             check_shots(self.shots)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bench.shots: {exc}") from None
+        for key in ("mae_trials", "deploy_trials", "budget"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"bench.{key} must be at least 1, got {getattr(self, key)}")
+        if math.isnan(self.exclude_below):
+            raise ConfigError(f"bench.exclude_below must be a number, got {self.exclude_below}")
 
 
 def seed_sequence(seed, *words) -> np.random.SeedSequence:

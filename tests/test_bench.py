@@ -1,5 +1,7 @@
 """Evaluation protocols: k-shot MAE, simulated deployment, report files."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.stats import binomtest
@@ -187,6 +189,21 @@ def test_kshot_rejects_negative_and_duplicate_shots():
         with pytest.raises(ConfigError, match="bench.shots"):
             apply_overrides(RunConfig(), {"bench.shots": raw})
     assert apply_overrides(RunConfig(), {"bench.shots": "10,0,5"}).bench.shots == (10, 0, 5)
+
+
+@pytest.mark.parametrize("key, raw", [("bench.mae_trials", "0"), ("bench.mae_trials", "-2"),
+                                      ("bench.deploy_trials", "0"), ("bench.budget", "0"),
+                                      ("bench.budget", "-1"), ("bench.exclude_below", "nan")])
+def test_bench_config_rejects_out_of_range_values_naming_the_key(key, raw):
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        apply_overrides(RunConfig(), {key: raw})
+
+
+def test_bench_config_accepts_the_smallest_counts_and_any_threshold():
+    overrides = {"bench.mae_trials": "1", "bench.deploy_trials": "1", "bench.budget": "1"}
+    for raw in ("-inf", "-5", "inf"):
+        bench = apply_overrides(RunConfig(), {**overrides, "bench.exclude_below": raw}).bench
+        assert (bench.mae_trials, bench.deploy_trials, bench.budget, bench.exclude_below) == (1, 1, 1, float(raw))
 
 
 def test_kshot_conditions_each_shot_alone_when_the_largest_support_needs_jitter():

@@ -265,6 +265,19 @@ def test_deploy_random_scorer_needs_no_model(cli_dir, tmp_path):
     assert rep.checkpoint == "none"
 
 
+@pytest.mark.parametrize("setting", ["bench.deploy_trials=0", "bench.budget=0", "bench.exclude_below=nan"])
+def test_out_of_range_bench_settings_exit_1_naming_the_key(cli_dir, tmp_path, capsys, setting):
+    # unchecked, zero trials exits 1 with "max() arg is an empty sequence"
+    # and a NaN exclude_below excludes nothing
+    out = tmp_path / "rand.deploy.txt"
+    rc = main(["deploy", "--data", str(cli_dir / "fam.test.records.txt"), "--scorer", "random",
+               "--out", str(out), *SMALL_DEPLOY, "--set", setting])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and setting.split("=")[0] in err
+    assert not out.exists()
+
+
 def test_deploy_live_mode_runs_episodes(cli_dir, tmp_path):
     out = tmp_path / "live.txt"
     rc = main([
@@ -558,13 +571,17 @@ def test_threads_env_caps_blas_before_numpy_loads():
     assert out == ["3"]
 
 
-def test_package_import_leaves_scipy_stats_unloaded():
+def test_package_import_loads_no_scipy_subpackage_but_linalg():
+    # gp.py's LAPACK wrappers are the package's one scipy use; ndimage and
+    # special alone held ~5 MiB of every process
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, scoopgp.cli; print('scipy.stats' in sys.modules)"
+    probe = ("import sys, scoopgp.cli; print(*sorted(name for name, m in sys.modules.items() "
+             "if name.startswith('scipy.') and name.count('.') == 1 and not name[6:].startswith('_') "
+             "and hasattr(m, '__path__')))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                          check=True).stdout.split()
-    assert out == ["False"]
+    assert out == ["scipy.linalg"]
 
 
 def test_benchmark_config_keys_are_all_accepted():
@@ -603,7 +620,7 @@ def _write_perfbench_run(run: Path, iteration_s: float, attempted=9, failed=0, c
     (run / "env.json").write_text(json.dumps({"git_sha": run.parent.name, "nproc": 2, "contended": contended}))
 
 
-def test_bench_record_pairs_runs_by_workload_and_seed(tmp_path, capsys):
+def test_bench_record_pairs_runs_by_workload_and_seed(tmp_path, capsys, monkeypatch):
     bench_record = _load_script("bench_record")
 
     for seed, (parent_s, change_s) in enumerate([(10.0, 5.0), (8.0, 6.0), (12.0, 3.0)]):
@@ -615,7 +632,8 @@ def test_bench_record_pairs_runs_by_workload_and_seed(tmp_path, capsys):
     out = tmp_path / "BENCH_1.json"
     assert bench_record.main(["--pr", "1", "--parent", str(tmp_path / "parent"),
                               "--change", str(tmp_path / "change"), "--out", str(out)]) == 0
-    assert "contended runs parent 0 change 1" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "online: 3 pairs, quality identical True, contended runs parent 0 change 1" in printed
     online = json.loads(out.read_text())["workloads"]["online"]
     assert online["seeds"] == [0, 1, 2]
     assert online["pairs"]["iteration_s"] == {"median_ratio": 0.5, "ratios": [0.5, 0.75, 0.25]}
@@ -625,6 +643,24 @@ def test_bench_record_pairs_runs_by_workload_and_seed(tmp_path, capsys):
     assert change["checks"] == {"attempted": [9, 10, 11], "failed": [0, 0, 0]}
     assert change["env"][0]["git_sha"] == "change"
     assert online["quality_identical"] is True
+    # a claim needs its pair counts by BENCHMARK.json's direction and a median
+    # gain beyond the parent's IQR (parent quartiles 9 and 11)
+    assert online["claim"]["iteration_s"] == {"better": "lower", "won": 3, "lost": 0, "tied": 0, "median_gain": 5.0,
+                                              "parent_iqr": 2.0, "gain_exceeds_parent_iqr": True}
+    assert online["claim"]["mae_10shot"] == {"better": "lower", "won": 0, "lost": 0, "tied": 3, "median_gain": 0.0,
+                                             "parent_iqr": 0.0, "gain_exceeds_parent_iqr": False}
+    # every end-to-end metric gets its own printed line, not only iteration_s
+    assert ("  iteration_s: median parent 10 change 5, change/parent 0.500, won 3 lost 0 tied 0, "
+            "median gain 5 > parent IQR 2") in printed
+    assert "  mae_10shot: median parent 14.5 change 14.5, change/parent 1.000, won 0 lost 0 tied 3, " in printed
+    monkeypatch.setitem(bench_record.BETTER, "iteration_s", "higher")
+    assert bench_record.main(["--pr", "1", "--parent", str(tmp_path / "parent"),
+                              "--change", str(tmp_path / "change"), "--out", str(out)]) == 0
+    flipped = json.loads(out.read_text())["workloads"]["online"]["claim"]["iteration_s"]
+    assert (flipped["won"], flipped["lost"], flipped["median_gain"]) == (0, 3, -5.0)
+    assert flipped["gain_exceeds_parent_iqr"] is False
+    monkeypatch.undo()
+    capsys.readouterr()
 
     # one quality value that differs in one pair clears the flag
     _write_perfbench_run(tmp_path / "parent" / "offline-s0-t0-a", 4.0)
@@ -635,7 +671,10 @@ def test_bench_record_pairs_runs_by_workload_and_seed(tmp_path, capsys):
                               "--change", str(tmp_path / "change"), "--out", str(out)]) == 0
     workloads = json.loads(out.read_text())["workloads"]
     assert workloads["online"]["quality_identical"] is True and workloads["offline"]["quality_identical"] is False
-    assert "offline: 2 pairs, iteration_s change/parent median 0.750, quality identical False" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "offline: 2 pairs, quality identical False" in printed
+    assert "  mae_10shot: median parent 14.5 change 14.5, change/parent 1.000, won 0 lost 1 tied 1, " in printed
+    assert workloads["offline"]["claim"]["iteration_s"]["won"] == 2
 
 
 @pytest.mark.parametrize("fault", [{"failed": 1}, {"correct": False}])

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.ndimage import gaussian_filter
 from scipy.optimize import linprog
+from scipy.special import expit
 
 from scoopgp.config import GenConfig
 from scoopgp.errors import IngestError, SerializationError
@@ -22,6 +24,7 @@ from scoopgp.tasks import (
     DEPTH_MIN,
     DRAG_LEN,
     FEATURE_BLOCK,
+    GRID_SHAPE,
     GP_INPUT_DIM,
     HIDDEN_DEPTH,
     MAX_ELEVATION,
@@ -39,7 +42,10 @@ from scoopgp.tasks import (
     ActionGrid,
     Material,
     TaskDataset,
+    TerrainTask,
     _allocate,
+    _blur_axis,
+    _expit,
     _placements_feasible,
     assemble_gp_input,
     compute_features_batch,
@@ -150,6 +156,44 @@ def test_heightmap_respects_caps():
         assert h.max() <= MAX_ELEVATION + 1e-12
         gy, gx = np.gradient(h, CELL)
         assert np.hypot(gx, gy).max() <= MAX_SLOPE + 1e-9
+
+
+def test_heightmap_blur_equals_scipy_gaussian_filter_bit_for_bit():
+    # generate_heightmap blurs without scipy.ndimage; every terrain, and so
+    # every dataset and checkpoint, depends on the two agreeing in the last bit
+    rng = np.random.default_rng(28)
+    for _ in range(60):
+        noise = rng.normal(size=GRID_SHAPE)
+        blurred = _blur_axis(_blur_axis(noise, 0), 1)
+        assert blurred.flags.c_contiguous
+        assert np.array_equal(blurred, gaussian_filter(noise, sigma=6.0, mode="reflect"))
+
+
+def test_expit_equals_scipy_expit_bit_for_bit():
+    rng = np.random.default_rng(29)
+    for scale in (1.0, 10.0, 100.0):
+        v = rng.normal(size=20000) * scale
+        assert np.array_equal(_expit(v), expit(v)), scale
+    # where exp(-v) overflows math.exp raises and scipy gives 0.0
+    edges = np.array([0.0, -0.0, 709.78, -709.78, 710.0, -710.0, 800.0, -800.0, np.inf, -np.inf, np.nan])
+    ours, ref = _expit(edges), expit(edges)
+    assert np.array_equal(ours, ref, equal_nan=True)
+    assert np.array_equal(np.signbit(ours), np.signbit(ref))
+    assert _expit(edges.reshape(1, -1)).shape == (1, len(edges)) and _expit(np.empty(0)).shape == (0,)
+
+
+def test_reward_oracle_on_a_steep_loaded_terrain_saturates_the_jamming_gate():
+    # nothing bounds a loaded heightmap: a 100 m/m ramp drives the gate's
+    # logistic to exp(1250), which overflows, in every downhill drag
+    H, W = GRID_SHAPE
+    ramp = np.tile(np.arange(W) * CELL * 100.0, (H, 1))
+    task = TerrainTask(id="ramp0", composition="single", materials=(_material(),), heightmap=ramp,
+                       region_map=np.zeros((H, W), dtype=np.int64))
+    actions = np.array([[0.45, 0.3, yaw, depth, hard] for yaw in range(N_YAWS)
+                        for depth in (DEPTH_MIN, DEPTH_MAX) for hard in (0.0, 1.0)])
+    rewards = reward_oracle(task, actions)
+    assert np.isfinite(rewards).all()
+    assert np.array_equal(rewards, [reference_reward(task, a) for a in actions])
 
 
 def test_single_composition_region_is_uniform():
