@@ -76,6 +76,15 @@ class GenConfig:
     n_test_tasks: int = 6
     test_records: int = 60
 
+    def __post_init__(self):
+        if self.n_train_materials < 2:
+            raise ConfigError(f"gen.n_train_materials must be at least 2, got {self.n_train_materials}")
+        if not 0.0 <= self.rho <= 1.0:
+            raise ConfigError(f"gen.rho must lie in [0, 1], got {self.rho}")
+        for key in ("n_ood_materials", "n_train_tasks", "train_records", "n_test_tasks", "test_records"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"gen.{key} must be at least 1, got {getattr(self, key)}")
+
 
 @dataclass(frozen=True)
 class BenchConfig:

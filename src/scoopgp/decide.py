@@ -5,8 +5,8 @@ feasible one, observes a reward, and either stops (reward reached the
 threshold) or adds the observation to the support set and repeats. The
 support set only ever holds below-threshold observations. Dataset mode
 replays logged scoops and removes each executed action from the pool;
-live mode queries the reward oracle against a mutable terrain whose
-heightmap loses the scooped volume after every attempt.
+live mode executes each scoop with tasks.execute_scoop on a copy of the
+terrain, whose heightmap loses the scooped volume after every attempt.
 """
 
 from __future__ import annotations
@@ -19,18 +19,7 @@ import numpy as np
 from .config import seed_sequence
 from .errors import SelectionError
 from .gp import DeepGpModel, embed, mean_eval_batch, posterior_batch
-from .tasks import (
-    CELL,
-    DRAG_LEN,
-    SCOOP_W,
-    STIFFNESS_LEVELS,
-    _YAW_COS,
-    _YAW_SIN,
-    ActionGrid,
-    TaskDataset,
-    TerrainTask,
-    reward_oracle,
-)
+from .tasks import STIFFNESS_LEVELS, ActionGrid, TaskDataset, TerrainTask, execute_scoop
 
 SCORER_KINDS = ("ucb", "mean", "random")
 UCB_GAMMA = 2.0     # ucb's exploration weight, fixed before any run looks at outcomes
@@ -124,29 +113,6 @@ class DeploymentTrace:
         return "\n".join(lines) + "\n"
 
 
-def _scoop_terrain(task: TerrainTask, action: np.ndarray, volume_cm3: float) -> None:
-    """Lower the heightmap by the removed volume, spread over the drag
-    footprint of the action row."""
-    if volume_cm3 <= 0.0:
-        return
-    H, W = task.heightmap.shape
-    ys, xs = np.meshgrid(
-        (np.arange(H) + 0.5) * CELL, (np.arange(W) + 0.5) * CELL, indexing="ij"
-    )
-    x, y, yaw = action[:3].tolist()
-    dx, dy = _YAW_COS[int(yaw)], _YAW_SIN[int(yaw)]
-    rel_x = xs - x
-    rel_y = ys - y
-    t = np.clip(rel_x * dx + rel_y * dy, 0.0, DRAG_LEN)
-    dist = np.hypot(rel_x - t * dx, rel_y - t * dy)
-    footprint = dist <= 0.5 * SCOOP_W
-    n_cells = int(footprint.sum())
-    if n_cells == 0:
-        return
-    drop = (volume_cm3 * 1e-6) / (n_cells * CELL * CELL)
-    task.heightmap[footprint] = np.maximum(task.heightmap[footprint] - drop, 0.0)
-
-
 def _random_dataset_episode(ds: TaskDataset, rng: np.random.Generator, threshold: float,
                             budget: int) -> DeploymentTrace:
     """A dataset episode under the random scorer. Its scores are drawn as one
@@ -231,9 +197,7 @@ def run_deployment(model, kind: str, target, threshold: float, budget: int, seed
             scores = pool
         idx = select_action(scores, allowed)
         if live:
-            noise_seed = int(rng.integers(0, 2 ** 31 - 1))
-            reward = float(reward_oracle(task, actions[idx:idx + 1], noise_seed)[0])
-            _scoop_terrain(task, actions[idx], reward)
+            reward = execute_scoop(task, actions[idx], rng)
         else:
             allowed[idx] = False
             reward = float(rewards[idx])

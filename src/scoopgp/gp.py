@@ -7,7 +7,8 @@ The kernel is a squared exponential over learned embeddings,
 where g is a network head applied to shared extractor features. The mean
 is a second head on the same features. Posteriors are exact, and the
 negative log marginal likelihood comes with analytic gradients for every
-kernel-path parameter so it can drive training directly.
+kernel-path parameter so it can drive training directly. One function,
+nlml_grad, computes the NLML and its gradients; nlml is its value.
 
 Squared distances come from the Gram identity |z_i|^2 + |z_j|^2 - 2 z_i.z_j,
 clamped at zero, so no (n, m, d) difference array is formed. One Cholesky
@@ -333,12 +334,39 @@ class GpGrads:
     log_noise: float
 
 
-def _nlml_core(model: DeepGpModel, X: np.ndarray, y: np.ndarray, mean_mode: str, pull=()):
-    """The NLML and the terms its gradient reads. pull names the networks
-    ("feature", "kernel", "mean") whose pullbacks to return in a dict; each
-    network runs forward once either way."""
+def nlml(model: DeepGpModel, X, y, mean_mode: str = "model") -> float:
+    """Negative log marginal likelihood of (X, y) under the model.
+
+    mean_mode "model" forms residuals against the model's own mean;
+    "zero" treats y as already centered (residual targets).
+    """
+    return nlml_grad(model, X, y, mean_mode)[0]
+
+
+def nlml_grad(
+    model: DeepGpModel,
+    X,
+    y,
+    mean_mode: str = "model",
+    train_extractor: bool = False,
+    train_mean: bool = False,
+):
+    """NLML value and analytic gradients, the one NLML computation.
+
+    Gradients always cover the kernel head, whose output-bias entries
+    are exactly 0.0, and the three log hyperparameters. train_extractor
+    adds the shared extractor (through the kernel path, and through the
+    mean path too when train_mean is set); train_mean adds the mean
+    head. Each network runs forward once; only the trained ones keep a
+    pullback. Returns (value, GpGrads).
+    """
     if mean_mode not in ("model", "zero"):
         raise ValueError(f"mean_mode must be 'model' or 'zero', got {mean_mode!r}")
+    if train_mean and mean_mode != "model":
+        raise ValueError("train_mean requires mean_mode='model'")
+    shared = model.kernel_feature_params is None
+    if train_extractor and not shared:
+        raise ValueError("cannot train the extractor while kernel_feature_params overrides it")
     X = _as_batch(model, X)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     n = X.shape[0]
@@ -347,22 +375,20 @@ def _nlml_core(model: DeepGpModel, X: np.ndarray, y: np.ndarray, mean_mode: str,
     if y.shape[0] != n:
         raise ShapeError(f"targets length {y.shape[0]} does not match batch size {n}")
 
-    pullbacks = {}
-
-    def run(name, spec, params, inputs):
-        if name not in pull:
-            return forward_batch(spec, params, inputs)
-        out, pullbacks[name] = vjp(spec, params, inputs)
-        return out
-
-    shared = model.kernel_feature_params is None
-    U = run("feature", model.feature_spec, model.feature_params if shared else model.kernel_feature_params, X)
-    Z = run("kernel", model.kernel_spec, _kernel_head(model), U)
+    feats = model.feature_params if shared else model.kernel_feature_params
+    if train_extractor:
+        U, feature_pullback = vjp(model.feature_spec, feats, X)
+    else:
+        U = forward_batch(model.feature_spec, feats, X)
+    Z, kernel_pullback = vjp(model.kernel_spec, _kernel_head(model), U)
+    resid = y
     if mean_mode == "model":
         Um = U if shared else forward_batch(model.feature_spec, model.feature_params, X)
-        resid = y - run("mean", model.mean_spec, model.mean_params, Um)[:, 0]
-    else:
-        resid = y
+        if train_mean:
+            m, mean_pullback = vjp(model.mean_spec, model.mean_params, Um)
+        else:
+            m = forward_batch(model.mean_spec, model.mean_params, Um)
+        resid = y - m[:, 0]
 
     if not np.isfinite(resid).all():
         raise ValueError("targets and prior means must not contain infs or NaNs")
@@ -376,40 +402,6 @@ def _nlml_core(model: DeepGpModel, X: np.ndarray, y: np.ndarray, mean_mode: str,
     L, jitter = _chol_with_jitter(A, model.outputscale)
     alpha = lapack.dpotrs(L, resid, lower=1)[0]
     value = float(np.sum(np.log(L.diagonal())) + 0.5 * resid @ alpha + 0.5 * n * LOG_2PI)
-    return Z, ell2, sigma2, jitter, D2, K, L, alpha, pullbacks, value
-
-
-def nlml(model: DeepGpModel, X, y, mean_mode: str = "model") -> float:
-    """Negative log marginal likelihood of (X, y) under the model.
-
-    mean_mode "model" forms residuals against the model's own mean;
-    "zero" treats y as already centered (residual targets).
-    """
-    return _nlml_core(model, X, y, mean_mode)[-1]
-
-
-def nlml_grad(
-    model: DeepGpModel,
-    X,
-    y,
-    mean_mode: str = "model",
-    train_extractor: bool = False,
-    train_mean: bool = False,
-):
-    """NLML value and analytic gradients.
-
-    Gradients always cover the kernel head, whose output-bias entries
-    are exactly 0.0, and the three log hyperparameters. train_extractor
-    adds the shared extractor (through the kernel path, and through the
-    mean path too when train_mean is set); train_mean adds the mean
-    head. Returns (value, GpGrads).
-    """
-    if train_mean and mean_mode != "model":
-        raise ValueError("train_mean requires mean_mode='model'")
-    if train_extractor and model.kernel_feature_params is not None:
-        raise ValueError("cannot train the extractor while kernel_feature_params overrides it")
-    pull = ("kernel",) + ("mean",) * train_mean + ("feature",) * train_extractor
-    Z, ell2, sigma2, jitter, D2, K, L, alpha, pullbacks, value = _nlml_core(model, X, y, mean_mode, pull)
 
     # G = (K^-1 - alpha alpha^T) / 2. potri fills the lower triangle of
     # K^-1 and leaves the factor's zero upper triangle, so adding the
@@ -430,22 +422,20 @@ def nlml_grad(
     # dL/dZ from dK_ij/dz_i = -K_ij (z_i - z_j) / ell^2, using symmetry of G*K
     row = GK.sum(axis=1)
     dZ = -(2.0 / ell2) * (row[:, None] * Z - GK @ Z)
-    g_kernel, dU = pullbacks["kernel"](dZ)
+    g_kernel, dU = kernel_pullback(dZ)
     g_values = g_kernel.values.copy()
     g_values[model.kernel_spec.layers[-1].bias] = 0.0
     g_kernel = g_kernel.replace_values(g_values)
 
     g_mean = None
     if train_mean:
-        g_mean, dU_mean = pullbacks["mean"]((-alpha)[:, None])
+        g_mean, dU_mean = mean_pullback((-alpha)[:, None])
         if train_extractor:
             dU = dU + dU_mean
 
-    g_feature = pullbacks["feature"](dU)[0] if train_extractor else None
-
     grads = GpGrads(
         kernel=g_kernel,
-        feature=g_feature,
+        feature=feature_pullback(dU)[0] if train_extractor else None,
         mean=g_mean,
         log_lengthscale=g_log_ls,
         log_outputscale=g_log_os,

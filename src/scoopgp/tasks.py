@@ -587,11 +587,34 @@ def reward_oracle(task: TerrainTask, actions, rng=None, *, gradient=None) -> np.
     return np.maximum(value + rng.normal(size=len(actions)) * std, 0.0)
 
 
-class _RowError(ValueError):
-    """A TaskDataset row breaks a record rule: field is the record field the
-    rule is about, row the row's index."""
+def execute_scoop(task: TerrainTask, action, rng: np.random.Generator) -> float:
+    """Execute one action row on the terrain: its reward_oracle reward, noised
+    by a seed drawn from rng, which the heightmap loses, spread evenly over the
+    cells whose centres lie within SCOOP_W / 2 of the drag segment."""
+    action = np.asarray(action, dtype=np.float64)
+    noise_seed = int(rng.integers(0, 2 ** 31 - 1))
+    reward = float(reward_oracle(task, action[None], noise_seed)[0])
+    if reward <= 0.0:
+        return reward
+    H, W = task.heightmap.shape
+    ys, xs = np.meshgrid((np.arange(H) + 0.5) * CELL, (np.arange(W) + 0.5) * CELL, indexing="ij")
+    x, y, yaw = action[:3].tolist()
+    dx, dy = _YAW_COS[int(yaw)], _YAW_SIN[int(yaw)]
+    rel_x, rel_y = xs - x, ys - y
+    t = np.clip(rel_x * dx + rel_y * dy, 0.0, DRAG_LEN)
+    footprint = np.hypot(rel_x - t * dx, rel_y - t * dy) <= 0.5 * SCOOP_W
+    n_cells = int(footprint.sum())
+    if n_cells:
+        drop = (reward * 1e-6) / (n_cells * CELL * CELL)
+        task.heightmap[footprint] = np.maximum(task.heightmap[footprint] - drop, 0.0)
+    return reward
 
-    def __init__(self, message: str, field: str, row: int):
+
+class _RuleError(ValueError):
+    """A TaskDataset breaks a rule: field is the field the rule is about, row
+    the index of the record that breaks it, or -1 for the task's header."""
+
+    def __init__(self, message: str, field: str, row: int = -1):
         super().__init__(message)
         self.row = row
         self.field = field
@@ -608,9 +631,12 @@ class TaskDataset:
 
     actions is (n, 5): x, y, yaw_index, depth and the stiffness bit (1 for
     hard, 0 for soft); rewards() is (n,), in cm^3; features is (n, F).
-    Every row is checked once, when the dataset is built: actions against
-    _action_rules, rewards finite and non-negative, features finite. The
-    first row that breaks a rule raises ValueError.
+    The header fields keep a records file's task header rules: a known
+    composition, and a task id and material ids that are each one non-empty
+    token without whitespace, the material ids without commas. Every row is
+    checked once, when the dataset is built: actions against _action_rules,
+    rewards finite and non-negative, features finite. The first header
+    field or row that breaks a rule raises ValueError.
     """
 
     def __init__(self, task_id: str, composition: str, material_ids,
@@ -619,7 +645,16 @@ class TaskDataset:
             raise ValueError("material_ids must be non-empty")
         self.task_id = task_id
         self.composition = composition
-        self.material_ids = tuple(material_ids)
+        self.material_ids = mats = tuple(material_ids)
+        if composition not in COMPOSITIONS:
+            raise _RuleError(f"unknown composition {composition!r}", "composition")
+        if task_id.split() != [task_id]:
+            raise _RuleError(f"task id {task_id!r} is not one non-empty token without whitespace", "task_id")
+        if any("," in m for m in mats):
+            raise _RuleError(f"a material id of {mats!r} contains ','", "material_ids")
+        if any(m.split() != [m] for m in mats):
+            raise _RuleError(f"material ids {mats!r} are not each one non-empty token without whitespace",
+                             "material_ids")
         self.actions, self._rewards, self.features = (_read_only(v) for v in (actions, rewards, features))
         if (self._rewards.ndim != 1 or self.actions.shape != (len(self._rewards), 5)
                 or self.features.ndim != 2 or len(self.features) != len(self._rewards)):
@@ -633,7 +668,7 @@ class TaskDataset:
         bad = ~np.logical_and.reduce(rules)
         if bad.any():
             row = int(np.argmax(bad))
-            raise _RowError(*self._fault(row, next(k for k, holds in enumerate(rules) if not holds[row])), row)
+            raise _RuleError(*self._fault(row, next(k for k, holds in enumerate(rules) if not holds[row])), row)
 
     def _fault(self, row: int, rule: int) -> tuple:
         """The message and field of row's failure of rule (the order of __init__'s rules)."""
@@ -739,12 +774,9 @@ def sample_ood_test_family(pool: MaterialPool, n_tasks: int, records_per_task: i
     # the family probes surprises in both directions
     preferred = {"single": 1, "partition": 1, "mixture": 2, "layers": 0}
     repeat_preferred = {"single": 3, "partition": 3, "mixture": 3}
-    seen: dict = {}
     for i in range(n_tasks):
         comp = rotation[i % len(rotation)]
-        visits = seen.get(comp, 0)
-        seen[comp] = visits + 1
-        table = preferred if visits % 2 == 0 else repeat_preferred
+        table = preferred if (i // len(rotation)) % 2 == 0 else repeat_preferred
         ood_mat = pool.ood[table.get(comp, i) % len(pool.ood)]
         if comp == "single":
             mats = [ood_mat]
@@ -779,36 +811,14 @@ def _task_lines(ds):
     yield from (formats[h] % tuple(row) for h, row in zip(hard, rows))
 
 
-def _check_header_fields(ds, seen: set) -> None:
-    """Raise ValueError naming the task unless read_database reads its header
-    line back: a known composition, a task id not in seen (the ids before
-    it) and material ids without commas, the id and the comma-joined
-    material ids each one non-empty token without whitespace."""
-    mats = ",".join(ds.material_ids)
-    if ds.composition not in COMPOSITIONS:
-        fault = f"composition {ds.composition!r} is not one of {COMPOSITIONS}"
-    elif ds.task_id.split() != [ds.task_id]:
-        fault = "the task id is not one non-empty token without whitespace"
-    elif ds.task_id in seen:
-        fault = "the task id is a duplicate"
-    elif any("," in m for m in ds.material_ids):
-        fault = f"a material id of {ds.material_ids!r} contains ','"
-    elif mats.split() != [mats]:
-        fault = f"material ids {mats!r} are not one non-empty token without whitespace"
-    else:
-        seen.add(ds.task_id)
-        return
-    raise ValueError(f"task {ds.task_id!r}: {fault}, so its records file could not be read back")
-
-
 def write_database(prefix: str, datasets) -> tuple:
     """Write datasets to {prefix}.records.txt in one atomic write and return
     (records_path,). Lines are formatted and written one at a time, so only
-    one task's numbers are held as Python values at once. Each task's header
-    fields are checked before its lines are formatted. A task that the
-    reader would reject, or a list without a single record, which the
-    reader rejects as empty, raises ValueError, and the atomic write leaves
-    no file."""
+    one task's numbers are held as Python values at once. TaskDataset holds
+    each task's header fields to the reader's rules; a task id that repeats
+    an earlier one, or a list without a single record, which the reader
+    rejects as empty, raises ValueError, and the atomic write leaves no
+    file."""
     records_path = prefix + RECORDS_SUFFIX
     seen = set()
 
@@ -816,7 +826,9 @@ def write_database(prefix: str, datasets) -> tuple:
         yield RECORDS_HEADER + "\n"
         n_records = 0
         for ds in datasets:
-            _check_header_fields(ds, seen)
+            if ds.task_id in seen:
+                raise ValueError(f"task {ds.task_id!r} is a duplicate, so its records file could not be read back")
+            seen.add(ds.task_id)
             n_records += len(ds)
             yield from _task_lines(ds)
         if not n_records:
@@ -849,8 +861,6 @@ def _task_header(parts: list, path: str, line: int, seen: set) -> tuple:
     if len(parts) != 6:
         raise IngestError(f"task header has {len(parts)} fields, expected 6", path, line)
     _, task_id, comp, mats, n_records, feature_dim = parts
-    if comp not in COMPOSITIONS:
-        raise IngestError(f"unknown composition {comp!r}", path, line, "composition")
     if task_id in seen:
         raise IngestError(f"duplicate task {task_id!r}", path, line, "task_id")
     seen.add(task_id)
@@ -928,7 +938,8 @@ def read_database(path: str) -> list:
     only Python's float() reads, such as "1_0") is parsed again line by
     line, which gives the same values or the IngestError at fault. The
     range rules are checked per task on the columns, and a row that breaks
-    one is reported at its line.
+    one is reported at its line; a header field that breaks TaskDataset's
+    rules is reported at the header line.
     """
     path = path if path.endswith(RECORDS_SUFFIX) else path + RECORDS_SUFFIX
     datasets, seen = [], set()
@@ -954,7 +965,7 @@ def read_database(path: str) -> list:
                 try:
                     datasets.append(TaskDataset(task_id, comp, mats.split(","), table[:, :5], table[:, 5],
                                                 table[:, 6:]))
-                except _RowError as exc:
+                except _RuleError as exc:
                     raise IngestError(str(exc), path, header_line + 1 + exc.row, exc.field) from exc
                 header_line += len(block)
         except UnicodeDecodeError as exc:

@@ -647,6 +647,8 @@ def reference_read_database(path: str) -> list:
                 raise IngestError(f"unknown composition {comp!r}", records_path, lineno, "composition")
             if task_id in [ds.task_id for ds in datasets]:
                 raise IngestError(f"duplicate task {task_id!r}", records_path, lineno, "task_id")
+            if "" in mats.split(","):
+                raise IngestError(f"empty material id in {mats!r}", records_path, lineno, "material_ids")
             task = {
                 "task_id": task_id,
                 "composition": comp,

@@ -278,6 +278,19 @@ def test_out_of_range_bench_settings_exit_1_naming_the_key(cli_dir, tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("setting", ["gen.n_train_materials=1", "gen.n_ood_materials=0", "gen.rho=-0.1",
+                                     "gen.rho=1.5", "gen.rho=nan", "gen.n_train_tasks=0", "gen.train_records=0",
+                                     "gen.n_test_tasks=-1", "gen.test_records=-2"])
+def test_out_of_range_gen_settings_exit_1_naming_the_key(tmp_path, capsys, setting):
+    # unchecked, a negative test_records exits 1 with "no records to write"
+    # after the training records file is already written
+    rc = main(["gen", "--prefix", str(tmp_path / "fam"), *SMALL_GEN, "--set", setting])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and setting.split("=")[0] in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_deploy_live_mode_runs_episodes(cli_dir, tmp_path):
     out = tmp_path / "live.txt"
     rc = main([

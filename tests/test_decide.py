@@ -335,8 +335,8 @@ def test_live_deployment_stops_at_the_threshold():
 
 def test_live_candidates_equal_the_stacked_gp_input_rows(world, monkeypatch):
     import scoopgp.decide as decide
-    from scoopgp.decide import _scoop_terrain
-    from scoopgp.tasks import assemble_gp_input, compute_features_batch, enumerate_action_grid
+    from scoopgp.config import seed_sequence
+    from scoopgp.tasks import assemble_gp_input, compute_features_batch, enumerate_action_grid, execute_scoop
 
     seen = []
 
@@ -350,11 +350,14 @@ def test_live_candidates_equal_the_stacked_gp_input_rows(world, monkeypatch):
                            threshold=1e9, budget=2, seed=3)
     assert len(seen) == trace.attempts == 2
     actions = enumerate_action_grid()
-    state = task.copy()
+    # replay the episode on its own copy, with the live loop's draws: a
+    # random scorer's scores, then the executed scoop's noise seed
+    state, rng = task.copy(), np.random.default_rng(seed_sequence(3, 0xDE9107))
     for X, step in zip(seen, trace.episodes):
         feats = compute_features_batch(state, actions)
         assert np.array_equal(X, np.stack([assemble_gp_input(f, a) for f, a in zip(feats, actions)]))
-        _scoop_terrain(state, step.action, step.reward)
+        rng.random(len(actions))
+        assert execute_scoop(state, step.action, rng) == step.reward
 
 
 def test_live_grid_matches_the_enumerated_grid(world):

@@ -381,13 +381,16 @@ def test_hyperparameter_gradients_match_finite_differences():
         assert abs(analytic - numeric) / max(abs(numeric), 1e-6) < 1e-4, name
 
 
-def _check_network_gradients(model, X, y, grads, mean_mode="model"):
+def _check_network_gradients(model, X, y, grads, mean_mode="model", feature_field="feature_params"):
+    """Central differences of nlml against each network gradient grads has.
+    The extractor's are taken by setting feature_field to the perturbed
+    extractor: "kernel_feature_params" perturbs the kernel path's alone."""
     from dataclasses import replace
 
     step = 1e-5
     for field, params, g in (
         ("kernel_params", model.kernel_params, grads.kernel),
-        ("feature_params", model.feature_params, grads.feature),
+        (feature_field, model.feature_params, grads.feature),
         ("mean_params", model.mean_params, grads.mean),
     ):
         if g is None:
@@ -402,13 +405,51 @@ def _check_network_gradients(model, X, y, grads, mean_mode="model"):
             assert abs(g.values[i] - numeric) / max(abs(numeric), 1e-6) < 1e-4, (field, i)
 
 
+def _dense_nlml(model, X, y, mean_mode) -> float:
+    """The NLML from a dense solve and log-determinant, the residuals against
+    mean_eval_batch and the kernel over embed_batch: each path reads its own
+    extractor."""
+    Z = embed_batch(model, X)
+    K = kernel_matrix(model, Z, Z) + np.exp(2.0 * model.log_noise) * np.eye(len(X))
+    r = y - mean_eval_batch(model, X) if mean_mode == "model" else y
+    return float(0.5 * r @ np.linalg.solve(K, r) + 0.5 * np.linalg.slogdet(K)[1] + 0.5 * len(X) * np.log(2.0 * np.pi))
+
+
 def test_network_gradients_match_finite_differences():
     model = random_model(4, seed=35, log_noise=np.log(0.4))
     rng = np.random.default_rng(36)
     X, y = rng.normal(size=(6, 4)), rng.normal(size=6)
     value, grads = nlml_grad(model, X, y, train_extractor=True, train_mean=True)
     assert value == nlml(model, X, y)
+    assert abs(value - _dense_nlml(model, X, y, "model")) < 1e-10 * (1.0 + abs(value))
     _check_network_gradients(model, X, y, grads)
+
+
+@pytest.mark.parametrize("mean_mode, override, flags", [
+    ("zero", False, {}),
+    ("model", False, {"train_extractor": True}),
+    ("model", True, {"train_mean": True}),
+], ids=["zero", "extractor-only", "kernel-feature-override"])
+def test_nlml_grad_under_each_flag_set_matches_nlml_and_finite_differences(mean_mode, override, flags):
+    """The flag sets besides the joint one above. nlml is nlml_grad's value
+    under no flags, so every flag set must give the same value, and a dense
+    NLML whose mean reads feature_params pins which extractor each path
+    reads under kernel_feature_params. Without train_mean the extractor's
+    gradient runs through the kernel path alone, so its differences perturb
+    that path's extractor only."""
+    from dataclasses import replace
+
+    model = random_model(4, seed=35, log_noise=np.log(0.4))
+    if override:
+        model = replace(model, kernel_feature_params=init_params(model.feature_spec, np.random.default_rng(45)))
+    rng = np.random.default_rng(36)
+    X, y = rng.normal(size=(6, 4)), rng.normal(size=6)
+    value, grads = nlml_grad(model, X, y, mean_mode, **flags)
+    assert value == nlml(model, X, y, mean_mode)
+    assert abs(value - _dense_nlml(model, X, y, mean_mode)) < 1e-10 * (1.0 + abs(value))
+    assert (grads.feature is not None, grads.mean is not None) == \
+        (flags.get("train_extractor", False), flags.get("train_mean", False))
+    _check_network_gradients(model, X, y, grads, mean_mode, "kernel_feature_params")
 
 
 def test_gradients_on_a_jittered_factor_match_finite_differences(monkeypatch):

@@ -35,6 +35,7 @@ from scoopgp.tasks import (
     OBS_DIM,
     PATCH_CELLS,
     RECORDS_HEADER,
+    SCOOP_W,
     TRAY_H,
     TRAY_W,
     _YAW_COS,
@@ -50,6 +51,7 @@ from scoopgp.tasks import (
     assemble_gp_input,
     compute_features_batch,
     enumerate_action_grid,
+    execute_scoop,
     generate_heightmap,
     generate_materials,
     generate_task,
@@ -429,6 +431,26 @@ def test_high_jam_interlock_kills_deep_scoops():
     assert reward_oracle(locked, [hard])[0] < 0.2 * reward_oracle(loose, [hard])[0]
 
 
+def test_execute_scoop_removes_the_oracle_reward_from_the_drag_footprint():
+    task = flat_task(_material())
+    task.heightmap[:] = 0.1
+    before = task.copy()
+    action = np.array([0.4, 0.3, 2, 0.06, 0.0])  # yaw 2 drags along +y
+    noise_seed = int(np.random.default_rng(5).integers(0, 2 ** 31 - 1))
+    reward = execute_scoop(task, action, np.random.default_rng(5))
+    assert reward > 0.0 and reward == reward_oracle(before, [action], noise_seed)[0]
+    removed_cm3 = (before.heightmap - task.heightmap).sum() * CELL * CELL * 1e6
+    assert abs(removed_cm3 - reward) < 1e-9 * reward
+    rows, cols = np.nonzero(task.heightmap != before.heightmap)
+    xs, ys = (cols + 0.5) * CELL, (rows + 0.5) * CELL
+    assert np.all(np.abs(xs - 0.4) <= 0.5 * SCOOP_W)
+    assert np.all((0.3 - 0.5 * SCOOP_W <= ys) & (ys <= 0.3 + DRAG_LEN + 0.5 * SCOOP_W))
+    # a scoop that yields nothing leaves the terrain as it was
+    empty = flat_task(_material(gain=0.0))
+    assert execute_scoop(empty, action, np.random.default_rng(5)) == 0.0
+    assert not empty.heightmap.any()
+
+
 def test_noisy_rewards_are_nonnegative_and_centered():
     task = flat_task(_material())
     action = [0.4, 0.3, 0, 0.06, 0.0]
@@ -647,6 +669,9 @@ def test_read_database_validates_schema(tmp_path, world):
     rewrite(broken_field(second, 1, "task000"))
     expect("duplicate task 'task000'", second + 1, "task_id")
 
+    rewrite(broken_field(second, 3, lines[second].split()[3] + ","))
+    expect("material ids .* are not each one non-empty token", second + 1, "material_ids")
+
     for column, field in ((4, "n_records"), (5, "feature_dim")):
         rewrite(broken_field(second, column, "2.5"))
         expect("cannot parse int", second + 1, field)
@@ -798,9 +823,16 @@ def test_shared_interpolation_weights_equal_per_grid_interpolation(world):
 ])
 def test_write_database_refuses_header_fields_the_reader_would_reject(tmp_path, task_id, composition,
                                                                      materials, match):
+    """No records file gets a header line the reader rejects: TaskDataset
+    refuses every rule of one task's header when it is built, and
+    write_database the one rule across tasks, a repeated task id."""
     good = toy_dataset("good", [[1.0], [2.0]], [3.0, 4.0])
+    if match != "duplicate":
+        with pytest.raises(ValueError, match=match):
+            toy_dataset(task_id, [[1.0]], [2.0], composition, materials)
+        return
     bad = toy_dataset(task_id, [[1.0]], [2.0], composition, materials)
-    with pytest.raises(ValueError, match=f"task {re.escape(repr(task_id))}: .*{match}"):
+    with pytest.raises(ValueError, match=f"task {re.escape(repr(task_id))} is a duplicate"):
         write_database(str(tmp_path / "db"), [good, bad])
     assert list(tmp_path.iterdir()) == []
 
