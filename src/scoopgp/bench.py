@@ -397,7 +397,7 @@ def _mae_report(path: str, header_line: tuple, lines: list, aggregate_lines: lis
     with _parsing(path, lineno, line):
         kv = _key_values(line)
         header = dict(label=kv["label"], seed=int(kv["seed"]), checkpoint=kv["checkpoint"],
-                      trials=int(kv["trials"]), shots=tuple(int(s) for s in kv["shots"].split(",") if s))
+                      trials=int(kv["trials"]), shots=check_shots(kv["shots"].split(",")))
     rows = []
     for lineno, line in lines:
         parts = line.split()
@@ -451,13 +451,13 @@ def _deploy_report(path: str, header_line: tuple, lines: list, aggregate_lines: 
         parts = line.split()
         with _parsing(path, lineno, line):
             rows.append(DeployRow(parts[0], int(parts[1]), int(parts[2]), {"0": False, "1": True}[parts[3]]))
+    if not rows:
+        raise IngestError("deploy report has no rows", path)
     report = DeployReport(rows=tuple(rows), **header)
     for lineno, line in aggregate_lines:
         with _parsing(path, lineno, line):
             kv = _key_values(line)
             stated = tuple(float(kv[k]) for k in ("avg", "max", "success_rate"))
-        if not rows:
-            raise IngestError("aggregate line over no deploy rows", path)
         got = (report.avg_attempts, report.max_attempts, report.success_rate)
         _check_aggregate(stated, got, "avg, max, success_rate", path)
     return report

@@ -17,10 +17,18 @@ import argparse
 import functools
 import sys
 
+from .bench import (MaeReport, deployment_threshold, eval_kshot_mae, eval_simulated_deployment, mean_model_mae,
+                    read_report, render_deploy_table, render_mae_table, write_deploy_report, write_mae_report)
+from .config import ConfigError, RunConfig, apply_overrides, load_config
+from .decide import SCORER_KINDS, run_deployment
+from .gp import checkpoint_id, load_model, save_model
+from .meta import train_codega, train_dkmt, train_mean_only
+from .serialize import write_atomic
+from .tasks import (generate_materials, load_terrains, read_database, sample_ood_test_family, sample_task_family,
+                    save_terrains, write_database)
+
 
 def _load_run_config(args):
-    from .config import ConfigError, RunConfig, apply_overrides, load_config
-
     overrides = {}
     for item in getattr(args, "set", None) or []:
         if "=" not in item:
@@ -32,9 +40,6 @@ def _load_run_config(args):
 
 
 def _cmd_gen(args) -> int:
-    from .tasks import (generate_materials, sample_ood_test_family, sample_task_family,
-                        save_terrains, write_database)
-
     cfg = _load_run_config(args)
     g = cfg.gen
     pool = generate_materials(g.n_train_materials, g.n_ood_materials, g.rho, args.seed)
@@ -52,10 +57,6 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    from .gp import checkpoint_id, save_model
-    from .meta import train_codega, train_dkmt, train_mean_only
-    from .tasks import read_database
-
     cfg = _load_run_config(args)
     datasets = read_database(args.data)
     trainer = {"codega": train_codega, "dkmt": train_dkmt, "mean-only": train_mean_only}[args.method]
@@ -71,10 +72,6 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval_mae(args) -> int:
-    from .bench import eval_kshot_mae, mean_model_mae, write_mae_report
-    from .gp import load_model
-    from .tasks import read_database
-
     cfg = _load_run_config(args)
     b = cfg.bench
     model = load_model(args.model)
@@ -92,12 +89,6 @@ def _cmd_eval_mae(args) -> int:
 
 
 def _cmd_deploy(args) -> int:
-    from .bench import deployment_threshold, eval_simulated_deployment, write_deploy_report
-    from .decide import run_deployment
-    from .gp import load_model
-    from .serialize import write_atomic
-    from .tasks import load_terrains, read_database
-
     cfg = _load_run_config(args)
     b = cfg.bench
     model = load_model(args.model) if args.model else None
@@ -128,8 +119,6 @@ def _cmd_deploy(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    from .bench import MaeReport, read_report, render_deploy_table, render_mae_table
-
     # a row is one model: reports of one checkpoint pool, others never do
     mae_reports = {}
     deploy_reports = {}
@@ -156,8 +145,6 @@ def _cmd_report(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parse_args fills a new
     namespace on every call, so calls do not share parsed values."""
-    from .decide import SCORER_KINDS
-
     parser = argparse.ArgumentParser(prog="scoopgp",
                                      description="few-shot scooping reward models")
     sub = parser.add_subparsers(dest="command", required=True)

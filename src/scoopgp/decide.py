@@ -170,8 +170,6 @@ def run_deployment(model, kind: str, target, threshold: float, budget: int, seed
         task_id, actions, allowed = task.id, grid.columns, grid.feasible
     else:
         ds = target
-        if not len(ds):
-            raise ValueError(f"task {ds.task_id} has no records to deploy against")
         rewards = ds.rewards()
         if rewards.max() < threshold:
             raise ValueError(

@@ -139,8 +139,8 @@ def _model(specs: tuple, feature: ParamVector, mean: ParamVector, kernel: ParamV
 
 
 def _pool_training_data(datasets) -> tuple:
-    xs = [ds.gp_inputs() for ds in datasets if len(ds)]
-    ys = [ds.rewards() for ds in datasets if len(ds)]
+    xs = [ds.gp_inputs() for ds in datasets]
+    ys = [ds.rewards() for ds in datasets]
     if not xs:
         raise ValueError("no records to train on")
     return np.concatenate(xs, axis=0), np.concatenate(ys)
@@ -361,8 +361,6 @@ def build_residual_dataset(splits, datasets, seed, model_cfg: ModelConfig = Mode
         checkpoints[split.fold_index] = result
         for task_id in split.kernel_task_ids:
             ds = by_id[task_id]
-            if not len(ds):
-                continue
             X = ds.gp_inputs()
             resid = ds.rewards() - _mean_predict(feature_spec, result.feature_params, mean_spec, result.mean_params, X)
             groups.append(ResidualGroup(task_id=task_id, fold_index=split.fold_index, inputs=X, residuals=resid))

@@ -179,7 +179,7 @@ def split_params(spec: NetworkSpec, params: ParamVector) -> list:
 
 def init_params(spec: NetworkSpec, seed) -> ParamVector:
     """He-uniform for relu layers, Xavier-uniform otherwise; zero biases."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     flat = np.zeros(spec.param_count())
     for layer in spec.layers:
         fan_out, fan_in = layer.shape

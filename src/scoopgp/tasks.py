@@ -140,7 +140,7 @@ def generate_materials(n_train: int, n_ood: int, rho: float, seed) -> MaterialPo
         raise ValueError("need at least one training material")
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must lie in [0, 1], got {rho}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
 
     mixing = rng.normal(size=(APPEARANCE_DIM, LATENT_DIM))
     mixing /= np.linalg.norm(mixing, axis=1, keepdims=True)
@@ -172,15 +172,12 @@ def generate_materials(n_train: int, n_ood: int, rho: float, seed) -> MaterialPo
             # so the surprise is the interlock, not a dead tray
             latent[0] = rng.uniform(0.55, 0.90)
         margin = rng.uniform(0.25, 0.45) * (TRAIN_LATENT_HI[coord] - TRAIN_LATENT_LO[coord])
+        # the training box lies strictly inside the physical one, so a positive
+        # margin always takes the value past the training range
         if sign > 0:
-            value = min(hi[coord] + margin, LATENT_PHYS_HI[coord])
-            if value <= hi[coord]:
-                value = 0.5 * (hi[coord] + LATENT_PHYS_HI[coord])
+            latent[coord] = min(hi[coord] + margin, LATENT_PHYS_HI[coord])
         else:
-            value = max(lo[coord] - margin, LATENT_PHYS_LO[coord])
-            if value >= lo[coord]:
-                value = 0.5 * (lo[coord] + LATENT_PHYS_LO[coord])
-        latent[coord] = value
+            latent[coord] = max(lo[coord] - margin, LATENT_PHYS_LO[coord])
         # the pushed coordinate leaves no visual trace: the appearance is
         # rendered from a disguise latent whose novel coordinate is redrawn
         # inside the training band, so the material looks unremarkable. The
@@ -367,7 +364,7 @@ def _region_maps(rng: np.random.Generator, composition: str, n_materials: int, s
         split = int(rng.uniform(0.35, 0.65) * W)
         region = np.zeros((H, W), dtype=np.int64)
         region[:, split:] = 1
-    elif composition == "layers":
+    else:  # layers; generate_task's required_materials refuses any other composition
         split = int(rng.uniform(0.35, 0.65) * W)
         region = np.zeros((H, W), dtype=np.int64)
         region[:, split:] = 1
@@ -376,8 +373,6 @@ def _region_maps(rng: np.random.Generator, composition: str, n_materials: int, s
         below = n_materials - 1 if n_materials - 1 != side else 1 - side
         hidden = region.copy()
         hidden[region == side] = below
-    else:
-        raise ValueError(f"unknown composition {composition!r}")
     return region, hidden
 
 
@@ -396,7 +391,7 @@ def generate_task(task_id: str, materials, composition: str, seed) -> TerrainTas
     lo, hi = required_materials(composition)
     if not lo <= len(materials) <= hi:
         raise ValueError(f"{composition} needs between {lo} and {hi} materials, got {len(materials)}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     heightmap = generate_heightmap(rng)
     region, hidden = _region_maps(rng, composition, len(materials), heightmap.shape)
     return TerrainTask(
@@ -582,9 +577,8 @@ def reward_oracle(task: TerrainTask, actions, rng=None, *, gradient=None) -> np.
 
     if rng is None:
         return value
-    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     std = NOISE_FRAC * value + NOISE_FLOOR_CM3
-    return np.maximum(value + rng.normal(size=len(actions)) * std, 0.0)
+    return np.maximum(value + np.random.default_rng(rng).normal(size=len(actions)) * std, 0.0)
 
 
 def execute_scoop(task: TerrainTask, action, rng: np.random.Generator) -> float:
@@ -632,15 +626,15 @@ class TaskDataset:
     actions is (n, 5): x, y, yaw_index, depth and the stiffness bit (1 for
     hard, 0 for soft); rewards() is (n,), in cm^3; features is (n, F).
     The header fields keep a records file's task header rules: a known
-    composition, and a task id and material ids that are each one non-empty
-    token without whitespace, the material ids without commas. Every row is
-    checked once, when the dataset is built: actions against _action_rules,
-    rewards finite and non-negative, features finite. The first header
-    field or row that breaks a rule raises ValueError.
+    composition, a task id and material ids that are each one non-empty
+    token without whitespace, the material ids without commas, and at least
+    one record. Every row is checked once, when the dataset is built:
+    actions against _action_rules, rewards finite and non-negative,
+    features finite. The first header field or row that breaks a rule
+    raises ValueError.
     """
 
-    def __init__(self, task_id: str, composition: str, material_ids,
-                 actions=np.empty((0, 5)), rewards=np.empty(0), features=np.empty((0, 0))):
+    def __init__(self, task_id: str, composition: str, material_ids, actions, rewards, features):
         if not material_ids:
             raise ValueError("material_ids must be non-empty")
         self.task_id = task_id
@@ -660,6 +654,8 @@ class TaskDataset:
                 or self.features.ndim != 2 or len(self.features) != len(self._rewards)):
             raise ValueError(f"actions {self.actions.shape}, rewards {self._rewards.shape} and features "
                              f"{self.features.shape} are not (n, 5), (n,) and (n, F) columns")
+        if not len(self._rewards):
+            raise _RuleError(f"task {task_id} has no records: n_records must be at least 1", "n_records")
         x, y, yaw, depth, hard = self.actions.T
         with np.errstate(invalid="ignore"):  # yaw_index % 1 is NaN for a non-finite yaw, which fails its rule
             rules = (np.isfinite(self._rewards) & (self._rewards >= 0.0),
@@ -815,24 +811,21 @@ def write_database(prefix: str, datasets) -> tuple:
     """Write datasets to {prefix}.records.txt in one atomic write and return
     (records_path,). Lines are formatted and written one at a time, so only
     one task's numbers are held as Python values at once. TaskDataset holds
-    each task's header fields to the reader's rules; a task id that repeats
-    an earlier one, or a list without a single record, which the reader
-    rejects as empty, raises ValueError, and the atomic write leaves no
-    file."""
+    each task's header fields to the reader's rules; an empty list, which
+    the reader rejects, or a task id that repeats an earlier one raises
+    ValueError, and the atomic write leaves no file."""
     records_path = prefix + RECORDS_SUFFIX
+    if not datasets:
+        raise ValueError(f"{records_path}: no tasks to write; read_database rejects an empty dataset")
     seen = set()
 
     def lines():
         yield RECORDS_HEADER + "\n"
-        n_records = 0
         for ds in datasets:
             if ds.task_id in seen:
                 raise ValueError(f"task {ds.task_id!r} is a duplicate, so its records file could not be read back")
             seen.add(ds.task_id)
-            n_records += len(ds)
             yield from _task_lines(ds)
-        if not n_records:
-            raise ValueError(f"{records_path}: no records to write; read_database rejects an empty dataset")
 
     write_atomic({records_path: lines()})
     return (records_path,)
@@ -920,7 +913,7 @@ def _parse_records(block: list, task_id: str, n_records: int, feature_dim: int, 
     if rows != n_records:
         raise IngestError(f"task {task_id} has {rows} records, its header declares {n_records}",
                           path, header_line, "n_records")
-    return np.frombuffer(numbers).reshape(rows, 6 + feature_dim) if rows else np.empty((0, 6))
+    return np.frombuffer(numbers).reshape(rows, 6 + feature_dim)
 
 
 def read_database(path: str) -> list:
@@ -939,7 +932,7 @@ def read_database(path: str) -> list:
     line, which gives the same values or the IngestError at fault. The
     range rules are checked per task on the columns, and a row that breaks
     one is reported at its line; a header field that breaks TaskDataset's
-    rules is reported at the header line.
+    rules, n_records 0 among them, is reported at the header line.
     """
     path = path if path.endswith(RECORDS_SUFFIX) else path + RECORDS_SUFFIX
     datasets, seen = [], set()
@@ -970,7 +963,7 @@ def read_database(path: str) -> list:
                 header_line += len(block)
         except UnicodeDecodeError as exc:
             raise IngestError(f"file is not UTF-8 text: {exc}", path) from None
-    if not any(len(ds) for ds in datasets):
+    if not datasets:
         raise IngestError("dataset is empty", path)
     return datasets
 

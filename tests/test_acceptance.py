@@ -158,8 +158,9 @@ def test_split_invariants():
         datasets = []
         for t in range(int(rng.integers(1, 9))):
             picked = rng.choice(len(mats), size=int(rng.integers(1, 4)), replace=False)
-            datasets.append(TaskDataset(f"t{t}", "single",
-                                        tuple(mats[j] for j in sorted(picked))))
+            # one record each: a split reads only the material ids
+            datasets.append(TaskDataset(f"t{t}", "single", tuple(mats[j] for j in sorted(picked)),
+                                        [[0.1, 0.1, 0, 0.05, 0.0]], [1.0], [[0.0]]))
         used = sorted({m for ds in datasets for m in ds.material_ids})
         if len(used) < 2:
             continue

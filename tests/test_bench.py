@@ -389,9 +389,11 @@ def test_deploy_report_checks_its_aggregate_line(tmp_path):
         _write_lines(path, head + [f"#aggregate {bad}"])
         with pytest.raises(IngestError):
             read_deploy_report(path)
-    _write_lines(path, head[:3] + ["#aggregate avg=3 max=3 success_rate=1"])
-    with pytest.raises(IngestError):
-        read_deploy_report(path)
+    # a report of no rows, with or without an aggregate line, is one no writer produces
+    for tail in (["#aggregate avg=3 max=3 success_rate=1"], []):
+        _write_lines(path, head[:3] + tail)
+        with pytest.raises(IngestError, match="no rows"):
+            read_deploy_report(path)
 
 
 def test_report_readers_reject_fields_that_do_not_parse_and_headerless_files(tmp_path):
@@ -410,6 +412,9 @@ def test_report_readers_reject_fields_that_do_not_parse_and_headerless_files(tmp
         (read_mae_report, [mae[0], mae[2]], 0),
         (read_deploy_report, [deploy[0], deploy[2]], 0),
         (read_mae_report, [mae[0], mae[1].replace("shots=0", "shots=0,5"), mae[2]], 0),
+        # the header's shots follow config.check_shots: non-empty, distinct, non-negative
+        *((read_mae_report, [mae[0], mae[1].replace("shots=0", f"shots={shots}"), mae[2]], 2)
+          for shots in ("", "0,0", "-1", "0,")),
         (read_mae_report, mae + ["t0 5 1.5 2"], 4),
     ]
     for reader, lines, lineno in cases:

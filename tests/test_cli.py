@@ -360,6 +360,21 @@ def test_report_rejects_unknown_file(tmp_path, capsys):
     assert "not a recognized report file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lines, message", [
+    (["# scoopgp deploy-report v1", "# method=ucb seed=0 checkpoint=abc budget=20 trials=1 excluded=none"],
+     "deploy report has no rows"),
+    (["# scoopgp mae-report v1", "# label=kshot-mae seed=0 checkpoint=abc trials=1 shots="], "line=2"),
+])
+def test_report_refuses_a_report_no_writer_produces(tmp_path, capsys, lines, message):
+    # a deploy report of no rows, or a mae report listing no shots, exits 1
+    # with the IngestError naming the file, and renders no table
+    path = tmp_path / "report.txt"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["report", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and message in err and f"file={path}" in err
+
+
 def test_report_reads_each_file_once_and_names_a_missing_or_undecodable_one(mae_report_path, tmp_path, capsys,
                                                                              monkeypatch):
     binary = tmp_path / "binary.txt"
@@ -595,6 +610,19 @@ def test_package_import_loads_no_scipy_subpackage_but_linalg():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                          check=True).stdout.split()
     assert out == ["scipy.linalg"]
+
+
+def test_package_modules_import_only_at_module_level():
+    # the package imports every submodule before any function runs, so an
+    # import inside a function loads nothing and hides a module's dependencies
+    src = Path(__file__).resolve().parents[1] / "src" / "scoopgp"
+    local = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                local += [f"{path.name}:{inner.lineno}" for inner in ast.walk(node)
+                          if isinstance(inner, (ast.Import, ast.ImportFrom))]
+    assert local == []
 
 
 def test_benchmark_config_keys_are_all_accepted():

@@ -10,7 +10,6 @@ from scoopgp.decide import SCORER_KINDS, UCB_GAMMA, DeploymentTrace, run_deploym
 from scoopgp.errors import SelectionError
 from scoopgp.gp import DeepGpModel, mean_eval_batch, posterior_batch
 from scoopgp.nnet import NetworkSpec
-from scoopgp.tasks import TaskDataset
 
 from helpers import (action_of_row, flat_task, identity_embedding_model, identity_params, params_from_layers,
                      random_model, reference_dataset_deployment, reference_feasible, reward_dataset, toy_dataset)
@@ -137,9 +136,9 @@ def test_deployment_rejects_hopeless_or_empty_targets():
     ds = _deploy_dataset([1.0, 4.0, 9.0])
     with pytest.raises(ValueError, match="dep0.*threshold"):
         run_deployment(None, "random", ds, 10.0, budget=5)
-    empty = TaskDataset("dep1", "single", ("matA",))
-    with pytest.raises(ValueError, match="no records"):
-        run_deployment(None, "random", empty, 1.0, budget=5)
+    # an empty target cannot be built: TaskDataset refuses a task of no records
+    with pytest.raises(ValueError, match="dep1 has no records: n_records"):
+        _deploy_dataset([], "dep1")
     with pytest.raises(ValueError, match="budget"):
         run_deployment(None, "random", ds, 1.0, budget=0)
 

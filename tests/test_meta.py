@@ -25,7 +25,6 @@ from scoopgp.meta import (
     _mean_predict,
 )
 from scoopgp.nnet import ParamVector, forward_batch
-from scoopgp.tasks import TaskDataset
 
 from helpers import identity_params, toy_dataset
 
@@ -122,20 +121,19 @@ def test_mean_restores_the_best_validation_epoch():
 def test_mean_requires_data():
     with pytest.raises(ValueError):
         train_mean([], seed=0)
-    empty = TaskDataset("e", "single", ("m",))
-    with pytest.raises(ValueError):
-        train_mean([empty], seed=0)
+    with pytest.raises(ValueError, match="at least two records"):
+        train_mean([_one_record_task("e", ["m"])], seed=0)
 
 
 # ---------------------------------------------------------------------------
 # fold splits
 
-def _empty_task(task_id, materials):
-    return TaskDataset(task_id, "single", tuple(materials))
+def _one_record_task(task_id, materials):
+    return toy_dataset(task_id, [[0.0]], [1.0], materials=tuple(materials))
 
 
 def test_single_material_tasks_split_into_singleton_folds():
-    datasets = [_empty_task(f"t{i}", [m]) for i, m in enumerate("abcd")]
+    datasets = [_one_record_task(f"t{i}", [m]) for i, m in enumerate("abcd")]
     splits = make_fold_splits(datasets, folds=4, seed=0)
     assert len(splits) == 4
     buckets = [s.materials for s in splits]
@@ -149,7 +147,7 @@ def test_single_material_tasks_split_into_singleton_folds():
 
 
 def test_fold_split_argument_validation():
-    datasets = [_empty_task("t0", ["a"]), _empty_task("t1", ["b"])]
+    datasets = [_one_record_task("t0", ["a"]), _one_record_task("t1", ["b"])]
     with pytest.raises(ValueError):
         make_fold_splits(datasets, folds=1, seed=0)
     with pytest.raises(ValueError):
@@ -157,7 +155,7 @@ def test_fold_split_argument_validation():
 
 
 def test_fold_split_is_deterministic():
-    datasets = [_empty_task(f"t{i}", [f"m{i % 5}", f"m{(i + 2) % 5}"]) for i in range(8)]
+    datasets = [_one_record_task(f"t{i}", [f"m{i % 5}", f"m{(i + 2) % 5}"]) for i in range(8)]
     a = make_fold_splits(datasets, folds=3, seed=9)
     b = make_fold_splits(datasets, folds=3, seed=9)
     assert a == b
@@ -181,7 +179,7 @@ def _material_families(draw):
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_fold_membership_matches_brute_force(family):
     tasks, folds = family
-    datasets = [_empty_task(f"t{i}", mats) for i, mats in enumerate(tasks)]
+    datasets = [_one_record_task(f"t{i}", mats) for i, mats in enumerate(tasks)]
     splits = make_fold_splits(datasets, folds=folds, seed=13)
     used = {m for ds in datasets for m in ds.material_ids}
 
@@ -432,8 +430,7 @@ def test_dkmt_tracks_its_optimum_and_rejects_empty_input(dkmt_result, caplog):
     report = dkmt_result.report
     trains = [e.train_loss for e in report.entries]
     assert report.entries[report.best_epoch - 1].train_loss == min(trains)
-    single = TaskDataset("s", "single", ("m",))
     with pytest.raises(ValueError, match="min_group_size"):
-        train_dkmt([single])
+        train_dkmt([_one_record_task("s", ["m"])])
     assert [r.getMessage() for r in caplog.records if r.name == "scoopgp" and r.levelno == logging.WARNING] \
-        == ["[joint] skipping task s: 0 records < min_group_size 2"]
+        == ["[joint] skipping task s: 1 records < min_group_size 2"]

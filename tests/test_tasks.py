@@ -27,6 +27,8 @@ from scoopgp.tasks import (
     GRID_SHAPE,
     GP_INPUT_DIM,
     HIDDEN_DEPTH,
+    LATENT_PHYS_HI,
+    LATENT_PHYS_LO,
     MAX_ELEVATION,
     MAX_SLOPE,
     NOISE_FLOOR_CM3,
@@ -36,6 +38,8 @@ from scoopgp.tasks import (
     PATCH_CELLS,
     RECORDS_HEADER,
     SCOOP_W,
+    TRAIN_LATENT_HI,
+    TRAIN_LATENT_LO,
     TRAY_H,
     TRAY_W,
     _YAW_COS,
@@ -116,6 +120,28 @@ def test_ood_latents_sit_outside_the_training_hull():
     for m in pool.ood:
         assert not _inside_hull(m.latent, train)
         assert np.any((m.latent < lo) | (m.latent > hi))
+
+
+def test_ood_pushes_leave_the_training_range_within_the_physical_bound():
+    # the training box lies strictly inside the physical one, so a pushed
+    # coordinate always has room past the training materials' range
+    assert np.all(LATENT_PHYS_LO < TRAIN_LATENT_LO) and np.all(TRAIN_LATENT_LO < TRAIN_LATENT_HI)
+    assert np.all(TRAIN_LATENT_HI < LATENT_PHYS_HI)
+    # OOD material i pushes (coordinate, direction) number i % 4: gain low, jam
+    # high, depth sensitivity high, gain high
+    pushes = ((0, -1), (1, +1), (2, +1), (0, +1))
+    for seed in range(20):
+        for n_train in (2, 8):
+            pool = generate_materials(n_train, 8, rho=0.7, seed=seed)
+            train = np.stack([m.latent for m in pool.training])
+            lo, hi = train.min(axis=0), train.max(axis=0)
+            for i, m in enumerate(pool.ood):
+                coord, sign = pushes[i % len(pushes)]
+                value = m.latent[coord]
+                if sign > 0:
+                    assert hi[coord] < value <= LATENT_PHYS_HI[coord], (seed, n_train, i)
+                else:
+                    assert LATENT_PHYS_LO[coord] <= value < lo[coord], (seed, n_train, i)
 
 
 def test_jamming_novelty_material_stays_shallow_scoopable():
@@ -749,8 +775,8 @@ _READER_CASES = [
     ("blank line of spaces in a block", _insert(6, "   \n"), (7, "features")),
     ("task line in a block", _insert(3, "task c single m1 0 2\n"), (2, "n_records")),
     ("block cut short by EOF", lambda lines: lines.pop(), (6, "n_records")),
-    ("zero-record task", _insert(5, "task z layers m3 0 2\n"), None),
-    ("zero-record task at the end", _insert(8, "task z single m3 0 0\n"), None),
+    ("zero-record task", _insert(5, "task z layers m3 0 2\n"), (6, "n_records")),
+    ("zero-record task at the end", _insert(8, "task z single m3 0 0\n"), (9, "n_records")),
     ("tab separators", _separators(2, "\t"), None),
     ("form-feed separators", _separators(6, "\x0c"), None),
     ("mixed separators", _separators(4, " \t\x0b\x1f\xa0"), None),
@@ -786,7 +812,6 @@ def test_read_database_blocks_equal_the_reference_reader(tmp_path, monkeypatch, 
     datasets = read_database(str(path))
     assert_columns_equal_reference(datasets, reference_read_database(str(path)))
     # a block of records goes line by line only for a number that float() alone reads
-    # (a zero-record block does too, since loadtxt is not given an empty block)
     assert any(line_by_line) == (case in _PYTHON_ONLY_NUMBERS)
     if case == "yaw -0":
         # as float("-0") reads it; array_equal does not tell the zeros apart
@@ -853,23 +878,31 @@ def test_read_database_refuses_an_empty_dataset(tmp_path):
     open(empty + ".records.txt", "w").close()
     with pytest.raises(IngestError):
         read_database(empty)
-    # write_database refuses a file without records, so this one is written by hand
+    # write_database refuses both files below, so they are written by hand
     with open(empty + ".records.txt", "w") as fh:
-        fh.write(f"{RECORDS_HEADER}\ntask t0 single matA 0 3\n")
+        fh.write(f"{RECORDS_HEADER}\n")
     with pytest.raises(IngestError, match="dataset is empty"):
         read_database(empty)
+    # a task that declares no records is refused at its header line, before its next task
+    with open(empty + ".records.txt", "w") as fh:
+        fh.write(f"{RECORDS_HEADER}\ntask t0 single matA 0 3\ntask t1 single matA 1 0\n0.1 0.1 0 0.05 soft 1\n")
+    with pytest.raises(IngestError, match="t0 has no records") as info:
+        read_database(empty)
+    assert (info.value.line, info.value.field) == (2, "n_records")
 
 
 @pytest.mark.parametrize("n_tasks", [0, 1, 3])
 def test_write_database_refuses_a_dataset_without_records(tmp_path, n_tasks):
-    # no task at all, or only zero-record tasks: read_database would reject the file as empty
-    datasets = [toy_dataset(f"t{i}", np.empty((0, 3)), []) for i in range(n_tasks)]
-    with pytest.raises(ValueError, match="no records"):
-        write_database(str(tmp_path / "db"), datasets)
+    # a zero-record task cannot be built, so a dataset without records is an empty list
+    for i in range(n_tasks):
+        with pytest.raises(ValueError, match=f"t{i} has no records: n_records"):
+            toy_dataset(f"t{i}", np.empty((0, 3)), [])
+    with pytest.raises(ValueError, match="no tasks"):
+        write_database(str(tmp_path / "db"), [])
     assert list(tmp_path.iterdir()) == []
-    # one record among zero-record tasks is a dataset the reader accepts
-    write_database(str(tmp_path / "db"), datasets + [toy_dataset("last", [[1.0, 2.0, 3.0]], [4.0])])
-    assert [len(ds) for ds in read_database(str(tmp_path / "db"))] == [0] * n_tasks + [1]
+    # one task of one record is a dataset the reader accepts
+    write_database(str(tmp_path / "db"), [toy_dataset("last", [[1.0, 2.0, 3.0]], [4.0])])
+    assert [len(ds) for ds in read_database(str(tmp_path / "db"))] == [1]
 
 
 def test_terrain_bundle_round_trip(tmp_path, world):
@@ -1087,14 +1120,17 @@ def test_a_database_write_failing_midstream_keeps_the_old_records_file(tmp_path)
 def test_task_dataset_validation():
     actions = np.tile([0.1, 0.1, 0, 0.05, 0.0], (2, 1))
     with pytest.raises(ValueError, match="material_ids"):
-        TaskDataset("t", "single", ())
+        TaskDataset("t", "single", (), actions, [1.0, 1.0], np.zeros((2, 3)))
     for cols in ((actions[:, :4], [1.0, 1.0], np.zeros((2, 3))), (actions, [1.0], np.zeros((2, 3))),
                  (actions, [1.0, 1.0], np.zeros((3, 3))), (actions, [1.0, 1.0], np.zeros(6)),
                  (actions, [[1.0, 1.0]], np.zeros((1, 3)))):
         with pytest.raises(ValueError, match="are not"):
             TaskDataset("t", "single", ("a",), *cols)
-    empty = TaskDataset("t", "single", ["a"])
-    assert (len(empty), empty.feature_dim, empty.material_ids, empty.gp_inputs().shape) == (0, 0, ("a",), (0, 2))
+    # zero rows of any feature width break the header's n_records rule
+    for width in (0, 3):
+        with pytest.raises(ValueError, match="n_records") as info:
+            TaskDataset("t", "single", ["a"], np.empty((0, 5)), [], np.empty((0, width)))
+        assert (info.value.field, info.value.row) == ("n_records", -1)
 
     # each column rule names the first row that breaks it, with the message of the per-value rules
     for column, value, message in ((0, 1.5, r"scoop start \(1.5, 0.1\) outside the tray"),
